@@ -79,9 +79,7 @@ from .models import (  # noqa: F401
     unknot,
 )
 from .verdicts import (  # noqa: F401
-    DiffeoSpec,
     KnotDescriptor,
-    SurgerySpec,
     Verdict,
     cor13_arithmetic,
     cor51_rule,

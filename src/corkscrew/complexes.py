@@ -39,10 +39,11 @@ SKEW = "skew"
 
 
 def _norm_cols(cols):
-    """Drop zero polynomials and freeze each column dict."""
+    """Drop zero polynomials; column dicts keep their insertion order,
+    which nothing may depend on (reports sort where they print)."""
     out = []
     for col in cols:
-        out.append({t: p for t, p in sorted(col.items()) if p})
+        out.append({t: p for t, p in col.items() if p})
     return tuple(out)
 
 
@@ -132,10 +133,11 @@ class Endomorphism:
     # -- structural checks ----------------------------------------------
 
     def grading_violation(self) -> Optional[str]:
-        """First entry breaking the mode/bidegree contract, if any."""
+        """First entry, in (source, target) order, breaking the
+        mode/bidegree contract, if any."""
         for s, col in enumerate(self.cols):
             expect = gr_add(self._source_grading(s), self.bidegree)
-            for t, p in col.items():
+            for t, p in sorted(col.items()):
                 tgt_gr = self.target.gradings[t]
                 for m in p:
                     if gr_add(tgt_gr, mono_deg(m)) != expect:
@@ -261,7 +263,7 @@ def validate(cx: KnotComplex, require_s3_type: bool = False) -> ValidationReport
     if not dd.is_zero():
         for s, col in enumerate(dd.cols):
             if col:
-                t = next(iter(col))
+                t = min(col)
                 return ValidationReport(
                     ok=False,
                     first_violation=(
@@ -520,17 +522,34 @@ def serialize(x, include_actions: bool = True) -> str:
     return canonical_json(to_dict(x, include_actions)) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _decode_matrix(cx: KnotComplex, raw, label: str):
+    if not isinstance(raw, dict):
+        raise ParseError(f"{label}: must be an object of columns")
+    pos = {g: i for i, g in enumerate(cx.generators)}
+
+    def index(gid) -> int:
+        if isinstance(gid, str) and gid in pos:
+            return pos[gid]
+        raise ParseError(f"{label}: unknown generator {gid!r}")
+
     cols = [dict() for _ in range(cx.n)]
     for src, triples in raw.items():
-        s = cx.index(src)
+        s = index(src)
+        if not isinstance(triples, list):
+            raise ParseError(f"{label}: column {src!r} must be a list")
         col: dict = {}
         for entry in triples:
-            if len(entry) != 3:
+            if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError(f"{label}: entry {entry!r} is not a "
                                  f"[target, u_exp, v_exp] triple")
             tgt, a, b = entry
-            t = cx.index(tgt)
+            t = index(tgt)
+            if not (_is_int(a) and _is_int(b)):
+                raise ParseError(f"{label}: non-integer exponent in {entry!r}")
             if a < 0 or b < 0:
                 raise ParseError(f"{label}: negative exponent in {entry!r}")
             col[t] = padd(col.get(t, frozenset()), frozenset({(a, b)}))
@@ -544,19 +563,28 @@ def complex_from_dict(doc: dict) -> KnotComplex:
     raw_gens = doc.get("generators")
     if not raw_gens:
         raise ParseError("no generators")
+    if not isinstance(raw_gens, list):
+        raise ParseError("generators must be a list")
     gens, grads = [], []
     seen = set()
     for item in raw_gens:
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+            raise ParseError(f"generator {item!r} needs a string id")
         gid = item["id"]
         if gid in seen:
             raise ParseError(f"duplicate generator id {gid!r}")
         seen.add(gid)
-        gr = item["gr"]
-        if len(gr) != 2:
-            raise ParseError(f"generator {gid!r}: gr must be [gr_u, gr_v]")
+        gr = item.get("gr")
+        if not (isinstance(gr, list) and len(gr) == 2
+                and all(_is_int(g) for g in gr)):
+            raise ParseError(f"generator {gid!r}: gr must be [gr_u, gr_v] "
+                             f"with integer entries")
         gens.append(gid)
-        grads.append((int(gr[0]), int(gr[1])))
-    cx = KnotComplex(doc.get("name", "unnamed"), tuple(gens), tuple(grads),
+        grads.append(tuple(gr))
+    name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ParseError("name must be a string")
+    cx = KnotComplex(name, tuple(gens), tuple(grads),
                      tuple({} for _ in gens))
     cols = _decode_matrix(cx, doc.get("differential", {}), "differential")
     cx = KnotComplex(cx.name, cx.generators, cx.gradings, cols)
@@ -567,6 +595,8 @@ def complex_from_dict(doc: dict) -> KnotComplex:
 
 
 def action_from_dict(cx: KnotComplex, raw: dict, label: str) -> Endomorphism:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{label}: must be an object with mode and map")
     mode = raw.get("mode")
     if mode not in (STRAIGHT, SKEW):
         raise ParseError(f"{label}: mode must be 'straight' or 'skew'")

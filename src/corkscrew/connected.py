@@ -29,7 +29,14 @@ from .complexes import (
     validate,
 )
 from .errors import ValidationError
-from .homotopy import MapShape, MapSystem, homotopic, local_map_exists
+from .homotopy import (
+    Left,
+    MapShape,
+    MapSystem,
+    Right,
+    homotopic,
+    local_map_exists,
+)
 from .invariants import _PivotSpan
 from .models import box_complex, involution_candidates
 
@@ -609,7 +616,7 @@ def _invert_iso(w: Endomorphism) -> Optional[Endomorphism]:
     sys = MapSystem()
     sys.add_unknown("z", MapShape(w.target, w.source, STRAIGHT, (0, 0)))
     ident = w.source.identity()
-    sys.add_equation([("z", lambda z: z.compose(w))], rhs=ident)
+    sys.add_equation([("z", [Right(w)])], rhs=ident)
     ans, _ = sys.solve()
     if ans is None:
         return None

@@ -20,10 +20,6 @@ class ParseError(CorkscrewError):
         self.column = column
 
 
-class InconsistentSystem(CorkscrewError):
-    """A linear system over F2 has no solution."""
-
-
 class NoInvolutionError(CorkscrewError):
     """No skew chain map squaring to the Sarkar map exists on the complex."""
 

@@ -13,7 +13,7 @@ enumerate the solution space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .algebra import (
     F2Inconsistency,
@@ -21,6 +21,8 @@ from .algebra import (
     gr_add,
     gr_swap,
     lexmin_affine,
+    pscale,
+    pswap,
     slice_pairs,
     solve_f2_rows,
 )
@@ -31,7 +33,7 @@ from .complexes import (
     SKEW,
     STRAIGHT,
 )
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,65 @@ class MapShape:
                             self.bidegree, check=False)
 
 
+class Left(NamedTuple):
+    """The operator X -> A o X."""
+
+    map: Endomorphism
+
+    def check(self, shape: MapShape) -> None:
+        _check_composable(shape.target, self.map.source)
+
+    def entries(self, coords: list, skew: bool):
+        """(coordinate index, source, target, monomial) of every term of
+        A o E over the elementary maps E, one per coordinate (s, m, t).
+
+        A o E is column s of A.cols[t] scaled by m, where m moves through
+        A (swapped when A is skew)."""
+        cols = self.map.cols
+        swap = self.map.mode == SKEW
+        for ci, (s, m, t) in enumerate(coords):
+            if swap:
+                m = (m[1], m[0])
+            for t2, p in cols[t].items():
+                for q in p:
+                    yield ci, s, t2, (m[0] + q[0], m[1] + q[1])
+
+
+class Right(NamedTuple):
+    """The operator X -> X o B."""
+
+    map: Endomorphism
+
+    def check(self, shape: MapShape) -> None:
+        _check_composable(self.map.target, shape.source)
+
+    def entries(self, coords: list, skew: bool):
+        """As :meth:`Left.entries` for E o B: each entry (s', p) in row s
+        of B puts m times p (swapped when E is skew) in column s'."""
+        rows: list = [[] for _ in range(self.map.target.n)]
+        for s2, col in enumerate(self.map.cols):
+            for s, p in col.items():
+                rows[s].append((s2, pswap(p) if skew else p))
+        for ci, (s, m, t) in enumerate(coords):
+            for s2, p in rows[s]:
+                for q in p:
+                    yield ci, s2, t, (m[0] + q[0], m[1] + q[1])
+
+
+def _check_composable(produced: KnotComplex, consumed: KnotComplex) -> None:
+    if produced is not consumed and produced != consumed:
+        raise ValidationError("composition mismatch")
+
+
 class MapSystem:
     """Linear system whose unknowns are grading-homogeneous maps.
 
-    Equations have the form ``sum of op_i(unknown_i) = rhs`` where each
-    ``op`` is linear (composition with fixed maps, sums of such).  The
-    system is assembled by evaluating every operator on every elementary
-    basis map, which keeps the operators themselves opaque.
+    Equations have the form ``sum of op(unknown) = rhs``, where each
+    operator is a sum of :class:`Left` (``X -> A o X``) and :class:`Right`
+    (``X -> X o B``) terms.  An unknown's coordinates are the elementary
+    maps (s, m, t); every row bit is written straight from the nonzero
+    entries of A and B, without building a map per coordinate.  A row is
+    one (equation, source, target, monomial) entry of the equation's value.
     """
 
     def __init__(self):
@@ -79,7 +133,7 @@ class MapSystem:
         self.offsets: dict = {}
         self.total = 0
         self.equations: list = []  # (terms, rhs_endo_or_None)
-        self.functionals: list = []  # (name, bit_fn, rhs_bit)
+        self.functionals: list = []  # (name, vector, bit_fn, rhs_bit)
 
     def add_unknown(self, name: str, shape: MapShape) -> None:
         if name in self.shapes:
@@ -91,59 +145,49 @@ class MapSystem:
         self.total += len(self.coords[name])
 
     def add_equation(self, terms, rhs: Optional[Endomorphism] = None) -> None:
-        """terms: list of (unknown name, operator Endomorphism -> Endomorphism)."""
+        """terms: list of (unknown name, list of Left/Right operators)."""
+        for name, ops in terms:
+            for op in ops:
+                op.check(self.shapes[name])
         self.equations.append((list(terms), rhs))
 
-    def add_functional(self, name: str,
-                       bit_fn: Callable[[Endomorphism], int],
-                       rhs_bit: int) -> None:
-        self.functionals.append((name, bit_fn, rhs_bit))
+    def add_functional(self, name: str, vector: dict,
+                       bit_fn: Callable[[dict], int], rhs_bit: int) -> None:
+        """One affine row: ``bit_fn(f(vector)) = rhs_bit`` for the unknown f,
+        with ``vector`` an element {generator index: Poly} of its source and
+        ``bit_fn`` linear."""
+        self.functionals.append((name, vector, bit_fn, rhs_bit))
 
     def _rows(self):
-        row_index: dict = {}
-        rows: list = []
-        rhs: list = []
-
-        def row_of(key):
-            if key not in row_index:
-                row_index[key] = len(rows)
-                rows.append(0)
-                rhs.append(0)
-            return row_index[key]
-
-        for ei, (_, rhs_endo) in enumerate(self.equations):
-            if rhs_endo is None:
-                continue
-            for s, col in enumerate(rhs_endo.cols):
-                for t, p in col.items():
-                    for m in p:
-                        rhs[row_of((ei, s, t, m))] ^= 1
-        for name in self.names:
-            shape = self.shapes[name]
+        rows: dict = {}
+        rhs: dict = {}
+        for ei, (terms, rhs_endo) in enumerate(self.equations):
+            if rhs_endo is not None:
+                for s, col in enumerate(rhs_endo.cols):
+                    for t, p in col.items():
+                        for m in p:
+                            rhs[ei, s, t, m] = 1
+            for name, ops in terms:
+                off = self.offsets[name]
+                skew = self.shapes[name].mode == SKEW
+                for op in ops:
+                    for ci, s, t, m in op.entries(self.coords[name], skew):
+                        key = (ei, s, t, m)
+                        rows[key] = rows.get(key, 0) ^ (1 << (off + ci))
+        keys = list(rows) + [k for k in rhs if k not in rows]
+        out_rows = [rows.get(k, 0) for k in keys]
+        out_rhs = [rhs.get(k, 0) for k in keys]
+        for name, vector, bit_fn, rhs_bit in self.functionals:
             off = self.offsets[name]
-            for ci, coord in enumerate(self.coords[name]):
-                elem = shape.assemble(1 << ci, self.coords[name])
-                colbit = 1 << (off + ci)
-                for ei, (terms, _) in enumerate(self.equations):
-                    for nm, op in terms:
-                        if nm != name:
-                            continue
-                        val = op(elem)
-                        for s, col in enumerate(val.cols):
-                            for t, p in col.items():
-                                for m in p:
-                                    rows[row_of((ei, s, t, m))] ^= colbit
-        for name, bit_fn, rhs_bit in self.functionals:
-            shape = self.shapes[name]
-            off = self.offsets[name]
+            skew = self.shapes[name].mode == SKEW
             row = 0
-            for ci, coord in enumerate(self.coords[name]):
-                elem = shape.assemble(1 << ci, self.coords[name])
-                if bit_fn(elem):
+            for ci, (s, m, t) in enumerate(self.coords[name]):
+                p = vector.get(s)
+                if p and bit_fn({t: pscale(m, pswap(p) if skew else p)}):
                     row |= 1 << (off + ci)
-            rows.append(row)
-            rhs.append(rhs_bit)
-        return rows, rhs
+            out_rows.append(row)
+            out_rhs.append(rhs_bit)
+        return out_rows, out_rhs
 
     def solve(self, lexmin: bool = False):
         """Return ({name: Endomorphism}, F2Solution) or (None, certificate)."""
@@ -212,14 +256,13 @@ def homotopic(f: Endomorphism, g: Endomorphism,
     sys.add_unknown("h", shape)
     d_src = f.source.boundary()
     d_tgt = f.target.boundary()
-    sys.add_equation(
-        [("h", lambda h: d_tgt.compose(h) + h.compose(d_src))],
-        rhs=diff)
+    sys.add_equation([("h", [Left(d_tgt), Right(d_src)])], rhs=diff)
     ans, _ = sys.solve(lexmin=lexmin)
     if ans is None:
         return None
     h = Homotopy(ans["h"])
-    assert h.verifies(f, g)
+    if not h.verifies(f, g):
+        raise ConsistencyError("solved homotopy fails dH + Hd = f + g")
     return h
 
 
@@ -241,15 +284,11 @@ def homotopy_inverse(cx: KnotComplex, phi: Endomorphism):
     sys.add_unknown("g", MapShape(cx, cx, phi.mode, (0, 0)))
     sys.add_unknown("h1", MapShape(cx, cx, STRAIGHT, (1, 1)))
     sys.add_unknown("h2", MapShape(cx, cx, STRAIGHT, (1, 1)))
-    sys.add_equation([("g", lambda g: g.compose(d) + d.compose(g))])
-    sys.add_equation(
-        [("g", lambda g: phi.compose(g)),
-         ("h1", lambda h: d.compose(h) + h.compose(d))],
-        rhs=ident)
-    sys.add_equation(
-        [("g", lambda g: g.compose(phi)),
-         ("h2", lambda h: d.compose(h) + h.compose(d))],
-        rhs=ident)
+    sys.add_equation([("g", [Right(d), Left(d)])])
+    sys.add_equation([("g", [Left(phi)]), ("h1", [Left(d), Right(d)])],
+                     rhs=ident)
+    sys.add_equation([("g", [Right(phi)]), ("h2", [Left(d), Right(d)])],
+                     rhs=ident)
     ans, _ = sys.solve(lexmin=True)
     return None if ans is None else ans["g"]
 
@@ -269,21 +308,19 @@ class LocalityCertificate:
 
 
 def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex, shift: int,
-                  functional) -> MapSystem:
+                  t_cycle: dict, functional) -> MapSystem:
     c1, c2 = x1.complex, x2.complex
     d1, d2 = c1.boundary(), c2.boundary()
     sys = MapSystem()
     sys.add_unknown("f", MapShape(c1, c2, STRAIGHT, (shift, shift)))
     sys.add_unknown("hp", MapShape(c1, c2, STRAIGHT, (shift + 1, shift + 1)))
     sys.add_unknown("hi", MapShape(c1, c2, SKEW, (shift + 1, shift + 1)))
-    sys.add_equation([("f", lambda f: f.compose(d1) + d2.compose(f))])
-    sys.add_equation(
-        [("f", lambda f: f.compose(x1.phi) + x2.phi.compose(f)),
-         ("hp", lambda h: d2.compose(h) + h.compose(d1))])
-    sys.add_equation(
-        [("f", lambda f: f.compose(x1.iota) + x2.iota.compose(f)),
-         ("hi", lambda h: d2.compose(h) + h.compose(d1))])
-    sys.add_functional("f", functional, 1)
+    sys.add_equation([("f", [Right(d1), Left(d2)])])
+    sys.add_equation([("f", [Right(x1.phi), Left(x2.phi)]),
+                      ("hp", [Left(d2), Right(d1)])])
+    sys.add_equation([("f", [Right(x1.iota), Left(x2.iota)]),
+                      ("hi", [Left(d2), Right(d1)])])
+    sys.add_functional("f", t_cycle, functional, 1)
     return sys
 
 
@@ -316,11 +353,10 @@ def local_map_exists(x1: PhiIotaComplex, x2: PhiIotaComplex,
 
     last_obstruction = None
     for shift in shifts:
-        def functional(elem, _shift=shift):
-            image = elem.apply(t_cycle)
+        def functional(image, _shift=shift):
             return tower2.nontorsion_bit(image, t_grading + _shift)
 
-        sys = _local_system(x1, x2, shift, functional)
+        sys = _local_system(x1, x2, shift, t_cycle, functional)
         ans, cert = sys.solve()
         if ans is not None:
             out = LocalityCertificate(True, ans["f"], ans["hp"], ans["hi"],
@@ -335,11 +371,14 @@ def local_map_exists(x1: PhiIotaComplex, x2: PhiIotaComplex,
 def _check_witness(x1, x2, cert: LocalityCertificate) -> None:
     d1, d2 = x1.complex.boundary(), x2.complex.boundary()
     f, hp, hi = cert.f, cert.h_phi, cert.h_iota
-    assert (f.compose(d1) + d2.compose(f)).is_zero()
-    assert (f.compose(x1.phi) + x2.phi.compose(f)
-            == d2.compose(hp) + hp.compose(d1))
-    assert (f.compose(x1.iota) + x2.iota.compose(f)
-            == d2.compose(hi) + hi.compose(d1))
+    if not (f.compose(d1) + d2.compose(f)).is_zero():
+        raise ConsistencyError("local map witness is not a chain map")
+    if (f.compose(x1.phi) + x2.phi.compose(f)
+            != d2.compose(hp) + hp.compose(d1)):
+        raise ConsistencyError("local map witness fails its phi homotopy")
+    if (f.compose(x1.iota) + x2.iota.compose(f)
+            != d2.compose(hi) + hi.compose(d1)):
+        raise ConsistencyError("local map witness fails its iota homotopy")
 
 
 # -- self-local spaces ----------------------------------------------------------
@@ -387,12 +426,12 @@ def self_local_space(x: PhiIotaComplex, window_bump: int = 0) -> MorphismSpace:
     f_shape = MapShape(cx, cx, STRAIGHT, (0, 0))
     sys.add_unknown("f", f_shape)
     sys.add_unknown("hi", MapShape(cx, cx, SKEW, (1, 1)))
-    sys.add_equation([("f", lambda f: f.compose(d) + d.compose(f))])
-    sys.add_equation(
-        [("f", lambda f: f.compose(x.iota) + x.iota.compose(f)),
-         ("hi", lambda h: d.compose(h) + h.compose(d))])
+    sys.add_equation([("f", [Right(d), Left(d)])])
+    sys.add_equation([("f", [Right(x.iota), Left(x.iota)]),
+                      ("hi", [Left(d), Right(d)])])
     sol = sys.solutions_bits()
-    assert sol is not None  # homogeneous system
+    if sol is None:
+        raise ConsistencyError("homogeneous self-map system has no solution")
     n_f = len(sys.coords["f"])
     f_mask = (1 << n_f) - 1
 

@@ -230,14 +230,14 @@ def involution_candidates(cx: KnotComplex, cap: int = 18) -> list:
     so the affine solution space of the former is enumerated and each
     candidate's square is compared with the twist by a homotopy solve.
     """
-    from .homotopy import MapShape, MapSystem, homotopic
+    from .homotopy import Left, MapShape, MapSystem, Right, homotopic
 
     d = cx.boundary()
     s = sarkar_map(cx)
     sys = MapSystem()
     shape = MapShape(cx, cx, SKEW, (0, 0))
     sys.add_unknown("i", shape)
-    sys.add_equation([("i", lambda f: f.compose(d) + d.compose(f))])
+    sys.add_equation([("i", [Right(d), Left(d)])])
     sol = sys.solutions_bits()
     if sol is None:
         return []

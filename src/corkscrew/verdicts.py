@@ -72,24 +72,6 @@ class KnotDescriptor:
                           name=self.name)
 
 
-@dataclass(frozen=True)
-class DiffeoSpec:
-    kind: str  # torus_twist | periodic_tau | split | explicit
-    params: tuple = ()
-
-    def describe(self) -> str:
-        return f"{self.kind}{self.params}"
-
-
-@dataclass(frozen=True)
-class SurgerySpec:
-    m: int  # surgery coefficient 1/m
-
-    def __post_init__(self):
-        if self.m == 0:
-            raise ValidationError("surgery parameter m must be nonzero")
-
-
 @dataclass
 class Verdict:
     conclusion: str

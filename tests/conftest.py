@@ -15,7 +15,7 @@ from corkscrew.complexes import (
     SKEW,
     STRAIGHT,
 )
-from corkscrew.homotopy import MapShape, MapSystem
+from corkscrew.homotopy import Left, MapShape, MapSystem, Right
 from corkscrew.models import (
     figure_eight_iota_only,
     figure_eight_with_actions,
@@ -134,7 +134,7 @@ def random_chain_maps(cx: KnotComplex, seed: int, count: int,
     sys = MapSystem()
     shape = MapShape(cx, cx, STRAIGHT, bidegree)
     sys.add_unknown("f", shape)
-    sys.add_equation([("f", lambda f: f.compose(d) + d.compose(f))])
+    sys.add_equation([("f", [Right(d), Left(d)])])
     sol = sys.solutions_bits()
     rng = random.Random(seed)
     out = []

@@ -185,3 +185,57 @@ def brute_h_classes(x: PhiIotaComplex, d: int, margin: int = None):
     cycles = _kernel(data.bnd_cols(d))
     bspan = data.boundary_span(d)
     return data, sl, cycles, bspan
+
+
+def reference_rows(sys):
+    """Rows and rhs of a MapSystem assembled the slow way: a full
+    elementary Endomorphism per coordinate, each operator evaluated on it
+    by composition, the functionals on its image of their vector."""
+    from corkscrew.homotopy import Left
+
+    row_index: dict = {}
+    rows: list = []
+    rhs: list = []
+
+    def row_of(key):
+        if key not in row_index:
+            row_index[key] = len(rows)
+            rows.append(0)
+            rhs.append(0)
+        return row_index[key]
+
+    for ei, (_, rhs_endo) in enumerate(sys.equations):
+        if rhs_endo is None:
+            continue
+        for s, col in enumerate(rhs_endo.cols):
+            for t, p in col.items():
+                for m in p:
+                    rhs[row_of((ei, s, t, m))] ^= 1
+    for name in sys.names:
+        shape, coords = sys.shapes[name], sys.coords[name]
+        for ci in range(len(coords)):
+            elem = shape.assemble(1 << ci, coords)
+            colbit = 1 << (sys.offsets[name] + ci)
+            for ei, (terms, _) in enumerate(sys.equations):
+                for nm, ops in terms:
+                    if nm != name:
+                        continue
+                    val = None
+                    for op in ops:
+                        v = (op.map.compose(elem) if isinstance(op, Left)
+                             else elem.compose(op.map))
+                        val = v if val is None else val + v
+                    for s, col in enumerate(val.cols):
+                        for t, p in col.items():
+                            for m in p:
+                                rows[row_of((ei, s, t, m))] ^= colbit
+    for name, vector, bit_fn, rhs_bit in sys.functionals:
+        shape, coords = sys.shapes[name], sys.coords[name]
+        row = 0
+        for ci in range(len(coords)):
+            elem = shape.assemble(1 << ci, coords)
+            if bit_fn(elem.apply(vector)):
+                row |= 1 << (sys.offsets[name] + ci)
+        rows.append(row)
+        rhs.append(rhs_bit)
+    return rows, rhs

@@ -54,6 +54,24 @@ def test_validate_rejects_garbage(tmp_path, capsys):
     assert "no generators" in out
 
 
+@pytest.mark.parametrize("text", [
+    '{"generators": [{"gr": [0, 0]}]}',
+    '{"generators": [{"id": "x", "gr": "ab"}]}',
+    '{"generators": [{"id": "x", "gr": [0, 0]}], "differential": {"y": []}}',
+    '{"generators": [{"id": "x", "gr": [0.5, 0]}]}',
+])
+def test_malformed_files_are_structured_errors(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, _ = run_cli(["--format", "json", "validate", str(bad)],
+                           capsys)
+    assert code == 1
+    assert json.loads(out)["invariants"]["valid"] is False
+    code, _, err = run_cli(["--format", "json", "sarkar", str(bad)], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_sarkar_output(fig8_file, capsys):
     code, out, _ = run_cli(["sarkar", fig8_file], capsys)
     assert code == 0

@@ -63,6 +63,26 @@ def test_d_squared_detected():
     assert not rep.ok and "d^2" in rep.first_violation
 
 
+def test_d_squared_names_the_lowest_target():
+    # a's column lists c before b, so the column of d^2 at a is built in
+    # descending target order (e before d); the report names d all the same
+    cx = KnotComplex("nc", ("a", "b", "c", "d", "e"),
+                     ((0, 0), (-1, -1), (-1, -1), (-2, -2), (-2, -2)),
+                     ({2: P_ONE, 1: P_ONE}, {3: P_ONE}, {4: P_ONE}, {}, {}))
+    d = cx.boundary()
+    assert list(d.compose(d).cols[0]) == [4, 3]
+    assert validate(cx).first_violation == "d^2 != 0 at a->d"
+
+
+def test_bad_bidegree_names_the_lowest_target():
+    cx = box_complex(1)
+    cols = [dict(c) for c in cx.diff]
+    cols[0] = {2: poly([(0, 2)]), 1: poly([(2, 0)])}  # both entries wrong
+    bad = KnotComplex("bad", cx.generators, cx.gradings, tuple(cols))
+    assert validate(bad).first_violation == (
+        "differential bidegree violated at a->b")
+
+
 class TestDerivativeMaps:
     def test_box(self):
         cx = box_complex(1)
@@ -238,6 +258,26 @@ class TestSerialization:
             parse_complex_text(
                 '{"generators": [{"id": "p", "gr": [0, 0]},'
                 ' {"id": "p", "gr": [0, 0]}]}')
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"generators": [{"gr": [0, 0]}]}', "needs a string id"),
+        ('{"generators": [{"id": "x", "gr": "ab"}]}', "gr must be"),
+        ('{"generators": [{"id": "x", "gr": [0.5, 0]}]}', "gr must be"),
+        ('{"generators": [{"id": "x", "gr": [0, 0]}],'
+         ' "differential": {"y": []}}', "unknown generator 'y'"),
+        ('{"generators": [{"id": "x", "gr": [0, 0]}],'
+         ' "differential": {"x": [["y", 0, 0]]}}', "unknown generator 'y'"),
+        ('{"generators": [{"id": "x", "gr": [0, 0]}],'
+         ' "differential": {"x": [["x", 0.5, 0]]}}', "non-integer exponent"),
+        ('{"generators": {"x": [0, 0]}}', "generators must be a list"),
+        ('{"name": ["n"], "generators": [{"id": "x", "gr": [0, 0]}]}',
+         "name must be a string"),
+        ('{"generators": [{"id": "x", "gr": [0, 0]}], "phi": []}',
+         "phi: must be an object"),
+    ])
+    def test_malformed_input_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_complex_text(text)
 
     def test_json_error_carries_position(self):
         with pytest.raises(ParseError) as err:

@@ -1,13 +1,26 @@
 """Seeded end-to-end stress: every pipeline stage on scrambled models."""
 
+import json
 import random
 
-from corkscrew.complexes import iota_complex, sarkar_map, tensor, validate
+from hypothesis import given, settings, strategies as st
+
+from corkscrew.complexes import (
+    iota_complex,
+    sarkar_map,
+    serialize,
+    tensor,
+    to_dict,
+    validate,
+)
 from corkscrew.connected import connected_complex, s_nontrivial
+from corkscrew.errors import CorkscrewError
 from corkscrew.homotopy import homotopic, local_map_exists
 from corkscrew.invariants import delta, delta_zero_iff_local
 from corkscrew.models import (
+    bundled,
     figure_eight_iota_only,
+    parse_complex_text,
     staircase_model,
     thin_model,
     torus_model,
@@ -91,3 +104,56 @@ def test_unknot_tensor_chain_is_locally_trivial():
     x = tensor(tensor(unknot(), unknot()), trivial())
     assert delta(x).delta == 0
     assert local_map_exists(trivial(), x).exists
+
+
+_IDS = st.sampled_from(["a", "b", "x", "y0", "u0", "straight", "skew"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-3, 3, allow_nan=False) | st.text(max_size=2) | _IDS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, path + (i,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_round_trips_or_raises_a_library_error(data):
+    """Mutated bundled fixtures: each edit deletes one value anywhere in
+    the document or replaces it by a value of its own kind or by any JSON
+    value (the root only when nothing is left under it)."""
+    name = data.draw(st.sampled_from(
+        ["unknot", "4_1", "4_1_iota", "4_1_s", "T2_3", "mirror_T2_3",
+         "stair_box_3"]))
+    doc = {"doc": to_dict(bundled(name))}
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc["doc"]))[1:] or [()]
+        path = ("doc",) + data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        kind = data.draw(st.sampled_from(["delete", "alike", "any"]))
+        if kind == "delete" and len(path) > 1:
+            del parent[path[-1]]
+        elif kind == "alike" and isinstance(old, (int, str)):
+            parent[path[-1]] = data.draw(
+                st.integers(-3, 3) if isinstance(old, int) else _IDS)
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    text = json.dumps(doc["doc"])
+    try:
+        x = parse_complex_text(text)
+    except CorkscrewError:
+        return
+    canon = serialize(x)
+    assert serialize(parse_complex_text(canon)) == canon
