@@ -4,12 +4,20 @@ bigradings, graded slice enumeration, and bit-packed F2 linear algebra.
 Coefficients live in F2, so a polynomial is simply the set of monomials
 present and addition is symmetric difference.  A monomial U^a V^b is the
 exponent pair ``(a, b)``; it shifts the bigrading by ``(-2a, -2b)``.
+
+Every F2 elimination in the package goes through one routine, the
+incremental row echelon :class:`Echelon`: ranks, lexmin witnesses and
+linear solves here, :class:`ColumnSpan` for kernels and coordinates over
+a list of columns, and the homology, peeling and self-map spans of the
+other modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from .errors import ValidationError
 
 Mono = tuple  # (u_exp, v_exp)
 Poly = frozenset  # frozenset of Mono
@@ -187,18 +195,11 @@ class F2Matrix:
             packed.append(word)
         return cls(rows=len(packed), cols=ncols, bits=packed)
 
-    def row(self, i: int) -> list:
-        return [(self.bits[i] >> j) & 1 for j in range(self.cols)]
-
 
 @dataclass
 class F2Solution:
     particular: int  # bitmask over columns
     kernel: list  # list of bitmasks, deterministic order
-
-    def vectors(self, ncols: int) -> tuple:
-        return (_unpack(self.particular, ncols),
-                [_unpack(k, ncols) for k in self.kernel])
 
 
 @dataclass
@@ -208,59 +209,152 @@ class F2Inconsistency:
     combo: int  # bitmask over the original rows
 
 
-def _unpack(word: int, n: int) -> list:
-    return [(word >> j) & 1 for j in range(n)]
+def _ones(word: int):
+    """Positions of the set bits of a non-negative word, lowest first."""
+    bits = bin(word)[:1:-1]
+    j = bits.find("1")
+    while j >= 0:
+        yield j
+        j = bits.find("1", j + 1)
+
+
+class Echelon:
+    """Incremental F2 span in row echelon form: every stored row has a
+    distinct pivot, its lowest set bit.
+
+    A vector is reduced by clearing its lowest pivot bit with that pivot's
+    row, repeatedly; a row changes no bit below its pivot, so this ends
+    with a vector that is zero at every pivot.  That vector, and the rows
+    used to reach it, do not depend on the order of the steps.  This is
+    the one elimination routine of the package: ranks, kernels,
+    solutions, coordinates and inverses are all read off it.
+    """
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self.rows: list = []  # (pivot, vec, tag), in insertion order
+        self._at: dict = {}  # pivot bit -> (vec, tag)
+        self._top = 0  # highest pivot bit
+        for v in vectors:
+            self.insert(v)
+
+    def _reduce(self, v: int, coeffs: Optional[dict]) -> int:
+        at = self._at
+        top = self._top
+        rest = 0
+        while v:
+            low = v & -v
+            if low > top:  # no pivot left at or above this bit
+                return rest | v
+            hit = at.get(low)
+            if hit is None:
+                rest |= low
+                v ^= low
+            else:
+                v ^= hit[0]
+                if coeffs is not None:
+                    coeffs[hit[1]] = coeffs.get(hit[1], 0) ^ 1
+        return rest
+
+    def reduce(self, v: int) -> int:
+        return self._reduce(v, None)
+
+    def insert(self, v: int, tag=None) -> int:
+        """Store the reduction of v under ``tag``; returns it, 0 when v is
+        already in the span (nothing is stored then)."""
+        v = self._reduce(v, None)
+        if v:
+            low = v & -v
+            self._at[low] = (v, tag)
+            self._top = max(self._top, low)
+            self.rows.append((low.bit_length() - 1, v, tag))
+        return v
+
+    def coefficients(self, v: int) -> dict:
+        """{tag: bit} writing v over the stored rows; raises when v is
+        outside the span."""
+        coeffs: dict = {}
+        if self._reduce(v, coeffs):
+            raise ValidationError("vector outside the recorded span")
+        return coeffs
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+class ColumnSpan:
+    """The span of columns c_0, c_1, ... with coordinates over them.
+
+    Column j goes into an :class:`Echelon` as ``c_j | 1 << (shift + j)``:
+    the bits from ``shift`` up record which columns a stored row is a sum
+    of, so a vector that reduces to zero below ``shift`` reduces to its
+    coordinates above it.  A column that depends on earlier ones is not
+    stored; its coordinates plus itself make a kernel vector.  Columns
+    that are stored are the pivot columns of the reduced echelon form,
+    and coordinates use only those, so both match that form.
+    """
+
+    def __init__(self, cols: Sequence[int]):
+        self.shift = max(cols, default=0).bit_length()
+        self.span = Echelon()
+        self.kernel: list = []  # one vector per dependent column, in order
+        low = (1 << self.shift) - 1
+        for j, col in enumerate(cols):
+            v = self.span.reduce(col | (1 << (self.shift + j)))
+            if v & low:
+                self.span.insert(v)
+            else:
+                self.kernel.append(v >> self.shift)
+
+    def coordinates(self, v: int) -> Optional[int]:
+        """Bitmask over the columns summing to v; None outside the span."""
+        if v >> self.shift:
+            return None
+        v = self.span.reduce(v)
+        if v & ((1 << self.shift) - 1):
+            return None
+        return v >> self.shift
 
 
 def solve_f2_rows(rows: list, rhs: list, ncols: int):
     """Solve A x = b exactly over F2 with deterministic leftmost pivoting.
 
-    Returns an F2Solution (one solution plus a kernel basis) or an
-    F2Inconsistency carrying the row combination that certifies b is not in
-    the column span.
+    Returns an F2Solution (the solution read off the reduced echelon form,
+    free coordinates zero, plus a kernel basis ordered by free column) or
+    an F2Inconsistency carrying a row combination that certifies b is not
+    in the column span.
     """
-    work = list(rows)
-    b = list(rhs)
-    prov = [1 << i for i in range(len(work))]
-    pivots = []  # (col, row_index)
-    r = 0
-    for col in range(ncols):
-        mask = 1 << col
-        sel = None
-        for i in range(r, len(work)):
-            if work[i] & mask:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        b[r], b[sel] = b[sel], b[r]
-        prov[r], prov[sel] = prov[sel], prov[r]
-        for i in range(len(work)):
-            if i != r and (work[i] & mask):
-                work[i] ^= work[r]
-                b[i] ^= b[r]
-                prov[i] ^= prov[r]
-        pivots.append((col, r))
-        r += 1
-    for i in range(len(work)):
-        if work[i] == 0 and b[i]:
-            return F2Inconsistency(combo=prov[i])
+    bare = 1 << ncols
+    span = Echelon()
+    stored = []  # rows that raised the rank; the others drop out
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        v = span.insert(row | (b << ncols))
+        if v:
+            stored.append(i)
+        if v == bare:
+            return F2Inconsistency(
+                combo=_left_kernel_witness(rows, rhs, ncols, stored))
+    # back-substitute: highest pivots first, each row reduced against the
+    # rows above it, which leaves the (unique) reduced echelon form; a row
+    # is then zero at every other pivot, so its other bits are free columns
+    rref = Echelon(v for _, v, _ in sorted(span.rows, reverse=True))
+    pivots = {p for p, _, _ in rref.rows}
+    kernel = {j: 1 << j for j in range(ncols) if j not in pivots}
     particular = 0
-    for col, i in pivots:
-        if b[i]:
-            particular |= 1 << col
-    pivot_cols = {col for col, _ in pivots}
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for col, i in pivots:
-            if work[i] & (1 << free):
-                vec |= 1 << col
-        kernel.append(vec)
-    return F2Solution(particular=particular, kernel=kernel)
+    for p, v, _ in rref.rows:
+        particular |= (v >> ncols) << p
+        for j in _ones((v ^ (1 << p)) & (bare - 1)):
+            kernel[j] |= 1 << p
+    return F2Solution(particular=particular, kernel=list(kernel.values()))
+
+
+def _left_kernel_witness(rows: list, rhs: list, ncols: int,
+                         stored: list) -> int:
+    """A row combination y with y A = 0 and y b = 1: the coordinates of
+    the bare rhs bit over the augmented rows.  Only the ``stored`` rows,
+    those that raised the rank, can take part."""
+    aug = ColumnSpan([rows[i] | (rhs[i] << ncols) for i in stored])
+    return sum(1 << stored[k] for k in _ones(aug.coordinates(1 << ncols)))
 
 
 def solve_f2(a: F2Matrix, b: Sequence[int]):
@@ -271,47 +365,15 @@ def solve_f2(a: F2Matrix, b: Sequence[int]):
 
 
 def f2_rank(rows: list, ncols: int) -> int:
-    work = list(rows)
-    rank = 0
-    r = 0
-    for col in range(ncols):
-        mask = 1 << col
-        sel = None
-        for i in range(r, len(work)):
-            if work[i] & mask:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] & mask):
-                work[i] ^= work[r]
-        rank += 1
-        r += 1
-    return rank
+    return Echelon(rows).rank
 
 
 def lexmin_affine(particular: int, kernel: list, ncols: int) -> int:
     """Lexicographically smallest element of particular + span(kernel).
 
     Coordinates are compared left to right (column 0 first) with 0 < 1.
+    The reduction of ``particular`` is zero at every pivot, and any other
+    element of the coset differs from it first at a pivot, where it has a
+    one; so the reduction is the minimum.
     """
-    basis = []
-    for vec in kernel:
-        v = vec
-        for lead, bv in basis:
-            if v & (1 << lead):
-                v ^= bv
-        if v:
-            lead = (v & -v).bit_length() - 1
-            basis.append((lead, v))
-    # Every vector's lowest set bit is its lead and leads are distinct, so
-    # choosing column values greedily from the left is optimal: flipping a
-    # later vector never disturbs an already-decided column.
-    basis.sort()
-    sol = particular
-    for lead, v in basis:
-        if sol & (1 << lead):
-            sol ^= v
-    return sol
+    return Echelon(kernel).reduce(particular)

@@ -17,7 +17,18 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import P_ONE, Grading, gr_add, padd, pscale, slice_monomial
+from .algebra import (
+    P_ONE,
+    ColumnSpan,
+    Echelon,
+    Grading,
+    f2_rank,
+    gr_add,
+    gr_swap,
+    padd,
+    pscale,
+    slice_monomial,
+)
 from .complexes import (
     Endomorphism,
     KnotComplex,
@@ -28,7 +39,7 @@ from .complexes import (
     sarkar_map,
     validate,
 )
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .homotopy import (
     Left,
     MapShape,
@@ -37,7 +48,6 @@ from .homotopy import (
     homotopic,
     local_map_exists,
 )
-from .invariants import _PivotSpan
 from .models import box_complex, involution_candidates
 
 GREEDY_CAVEAT = "greedy nonmaximal: unverified"
@@ -352,109 +362,62 @@ def _peel_boxes(gradings, cols):
         return out
 
     p_vecs = [apply(a_cols, b_cols[s]) for s in range(n)]
-    span = _PivotSpan()
-    xs = []
-    for s in range(n):
-        if p_vecs[s] and span.insert(p_vecs[s]):
-            xs.append(s)
+    span = Echelon()
+    xs = [s for s in range(n) if span.insert(p_vecs[s])]
     if not xs:
         return None
     quads = []
     for s in xs:
         x = 1 << s
         quads.append((x, apply(a_cols, x), apply(b_cols, x), p_vecs[s]))
-    # full decomposition X + AX + BX + PX + completion, in that order
-    order = ([q[0] for q in quads] + [q[1] for q in quads]
-             + [q[2] for q in quads] + [q[3] for q in quads])
-    deco = _PivotSpan()
-    for v in order:
-        if not deco.insert(v):
-            return None  # quadruples fail to be independent: bail out
-    completion = []
-    for s in range(n):
-        if deco.insert(1 << s):
-            completion.append(1 << s)
-    r = len(xs)
-    px_offset = 3 * r
-
-    def coords(v):
-        """Coordinates of v over the recorded decomposition basis."""
-        out = [0] * n
-        for pos, (pivot, w, _) in enumerate(deco.rows):
-            if (v >> pivot) & 1:
-                v ^= w
-                out[pos] ^= 1
-        assert v == 0
-        return out
+    # full decomposition X + AX + BX + PX + completion, in that order;
+    # each PX vector is tagged with its quadruple
+    deco = Echelon()
+    for part in range(4):
+        for i, q in enumerate(quads):
+            if not deco.insert(q[part], tag=i if part == 3 else None):
+                return None  # quadruples fail to be independent: bail out
+    completion = [1 << s for s in range(n) if deco.insert(1 << s)]
 
     def sigma(v):
         out = 0
-        abv = apply(a_cols, apply(b_cols, v))
-        av = apply(a_cols, v)
-        bv = apply(b_cols, v)
-        c_ab = coords(abv)
-        c_b = coords(bv)
-        c_a = coords(av)
-        c_v = coords(v)
+        c_ab = deco.coefficients(apply(a_cols, apply(b_cols, v)))
+        c_b = deco.coefficients(apply(b_cols, v))
+        c_a = deco.coefficients(apply(a_cols, v))
+        c_v = deco.coefficients(v)
         for i, (x, ax, bx, px) in enumerate(quads):
-            k = px_offset + i
-            if c_ab[k]:
+            if c_ab.get(i):
                 out ^= x
-            if c_b[k]:
+            if c_b.get(i):
                 out ^= ax
-            if c_a[k]:
+            if c_a.get(i):
                 out ^= bx
-            if c_v[k]:
+            if c_v.get(i):
                 out ^= px
         return out
 
-    new_basis = []
+    m_bits = []
     for x, ax, bx, px in quads:
-        new_basis.extend((x, ax, bx, px))
+        m_bits.extend((x, ax, bx, px))
     for c in completion:
-        new_basis.append(c ^ sigma(c))
-    check = _PivotSpan()
-    for v in new_basis:
-        if not check.insert(v):
-            return None
-    m_bits = new_basis
-    # invert the constant change of basis over F2
-    inv_cols = _f2_inverse(m_bits, n)
-    if inv_cols is None:
+        m_bits.append(c ^ sigma(c))
+    # invert the constant change of basis over F2: column s of the inverse
+    # holds the coordinates of e_s over the new basis
+    basis = ColumnSpan(m_bits)
+    if basis.kernel:
         return None
+    inv_bits = [basis.coordinates(1 << s) for s in range(n)]
     m_cols = [{t: P_ONE for t in range(n) if (v >> t) & 1} for v in m_bits]
-    q_cols = [{t: P_ONE for t in range(n) if (inv_cols[s] >> t) & 1}
-              for s in range(n)]
+    q_cols = [{t: P_ONE for t in range(n) if (w >> t) & 1} for w in inv_bits]
     # each new basis vector is homogeneous; read its grading off any
     # generator in its support
     new_grads = tuple(gradings[(v & -v).bit_length() - 1] for v in m_bits)
     for k, v in enumerate(m_bits):
         for t in range(n):
-            if (v >> t) & 1:
-                assert gradings[t] == new_grads[k]
+            if (v >> t) & 1 and gradings[t] != new_grads[k]:
+                raise ConsistencyError(
+                    "peeled basis vector is not homogeneous")
     return m_cols, q_cols, new_grads
-
-
-def _f2_inverse(cols_bits, n):
-    """Columns of the inverse of a constant F2 matrix given by columns."""
-    work = list(cols_bits)
-    inv = [1 << j for j in range(n)]
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if (work[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            return None
-        work[col], work[sel] = work[sel], work[col]
-        inv[col], inv[sel] = inv[sel], inv[col]
-        for i in range(n):
-            if i != col and ((work[i] >> col) & 1):
-                work[i] ^= work[col]
-                inv[i] ^= inv[col]
-    # inv now holds columns of M^-1 in the transposed sense; work = identity
-    return inv
 
 
 def _match_all(names, gradings, cols):
@@ -513,11 +476,18 @@ def _recognize(cx: KnotComplex, max_passes: int = 80):
         q_cols = _poly_matmul(q3, _poly_matmul(q2, q_cols))
         # the composed change of basis must be an honest conjugation onto
         # a valid complex; cheap to certify, catastrophic if wrong
-        assert _poly_matmul(q_cols, m_cols) == _identity_cols(cx.n)
-        assert _conjugate_diff([dict(c) for c in cx.diff],
-                               m_cols, q_cols) == cols3
+        if _poly_matmul(q_cols, m_cols) != _identity_cols(cx.n):
+            raise ConsistencyError(
+                f"{cx.name}: peeled change of basis is not invertible")
+        if _conjugate_diff([dict(c) for c in cx.diff],
+                           m_cols, q_cols) != cols3:
+            raise ConsistencyError(
+                f"{cx.name}: peeled basis does not conjugate the "
+                f"differential onto the recognised form")
         probe = KnotComplex(cx.name, names, grads, tuple(cols3))
-        assert validate(probe).ok
+        if not validate(probe).ok:
+            raise ConsistencyError(
+                f"{cx.name}: recognised form is not a valid complex")
     form, roles = got
     return form, m_cols, q_cols, roles
 
@@ -603,9 +573,13 @@ def _conn_whole(x: PhiIotaComplex, form: StandardForm, p_cols, q_cols, roles):
     for s in range(cx.n):
         proj_cols.append({pos[t]: p for t, p in q_cols[s].items()})
     projection = Endomorphism(cx, model, tuple(proj_cols), STRAIGHT, (0, 0))
-    assert projection.compose(inclusion) == model.identity()
+    if projection.compose(inclusion) != model.identity():
+        raise ConsistencyError(
+            f"{cx.name}: projection does not invert the inclusion")
     dm, dc = model.boundary(), cx.boundary()
-    assert inclusion.compose(dm) == dc.compose(inclusion)
+    if inclusion.compose(dm) != dc.compose(inclusion):
+        raise ConsistencyError(
+            f"{cx.name}: inclusion of the standard form is not a chain map")
     iota_conn = projection.compose(x.iota).compose(inclusion)
     conn = iota_complex(model, iota_conn)
     return ConnectedResult(conn=conn, form=form, inclusion=inclusion,
@@ -662,7 +636,10 @@ def _conn_reduced(x: PhiIotaComplex, form: StandardForm):
             continue
         inclusion = up.f.compose(z)
         projection = down.f
-        assert projection.compose(inclusion) == model.identity()
+        if projection.compose(inclusion) != model.identity():
+            raise ConsistencyError(
+                f"{x.complex.name}: projection does not invert the "
+                f"inclusion")
         return ConnectedResult(
             conn=conn, form=StandardForm(
                 staircase_steps=form.staircase_steps,
@@ -719,8 +696,6 @@ def _conn_greedy(x: PhiIotaComplex, seed: int, rounds: int):
 
 def _window_kernel_dim(f: Endomorphism) -> int:
     """Total slice-kernel dimension over the generator window."""
-    from .algebra import f2_rank
-
     cx = f.source
     total = 0
     seen = set()
@@ -734,15 +709,13 @@ def _window_kernel_dim(f: Endomorphism) -> int:
                 src = cx.slice(t)
                 if not src:
                     continue
-                tgt = cx.slice(t)
-                tpos = {(m, g): i for i, (m, g) in enumerate(tgt)}
-                rows = [0] * len(tgt)
-                for j, (m, g) in enumerate(src):
+                pos = {(m, g): i for i, (m, g) in enumerate(src)}
+                cols = []
+                for m, g in src:
                     img = f.apply({g: frozenset({m})})
-                    for gg, p in img.items():
-                        for mm in p:
-                            rows[tpos[(mm, gg)]] |= 1 << j
-                total += len(src) - f2_rank(rows, len(src))
+                    cols.append(sum(1 << pos[(mm, gg)]
+                                    for gg, p in img.items() for mm in p))
+                total += len(src) - f2_rank(cols, len(src))
     return total
 
 
@@ -755,8 +728,8 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     for i in range(cx.n):
         if not cols[i]:
             continue
-        if not _in_span(cx, cols[i], cx.gradings[i],
-                        [(cols[k], cx.gradings[k]) for k in kept]):
+        if _express(cx, cols[i], cx.gradings[i],
+                    [(cols[k], cx.gradings[k]) for k in kept]) is None:
             kept.append(i)
     if not kept:
         return None
@@ -778,7 +751,6 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     icols = []
     for i in kept:
         img = f.apply(x.iota.apply({i: P_ONE}))
-        from .algebra import gr_swap
         combo = _express(cx, img, gr_swap(cx.gradings[i]), span)
         if combo is None:
             return None
@@ -803,49 +775,36 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     return conn, inclusion, projection
 
 
-def _in_span(cx, vec, grading, span) -> bool:
-    return _express(cx, vec, grading, span) is not None
-
-
 def _express(cx, vec, grading, span):
     """Write a homogeneous element over monomial multiples of the spanning
     columns; dict {span-index: Poly} or None."""
-    from .algebra import solve_f2_rows
-
     tgt = cx.slice(grading)
     if not tgt and vec:
         return None
     tpos = {(m, g): i for i, (m, g) in enumerate(tgt)}
+
+    def word(element):
+        keys = [(mm, gg) for gg, p in element.items() for mm in p]
+        if any(key not in tpos for key in keys):
+            return None
+        return sum(1 << tpos[key] for key in keys)
+
     unknowns = []  # (span index, monomial with col_gr + deg = grading)
     for k, (col, col_gr) in enumerate(span):
         m = slice_monomial(col_gr, grading)
         if m is not None:
             unknowns.append((k, m))
-    rows = [0] * len(tgt)
-    for uidx, (k, m) in enumerate(unknowns):
-        scaled: dict = {}
-        for t, p in span[k][0].items():
-            scaled[t] = pscale(m, p)
-        for gg, p in scaled.items():
-            for mm in p:
-                key = (mm, gg)
-                if key not in tpos:
-                    return None
-                rows[tpos[key]] |= 1 << uidx
-    rhs = [0] * len(tgt)
-    for gg, p in vec.items():
-        for mm in p:
-            key = (mm, gg)
-            if key not in tpos:
-                return None
-            rhs[tpos[key]] ^= 1
-    sol = solve_f2_rows(rows, rhs, len(unknowns))
-    from .algebra import F2Inconsistency
-    if isinstance(sol, F2Inconsistency):
+    cols = [word({t: pscale(m, p) for t, p in span[k][0].items()})
+            for k, m in unknowns]
+    target = word(vec)
+    if target is None or None in cols:
+        return None
+    coords = ColumnSpan(cols).coordinates(target)
+    if coords is None:
         return None
     combo: dict = {}
     for uidx, (k, m) in enumerate(unknowns):
-        if (sol.particular >> uidx) & 1:
+        if (coords >> uidx) & 1:
             combo[k] = padd(combo.get(k, frozenset()), frozenset({m}))
     return {k: p for k, p in combo.items() if p}
 

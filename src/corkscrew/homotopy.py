@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .algebra import (
+    Echelon,
     F2Inconsistency,
     Grading,
     gr_add,
@@ -437,15 +438,10 @@ def self_local_space(x: PhiIotaComplex, window_bump: int = 0) -> MorphismSpace:
 
     # project kernel to the f coordinates and reduce to an independent set
     space = MorphismSpace(cx)
-    seen: list = []  # (pivot, vec)
+    seen = Echelon()
     for vec in sol.kernel:
-        v = vec & f_mask
-        for p, w in seen:
-            if (v >> p) & 1:
-                v ^= w
+        v = seen.insert(vec & f_mask)
         if v:
-            p = (v & -v).bit_length() - 1
-            seen.append((p, v))
             f = f_shape.assemble(v, sys.coords["f"])
             space.basis.append(f)
             space.locality_bits.append(

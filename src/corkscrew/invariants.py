@@ -18,7 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Grading, Mono, alexander, gr_add, mono_swap, slice_pairs
+from .algebra import (
+    ColumnSpan,
+    Echelon,
+    Grading,
+    Mono,
+    alexander,
+    gr_add,
+    lexmin_affine,
+    mono_swap,
+    slice_pairs,
+)
 from .complexes import KnotComplex, PhiIotaComplex, validate
 from .errors import (
     ConsistencyError,
@@ -30,43 +40,7 @@ from .errors import (
 UPoly = frozenset  # frozenset of U-exponents
 
 
-# -- pivot bookkeeping ---------------------------------------------------------
-
-class _PivotSpan:
-    """Incremental F2 span with pivot tracking and coefficient extraction."""
-
-    def __init__(self):
-        self.rows = []  # (pivot, vec, tag)
-
-    def reduce(self, v: int) -> int:
-        for p, w, _ in self.rows:
-            if (v >> p) & 1:
-                v ^= w
-        return v
-
-    def insert(self, v: int, tag=None) -> bool:
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        p = (v & -v).bit_length() - 1
-        self.rows.append((p, v, tag))
-        return True
-
-    def coefficients(self, v: int) -> dict:
-        """Express v over the inserted vectors; error if outside the span."""
-        coeffs = {}
-        for p, w, tag in self.rows:
-            if (v >> p) & 1:
-                v ^= w
-                coeffs[tag] = coeffs.get(tag, 0) ^ 1
-        if v:
-            raise ValidationError("vector outside the recorded span")
-        return coeffs
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
+# -- slice homology ------------------------------------------------------------
 
 class _HSlice:
     """Homology of one grading slice with deterministic representatives."""
@@ -74,14 +48,12 @@ class _HSlice:
     def __init__(self, dim: int, cycle_basis: list, boundary_span: list):
         self.dim = dim
         self.cycles = cycle_basis
-        span = _PivotSpan()
+        span = Echelon()
         for b in boundary_span:
             span.insert(b, tag="b")
         self.reps = []
         for z in cycle_basis:
-            before = span.rank
             if span.insert(z, tag=("h", len(self.reps))):
-                assert span.rank == before + 1
                 self.reps.append(z)
         self._span = span
         # complete to a full decomposition of the ambient slice so the
@@ -220,17 +192,7 @@ class DiagonalHomology:
         return cols
 
     def cycle_basis(self, d: int) -> list:
-        cols = self.boundary_columns(d)
-        nsrc = len(cols)
-        nrow = len(self.slice_gens(d - 1))
-        rows = [0] * nrow
-        for j, col in enumerate(cols):
-            for i in range(nrow):
-                if (col >> i) & 1:
-                    rows[i] |= 1 << j
-        from .algebra import solve_f2_rows
-        sol = solve_f2_rows(rows, [0] * nrow, nsrc)
-        return sol.kernel
+        return ColumnSpan(self.boundary_columns(d)).kernel
 
     def homology(self, d: int) -> _HSlice:
         if d not in self._H:
@@ -304,7 +266,6 @@ class DiagonalHomology:
         rest = [z for z, bit in zip(h.cycles, lam) if not bit]
         particular = pick[0]
         kernel = rest + [pick[0] ^ z for z in pick[1:]]
-        from .algebra import lexmin_affine
         return lexmin_affine(particular, kernel, len(self.slice_gens(d)))
 
     @property
@@ -356,7 +317,9 @@ def a0(x: PhiIotaComplex) -> UComplex:
     gradings = tuple(cx.gradings[i][0] - 2 * monos[i][0]
                      for i in range(cx.n))
     for i in range(cx.n):
-        assert cx.gradings[i][1] - 2 * monos[i][1] == gradings[i]
+        if cx.gradings[i][1] - 2 * monos[i][1] != gradings[i]:
+            raise ConsistencyError(
+                f"{cx.generators[i]} does not embed on the diagonal")
     return UComplex(
         name=f"A0({cx.name})",
         labels=cx.generators,
@@ -445,19 +408,20 @@ def _homology_summary(uc: UComplex, window_bump: int) -> UHomology:
         for z in h.reps:
             rows.append(hdown.class_coords(hom.push(z, d, 1)))
         u_action[d] = rows
-        for z in h.reps:
-            if hom.nontorsion_bit(z, d):
-                continue
-            order = None
-            for k in range(1, hom.ntor + 2):
-                if hom.homology(d - 2 * k).class_coords(
-                        hom.push(z, d, k)) == 0:
-                    order = k
-                    break
-            if order is None:
+        # U^(k-1) H_d / U^k H_d counts the classes of order k, whatever
+        # the representatives; the free part has rank 0 or 1
+        free = int(any(hom.nontorsion_bit(z, d) for z in h.reps))
+        rank, k = h.rank, 0
+        while rank > free:
+            k += 1
+            if k > hom.ntor + 1:
                 raise WindowUnstableError(
                     f"{uc.name}: torsion order exceeds the window bound")
-            torsion.append((d, order))
+            hk = hom.homology(d - 2 * k)
+            image = Echelon(hk.class_coords(hom.push(z, d, k))
+                            for z in h.reps)
+            torsion += [(d, k)] * (rank - image.rank)
+            rank = image.rank
     return UHomology(tower_top=top, tower_rep=tuple(rep),
                      torsion=tuple(sorted(torsion)),
                      u_action=u_action, window=(hom.lo, hom.hi))
@@ -585,7 +549,6 @@ def _delta_once(x: PhiIotaComplex, window_bump: int) -> DeltaResult:
     cyl_hom = DiagonalHomology(cyl.total, window_bump=window_bump,
                                expect_tower=False)
     q_ranks: dict = {}
-    from .algebra import lexmin_affine, solve_f2_rows
     for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
         h = cyl_hom.homology(d)
         lam = []
@@ -600,23 +563,7 @@ def _delta_once(x: PhiIotaComplex, window_bump: int) -> DeltaResult:
                 f"{x.complex.name}: nontorsion cylinder class at odd "
                 f"grading {d}")
         # lexicographically first witness cycle with functional value 1
-        nsrc = len(cyl_hom.slice_gens(d))
-        bcols = cyl_hom.boundary_columns(d)
-        nrow = len(cyl_hom.slice_gens(d - 1))
-        rows = [0] * nrow
-        for j, col in enumerate(bcols):
-            for i in range(nrow):
-                if (col >> i) & 1:
-                    rows[i] |= 1 << j
-        lam_row = 0
-        for j in range(nsrc):
-            qe = cyl.project(1 << j, d, cyl_hom, a0_hom)
-            if a0_hom.nontorsion_bit(qe, d):
-                lam_row |= 1 << j
-        sol = solve_f2_rows(rows + [lam_row], [0] * nrow + [1], nsrc)
-        from .algebra import F2Inconsistency
-        assert not isinstance(sol, F2Inconsistency)
-        bits = lexmin_affine(sol.particular, sol.kernel, nsrc)
+        bits = cyl_hom._lex_witness(d, lam)
         n = uc.n
         wx: dict = {}
         wy: dict = {}
@@ -703,14 +650,9 @@ def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
         src = slice_of(t)
         tgt = slice_of(gr_add(t, (-1, -1)))
         tgt_pos = {g: i for i, g in enumerate(tgt)}
-        rows = [0] * len(tgt)
-        for j, g in enumerate(src):
-            for tt, p in cols[g].items():
-                if tt in tgt_pos:
-                    rows[tgt_pos[tt]] |= 1 << j
-        from .algebra import solve_f2_rows
-        sol = solve_f2_rows(rows, [0] * len(tgt), len(src))
-        cyc = sol.kernel
+        cyc = ColumnSpan([
+            sum(1 << tgt_pos[tt] for tt in cols[g] if tt in tgt_pos)
+            for g in src]).kernel
         up = slice_of(gr_add(t, (1, 1)))
         src_pos = {g: i for i, g in enumerate(src)}
         bnds = []

@@ -37,6 +37,7 @@ from .complexes import (
     validate,
 )
 from .errors import (
+    ConsistencyError,
     NoInvolutionError,
     ParseError,
     SearchCapExceeded,
@@ -172,7 +173,8 @@ def figure_eight_with_actions() -> PhiIotaComplex:
     tau_cols[id_] = {id_: P_ONE}
     tau = Endomorphism(cx, cx, tuple(tau_cols), STRAIGHT, (0, 0))
     tau_inv = tau.compose(tau).compose(tau)
-    assert tau.compose(tau_inv) == cx.identity()
+    if tau.compose(tau_inv) != cx.identity():
+        raise ConsistencyError("tau^3 does not invert tau on 4_1")
     return PhiIotaComplex(cx, tau, iota, tau_inv)
 
 

@@ -10,8 +10,57 @@ purpose; results are accepted only when a deeper margin reproduces them.
 
 from __future__ import annotations
 
-from corkscrew.algebra import gr_add, mono_deg
+from corkscrew.algebra import F2Inconsistency, F2Solution, gr_add, mono_deg
 from corkscrew.complexes import PhiIotaComplex
+
+
+def reference_solve(rows: list, rhs: list, ncols: int):
+    """A x = b by Gauss-Jordan elimination with leftmost pivoting over the
+    whole row list, carrying for every row the combination of original
+    rows it is; an inconsistent row hands that combination over as the
+    certificate."""
+    work = list(rows)
+    b = list(rhs)
+    prov = [1 << i for i in range(len(work))]
+    pivots = []  # (col, row_index)
+    r = 0
+    for col in range(ncols):
+        mask = 1 << col
+        sel = None
+        for i in range(r, len(work)):
+            if work[i] & mask:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        b[r], b[sel] = b[sel], b[r]
+        prov[r], prov[sel] = prov[sel], prov[r]
+        for i in range(len(work)):
+            if i != r and (work[i] & mask):
+                work[i] ^= work[r]
+                b[i] ^= b[r]
+                prov[i] ^= prov[r]
+        pivots.append((col, r))
+        r += 1
+    for i in range(len(work)):
+        if work[i] == 0 and b[i]:
+            return F2Inconsistency(combo=prov[i])
+    particular = 0
+    for col, i in pivots:
+        if b[i]:
+            particular |= 1 << col
+    pivot_cols = {col for col, _ in pivots}
+    kernel = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = 1 << free
+        for col, i in pivots:
+            if work[i] & (1 << free):
+                vec |= 1 << col
+        kernel.append(vec)
+    return F2Solution(particular=particular, kernel=kernel)
 
 
 def _reduce(v, basis):

@@ -1,8 +1,10 @@
 """Ground-layer arithmetic: derivatives, slices, F2 solving."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corkscrew.algebra import (
+    ColumnSpan,
     F2Inconsistency,
     F2Matrix,
     F2Solution,
@@ -16,6 +18,8 @@ from corkscrew.algebra import (
     solve_f2,
     solve_f2_rows,
 )
+
+from oracle import reference_solve
 
 
 def P(*monos):
@@ -167,3 +171,79 @@ class TestLexmin:
 
             assert key(got) == min(key(v) for v in coset)
             assert got in coset
+
+
+def _parity(word: int) -> int:
+    return bin(word).count("1") & 1
+
+
+@st.composite
+def _systems(draw):
+    """Rows and rhs of a small system, half of them consistent by
+    construction."""
+    ncols = draw(st.integers(0, 10))
+    nrows = draw(st.integers(0, 14))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        x0 = draw(st.integers(0, (1 << ncols) - 1))
+        rhs = [_parity(row & x0) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(0, 1), min_size=nrows,
+                            max_size=nrows))
+    return rows, rhs, ncols
+
+
+class TestEchelonAgainstReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_systems())
+    def test_solve_matches_the_provenance_tracking_reference(self, system):
+        rows, rhs, ncols = system
+        got = solve_f2_rows(rows, rhs, ncols)
+        want = reference_solve(rows, rhs, ncols)
+        assert type(got) is type(want)
+        if isinstance(got, F2Solution):
+            assert (got.particular, got.kernel) \
+                == (want.particular, want.kernel)
+            return
+        # the certificate may be another left-kernel combination
+        picked = [i for i in range(len(rows)) if (got.combo >> i) & 1]
+        acc = 0
+        for i in picked:
+            acc ^= rows[i]
+        assert acc == 0
+        assert sum(rhs[i] for i in picked) % 2 == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 255), max_size=12))
+    def test_column_span_kernel_is_the_reference_kernel(self, cols):
+        nrows = max(cols, default=0).bit_length()
+        rows = [sum(((c >> i) & 1) << j for j, c in enumerate(cols))
+                for i in range(nrows)]
+        want = reference_solve(rows, [0] * nrows, len(cols)).kernel
+        assert ColumnSpan(cols).kernel == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    def test_coordinates_of_unit_vectors_invert_the_matrix(self, m_cols):
+        n = len(m_cols)
+        span = ColumnSpan(m_cols)
+        if span.kernel:
+            assert f2_rank(m_cols, n) < n
+            return
+        inv_cols = [span.coordinates(1 << s) for s in range(n)]
+
+        def times(a_cols, b_cols):
+            out = []
+            for col in b_cols:
+                acc = 0
+                for k in range(n):
+                    if (col >> k) & 1:
+                        acc ^= a_cols[k]
+                out.append(acc)
+            return out
+
+        unit = [1 << s for s in range(n)]
+        assert times(m_cols, inv_cols) == unit
+        assert times(inv_cols, m_cols) == unit

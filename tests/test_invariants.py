@@ -87,6 +87,21 @@ class TestHomologySummary:
         assert h.tower_top == -2
         assert h.torsion == ()
 
+    def test_trefoil_sum_keeps_its_box_class(self):
+        # staircase(2) + box(1) after a change of basis; in the tensor
+        # basis both representatives at grading -2 carry the tower, so
+        # classifying representatives one by one finds no torsion there
+        from oracle import _span_basis, brute_h_classes
+        x = bundled("T2_3#T2_3")
+        h = homology_u(a0(x))
+        assert h.tower_top == -2
+        assert h.torsion == ((-2, 1),)
+        dims = []
+        for d in (-2, -4):
+            _, _, cycles, bspan = brute_h_classes(x, d, margin=8)
+            dims.append(len(cycles) - len(_span_basis(bspan)))
+        assert dims == [2, 1]
+
 
 class TestCylinder:
     def test_unknot_identity_actions_kill_everything(self):
@@ -240,6 +255,14 @@ class TestQuotientShapes:
         base = homology_u(a0(fig8))
         for _ in range(4):
             other = homology_u(a0(scramble(fig8, rng, moves=8)))
+            assert other.tower_top == base.tower_top
+            assert other.torsion == base.torsion
+        # bases whose representatives mix the tower into torsion classes
+        for name, seed in (("4_1_iota", 7), ("4_1x4_1_tau", 1),
+                           ("4_1x4_1_tau", 3)):
+            x = bundled(name)
+            base = homology_u(a0(x))
+            other = homology_u(a0(scramble(x, random.Random(seed))))
             assert other.tower_top == base.tower_top
             assert other.torsion == base.torsion
 

@@ -1,6 +1,9 @@
 """Square-summand peeling inside the standard-form recogniser."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +80,42 @@ def test_thin_models_unaffected_by_the_peeling_path(tau, parity):
     form = recognize_standard(thin_model(tau, parity).complex)
     assert form is not None
     assert len(form.boxes) == 1
+
+
+_CORRUPTED_CONJUGATION = """
+import sys
+from corkscrew import connected
+from corkscrew.complexes import tensor
+from corkscrew.errors import ConsistencyError
+from corkscrew.models import figure_eight_iota_only
+
+conjugate = connected._conjugate_diff
+calls = []
+
+
+def corrupted(cols, m_cols, q_cols):
+    # the peeling step gets the true conjugate, the final certificate a
+    # differential with one column too many
+    calls.append(1)
+    out = conjugate(cols, m_cols, q_cols)
+    return out if len(calls) == 1 else out + [{}]
+
+
+connected._conjugate_diff = corrupted
+m = figure_eight_iota_only()
+try:
+    connected.recognize_standard(tensor(m, m).complex)
+except ConsistencyError:
+    print("recognize_standard raised")
+else:
+    print("recognize_standard passed")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_peeling_certificate_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CONJUGATION],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["recognize_standard raised", "optimize 1"]
