@@ -19,6 +19,7 @@ from typing import Optional
 
 from .algebra import (
     P_ONE,
+    P_ZERO,
     ColumnSpan,
     Echelon,
     Grading,
@@ -78,75 +79,130 @@ class StandardForm:
 
 # -- transvection sweep ----------------------------------------------------------
 
-def _apply_transvection(cols, i, j, m):
-    """Basis change new_i = e_i + m e_j on column form (source dicts)."""
-    n = len(cols)
-    out = [dict(c) for c in cols]
-    # source side: the new column i is the old column i plus m times column j
-    merged = dict(out[i])
-    for t, p in cols[j].items():
-        merged[t] = padd(merged.get(t, frozenset()), pscale(m, p))
-    out[i] = {t: p for t, p in merged.items() if p}
-    # target side: coefficients on e_j gain m times the coefficient on e_i
-    for s in range(n):
-        p_i = out[s].get(i)
-        if p_i:
-            out[s][j] = padd(out[s].get(j, frozenset()), pscale(m, p_i))
-            if not out[s][j]:
-                del out[s][j]
-    return [
-        {t: p for t, p in col.items() if p} for col in out
-    ]
+def _transvection(cols, i, j, m, skew=False, source=True, target=True,
+                  hits=None):
+    """Entries of a map that the basis change new_i = e_i + m e_j moves,
+    as [(source, target, old Poly, new Poly)] in the order they apply.
+
+    ``cols`` holds the map's columns ({target: Poly} per source).  The
+    source side adds m times column j to column i (m swapped when the map
+    is skew); the target side then adds m times each coefficient on e_i to
+    the coefficient on e_j.  Both sides together conjugate the map.
+    ``hits[i]``, when given, holds the sources with a coefficient on e_i;
+    otherwise every column is scanned.
+    """
+    changes = []
+    col_i = cols[i]
+    on_i, on_j = col_i.get(i), col_i.get(j, P_ZERO)  # column i after source
+    if source:
+        step = (m[1], m[0]) if skew else m
+        for t, p in cols[j].items():
+            old = col_i.get(t, P_ZERO)
+            new = old ^ pscale(step, p)
+            changes.append((i, t, old, new))
+            if t == i:
+                on_i = new
+            elif t == j:
+                on_j = new
+    if target:
+        for s in (range(len(cols)) if hits is None else hits[i]):
+            if s != i:
+                p_i = cols[s].get(i)
+                if p_i:
+                    old = cols[s].get(j, P_ZERO)
+                    changes.append((s, j, old, old ^ pscale(m, p_i)))
+        if on_i:
+            changes.append((i, j, on_j, on_j ^ pscale(m, on_i)))
+    return changes
 
 
-def _objective(cols):
-    terms = 0
-    mixed = 0
-    out_u: dict = {}
-    out_v: dict = {}
-    in_u: dict = {}
-    in_v: dict = {}
-    for s, col in enumerate(cols):
-        for t, p in col.items():
-            for a, b in p:
-                terms += 1
+def _write(cols, changes):
+    for s, t, _, new in changes:
+        if new:
+            cols[s][t] = new
+        else:
+            del cols[s][t]
+
+
+def transvect(cols, i, j, m, skew=False, source=True, target=True):
+    """Apply the basis change new_i = e_i + m e_j to a map's columns in
+    place (see :func:`_transvection`)."""
+    _write(cols, _transvection(cols, i, j, m, skew, source, target))
+
+
+class _Objective:
+    """The sweep's score (terms, conflicts, mixed) of a differential, kept
+    live: terms counts monomials, mixed those in both variables; every
+    other monomial is pure in U, or in V (constants included), and loads
+    its source's outgoing and its target's incoming count for that
+    variable; conflicts sums max(0, load - 1) over all four counts."""
+
+    def __init__(self, cols):
+        n = self.n = len(cols)
+        self.score = (0, 0, 0)
+        self.load = [0] * (4 * n)  # out_u, out_v, in_u, in_v per node
+        self.hits = [set() for _ in range(n)]  # sources hitting each target
+        changes = [(s, t, P_ZERO, p)
+                   for s, col in enumerate(cols) for t, p in col.items()]
+        self.accept(changes, self.trial(changes))
+
+    def trial(self, changes):
+        """(score after the changes, load deltas), the counts untouched."""
+        n, load = self.n, self.load
+        terms, conflicts, mixed = self.score
+        moved: dict = {}
+        for s, t, old, new in changes:
+            for mono in old ^ new:
+                sign = -1 if mono in old else 1
+                terms += sign
+                a, b = mono
                 if a and b:
-                    mixed += 1
-                elif a:
-                    out_u[s] = out_u.get(s, 0) + 1
-                    in_u[t] = in_u.get(t, 0) + 1
-                else:
-                    out_v[s] = out_v.get(s, 0) + 1
-                    in_v[t] = in_v.get(t, 0) + 1
-    conflicts = sum(max(0, k - 1) for d in (out_u, out_v, in_u, in_v)
-                    for k in d.values())
-    return (terms, conflicts, mixed)
+                    mixed += sign
+                    continue
+                k = n if a == 0 else 0
+                moved[k + s] = moved.get(k + s, 0) + sign
+                moved[2 * n + k + t] = moved.get(2 * n + k + t, 0) + sign
+        for key, dk in moved.items():
+            k0 = load[key]
+            conflicts += max(0, k0 + dk - 1) - max(0, k0 - 1)
+        return (terms, conflicts, mixed), moved
+
+    def accept(self, changes, trial):
+        self.score, moved = trial
+        for key, dk in moved.items():
+            self.load[key] += dk
+        for s, t, _, new in changes:
+            if new:
+                self.hits[t].add(s)
+            else:
+                self.hits[t].discard(s)
 
 
 def _sweep(gradings, cols, max_passes: int = 80):
     """Deterministic local minimisation of the differential by
-    same-grading (and monomial-shifted) transvections."""
+    same-grading (and monomial-shifted) transvections.
+
+    Each pass tries every admissible move (i-major, j-minor) and keeps one
+    when it strictly lowers the score; a trial is scored from the entries
+    it moves, and only a kept move touches the columns."""
     n = len(gradings)
     cols = [dict(c) for c in cols]
+    # new_i = e_i + m e_j needs gr(e_j) + deg(m) = gr(e_i)
+    admissible = [(i, j, m) for i in range(n) for j in range(n) if i != j
+                  for m in (slice_monomial(gradings[j], gradings[i]),)
+                  if m is not None]
+    objective = _Objective(cols)
     moves = []
-    best = _objective(cols)
     for _ in range(max_passes):
         improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                # new_i = e_i + m e_j needs gr(e_j) + deg(m) = gr(e_i)
-                m = slice_monomial(gradings[j], gradings[i])
-                if m is None:
-                    continue
-                trial = _apply_transvection(cols, i, j, m)
-                score = _objective(trial)
-                if score < best:
-                    cols = trial
-                    best = score
-                    moves.append((i, j, m))
-                    improved = True
+        for i, j, m in admissible:
+            changes = _transvection(cols, i, j, m, hits=objective.hits)
+            trial = objective.trial(changes)
+            if trial[0] < objective.score:
+                objective.accept(changes, trial)
+                _write(cols, changes)
+                moves.append((i, j, m))
+                improved = True
         if not improved:
             break
     return cols, moves
@@ -292,23 +348,12 @@ def _poly_matmul(a_cols, b_cols):
 
 
 def _moves_matrices(n, moves):
-    """(M, M^-1) of a transvection sequence, as polynomial columns."""
-    p_cols = _identity_cols(n)
+    """(M, M^-1) of a transvection sequence, as polynomial columns: the
+    source sides of the moves multiply M, their target sides M^-1."""
+    p_cols, q_cols = _identity_cols(n), _identity_cols(n)
     for i, j, m in moves:
-        merged = dict(p_cols[i])
-        for t, poly in p_cols[j].items():
-            merged[t] = padd(merged.get(t, frozenset()), pscale(m, poly))
-        p_cols[i] = {t: poly for t, poly in merged.items() if poly}
-    q_cols = _identity_cols(n)
-    for i, j, m in moves:
-        # coordinates transform contravariantly: c_j gains m * c_i
-        for s in range(n):
-            p_i = q_cols[s].get(i)
-            if p_i:
-                q_cols[s][j] = padd(q_cols[s].get(j, frozenset()),
-                                    pscale(m, p_i))
-                if not q_cols[s][j]:
-                    del q_cols[s][j]
+        transvect(p_cols, i, j, m, target=False)
+        transvect(q_cols, i, j, m, source=False)
     return p_cols, q_cols
 
 

@@ -219,6 +219,37 @@ class MapSystem:
         return sol
 
 
+class HomotopyClasses:
+    """Straight bidegree-(0, 0) self-maps of a complex modulo null-homotopic
+    ones, i.e. modulo the image of H -> dH + Hd over straight H of
+    bidegree (1, 1).
+
+    A map is a bitmask over its entry coordinates (s, m, t); the image is
+    echelonised once, and the reduction of a map against it is a normal
+    form: two maps are homotopic exactly when their normal forms agree.
+    The normal form is linear in the map.
+    """
+
+    def __init__(self, cx: KnotComplex):
+        coords = MapShape(cx, cx, STRAIGHT, (0, 0)).unknowns()
+        self.bit = {(s, t, m): 1 << k for k, (s, m, t) in enumerate(coords)}
+        d = cx.boundary()
+        h_coords = MapShape(cx, cx, STRAIGHT, (1, 1)).unknowns()
+        image = [0] * len(h_coords)
+        for op in (Left(d), Right(d)):
+            for ci, s, t, m in op.entries(h_coords, False):
+                image[ci] ^= self.bit[s, t, m]
+        self.image = Echelon(image)
+
+    def normal_form(self, f: Endomorphism) -> int:
+        v = 0
+        for s, col in enumerate(f.cols):
+            for t, p in col.items():
+                for m in p:
+                    v ^= self.bit[s, t, m]
+        return self.image.reduce(v)
+
+
 # -- homotopy ------------------------------------------------------------------
 
 @dataclass

@@ -228,11 +228,17 @@ def involution_candidates(cx: KnotComplex, cap: int = 18) -> list:
     """All skew chain maps squaring to the basepoint twist up to strict
     homotopy of the square, lexicographically ordered.
 
-    The chain-map condition is linear; the squaring condition is quadratic,
-    so the affine solution space of the former is enumerated and each
-    candidate's square is compared with the twist by a homotopy solve.
+    The chain-map condition is linear; the squaring condition is quadratic.
+    Over the affine solution space p + sum x_k k_k of the former,
+
+        (p + sum x_k k_k)^2 + s = (p^2 + s) + sum x_k (p k_k + k_k p + k_k^2)
+                                  + sum_{k<l} x_k x_l (k_k k_l + k_l k_k),
+
+    so with every term reduced to its normal form modulo null-homotopic
+    maps, a candidate's square is homotopic to the twist exactly when the
+    XOR of its terms is zero.
     """
-    from .homotopy import Left, MapShape, MapSystem, Right, homotopic
+    from .homotopy import HomotopyClasses, Left, MapShape, MapSystem, Right
 
     d = cx.boundary()
     s = sarkar_map(cx)
@@ -243,23 +249,36 @@ def involution_candidates(cx: KnotComplex, cap: int = 18) -> list:
     sol = sys.solutions_bits()
     if sol is None:
         return []
-    if len(sol.kernel) > cap:
+    r = len(sol.kernel)
+    if r > cap:
         raise SearchCapExceeded(
-            f"{cx.name}: {len(sol.kernel)} free bits of skew chain maps "
+            f"{cx.name}: {r} free bits of skew chain maps "
             f"exceed the enumeration cap {cap}")
     coords = sys.coords["i"]
+    classes = HomotopyClasses(cx)
+    p = shape.assemble(sol.particular, coords)
+    ks = [shape.assemble(k, coords) for k in sol.kernel]
+    constant = classes.normal_form(p.compose(p) + s)
+    linear = [classes.normal_form(p.compose(k) + k.compose(p) + k.compose(k))
+              for k in ks]
+    pair = {(a, b): classes.normal_form(ks[a].compose(ks[b])
+                                        + ks[b].compose(ks[a]))
+            for a, b in combinations(range(r), 2)}
     found = []
-    for r in range(len(sol.kernel) + 1):
-        for picks in combinations(range(len(sol.kernel)), r):
-            bits = sol.particular
-            for p in picks:
-                bits ^= sol.kernel[p]
-            cand = shape.assemble(bits, coords)
-            if homotopic(cand.compose(cand), s) is not None:
-                found.append((tuple((bits >> i) & 1
-                                    for i in range(len(coords))), cand))
-    found.sort(key=lambda t: t[0])
-    return [cand for _, cand in found]
+    for size in range(r + 1):
+        for picks in combinations(range(r), size):
+            v = constant
+            for a in picks:
+                v ^= linear[a]
+            for ab in combinations(picks, 2):
+                v ^= pair[ab]
+            if not v:
+                bits = sol.particular
+                for a in picks:
+                    bits ^= sol.kernel[a]
+                found.append(bits)
+    found.sort(key=lambda bits: [(bits >> i) & 1 for i in range(len(coords))])
+    return [shape.assemble(bits, coords) for bits in found]
 
 
 def solve_involution(cx: KnotComplex, cap: int = 18):
@@ -272,6 +291,10 @@ def solve_involution(cx: KnotComplex, cap: int = 18):
         raise NoInvolutionError(f"no involution found on {cx.name}")
     iota = cands[0]
     cert = homotopic(iota.compose(iota), sarkar_map(cx))
+    if cert is None:
+        raise ConsistencyError(
+            f"{cx.name}: the chosen involution does not square to the "
+            f"twist up to homotopy")
     return iota, cert
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from corkscrew.algebra import padd, pscale, pswap, slice_monomial
+from corkscrew.algebra import slice_monomial
 from corkscrew.complexes import (
     Endomorphism,
     KnotComplex,
@@ -15,6 +15,7 @@ from corkscrew.complexes import (
     SKEW,
     STRAIGHT,
 )
+from corkscrew.connected import transvect
 from corkscrew.homotopy import Left, MapShape, MapSystem, Right
 from corkscrew.models import (
     figure_eight_iota_only,
@@ -27,34 +28,15 @@ from corkscrew.models import (
 )
 
 
-def _conjugate_cols(cols, i, j, m, skew: bool):
-    """P^-1 F P for the basis change new_i = e_i + m e_j."""
-    n = len(cols)
-    out = [dict(c) for c in cols]
-    add = pswap(frozenset({m})) if skew else frozenset({m})
-    merged = dict(out[i])
-    for t, p in cols[j].items():
-        for mm in add:
-            merged[t] = padd(merged.get(t, frozenset()), pscale(mm, p))
-    out[i] = {t: p for t, p in merged.items() if p}
-    for s in range(n):
-        p_i = out[s].get(i)
-        if p_i:
-            out[s][j] = padd(out[s].get(j, frozenset()), pscale(m, p_i))
-            if not out[s][j]:
-                del out[s][j]
-    return tuple({t: p for t, p in col.items() if p} for col in out)
-
-
 def scramble(x: PhiIotaComplex, rng: random.Random,
              moves: int = 10) -> PhiIotaComplex:
     """Conjugate everything by random admissible transvections and a
     random relabelling; the result is chain isomorphic to the input."""
     cx = x.complex
-    diff = cx.diff
-    phi = x.phi.cols
-    iota = x.iota.cols
-    phi_inv = x.phi_inverse.cols if x.phi_inverse else None
+    diff, phi, iota = ([dict(c) for c in cols]
+                       for cols in (cx.diff, x.phi.cols, x.iota.cols))
+    phi_inv = ([dict(c) for c in x.phi_inverse.cols] if x.phi_inverse
+               else None)
     n = cx.n
     done = 0
     attempts = 0
@@ -67,11 +49,11 @@ def scramble(x: PhiIotaComplex, rng: random.Random,
         m = slice_monomial(cx.gradings[j], cx.gradings[i])
         if m is None:
             continue
-        diff = _conjugate_cols(diff, i, j, m, False)
-        phi = _conjugate_cols(phi, i, j, m, False)
-        iota = _conjugate_cols(iota, i, j, m, True)
+        transvect(diff, i, j, m)
+        transvect(phi, i, j, m)
+        transvect(iota, i, j, m, skew=True)
         if phi_inv is not None:
-            phi_inv = _conjugate_cols(phi_inv, i, j, m, False)
+            transvect(phi_inv, i, j, m)
         done += 1
     perm = list(range(n))
     rng.shuffle(perm)

@@ -288,3 +288,117 @@ def reference_rows(sys):
         rows.append(row)
         rhs.append(rhs_bit)
     return rows, rhs
+
+
+# -- transvections, the sweep and the involution search, as first written ----
+
+def reference_conjugate_cols(cols, i, j, m, skew: bool):
+    """P^-1 F P for the basis change new_i = e_i + m e_j, on a fresh copy
+    of the columns."""
+    from corkscrew.algebra import padd, pscale, pswap
+
+    n = len(cols)
+    out = [dict(c) for c in cols]
+    add = pswap(frozenset({m})) if skew else frozenset({m})
+    merged = dict(out[i])
+    for t, p in cols[j].items():
+        for mm in add:
+            merged[t] = padd(merged.get(t, frozenset()), pscale(mm, p))
+    out[i] = {t: p for t, p in merged.items() if p}
+    for s in range(n):
+        p_i = out[s].get(i)
+        if p_i:
+            out[s][j] = padd(out[s].get(j, frozenset()), pscale(m, p_i))
+            if not out[s][j]:
+                del out[s][j]
+    return tuple({t: p for t, p in col.items() if p} for col in out)
+
+
+def reference_objective(cols):
+    """(terms, conflicts, mixed) of a differential, recounted in full."""
+    terms = 0
+    mixed = 0
+    out_u: dict = {}
+    out_v: dict = {}
+    in_u: dict = {}
+    in_v: dict = {}
+    for s, col in enumerate(cols):
+        for t, p in col.items():
+            for a, b in p:
+                terms += 1
+                if a and b:
+                    mixed += 1
+                elif a:
+                    out_u[s] = out_u.get(s, 0) + 1
+                    in_u[t] = in_u.get(t, 0) + 1
+                else:
+                    out_v[s] = out_v.get(s, 0) + 1
+                    in_v[t] = in_v.get(t, 0) + 1
+    conflicts = sum(max(0, k - 1) for d in (out_u, out_v, in_u, in_v)
+                    for k in d.values())
+    return (terms, conflicts, mixed)
+
+
+def reference_sweep(gradings, cols, max_passes: int = 80):
+    """The transvection sweep that copies the differential for every trial
+    move and rescores it in full."""
+    from corkscrew.algebra import slice_monomial
+
+    n = len(gradings)
+    cols = [dict(c) for c in cols]
+    moves = []
+    best = reference_objective(cols)
+    for _ in range(max_passes):
+        improved = False
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                m = slice_monomial(gradings[j], gradings[i])
+                if m is None:
+                    continue
+                trial = list(reference_conjugate_cols(cols, i, j, m, False))
+                score = reference_objective(trial)
+                if score < best:
+                    cols = trial
+                    best = score
+                    moves.append((i, j, m))
+                    improved = True
+        if not improved:
+            break
+    return cols, moves
+
+
+def reference_involution_candidates(cx, cap: int = 18) -> list:
+    """Skew chain maps squaring to the twist up to homotopy: every point
+    of the affine solution space, one homotopy solve per candidate."""
+    from itertools import combinations
+
+    from corkscrew.complexes import SKEW, sarkar_map
+    from corkscrew.errors import SearchCapExceeded
+    from corkscrew.homotopy import Left, MapShape, MapSystem, Right, homotopic
+
+    d = cx.boundary()
+    s = sarkar_map(cx)
+    sys = MapSystem()
+    shape = MapShape(cx, cx, SKEW, (0, 0))
+    sys.add_unknown("i", shape)
+    sys.add_equation([("i", [Right(d), Left(d)])])
+    sol = sys.solutions_bits()
+    if sol is None:
+        return []
+    if len(sol.kernel) > cap:
+        raise SearchCapExceeded(f"{len(sol.kernel)} free bits")
+    coords = sys.coords["i"]
+    found = []
+    for r in range(len(sol.kernel) + 1):
+        for picks in combinations(range(len(sol.kernel)), r):
+            bits = sol.particular
+            for p in picks:
+                bits ^= sol.kernel[p]
+            cand = shape.assemble(bits, coords)
+            if homotopic(cand.compose(cand), s) is not None:
+                found.append((tuple((bits >> i) & 1
+                                    for i in range(len(coords))), cand))
+    found.sort(key=lambda t: t[0])
+    return [cand for _, cand in found]
