@@ -134,31 +134,32 @@ class UComplex:
         return worst
 
 
-def _apply_ucols(cols, vec: dict) -> dict:
-    out: dict = {}
-    for s, exps in vec.items():
-        for t, entry in cols[s].items():
-            acc = out.get(t, frozenset())
-            for e in exps:
-                acc = acc ^ frozenset(k + e for k in entry)
-            out[t] = acc
-    return {t: e for t, e in out.items() if e}
-
-
 class DiagonalHomology:
-    """Slicewise homology of a :class:`UComplex` with tower detection."""
+    """Slicewise homology of a :class:`UComplex` with tower detection.
+
+    A slice does not depend on the window, only the loop bounds do; an
+    instance built with ``share`` (another instance on the same complex)
+    reads and fills the same per-grading slices, position maps, cycle
+    bases and homology, so it computes only the gradings the other never
+    reached.
+    """
 
     def __init__(self, uc: UComplex, window_bump: int = 0,
-                 expect_tower: bool = True):
+                 expect_tower: bool = True,
+                 share: Optional["DiagonalHomology"] = None):
+        if share is not None and share.uc is not uc:
+            raise ValueError("shared slices belong to another complex")
         self.uc = uc
         self.gmax = max(uc.gradings)
         self.gmin = min(uc.gradings)
         self.ntor = uc.n * (1 + uc.max_exponent())
         self.hi = self.gmax + 2
         self.lo = self.gmin - 2 * self.ntor - 2 * window_bump
-        self._slices: dict = {}
-        self._H: dict = {}
-        self._tower = None
+        # grading -> slice generators, their positions, cycle basis, homology
+        self._cache = ({}, {}, {}, {}) if share is None else share._cache
+        self._slices, self._positions, self._cycles, self._H = self._cache
+        self._tower = None  # (top grading, functional on its cycle basis)
+        self._tower_rep = None
         if expect_tower:
             self._locate_tower()
 
@@ -171,8 +172,12 @@ class DiagonalHomology:
                                and (self.uc.gradings[g] - d) % 2 == 0]
         return self._slices[d]
 
-    def _pos(self, d: int) -> dict:
-        return {g: i for i, g in enumerate(self.slice_gens(d))}
+    def positions(self, d: int) -> dict:
+        """{generator: bit} of the slice at grading d."""
+        if d not in self._positions:
+            self._positions[d] = {g: i for i, g
+                                  in enumerate(self.slice_gens(d))}
+        return self._positions[d]
 
     def boundary_columns(self, d: int) -> list:
         """Column bitmasks of the slice map into grading d-1.
@@ -181,7 +186,7 @@ class DiagonalHomology:
         the grading), so an entry U^e contributes its target's bit once
         per exponent, mod 2.
         """
-        tgt_pos = self._pos(d - 1)
+        tgt_pos = self.positions(d - 1)
         cols = []
         for g in self.slice_gens(d):
             word = 0
@@ -192,7 +197,9 @@ class DiagonalHomology:
         return cols
 
     def cycle_basis(self, d: int) -> list:
-        return ColumnSpan(self.boundary_columns(d)).kernel
+        if d not in self._cycles:
+            self._cycles[d] = ColumnSpan(self.boundary_columns(d)).kernel
+        return self._cycles[d]
 
     def homology(self, d: int) -> _HSlice:
         if d not in self._H:
@@ -206,11 +213,12 @@ class DiagonalHomology:
         if steps == 0:
             return vec
         src = self.slice_gens(d)
-        tgt_pos = self._pos(d - 2 * steps)
+        tgt_pos = self.positions(d - 2 * steps)
         out = 0
-        for i, g in enumerate(src):
-            if (vec >> i) & 1:
-                out |= 1 << tgt_pos[g]
+        while vec:
+            low = vec & -vec
+            out |= 1 << tgt_pos[src[low.bit_length() - 1]]
+            vec ^= low
         return out
 
     def stable_grading_for(self, d: int) -> int:
@@ -245,25 +253,19 @@ class DiagonalHomology:
             raise ValidationError(
                 f"{self.uc.name}: inverted homology has rank {r0 + r1}, "
                 f"expected a single free tower")
-        top = None
-        rep = None
         for d in range(self.hi, self.lo - 1, -1):
-            h = self.homology(d)
-            lam = [self.nontorsion_bit(z, d) for z in h.cycles]
+            lam = [self.nontorsion_bit(z, d) for z in self.cycle_basis(d)]
             if any(lam):
-                top = d
-                rep = self._lex_witness(d, lam)
-                break
-        if top is None:
-            raise ValidationError(
-                f"{self.uc.name}: no nontorsion class found in the window")
-        self._tower = (top, rep)
+                self._tower = (d, lam)
+                return
+        raise ValidationError(
+            f"{self.uc.name}: no nontorsion class found in the window")
 
     def _lex_witness(self, d: int, lam: list) -> int:
         """Lexicographically first cycle at grading d with functional 1."""
-        h = self.homology(d)
-        pick = [z for z, bit in zip(h.cycles, lam) if bit]
-        rest = [z for z, bit in zip(h.cycles, lam) if not bit]
+        cycles = self.cycle_basis(d)
+        pick = [z for z, bit in zip(cycles, lam) if bit]
+        rest = [z for z, bit in zip(cycles, lam) if not bit]
         particular = pick[0]
         kernel = rest + [pick[0] ^ z for z in pick[1:]]
         return lexmin_affine(particular, kernel, len(self.slice_gens(d)))
@@ -274,7 +276,11 @@ class DiagonalHomology:
 
     @property
     def tower_rep(self) -> int:
-        return self._tower[1]
+        """The lexicographically first nontorsion cycle at the tower top,
+        found on first use (delta never reads it)."""
+        if self._tower_rep is None:
+            self._tower_rep = self._lex_witness(*self._tower)
+        return self._tower_rep
 
 
 # -- the diagonal subcomplex -----------------------------------------------------
@@ -343,7 +349,7 @@ class A0Data:
     def slice_vector(self, vec_c: dict, grading: int):
         """Convert a diagonal element of the parent complex to slice
         coordinates; returns None when a component falls outside."""
-        pos = {g: i for i, g in enumerate(self.hom.slice_gens(grading))}
+        pos = self.hom.positions(grading)
         out = 0
         monos = self.uc.embed_monos
         for g, p in vec_c.items():
@@ -389,8 +395,8 @@ class UHomology:
     window: tuple
 
 
-def _homology_summary(uc: UComplex, window_bump: int) -> UHomology:
-    hom = DiagonalHomology(uc, window_bump=window_bump)
+def _homology_summary(hom: DiagonalHomology) -> UHomology:
+    uc = hom.uc
     top = hom.tower_top
     rep_bits = hom.tower_rep
     rep = []
@@ -428,9 +434,15 @@ def _homology_summary(uc: UComplex, window_bump: int) -> UHomology:
 
 
 def homology_u(uc: UComplex, window_bump: int = 0) -> UHomology:
-    """Tower/torsion decomposition, cross-checked at an enlarged window."""
-    first = _homology_summary(uc, window_bump)
-    second = _homology_summary(uc, window_bump + 1)
+    """Tower/torsion decomposition, cross-checked at an enlarged window.
+
+    The enlarged pass reuses the slices of the first, so it computes only
+    the gradings the first never reached.
+    """
+    hom = DiagonalHomology(uc, window_bump=window_bump)
+    first = _homology_summary(hom)
+    second = _homology_summary(
+        DiagonalHomology(uc, window_bump=window_bump + 1, share=hom))
     if (first.tower_top, first.torsion) != (second.tower_top, second.torsion):
         raise WindowUnstableError(
             f"{uc.name}: enlarging the window changed the answer")
@@ -449,17 +461,15 @@ class CylComplex:
     total: UComplex
     n_block: int
 
-    def project(self, vec: int, d: int, hom_total: "DiagonalHomology",
-                hom_a0: DiagonalHomology) -> int:
-        """q: restriction of a grading-d slice vector to the first block."""
-        src = hom_total.slice_gens(d)
-        tgt_pos = {g: i for i, g in enumerate(hom_a0.slice_gens(d))}
-        out = 0
-        for i, g in enumerate(src):
-            if g < self.n_block:
-                if (vec >> i) & 1:
-                    out |= 1 << tgt_pos[g]
-        return out
+    def project(self, vec: int, d: int, hom_a0: DiagonalHomology) -> int:
+        """q: restriction of a grading-d slice vector to the first block.
+
+        The first block is generators 0..n-1 with the gradings of the
+        diagonal subcomplex, so the cylinder's slice at d starts with the
+        diagonal subcomplex's slice at d, in the same order; q keeps
+        those low bits.
+        """
+        return vec & ((1 << len(hom_a0.slice_gens(d))) - 1)
 
 
 def build_cyl(uc: UComplex) -> CylComplex:
@@ -495,12 +505,30 @@ def build_cyl(uc: UComplex) -> CylComplex:
     total = UComplex(name=f"Cyl({uc.name})", labels=labels,
                      gradings=gradings, cols=tuple(cols))
     # D^2 = 0 holds because 1 + phi and 1 + iota are chain maps
-    for s in range(3 * n):
-        acc = _apply_ucols(total.cols, {s: frozenset({0})})
-        acc2 = _apply_ucols(total.cols, acc)
-        if acc2:
-            raise ValidationError("cylinder differential does not square to 0")
+    if not _squares_to_zero(total.cols):
+        raise ValidationError("cylinder differential does not square to 0")
     return CylComplex(uc=uc, total=total, n_block=n)
+
+
+def _squares_to_zero(cols) -> bool:
+    """D^2 = 0 for the columns of a :class:`UComplex`.
+
+    Every entry is the single power of U that the gradings force, and so
+    is every entry of D^2; D^2 therefore vanishes exactly when it does at
+    U = 1, as a bit matrix over all generators (the two deepest slices,
+    side by side).
+    """
+    words = [sum(1 << t for t, exps in col.items() if len(exps) % 2)
+             for col in cols]
+    for word in words:
+        acc = 0
+        while word:
+            low = word & -word
+            acc ^= words[low.bit_length() - 1]
+            word ^= low
+        if acc:
+            return False
+    return True
 
 
 # -- the delta invariant -------------------------------------------------------------
@@ -531,8 +559,19 @@ def delta(x: PhiIotaComplex, window_bump: int = 0,
         if not report.ok or not report.s3_type:
             raise ValidationError(
                 f"{x.complex.name}: {report.first_violation}")
-    first = _delta_once(x, window_bump)
-    second = _delta_once(x, window_bump + 1)
+    uc = a0(x)
+    a0_hom = DiagonalHomology(uc, window_bump=window_bump)
+    cyl = build_cyl(uc)
+    cyl_hom = DiagonalHomology(cyl.total, window_bump=window_bump,
+                               expect_tower=False)
+    first = _delta_once(x.complex.name, cyl, a0_hom, cyl_hom)
+    # the enlarged pass reuses both complexes and every slice computed so
+    # far, and runs over its own window
+    second = _delta_once(
+        x.complex.name, cyl,
+        DiagonalHomology(uc, window_bump=window_bump + 1, share=a0_hom),
+        DiagonalHomology(cyl.total, window_bump=window_bump + 1,
+                         expect_tower=False, share=cyl_hom))
     if first.delta != second.delta:
         raise WindowUnstableError(
             f"{x.complex.name}: delta changed under window enlargement")
@@ -542,26 +581,19 @@ def delta(x: PhiIotaComplex, window_bump: int = 0,
     return first
 
 
-def _delta_once(x: PhiIotaComplex, window_bump: int) -> DeltaResult:
-    uc = a0(x)
-    a0_hom = DiagonalHomology(uc, window_bump=window_bump)
-    cyl = build_cyl(uc)
-    cyl_hom = DiagonalHomology(cyl.total, window_bump=window_bump,
-                               expect_tower=False)
+def _delta_once(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
+                cyl_hom: DiagonalHomology) -> DeltaResult:
+    uc = cyl.uc
     q_ranks: dict = {}
     for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
-        h = cyl_hom.homology(d)
-        lam = []
-        for z in h.cycles:
-            qz = cyl.project(z, d, cyl_hom, a0_hom)
-            lam.append(a0_hom.nontorsion_bit(qz, d))
+        lam = [a0_hom.nontorsion_bit(cyl.project(z, d, a0_hom), d)
+               for z in cyl_hom.cycle_basis(d)]
         q_ranks[d] = sum(lam)
         if not any(lam):
             continue
         if d % 2:
             raise GradingParityError(
-                f"{x.complex.name}: nontorsion cylinder class at odd "
-                f"grading {d}")
+                f"{name}: nontorsion cylinder class at odd grading {d}")
         # lexicographically first witness cycle with functional value 1
         bits = cyl_hom._lex_witness(d, lam)
         n = uc.n
@@ -586,7 +618,7 @@ def _delta_once(x: PhiIotaComplex, window_bump: int) -> DeltaResult:
             witness_z={k: sorted(v) for k, v in wz.items()},
             window=(cyl_hom.lo, cyl_hom.hi), q_ranks=q_ranks)
     raise ConsistencyError(
-        f"{x.complex.name}: no nontorsion projection found in the window")
+        f"{name}: no nontorsion projection found in the window")
 
 
 def delta_zero_iff_local(x: PhiIotaComplex, window_bump: int = 0) -> dict:

@@ -402,3 +402,255 @@ def reference_involution_candidates(cx, cap: int = 18) -> list:
                                     for i in range(len(coords))), cand))
     found.sort(key=lambda t: t[0])
     return [cand for _, cand in found]
+
+
+# -- the slice-homology pipeline, two passes with nothing shared --------------
+
+def apply_ucols(cols, vec: dict) -> dict:
+    """Apply U-complex columns to {generator: U-exponents}."""
+    out: dict = {}
+    for s, exps in vec.items():
+        for t, entry in cols[s].items():
+            acc = out.get(t, frozenset())
+            for e in exps:
+                acc = acc ^ frozenset(k + e for k in entry)
+            out[t] = acc
+    return {t: e for t, e in out.items() if e}
+
+
+class _ReferenceDiagonal:
+    """Slice homology of a UComplex over one window, every position map
+    rebuilt on use and every slice recomputed by every instance."""
+
+    def __init__(self, uc, window_bump: int = 0, expect_tower: bool = True):
+        self.uc = uc
+        self.gmax = max(uc.gradings)
+        self.gmin = min(uc.gradings)
+        self.ntor = uc.n * (1 + uc.max_exponent())
+        self.hi = self.gmax + 2
+        self.lo = self.gmin - 2 * self.ntor - 2 * window_bump
+        self._H: dict = {}
+        self.tower = None
+        if expect_tower:
+            self._locate_tower()
+
+    def slice_gens(self, d: int) -> list:
+        return [g for g in range(self.uc.n) if self.uc.gradings[g] >= d
+                and (self.uc.gradings[g] - d) % 2 == 0]
+
+    def _pos(self, d: int) -> dict:
+        return {g: i for i, g in enumerate(self.slice_gens(d))}
+
+    def boundary_columns(self, d: int) -> list:
+        tgt_pos = self._pos(d - 1)
+        cols = []
+        for g in self.slice_gens(d):
+            word = 0
+            for t, exps in self.uc.cols[g].items():
+                if len(exps) % 2:
+                    word ^= 1 << tgt_pos[t]
+            cols.append(word)
+        return cols
+
+    def homology(self, d: int):
+        from corkscrew.algebra import ColumnSpan
+        from corkscrew.invariants import _HSlice
+
+        if d not in self._H:
+            self._H[d] = _HSlice(len(self.slice_gens(d)),
+                                 ColumnSpan(self.boundary_columns(d)).kernel,
+                                 self.boundary_columns(d + 1))
+        return self._H[d]
+
+    def push(self, vec: int, d: int, steps: int) -> int:
+        if steps == 0:
+            return vec
+        tgt_pos = self._pos(d - 2 * steps)
+        out = 0
+        for i, g in enumerate(self.slice_gens(d)):
+            if (vec >> i) & 1:
+                out |= 1 << tgt_pos[g]
+        return out
+
+    def nontorsion_bit(self, vec: int, d: int) -> int:
+        if vec == 0:
+            return 0
+        target = self.gmin - 1
+        if (d - target) % 2:
+            target -= 1
+        target = min(d, target)
+        pushed = self.push(vec, d, (d - target) // 2)
+        h = self.homology(target)
+        return 1 if any(h.rep_coefficient(pushed, i)
+                        for i in range(h.rank)) else 0
+
+    def _locate_tower(self):
+        from corkscrew.errors import ValidationError
+
+        r0 = self.homology(self.gmin - 1).rank
+        r1 = self.homology(self.gmin - 2).rank
+        if r0 + r1 != 1:
+            raise ValidationError(
+                f"{self.uc.name}: inverted homology has rank {r0 + r1}, "
+                f"expected a single free tower")
+        for d in range(self.hi, self.lo - 1, -1):
+            h = self.homology(d)
+            lam = [self.nontorsion_bit(z, d) for z in h.cycles]
+            if any(lam):
+                self.tower = (d, self.lex_witness(d, lam))
+                return
+        raise ValidationError(
+            f"{self.uc.name}: no nontorsion class found in the window")
+
+    def lex_witness(self, d: int, lam: list) -> int:
+        from corkscrew.algebra import lexmin_affine
+
+        h = self.homology(d)
+        pick = [z for z, bit in zip(h.cycles, lam) if bit]
+        rest = [z for z, bit in zip(h.cycles, lam) if not bit]
+        return lexmin_affine(pick[0], rest + [pick[0] ^ z for z in pick[1:]],
+                             len(self.slice_gens(d)))
+
+
+def _reference_summary(uc, window_bump: int):
+    from corkscrew.algebra import Echelon
+    from corkscrew.errors import WindowUnstableError
+    from corkscrew.invariants import UHomology
+
+    hom = _ReferenceDiagonal(uc, window_bump)
+    top, rep_bits = hom.tower
+    rep = [(uc.labels[g], (uc.gradings[g] - top) // 2)
+           for i, g in enumerate(hom.slice_gens(top)) if (rep_bits >> i) & 1]
+    torsion = []
+    u_action = {}
+    for d in range(hom.hi, hom.gmin - 1, -1):
+        h = hom.homology(d)
+        if h.rank == 0:
+            continue
+        hdown = hom.homology(d - 2)
+        u_action[d] = [hdown.class_coords(hom.push(z, d, 1)) for z in h.reps]
+        free = int(any(hom.nontorsion_bit(z, d) for z in h.reps))
+        rank, k = h.rank, 0
+        while rank > free:
+            k += 1
+            if k > hom.ntor + 1:
+                raise WindowUnstableError(
+                    f"{uc.name}: torsion order exceeds the window bound")
+            hk = hom.homology(d - 2 * k)
+            image = Echelon(hk.class_coords(hom.push(z, d, k))
+                            for z in h.reps)
+            torsion += [(d, k)] * (rank - image.rank)
+            rank = image.rank
+    return UHomology(tower_top=top, tower_rep=tuple(rep),
+                     torsion=tuple(sorted(torsion)),
+                     u_action=u_action, window=(hom.lo, hom.hi))
+
+
+def reference_homology_u(uc, window_bump: int = 0):
+    """homology_u computed twice from scratch, at window_bump and
+    window_bump + 1."""
+    from corkscrew.errors import WindowUnstableError
+
+    first = _reference_summary(uc, window_bump)
+    second = _reference_summary(uc, window_bump + 1)
+    if (first.tower_top, first.torsion) != (second.tower_top, second.torsion):
+        raise WindowUnstableError(
+            f"{uc.name}: enlarging the window changed the answer")
+    return first
+
+
+def _reference_cylinder(uc):
+    """Total U-complex of the cylinder, D^2 = 0 checked generator by
+    generator on the U-polynomial columns."""
+    from corkscrew.errors import ValidationError
+    from corkscrew.invariants import UComplex
+
+    n = uc.n
+    cols = []
+    for s in range(n):
+        col = dict(uc.cols[s])
+        for block, action in ((1, uc.phi_cols), (2, uc.iota_cols)):
+            one_plus = dict(action[s])
+            one_plus[s] = one_plus.get(s, frozenset()) ^ frozenset({0})
+            for t, e in one_plus.items():
+                if e:
+                    col[block * n + t] = e
+        cols.append(col)
+    for block in (1, 2):
+        for s in range(n):
+            cols.append({block * n + t: e for t, e in uc.cols[s].items()})
+    total = UComplex(
+        name=f"Cyl({uc.name})",
+        labels=tuple(f"{p}:{m}" for p in "xyz" for m in uc.labels),
+        gradings=uc.gradings + tuple(g - 1 for g in uc.gradings) * 2,
+        cols=tuple(cols))
+    for s in range(3 * n):
+        if apply_ucols(total.cols,
+                       apply_ucols(total.cols, {s: frozenset({0})})):
+            raise ValidationError("cylinder differential does not square to 0")
+    return total
+
+
+def _reference_delta_once(x, window_bump: int):
+    from corkscrew.errors import ConsistencyError, GradingParityError
+    from corkscrew.invariants import DeltaResult, a0
+
+    uc = a0(x)
+    a0_hom = _ReferenceDiagonal(uc, window_bump)
+    total = _reference_cylinder(uc)
+    cyl_hom = _ReferenceDiagonal(total, window_bump, expect_tower=False)
+    n = uc.n
+    q_ranks: dict = {}
+    for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
+        h = cyl_hom.homology(d)
+        tgt_pos = a0_hom._pos(d)
+        lam = []
+        for z in h.cycles:
+            qz = 0
+            for i, g in enumerate(cyl_hom.slice_gens(d)):
+                if g < n and (z >> i) & 1:
+                    qz |= 1 << tgt_pos[g]
+            lam.append(a0_hom.nontorsion_bit(qz, d))
+        q_ranks[d] = sum(lam)
+        if not any(lam):
+            continue
+        if d % 2:
+            raise GradingParityError(
+                f"{x.complex.name}: nontorsion cylinder class at odd "
+                f"grading {d}")
+        bits = cyl_hom.lex_witness(d, lam)
+        blocks = ({}, {}, {})
+        for i, g in enumerate(cyl_hom.slice_gens(d)):
+            if (bits >> i) & 1:
+                blocks[g // n].setdefault(uc.labels[g % n], []).append(
+                    (total.gradings[g] - d) // 2)
+        wx, wy, wz = ({k: sorted(v) for k, v in b.items()} for b in blocks)
+        return DeltaResult(delta=-d // 2, max_grading=d, witness_x=wx,
+                           witness_y=wy, witness_z=wz,
+                           window=(cyl_hom.lo, cyl_hom.hi), q_ranks=q_ranks)
+    raise ConsistencyError(
+        f"{x.complex.name}: no nontorsion projection found in the window")
+
+
+def reference_delta(x, window_bump: int = 0):
+    """delta as two full passes, at window_bump and window_bump + 1, each
+    rebuilding a0, the cylinder and every slice."""
+    from corkscrew.complexes import validate
+    from corkscrew.errors import (
+        ConsistencyError,
+        ValidationError,
+        WindowUnstableError,
+    )
+
+    report = validate(x.complex, require_s3_type=True)
+    if not report.ok or not report.s3_type:
+        raise ValidationError(f"{x.complex.name}: {report.first_violation}")
+    first = _reference_delta_once(x, window_bump)
+    second = _reference_delta_once(x, window_bump + 1)
+    if first.delta != second.delta:
+        raise WindowUnstableError(
+            f"{x.complex.name}: delta changed under window enlargement")
+    if first.delta < 0:
+        raise ConsistencyError(
+            f"{x.complex.name}: negative delta on an S^3-type complex")
+    return first

@@ -20,7 +20,7 @@ from corkscrew.models import (
 )
 
 from conftest import random_s3_models
-from oracle import brute_delta
+from oracle import apply_ucols, brute_delta
 
 
 class TestA0:
@@ -47,13 +47,11 @@ class TestA0:
         assert uc.cols[ib] == {id_: frozenset({1})}  # V d becomes U d
 
     def test_restricted_iota_is_u_equivariant_chain_map(self, fig8):
-        from corkscrew.invariants import _apply_ucols
         uc = a0(fig8)
         for g in range(uc.n):
-            lhs = _apply_ucols(uc.iota_cols, _apply_ucols(uc.cols,
-                                                          {g: frozenset({0})}))
-            rhs = _apply_ucols(uc.cols, _apply_ucols(uc.iota_cols,
-                                                     {g: frozenset({0})}))
+            gen = {g: frozenset({0})}
+            lhs = apply_ucols(uc.iota_cols, apply_ucols(uc.cols, gen))
+            rhs = apply_ucols(uc.cols, apply_ucols(uc.iota_cols, gen))
             assert lhs == rhs
 
 
@@ -125,15 +123,12 @@ class TestCylinder:
         cyl = build_cyl(uc)
         hom_t = DiagonalHomology(cyl.total, expect_tower=False)
         hom_a = DiagonalHomology(uc)
-        from corkscrew.invariants import _apply_ucols
         for d in range(hom_a.gmax, hom_a.gmin - 3, -1):
             for i in range(len(hom_t.slice_gens(d))):
                 vec = 1 << i
-                qd = cyl.project(
-                    _slice_apply(cyl.total, hom_t, vec, d), d - 1,
-                    hom_t, hom_a)
-                dq = _slice_apply(uc, hom_a,
-                                  cyl.project(vec, d, hom_t, hom_a), d)
+                qd = cyl.project(_slice_apply(cyl.total, hom_t, vec, d),
+                                 d - 1, hom_a)
+                dq = _slice_apply(uc, hom_a, cyl.project(vec, d, hom_a), d)
                 assert qd == dq
 
 
@@ -184,7 +179,6 @@ class TestDelta:
         x = tensor(fig8, fig8)
         res = delta(x)
         uc = a0(x)
-        from corkscrew.invariants import _apply_ucols
 
         def to_vec(w):
             out = {}
@@ -195,11 +189,11 @@ class TestDelta:
 
         wx, wy, wz = (to_vec(res.witness_x), to_vec(res.witness_y),
                       to_vec(res.witness_z))
-        assert _apply_ucols(uc.cols, wx) == {}
+        assert apply_ucols(uc.cols, wx) == {}
         one_phi = _one_plus(uc, uc.phi_cols, wx)
-        assert _apply_ucols(uc.cols, wy) == one_phi
+        assert apply_ucols(uc.cols, wy) == one_phi
         one_iota = _one_plus(uc, uc.iota_cols, wx)
-        assert _apply_ucols(uc.cols, wz) == one_iota
+        assert apply_ucols(uc.cols, wz) == one_iota
 
     def test_delta_is_a_local_class_invariant_under_scrambling(self):
         import random
@@ -212,8 +206,7 @@ class TestDelta:
 
 
 def _one_plus(uc, action, vec):
-    from corkscrew.invariants import _apply_ucols
-    out = dict(_apply_ucols(action, vec))
+    out = dict(apply_ucols(action, vec))
     for g, e in vec.items():
         cur = out.get(g, frozenset())
         out[g] = cur ^ e

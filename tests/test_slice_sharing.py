@@ -1,0 +1,215 @@
+"""delta and homology_u against the two-pass, unshared pipeline kept in
+``tests/oracle.py``; the enlarged-window re-check, the shared slices, the
+cylinder's first block and its D^2 = 0 check."""
+
+import dataclasses
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import scramble
+from corkscrew import invariants
+from corkscrew.complexes import dual, tensor
+from corkscrew.errors import ValidationError, WindowUnstableError
+from corkscrew.invariants import (
+    DiagonalHomology,
+    UComplex,
+    a0,
+    build_cyl,
+    delta,
+    homology_u,
+)
+from corkscrew.models import BUNDLED, bundled, figure_eight_with_actions
+from oracle import reference_delta, reference_homology_u
+
+
+def _outcome(fn, *args, **kwargs):
+    """Every field of the result, or the exception's type and message."""
+    try:
+        res = fn(*args, **kwargs)
+    except Exception as exc:  # compared, never swallowed
+        return ("raises", type(exc).__name__, str(exc))
+    return (type(res).__name__, vars(res))
+
+
+def _scrambled_bundled():
+    rng = random.Random(2024)
+    return [(f"scrambled({name})", scramble(BUNDLED[name](), rng))
+            for name in BUNDLED]
+
+
+def _large():
+    x2 = bundled("4_1x4_1_tau")
+    return [("dual(4_1x4_1_tau)", dual(x2)),
+            ("4_1x4_1_tau*4_1", tensor(x2, figure_eight_with_actions()))]
+
+
+CASES = _scrambled_bundled() + _large()
+
+
+@pytest.mark.parametrize("bump", [0, 1, 2])
+@pytest.mark.parametrize("label,x", CASES, ids=[c[0] for c in CASES])
+def test_delta_matches_the_reference(label, x, bump):
+    assert (_outcome(delta, x, window_bump=bump)
+            == _outcome(reference_delta, x, window_bump=bump))
+
+
+@pytest.mark.parametrize("bump", [0, 1, 2])
+@pytest.mark.parametrize("label,x", CASES, ids=[c[0] for c in CASES])
+def test_homology_u_matches_the_reference(label, x, bump):
+    uc = a0(x)
+    assert (_outcome(homology_u, uc, window_bump=bump)
+            == _outcome(reference_homology_u, uc, window_bump=bump))
+
+
+# -- the enlarged-window re-check ---------------------------------------------
+
+def test_delta_recheck_runs_over_the_enlarged_window(monkeypatch):
+    real = invariants._delta_once
+    windows = []
+
+    def moved_when_widened(name, cyl, a0_hom, cyl_hom):
+        res = real(name, cyl, a0_hom, cyl_hom)
+        windows.append(res.window)
+        if res.window[0] < windows[0][0]:
+            res = dataclasses.replace(res, delta=res.delta + 1)
+        return res
+
+    monkeypatch.setattr(invariants, "_delta_once", moved_when_widened)
+    with pytest.raises(WindowUnstableError, match="window enlargement"):
+        delta(bundled("4_1x4_1_tau"))
+    (lo, hi), wide = windows
+    assert wide == (lo - 2, hi)
+
+
+def test_homology_u_recheck_runs_over_the_enlarged_window(monkeypatch):
+    real = invariants._homology_summary
+    windows = []
+
+    def moved_when_widened(hom):
+        res = real(hom)
+        windows.append(res.window)
+        if res.window[0] < windows[0][0]:
+            res = dataclasses.replace(res, torsion=res.torsion + ((0, 9),))
+        return res
+
+    monkeypatch.setattr(invariants, "_homology_summary", moved_when_widened)
+    with pytest.raises(WindowUnstableError, match="changed the answer"):
+        homology_u(a0(bundled("4_1x4_1_tau")))
+    (lo, hi), wide = windows
+    assert wide == (lo - 2, hi)
+
+
+# -- shared slices ------------------------------------------------------------
+
+def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
+    spans = []
+    homs = []
+    real_span = invariants.ColumnSpan
+    real_once = invariants._delta_once
+
+    def counting_span(cols):
+        spans.append(len(cols))
+        return real_span(cols)
+
+    def recording(name, cyl, a0_hom, cyl_hom):
+        homs.append((a0_hom, cyl_hom))
+        return real_once(name, cyl, a0_hom, cyl_hom)
+
+    monkeypatch.setattr(invariants, "ColumnSpan", counting_span)
+    monkeypatch.setattr(invariants, "_delta_once", recording)
+    x = scramble(bundled("4_1x4_1_tau"), random.Random(3))
+    delta(x, validated=True)  # validation computes spans of its own
+    (a_first, c_first), (a_wide, c_wide) = homs
+    assert a_wide._cycles is a_first._cycles
+    assert c_wide._cycles is c_first._cycles
+    assert a_wide.lo == a_first.lo - 2 and c_wide.lo == c_first.lo - 2
+    assert len(spans) == len(a_first._cycles) + len(c_first._cycles)
+
+
+def test_sharing_needs_the_same_complex():
+    x = bundled("4_1x4_1_tau")
+    hom = DiagonalHomology(a0(x))
+    with pytest.raises(ValueError):
+        DiagonalHomology(a0(x), window_bump=1, share=hom)
+
+
+# -- the cylinder's first block -----------------------------------------------
+
+@pytest.mark.parametrize("name", ["4_1", "4_1x4_1_tau", "T2_3#T2_3",
+                                  "stair_box_5"])
+def test_first_block_slice_is_the_diagonal_slice(name):
+    x = scramble(bundled(name), random.Random(name))
+    uc = a0(x)
+    cyl = build_cyl(uc)
+    hom_a = DiagonalHomology(uc)
+    hom_t = DiagonalHomology(cyl.total, expect_tower=False)
+    rng = random.Random(1)
+    for d in range(hom_a.gmax + 2, hom_t.gmin - 4, -1):
+        diag = hom_a.slice_gens(d)
+        total = hom_t.slice_gens(d)
+        assert total[:len(diag)] == diag
+        assert all(g >= uc.n for g in total[len(diag):])
+        # project agrees with restricting generator by generator
+        vec = rng.getrandbits(len(total))
+        pos = hom_a.positions(d)
+        by_gen = sum(1 << pos[g] for i, g in enumerate(total)
+                     if g < uc.n and (vec >> i) & 1)
+        assert cyl.project(vec, d, hom_a) == by_gen
+
+
+# -- the cylinder's D^2 = 0 check ---------------------------------------------
+
+def _not_a_chain_map(exponent: int) -> UComplex:
+    """a -> U^e b with phi(a) = a, phi(b) = 0: d phi(a) = U^e b but
+    phi d(a) = 0, so the cylinder has D^2(x:a) = U^e y:b."""
+    return UComplex(name="broken", labels=("b", "a"),
+                    gradings=(2 * exponent - 1, 0),
+                    cols=({}, {0: frozenset({exponent})}),
+                    phi_cols=({}, {1: frozenset({0})}),
+                    iota_cols=({0: frozenset({0})}, {1: frozenset({0})}))
+
+
+@pytest.mark.parametrize("exponent", [0, 1, 2])
+def test_cylinder_of_a_non_chain_map_is_rejected(exponent):
+    with pytest.raises(ValidationError,
+                       match="cylinder differential does not square to 0"):
+        build_cyl(_not_a_chain_map(exponent))
+
+
+def test_cylinder_of_chain_maps_is_accepted():
+    uc = _not_a_chain_map(1)
+    fixed = dataclasses.replace(uc, phi_cols=uc.iota_cols)
+    assert build_cyl(fixed).total.n == 6
+
+
+_BROKEN_CYLINDER = """
+import sys
+from corkscrew.errors import ValidationError
+from corkscrew.invariants import UComplex, build_cyl
+
+uc = UComplex(name="broken", labels=("b", "a"), gradings=(1, 0),
+              cols=({}, {0: frozenset({1})}),
+              phi_cols=({}, {1: frozenset({0})}),
+              iota_cols=({0: frozenset({0})}, {1: frozenset({0})}))
+try:
+    build_cyl(uc)
+except ValidationError as exc:
+    print("build_cyl raised:", exc)
+else:
+    print("build_cyl passed")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_cylinder_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CYLINDER],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == [
+        "build_cyl raised: cylinder differential does not square to 0",
+        "optimize 1"]
