@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .algebra import (  # noqa: F401
     F2Matrix,
     GradedSlice,
-    formal_derivative,
     slice_basis,
     solve_f2,
 )

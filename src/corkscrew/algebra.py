@@ -1,9 +1,12 @@
-"""Exact arithmetic ground layer: F2[U,V] monomials, set-based polynomials,
-bigradings, graded slice enumeration, and bit-packed F2 linear algebra.
+"""Exact arithmetic ground layer: F2[U,V] monomials, bigradings, graded
+slice enumeration, and bit-packed F2 linear algebra.
 
-Coefficients live in F2, so a polynomial is simply the set of monomials
-present and addition is symmetric difference.  A monomial U^a V^b is the
-exponent pair ``(a, b)``; it shifts the bigrading by ``(-2a, -2b)``.
+A monomial U^a V^b is the exponent pair ``(a, b)``; it shifts the
+bigrading by ``(-2a, -2b)``.  Coefficients live in F2, so a polynomial is
+the frozenset of the monomials present and addition is symmetric
+difference.  Maps store no polynomials: a grading-homogeneous entry is
+the one monomial the gradings force (:func:`slice_monomial`), so a map is
+an F2 bit matrix (see ``complexes``).
 
 Every F2 elimination in the package goes through one routine, the
 incremental row echelon :class:`Echelon`: ranks, lexmin witnesses and
@@ -20,78 +23,21 @@ from typing import Iterable, Optional, Sequence
 from .errors import ValidationError
 
 Mono = tuple  # (u_exp, v_exp)
-Poly = frozenset  # frozenset of Mono
 Grading = tuple  # (gr_u, gr_v)
-
-P_ZERO: Poly = frozenset()
-P_ONE: Poly = frozenset({(0, 0)})
 
 
 # -- monomials ---------------------------------------------------------------
-
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return (m1[0] + m2[0], m1[1] + m2[1])
-
 
 def mono_deg(m: Mono) -> Grading:
     """Bigrading shift contributed by the monomial."""
     return (-2 * m[0], -2 * m[1])
 
 
-def mono_swap(m: Mono) -> Mono:
-    return (m[1], m[0])
-
-
-# -- polynomials -------------------------------------------------------------
-
-def poly(monos: Iterable[Mono]) -> Poly:
-    """Build a polynomial, cancelling duplicated monomials mod 2."""
-    out: set = set()
-    for m in monos:
-        out ^= {m}
-    return frozenset(out)
-
-
-def padd(p1: Poly, p2: Poly) -> Poly:
-    return p1 ^ p2
-
-
-def pmul(p1: Poly, p2: Poly) -> Poly:
-    out: set = set()
-    for m1 in p1:
-        for m2 in p2:
-            out ^= {mono_mul(m1, m2)}
-    return frozenset(out)
-
-
-def pscale(m: Mono, p: Poly) -> Poly:
+def pscale(m: Mono, p: frozenset) -> frozenset:
+    """A polynomial, as the frozenset of its monomials, times U^a V^b."""
     if m == (0, 0):
         return p
-    return frozenset(mono_mul(m, t) for t in p)
-
-
-def pswap(p: Poly) -> Poly:
-    return frozenset(mono_swap(m) for m in p)
-
-
-def formal_derivative(p: Poly, variable: str) -> Poly:
-    """d/dU or d/dV of a polynomial over F2.
-
-    U^a V^b maps to U^(a-1) V^b when a is odd and to zero when a is even
-    (and symmetrically in V), because the integer coefficient a reduces
-    mod 2.
-    """
-    if variable not in ("u", "v"):
-        raise ValueError(f"unknown variable {variable!r}")
-    out: set = set()
-    for a, b in p:
-        if variable == "u":
-            if a % 2 == 1:
-                out ^= {(a - 1, b)}
-        else:
-            if b % 2 == 1:
-                out ^= {(a, b - 1)}
-    return frozenset(out)
+    return frozenset((m[0] + a, m[1] + b) for a, b in p)
 
 
 # -- bigradings --------------------------------------------------------------
@@ -209,13 +155,24 @@ class F2Inconsistency:
     combo: int  # bitmask over the original rows
 
 
-def _ones(word: int):
+def ones(word: int):
     """Positions of the set bits of a non-negative word, lowest first."""
     bits = bin(word)[:1:-1]
     j = bits.find("1")
     while j >= 0:
         yield j
         j = bits.find("1", j + 1)
+
+
+def mat_vec(cols: Sequence[int], word: int) -> int:
+    """The XOR of ``cols[i]`` over the set bits i of ``word``: a bit
+    matrix, given by its columns, applied to a bit vector."""
+    out = 0
+    while word:
+        low = word & -word
+        out ^= cols[low.bit_length() - 1]
+        word ^= low
+    return out
 
 
 class Echelon:
@@ -343,7 +300,7 @@ def solve_f2_rows(rows: list, rhs: list, ncols: int):
     particular = 0
     for p, v, _ in rref.rows:
         particular |= (v >> ncols) << p
-        for j in _ones((v ^ (1 << p)) & (bare - 1)):
+        for j in ones((v ^ (1 << p)) & (bare - 1)):
             kernel[j] |= 1 << p
     return F2Solution(particular=particular, kernel=list(kernel.values()))
 
@@ -354,7 +311,7 @@ def _left_kernel_witness(rows: list, rhs: list, ncols: int,
     the bare rhs bit over the augmented rows.  Only the ``stored`` rows,
     those that raised the rank, can take part."""
     aug = ColumnSpan([rows[i] | (rhs[i] << ncols) for i in stored])
-    return sum(1 << stored[k] for k in _ones(aug.coordinates(1 << ncols)))
+    return sum(1 << stored[k] for k in ones(aug.coordinates(1 << ncols)))
 
 
 def solve_f2(a: F2Matrix, b: Sequence[int]):

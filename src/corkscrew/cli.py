@@ -17,7 +17,13 @@ import sys
 from importlib import resources
 
 from . import __version__
-from .complexes import canonical_json, sarkar_map, to_dict, validate
+from .complexes import (
+    canonical_json,
+    encode_columns,
+    sarkar_map,
+    to_dict,
+    validate,
+)
 from .connected import connected_complex, s_nontrivial
 from .errors import CorkscrewError
 from .invariants import delta
@@ -165,13 +171,7 @@ def cmd_sarkar(args, report: Report) -> int:
     x = resolve_complex(args.file)
     cx = x.complex
     s = sarkar_map(cx)
-    entries = {}
-    for src, col in enumerate(s.cols):
-        terms = []
-        for t, p in sorted(col.items()):
-            for a, b in sorted(p):
-                terms.append([cx.generators[t], a, b])
-        entries[cx.generators[src]] = terms
+    entries = encode_columns(s)
     report.echo_input("file", args.file)
     report.echo_input("complex", cx.name)
     report.invariant("sarkar_map", entries)

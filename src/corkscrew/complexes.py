@@ -3,8 +3,15 @@
 A :class:`KnotComplex` is a finitely generated free complex with
 ``deg(boundary) = (-1,-1)``, ``deg(U) = (-2,0)`` and ``deg(V) = (0,-2)``.
 Endomorphisms are either *straight* (module maps) or *skew* (the monomial
-exponents are exchanged when coefficients move through the map), and every
-entry must respect the declared bidegree; this is checked entrywise.
+exponents are exchanged when coefficients move through the map).
+
+Every map here is grading homogeneous, so each entry s -> t is zero or the
+one monomial the gradings, mode and bidegree force (``slice_monomial``).
+A map is therefore stored as F2 bit columns: ``cols[s]`` (``diff[s]`` for
+a complex) is an int with bit t set when the entry s -> t is nonzero, and
+:func:`entries` reads the monomials back off the gradings.  Composition,
+sums, duals and tensor products are integer XORs; a map is well graded
+when every set bit has a forced monomial.
 
 The module also provides the derivative endomorphisms of the differential,
 the basepoint-twist map ``id + (d/dU diff)(d/dV diff)``, duals, involutive
@@ -20,31 +27,18 @@ from typing import Optional
 
 from .algebra import (
     Grading,
-    P_ONE,
-    Poly,
-    formal_derivative,
     gr_add,
     gr_neg,
     gr_swap,
-    mono_deg,
-    padd,
-    pscale,
-    pswap,
+    mat_vec,
+    ones,
+    slice_monomial,
     slice_pairs,
 )
 from .errors import ParseError, ValidationError
 
 STRAIGHT = "straight"
 SKEW = "skew"
-
-
-def _norm_cols(cols):
-    """Drop zero polynomials; column dicts keep their insertion order,
-    which nothing may depend on (reports sort where they print)."""
-    out = []
-    for col in cols:
-        out.append({t: p for t, p in col.items() if p})
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -54,10 +48,10 @@ class KnotComplex:
     name: str
     generators: tuple  # generator ids, order fixes every basis below
     gradings: tuple  # Grading per generator
-    diff: tuple  # diff[src] = {tgt: Poly}
+    diff: tuple  # diff[src]: int, bit tgt set when the entry is nonzero
 
     def __post_init__(self):
-        object.__setattr__(self, "diff", _norm_cols(self.diff))
+        object.__setattr__(self, "diff", tuple(self.diff))
         seen = set()
         for g in self.generators:
             if g in seen:
@@ -97,16 +91,16 @@ class KnotComplex:
                             check=False)
 
     def identity(self) -> "Endomorphism":
-        cols = tuple({i: P_ONE} for i in range(self.n))
+        cols = tuple(1 << i for i in range(self.n))
         return Endomorphism(self, self, cols, STRAIGHT, (0, 0), check=False)
 
     def zero_map(self, mode=STRAIGHT, bidegree=(0, 0)) -> "Endomorphism":
-        cols = tuple({} for _ in range(self.n))
-        return Endomorphism(self, self, cols, mode, bidegree, check=False)
+        return Endomorphism(self, self, (0,) * self.n, mode, bidegree,
+                            check=False)
 
 
 class Endomorphism:
-    """Matrix-valued graded map between complexes.
+    """Matrix-valued graded map between complexes, as bit columns.
 
     ``mode`` is ``"straight"`` for module maps and ``"skew"`` for maps that
     exchange the two variables when sliding coefficients through: a skew f
@@ -120,7 +114,7 @@ class Endomorphism:
                  check=True):
         self.source = source
         self.target = target
-        self.cols = _norm_cols(cols)
+        self.cols = tuple(cols)
         self.mode = mode
         self.bidegree = tuple(bidegree)
         if len(self.cols) != source.n:
@@ -130,52 +124,36 @@ class Endomorphism:
             if err:
                 raise ValidationError(err)
 
-    # -- structural checks ----------------------------------------------
-
     def grading_violation(self) -> Optional[str]:
-        """First entry, in (source, target) order, breaking the
-        mode/bidegree contract, if any."""
-        for s, col in enumerate(self.cols):
-            expect = gr_add(self._source_grading(s), self.bidegree)
-            for t, p in sorted(col.items()):
-                tgt_gr = self.target.gradings[t]
-                for m in p:
-                    if gr_add(tgt_gr, mono_deg(m)) != expect:
-                        return (f"bidegree violated at "
-                                f"{self.source.generators[s]}->"
-                                f"{self.target.generators[t]}")
+        """First entry, in (source, target) order, that no monomial can
+        fill under the mode/bidegree contract, if any."""
+        for s in range(self.source.n):
+            for t, m in entries(self, s):
+                if m is None:
+                    return (f"bidegree violated at "
+                            f"{self.source.generators[s]}->"
+                            f"{self.target.generators[t]}")
         return None
-
-    def _source_grading(self, s: int) -> Grading:
-        g = self.source.gradings[s]
-        return gr_swap(g) if self.mode == SKEW else g
 
     # -- algebra ----------------------------------------------------------
 
-    def coeff_action(self, p: Poly) -> Poly:
-        return pswap(p) if self.mode == SKEW else p
-
     def apply(self, vec: dict) -> dict:
-        """Apply to an element given as {generator-index: Poly}."""
+        """Apply to an element given as {generator-index: Poly}, a Poly
+        being a frozenset of (u_exp, v_exp) monomials."""
         out: dict = {}
         for s, p in vec.items():
-            if not p:
-                continue
-            moved = self.coeff_action(p)
-            for t, entry in self.cols[s].items():
-                acc = out.get(t, frozenset())
-                for m in moved:
-                    acc = padd(acc, pscale(m, entry))
-                out[t] = acc
+            if self.mode == SKEW:
+                p = [(b, a) for a, b in p]
+            for t, (u, v) in entries(self, s):
+                out[t] = out.get(t, frozenset()) ^ frozenset(
+                    (a + u, b + v) for a, b in p)
         return {t: p for t, p in out.items() if p}
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise ValidationError("composition mismatch")
-        cols = []
-        for s in range(other.source.n):
-            cols.append(self.apply(other.cols[s]))
+        cols = [mat_vec(self.cols, col) for col in other.cols]
         mode = STRAIGHT if self.mode == other.mode else SKEW
         od = other.bidegree
         if self.mode == SKEW:
@@ -187,17 +165,12 @@ class Endomorphism:
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
         if (self.mode, self.bidegree) != (other.mode, other.bidegree):
             raise ValidationError("cannot add maps of different shape")
-        cols = []
-        for s in range(self.source.n):
-            col = dict(self.cols[s])
-            for t, p in other.cols[s].items():
-                col[t] = padd(col.get(t, frozenset()), p)
-            cols.append(col)
+        cols = [a ^ b for a, b in zip(self.cols, other.cols)]
         return Endomorphism(self.source, self.target, cols, self.mode,
                             self.bidegree, check=False)
 
     def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
+        return not any(self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, Endomorphism)
@@ -206,13 +179,22 @@ class Endomorphism:
                 and self.cols == other.cols)
 
     def __repr__(self):
-        entries = []
-        for s, col in enumerate(self.cols):
-            for t, p in col.items():
-                entries.append(
-                    f"{self.source.generators[s]}->"
-                    f"{self.target.generators[t]}:{sorted(p)}")
-        return f"<{self.mode} map deg{self.bidegree} {entries}>"
+        terms = [f"{self.source.generators[s]}->"
+                 f"{self.target.generators[t]}:{[m]}"
+                 for s in range(self.source.n) for t, m in entries(self, s)]
+        return f"<{self.mode} map deg{self.bidegree} {terms}>"
+
+
+def entries(f: Endomorphism, s: int) -> list:
+    """(target index, monomial) of every nonzero entry in column s of f,
+    in target order.  The monomial is the one the gradings force, None
+    when no monomial fits (a grading violation)."""
+    g = f.source.gradings[s]
+    if f.mode == SKEW:
+        g = gr_swap(g)
+    expect = gr_add(g, f.bidegree)
+    grads = f.target.gradings
+    return [(t, slice_monomial(grads[t], expect)) for t in ones(f.cols[s])]
 
 
 # -- canonical endomorphisms of the differential ------------------------------
@@ -220,13 +202,17 @@ class Endomorphism:
 def phi_psi_maps(cx: KnotComplex):
     """Entrywise U- and V-derivatives of the differential matrix.
 
+    d/dU U^a V^b is U^(a-1) V^b when a is odd and zero when it is even, so
+    Phi keeps exactly the entries with an odd U exponent (Psi: odd V).
     Both are chain maps because differentiating ``diff o diff = 0`` over F2
     gives ``diff o Phi + Phi o diff = 0`` (and likewise in V).
     """
+    d = cx.boundary()
     phi_cols, psi_cols = [], []
-    for col in cx.diff:
-        phi_cols.append({t: formal_derivative(p, "u") for t, p in col.items()})
-        psi_cols.append({t: formal_derivative(p, "v") for t, p in col.items()})
+    for s in range(cx.n):
+        terms = entries(d, s)
+        phi_cols.append(sum(1 << t for t, (a, _) in terms if a % 2))
+        psi_cols.append(sum(1 << t for t, (_, b) in terms if b % 2))
     phi = Endomorphism(cx, cx, phi_cols, STRAIGHT, (1, -1))
     psi = Endomorphism(cx, cx, psi_cols, STRAIGHT, (-1, 1))
     return phi, psi
@@ -259,16 +245,14 @@ def validate(cx: KnotComplex, require_s3_type: bool = False) -> ValidationReport
         return ValidationReport(
             ok=False, first_violation=f"differential {err}")
     report.checks.append("differential bidegree")
-    dd = d.compose(d)
-    if not dd.is_zero():
-        for s, col in enumerate(dd.cols):
-            if col:
-                t = min(col)
-                return ValidationReport(
-                    ok=False,
-                    first_violation=(
-                        f"d^2 != 0 at {cx.generators[s]}->"
-                        f"{cx.generators[t]}"))
+    for s, col in enumerate(d.compose(d).cols):
+        if col:
+            t = (col & -col).bit_length() - 1
+            return ValidationReport(
+                ok=False,
+                first_violation=(
+                    f"d^2 != 0 at {cx.generators[s]}->"
+                    f"{cx.generators[t]}"))
     report.checks.append("d^2 = 0")
     if require_s3_type:
         from .invariants import quotient_tower_shape  # local: avoids cycle
@@ -329,7 +313,7 @@ class PhiIotaComplex:
 
 def chain_commutes(cx: KnotComplex, f: Endomorphism) -> bool:
     d = cx.boundary()
-    return (f.compose(d) + d.compose(f)).is_zero()
+    return f.compose(d).cols == d.compose(f).cols
 
 
 def iota_complex(cx: KnotComplex, iota: Endomorphism) -> PhiIotaComplex:
@@ -339,22 +323,15 @@ def iota_complex(cx: KnotComplex, iota: Endomorphism) -> PhiIotaComplex:
 
 # -- tensor product -------------------------------------------------------------
 
-def _kron(cx: KnotComplex, f: Endomorphism, g: Endomorphism, mode, bidegree,
-          pair_index) -> Endomorphism:
-    cols = [dict() for _ in range(cx.n)]
-    for s1 in range(f.source.n):
-        for s2 in range(g.source.n):
-            s = pair_index[s1, s2]
-            col: dict = {}
-            for t1, p1 in f.cols[s1].items():
-                for t2, p2 in g.cols[s2].items():
-                    t = pair_index[t1, t2]
-                    prod = frozenset()
-                    for m1 in p1:
-                        prod = padd(prod, pscale(m1, p2))
-                    col[t] = padd(col.get(t, frozenset()), prod)
-            cols[s] = col
-    return Endomorphism(cx, cx, cols, mode, bidegree, check=False)
+def _kron(f: Endomorphism, g: Endomorphism) -> tuple:
+    """Bit columns of f (x) g, generator pair (i, j) at index i * n2 + j.
+
+    Column (i, j) holds column j of g in block t of the pair basis for
+    every bit t of column i of f; the blocks are n2 bits wide and do not
+    overlap, so this is one product of integers."""
+    n2 = g.source.n
+    spread = [sum(1 << (t * n2) for t in ones(col)) for col in f.cols]
+    return tuple(b * a for a in spread for b in g.cols)
 
 
 def tensor(x1: PhiIotaComplex, x2: PhiIotaComplex,
@@ -363,58 +340,44 @@ def tensor(x1: PhiIotaComplex, x2: PhiIotaComplex,
     ``(id (x) id + Phi (x) Psi) o (iota1 (x) iota2)`` and ``phi1 (x) phi2``.
     """
     c1, c2 = x1.complex, x2.complex
-    gens, grads = [], []
-    pair_index = {}
-    for i, g1 in enumerate(c1.generators):
-        for j, g2 in enumerate(c2.generators):
-            pair_index[i, j] = len(gens)
-            gens.append(f"{g1}|{g2}")
-            grads.append(gr_add(c1.gradings[i], c2.gradings[j]))
-    cols = [dict() for _ in gens]
-    for i in range(c1.n):
-        for j in range(c2.n):
-            s = pair_index[i, j]
-            col: dict = {}
-            for t, p in c1.diff[i].items():
-                col[pair_index[t, j]] = p
-            for t, p in c2.diff[j].items():
-                k = pair_index[i, t]
-                col[k] = padd(col.get(k, frozenset()), p)
-            cols[s] = col
-    cx = KnotComplex(name or f"{c1.name}#{c2.name}", tuple(gens),
-                     tuple(grads), tuple(cols))
-    phi = _kron(cx, x1.phi, x2.phi, STRAIGHT, (0, 0), pair_index)
+    gens = tuple(f"{g1}|{g2}" for g1 in c1.generators for g2 in c2.generators)
+    grads = tuple(gr_add(g1, g2) for g1 in c1.gradings for g2 in c2.gradings)
+    diff = [a ^ b for a, b in zip(_kron(c1.boundary(), c2.identity()),
+                                  _kron(c1.identity(), c2.boundary()))]
+    cx = KnotComplex(name or f"{c1.name}#{c2.name}", gens, grads, diff)
+
+    def kron(f, g, mode):
+        return Endomorphism(cx, cx, _kron(f, g), mode, (0, 0), check=False)
+
+    phi = kron(x1.phi, x2.phi, STRAIGHT)
     phi_inv = None
     if x1.phi_inverse is not None and x2.phi_inverse is not None:
-        phi_inv = _kron(cx, x1.phi_inverse, x2.phi_inverse, STRAIGHT, (0, 0),
-                        pair_index)
-    iot = _kron(cx, x1.iota, x2.iota, SKEW, (0, 0), pair_index)
+        phi_inv = kron(x1.phi_inverse, x2.phi_inverse, STRAIGHT)
+    iot = kron(x1.iota, x2.iota, SKEW)
     phi1, _ = phi_psi_maps(c1)
     _, psi2 = phi_psi_maps(c2)
-    correction = _kron(cx, phi1, psi2, STRAIGHT, (0, 0), pair_index)
+    correction = kron(phi1, psi2, STRAIGHT)
     iota = (cx.identity() + correction).compose(iot)
     return PhiIotaComplex(cx, phi, iota, phi_inv)
 
 
 # -- duals -----------------------------------------------------------------------
 
-def _transpose(cxd: KnotComplex, f: Endomorphism, swap_monos: bool,
-               mode, bidegree) -> Endomorphism:
-    cols = [dict() for _ in range(cxd.n)]
-    for s, col in enumerate(f.cols):
-        for t, p in col.items():
-            q = pswap(p) if swap_monos else p
-            cols[t][s] = padd(cols[t].get(s, frozenset()), q)
-    return Endomorphism(cxd, cxd, cols, mode, bidegree, check=False)
+def transpose_cols(cols, n: int) -> tuple:
+    out = [0] * n
+    for s, col in enumerate(cols):
+        for t in ones(col):
+            out[t] |= 1 << s
+    return tuple(out)
 
 
 def dual(x: PhiIotaComplex, name: Optional[str] = None) -> PhiIotaComplex:
     """Basis dual with negated gradings.
 
-    The differential and straight maps transpose with monomials preserved.
-    The skew involution transposes with the monomials exchanged (forced by
-    the entrywise grading contract).  ``phi`` dualises to the transpose of
-    the recorded homotopy inverse, which is the inverse element convention
+    Every map transposes.  The differential and straight maps keep their
+    monomials and the skew involution's are exchanged; both are what the
+    negated gradings force.  ``phi`` dualises to the transpose of the
+    recorded homotopy inverse, which is the inverse element convention
     for the local-class group.
     """
     c = x.complex
@@ -424,14 +387,14 @@ def dual(x: PhiIotaComplex, name: Optional[str] = None) -> PhiIotaComplex:
     gens = tuple(f"{g}*" for g in c.generators)
     grads = tuple(gr_neg(g) for g in c.gradings)
     cxd = KnotComplex(name or f"-{c.name}", gens, grads,
-                      tuple({} for _ in gens))
-    cxd = KnotComplex(cxd.name, gens, grads,
-                      _transpose(cxd, c.boundary(), False, STRAIGHT,
-                                 (-1, -1)).cols)
-    phi_d = _transpose(cxd, x.phi_inverse, False, STRAIGHT, (0, 0))
-    phi_d_inv = _transpose(cxd, x.phi, False, STRAIGHT, (0, 0))
-    iota_d = _transpose(cxd, x.iota, True, SKEW, (0, 0))
-    return PhiIotaComplex(cxd, phi_d, iota_d, phi_d_inv)
+                      transpose_cols(c.diff, c.n))
+
+    def transpose(f, mode):
+        return Endomorphism(cxd, cxd, transpose_cols(f.cols, c.n), mode,
+                            (0, 0), check=False)
+
+    return PhiIotaComplex(cxd, transpose(x.phi_inverse, STRAIGHT),
+                          transpose(x.iota, SKEW), transpose(x.phi, STRAIGHT))
 
 
 # -- direct sums and shifts ------------------------------------------------------
@@ -442,8 +405,7 @@ def direct_sum(*complexes: KnotComplex, name: Optional[str] = None) -> KnotCompl
     for c in complexes:
         gens.extend(c.generators)
         grads.extend(c.gradings)
-        for col in c.diff:
-            cols.append({t + offset: p for t, p in col.items()})
+        cols.extend(col << offset for col in c.diff)
         offset += c.n
     return KnotComplex(name or "+".join(c.name for c in complexes),
                        tuple(gens), tuple(grads), tuple(cols))
@@ -458,16 +420,16 @@ def shift(cx: KnotComplex, by: Grading, name: Optional[str] = None,
 
 # -- canonical JSON serialisation -------------------------------------------------
 
-def _encode_matrix(cx: KnotComplex, cols) -> dict:
-    out = {}
-    for s, col in enumerate(cols):
-        triples = []
-        for t, p in sorted(col.items()):
-            for a, b in sorted(p):
-                triples.append([cx.generators[t], a, b])
-        if triples:
-            out[cx.generators[s]] = triples
-    return out
+def encode_columns(f: Endomorphism) -> dict:
+    """{source id: [[target id, u_exp, v_exp], ...]} for every column of
+    f, empty ones included, in generator order."""
+    src, tgt = f.source.generators, f.target.generators
+    return {src[s]: [[tgt[t], a, b] for t, (a, b) in entries(f, s)]
+            for s in range(f.source.n)}
+
+
+def _encode_matrix(f: Endomorphism) -> dict:
+    return {g: col for g, col in encode_columns(f).items() if col}
 
 
 def to_dict(x, include_actions: bool = True) -> dict:
@@ -478,13 +440,11 @@ def to_dict(x, include_actions: bool = True) -> dict:
         "name": cx.name,
         "generators": [{"id": g, "gr": list(cx.gradings[i])}
                        for i, g in enumerate(cx.generators)],
-        "differential": _encode_matrix(cx, cx.diff),
+        "differential": _encode_matrix(cx.boundary()),
     }
     if include_actions and isinstance(x, PhiIotaComplex):
-        doc["phi"] = {"mode": x.phi.mode,
-                      "map": _encode_matrix(cx, x.phi.cols)}
-        doc["iota"] = {"mode": x.iota.mode,
-                       "map": _encode_matrix(cx, x.iota.cols)}
+        doc["phi"] = {"mode": x.phi.mode, "map": _encode_matrix(x.phi)}
+        doc["iota"] = {"mode": x.iota.mode, "map": _encode_matrix(x.iota)}
     return doc
 
 
@@ -526,7 +486,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _decode_matrix(cx: KnotComplex, raw, label: str):
+def _decode_matrix(cx: KnotComplex, raw, label: str, mode: str,
+                   bidegree: Grading) -> Endomorphism:
+    """Read [target, u_exp, v_exp] triples into a map.  Repeated triples
+    add mod 2 first; every entry left must then be the monomial its
+    gradings force, checked in (source, target) order."""
     if not isinstance(raw, dict):
         raise ParseError(f"{label}: must be an object of columns")
     pos = {g: i for i, g in enumerate(cx.generators)}
@@ -536,12 +500,12 @@ def _decode_matrix(cx: KnotComplex, raw, label: str):
             return pos[gid]
         raise ParseError(f"{label}: unknown generator {gid!r}")
 
-    cols = [dict() for _ in range(cx.n)]
+    polys = [dict() for _ in range(cx.n)]
     for src, triples in raw.items():
         s = index(src)
         if not isinstance(triples, list):
             raise ParseError(f"{label}: column {src!r} must be a list")
-        col: dict = {}
+        col = polys[s]
         for entry in triples:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError(f"{label}: entry {entry!r} is not a "
@@ -552,9 +516,16 @@ def _decode_matrix(cx: KnotComplex, raw, label: str):
                 raise ParseError(f"{label}: non-integer exponent in {entry!r}")
             if a < 0 or b < 0:
                 raise ParseError(f"{label}: negative exponent in {entry!r}")
-            col[t] = padd(col.get(t, frozenset()), frozenset({(a, b)}))
-        cols[s] = col
-    return tuple(cols)
+            col[t] = col.get(t, frozenset()) ^ {(a, b)}
+    f = Endomorphism(cx, cx, [sum(1 << t for t, p in col.items() if p)
+                              for col in polys], mode, bidegree, check=False)
+    for s, col in enumerate(polys):
+        for t, m in entries(f, s):
+            if col[t] != {m}:
+                raise ValidationError(
+                    f"{label} bidegree violated at {cx.generators[s]}->"
+                    f"{cx.generators[t]}")
+    return f
 
 
 def complex_from_dict(doc: dict) -> KnotComplex:
@@ -584,10 +555,10 @@ def complex_from_dict(doc: dict) -> KnotComplex:
     name = doc.get("name", "unnamed")
     if not isinstance(name, str):
         raise ParseError("name must be a string")
-    cx = KnotComplex(name, tuple(gens), tuple(grads),
-                     tuple({} for _ in gens))
-    cols = _decode_matrix(cx, doc.get("differential", {}), "differential")
-    cx = KnotComplex(cx.name, cx.generators, cx.gradings, cols)
+    cx = KnotComplex(name, tuple(gens), tuple(grads), (0,) * len(gens))
+    d = _decode_matrix(cx, doc.get("differential", {}), "differential",
+                       STRAIGHT, (-1, -1))
+    cx = KnotComplex(cx.name, cx.generators, cx.gradings, d.cols)
     report = validate(cx)
     if not report.ok:
         raise ValidationError(report.first_violation)
@@ -600,9 +571,4 @@ def action_from_dict(cx: KnotComplex, raw: dict, label: str) -> Endomorphism:
     mode = raw.get("mode")
     if mode not in (STRAIGHT, SKEW):
         raise ParseError(f"{label}: mode must be 'straight' or 'skew'")
-    cols = _decode_matrix(cx, raw.get("map", {}), label)
-    f = Endomorphism(cx, cx, cols, mode, (0, 0), check=False)
-    err = f.grading_violation()
-    if err:
-        raise ValidationError(f"{label} {err}")
-    return f
+    return _decode_matrix(cx, raw.get("map", {}), label, mode, (0, 0))

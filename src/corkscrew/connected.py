@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
-    P_ONE,
-    P_ZERO,
     ColumnSpan,
     Echelon,
     Grading,
     f2_rank,
     gr_add,
     gr_swap,
-    padd,
+    mat_vec,
+    ones,
     pscale,
     slice_monomial,
 )
@@ -34,8 +33,10 @@ from .complexes import (
     Endomorphism,
     KnotComplex,
     PhiIotaComplex,
+    SKEW,
     STRAIGHT,
     direct_sum,
+    entries,
     iota_complex,
     sarkar_map,
     validate,
@@ -79,40 +80,36 @@ class StandardForm:
 
 # -- transvection sweep ----------------------------------------------------------
 
-def _transvection(cols, i, j, m, skew=False, source=True, target=True,
-                  hits=None):
-    """Entries of a map that the basis change new_i = e_i + m e_j moves,
-    as [(source, target, old Poly, new Poly)] in the order they apply.
+def _transvection(cols, i, j, m, hits):
+    """Entries of a differential that the basis change new_i = e_i + m e_j
+    moves, as [(source, target, old Poly, new Poly)] in the order they
+    apply.
 
-    ``cols`` holds the map's columns ({target: Poly} per source).  The
-    source side adds m times column j to column i (m swapped when the map
-    is skew); the target side then adds m times each coefficient on e_i to
-    the coefficient on e_j.  Both sides together conjugate the map.
-    ``hits[i]``, when given, holds the sources with a coefficient on e_i;
-    otherwise every column is scanned.
+    ``cols`` holds the columns ({target: Poly} per source).  The source
+    side adds m times column j to column i; the target side then adds m
+    times each coefficient on e_i to the coefficient on e_j.  Both sides
+    together conjugate the map.  ``hits[i]`` holds the sources with a
+    coefficient on e_i.
     """
     changes = []
     col_i = cols[i]
-    on_i, on_j = col_i.get(i), col_i.get(j, P_ZERO)  # column i after source
-    if source:
-        step = (m[1], m[0]) if skew else m
-        for t, p in cols[j].items():
-            old = col_i.get(t, P_ZERO)
-            new = old ^ pscale(step, p)
-            changes.append((i, t, old, new))
-            if t == i:
-                on_i = new
-            elif t == j:
-                on_j = new
-    if target:
-        for s in (range(len(cols)) if hits is None else hits[i]):
-            if s != i:
-                p_i = cols[s].get(i)
-                if p_i:
-                    old = cols[s].get(j, P_ZERO)
-                    changes.append((s, j, old, old ^ pscale(m, p_i)))
-        if on_i:
-            changes.append((i, j, on_j, on_j ^ pscale(m, on_i)))
+    on_i, on_j = col_i.get(i), col_i.get(j, frozenset())  # after source
+    for t, p in cols[j].items():
+        old = col_i.get(t, frozenset())
+        new = old ^ pscale(m, p)
+        changes.append((i, t, old, new))
+        if t == i:
+            on_i = new
+        elif t == j:
+            on_j = new
+    for s in hits[i]:
+        if s != i:
+            p_i = cols[s].get(i)
+            if p_i:
+                old = cols[s].get(j, frozenset())
+                changes.append((s, j, old, old ^ pscale(m, p_i)))
+    if on_i:
+        changes.append((i, j, on_j, on_j ^ pscale(m, on_i)))
     return changes
 
 
@@ -122,12 +119,6 @@ def _write(cols, changes):
             cols[s][t] = new
         else:
             del cols[s][t]
-
-
-def transvect(cols, i, j, m, skew=False, source=True, target=True):
-    """Apply the basis change new_i = e_i + m e_j to a map's columns in
-    place (see :func:`_transvection`)."""
-    _write(cols, _transvection(cols, i, j, m, skew, source, target))
 
 
 class _Objective:
@@ -142,7 +133,7 @@ class _Objective:
         self.score = (0, 0, 0)
         self.load = [0] * (4 * n)  # out_u, out_v, in_u, in_v per node
         self.hits = [set() for _ in range(n)]  # sources hitting each target
-        changes = [(s, t, P_ZERO, p)
+        changes = [(s, t, frozenset(), p)
                    for s, col in enumerate(cols) for t, p in col.items()]
         self.accept(changes, self.trial(changes))
 
@@ -196,7 +187,7 @@ def _sweep(gradings, cols, max_passes: int = 80):
     for _ in range(max_passes):
         improved = False
         for i, j, m in admissible:
-            changes = _transvection(cols, i, j, m, hits=objective.hits)
+            changes = _transvection(cols, i, j, m, objective.hits)
             trial = objective.trial(changes)
             if trial[0] < objective.score:
                 objective.accept(changes, trial)
@@ -328,37 +319,39 @@ def recognize_standard(cx: KnotComplex,
     return got[0] if got else None
 
 
-# -- basis matrices over the ring -----------------------------------------------
+# -- basis matrices -------------------------------------------------------------
+# A change of basis by homogeneous elements is a grading-homogeneous map, so
+# it is held as bit columns (see complexes); its monomials are forced.
+
+def _bits(cols):
+    """Bit columns of {target: Poly} columns."""
+    return [sum(1 << t for t in col) for col in cols]
+
 
 def _identity_cols(n):
-    return [{i: P_ONE} for i in range(n)]
+    return [1 << i for i in range(n)]
 
 
-def _poly_matmul(a_cols, b_cols):
-    """Columns of A o B when both are column-major polynomial matrices."""
-    out = []
-    for col in b_cols:
-        acc: dict = {}
-        for t, p in col.items():
-            for m in p:
-                for tt, q in a_cols[t].items():
-                    acc[tt] = padd(acc.get(tt, frozenset()), pscale(m, q))
-        out.append({t: p for t, p in acc.items() if p})
-    return out
+def _matmul(a_cols, b_cols):
+    """Bit columns of A o B."""
+    return [mat_vec(a_cols, col) for col in b_cols]
 
 
 def _moves_matrices(n, moves):
-    """(M, M^-1) of a transvection sequence, as polynomial columns: the
-    source sides of the moves multiply M, their target sides M^-1."""
+    """(M, M^-1) of a transvection sequence: the source side of a move
+    new_i = e_i + m e_j adds column j of M to column i, its target side
+    adds row i of M^-1 to row j."""
     p_cols, q_cols = _identity_cols(n), _identity_cols(n)
-    for i, j, m in moves:
-        transvect(p_cols, i, j, m, target=False)
-        transvect(q_cols, i, j, m, source=False)
+    for i, j, _ in moves:
+        p_cols[i] ^= p_cols[j]
+        for s, col in enumerate(q_cols):
+            if (col >> i) & 1:
+                q_cols[s] ^= 1 << j
     return p_cols, q_cols
 
 
 def _conjugate_diff(cols, m_cols, q_cols):
-    return _poly_matmul(q_cols, _poly_matmul(cols, m_cols))
+    return _matmul(q_cols, _matmul(cols, m_cols))
 
 
 # -- square-summand peeling -------------------------------------------------------
@@ -396,17 +389,7 @@ def _peel_boxes(gradings, cols):
     if ell is None:
         return None
 
-    def apply(mat, vec):
-        out = 0
-        i = 0
-        while vec:
-            if vec & 1:
-                out ^= mat[i]
-            vec >>= 1
-            i += 1
-        return out
-
-    p_vecs = [apply(a_cols, b_cols[s]) for s in range(n)]
+    p_vecs = [mat_vec(a_cols, b_cols[s]) for s in range(n)]
     span = Echelon()
     xs = [s for s in range(n) if span.insert(p_vecs[s])]
     if not xs:
@@ -414,7 +397,7 @@ def _peel_boxes(gradings, cols):
     quads = []
     for s in xs:
         x = 1 << s
-        quads.append((x, apply(a_cols, x), apply(b_cols, x), p_vecs[s]))
+        quads.append((x, mat_vec(a_cols, x), mat_vec(b_cols, x), p_vecs[s]))
     # full decomposition X + AX + BX + PX + completion, in that order;
     # each PX vector is tagged with its quadruple
     deco = Echelon()
@@ -426,9 +409,9 @@ def _peel_boxes(gradings, cols):
 
     def sigma(v):
         out = 0
-        c_ab = deco.coefficients(apply(a_cols, apply(b_cols, v)))
-        c_b = deco.coefficients(apply(b_cols, v))
-        c_a = deco.coefficients(apply(a_cols, v))
+        c_ab = deco.coefficients(mat_vec(a_cols, mat_vec(b_cols, v)))
+        c_b = deco.coefficients(mat_vec(b_cols, v))
+        c_a = deco.coefficients(mat_vec(a_cols, v))
         c_v = deco.coefficients(v)
         for i, (x, ax, bx, px) in enumerate(quads):
             if c_ab.get(i):
@@ -452,8 +435,6 @@ def _peel_boxes(gradings, cols):
     if basis.kernel:
         return None
     inv_bits = [basis.coordinates(1 << s) for s in range(n)]
-    m_cols = [{t: P_ONE for t in range(n) if (v >> t) & 1} for v in m_bits]
-    q_cols = [{t: P_ONE for t in range(n) if (w >> t) & 1} for w in inv_bits]
     # each new basis vector is homogeneous; read its grading off any
     # generator in its support
     new_grads = tuple(gradings[(v & -v).bit_length() - 1] for v in m_bits)
@@ -462,7 +443,7 @@ def _peel_boxes(gradings, cols):
             if (v >> t) & 1 and gradings[t] != new_grads[k]:
                 raise ConsistencyError(
                     "peeled basis vector is not homogeneous")
-    return m_cols, q_cols, new_grads
+    return m_bits, inv_bits, new_grads
 
 
 def _match_all(names, gradings, cols):
@@ -499,8 +480,16 @@ def _match_all(names, gradings, cols):
     return form, roles
 
 
+def _poly_cols(cx: KnotComplex):
+    """The differential as {target: Poly} columns, the sweep's working
+    form."""
+    d = cx.boundary()
+    return [{t: frozenset({m}) for t, m in entries(d, s)}
+            for s in range(cx.n)]
+
+
 def _recognize(cx: KnotComplex, max_passes: int = 80):
-    cols, moves = _sweep(cx.gradings, [dict(c) for c in cx.diff], max_passes)
+    cols, moves = _sweep(cx.gradings, _poly_cols(cx), max_passes)
     m_cols, q_cols = _moves_matrices(cx.n, moves)
     grads = cx.gradings
     got = _match_all(cx.generators, grads, cols)
@@ -510,26 +499,26 @@ def _recognize(cx: KnotComplex, max_passes: int = 80):
         if peeled is None:
             return None
         m2, q2, grads = peeled
-        cols2 = _conjugate_diff(cols, m2, q2)
-        cols3, moves3 = _sweep(grads, [dict(c) for c in cols2], max_passes)
-        m3, q3 = _moves_matrices(cx.n, moves3)
         names = tuple(f"v{k}" for k in range(cx.n))
+        cols2 = KnotComplex(cx.name, names, grads,
+                            _conjugate_diff(_bits(cols), m2, q2))
+        cols3, moves3 = _sweep(grads, _poly_cols(cols2), max_passes)
+        m3, q3 = _moves_matrices(cx.n, moves3)
         got = _match_all(names, grads, cols3)
         if got is None:
             return None
-        m_cols = _poly_matmul(_poly_matmul(m_cols, m2), m3)
-        q_cols = _poly_matmul(q3, _poly_matmul(q2, q_cols))
+        m_cols = _matmul(_matmul(m_cols, m2), m3)
+        q_cols = _matmul(q3, _matmul(q2, q_cols))
         # the composed change of basis must be an honest conjugation onto
         # a valid complex; cheap to certify, catastrophic if wrong
-        if _poly_matmul(q_cols, m_cols) != _identity_cols(cx.n):
+        if _matmul(q_cols, m_cols) != _identity_cols(cx.n):
             raise ConsistencyError(
                 f"{cx.name}: peeled change of basis is not invertible")
-        if _conjugate_diff([dict(c) for c in cx.diff],
-                           m_cols, q_cols) != cols3:
+        if _conjugate_diff(list(cx.diff), m_cols, q_cols) != _bits(cols3):
             raise ConsistencyError(
                 f"{cx.name}: peeled basis does not conjugate the "
                 f"differential onto the recognised form")
-        probe = KnotComplex(cx.name, names, grads, tuple(cols3))
+        probe = KnotComplex(cx.name, names, grads, _bits(cols3))
         if not validate(probe).ok:
             raise ConsistencyError(
                 f"{cx.name}: recognised form is not a valid complex")
@@ -554,14 +543,14 @@ def model_from_form(steps, sign, anchor, boxes,
     source_parity = 1 if sign > 0 else 0
     cols = []
     for i in range(count):
-        col = {}
+        col = 0
         if count > 1 and i % 2 == source_parity:
             if i > 0:
-                col[i - 1] = frozenset({(1, 0)})
+                col |= 1 << (i - 1)  # U y_(i-1)
             if i + 1 < count:
-                col[i + 1] = frozenset({(0, 1)})
+                col |= 1 << (i + 1)  # V y_(i+1)
         cols.append(col)
-    stair = KnotComplex("stair", gens, grads, tuple(cols))
+    stair = KnotComplex("stair", gens, grads, cols)
     parts = [stair]
     for k, (ell, corner) in enumerate(boxes):
         parts.append(box_complex(ell, at=corner, suffix="" if not k else str(k)))
@@ -611,13 +600,11 @@ def _conn_whole(x: PhiIotaComplex, form: StandardForm, p_cols, q_cols, roles):
                             form.staircase_anchor, form.boxes,
                             name=f"conn({cx.name})")
     # inclusion: model generator r corresponds to P(e_role[r])
-    inc_cols = [dict(p_cols[r]) for r in roles]
-    inclusion = Endomorphism(model, cx, tuple(inc_cols), STRAIGHT, (0, 0))
+    inc_cols = [p_cols[r] for r in roles]
+    inclusion = Endomorphism(model, cx, inc_cols, STRAIGHT, (0, 0))
     pos = {r: k for k, r in enumerate(roles)}
-    proj_cols = []
-    for s in range(cx.n):
-        proj_cols.append({pos[t]: p for t, p in q_cols[s].items()})
-    projection = Endomorphism(cx, model, tuple(proj_cols), STRAIGHT, (0, 0))
+    proj_cols = [sum(1 << pos[t] for t in ones(col)) for col in q_cols]
+    projection = Endomorphism(cx, model, proj_cols, STRAIGHT, (0, 0))
     if projection.compose(inclusion) != model.identity():
         raise ConsistencyError(
             f"{cx.name}: projection does not invert the inclusion")
@@ -769,7 +756,7 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     drawn from the columns of f; None when the presentation fails."""
     cx = x.complex
     kept = []  # indices whose column generates
-    cols = [f.cols[i] for i in range(cx.n)]
+    cols = [f.apply({i: {(0, 0)}}) for i in range(cx.n)]
     for i in range(cx.n):
         if not cols[i]:
             continue
@@ -795,23 +782,20 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
         return None
     icols = []
     for i in kept:
-        img = f.apply(x.iota.apply({i: P_ONE}))
+        img = f.apply(x.iota.apply({i: {(0, 0)}}))
         combo = _express(cx, img, gr_swap(cx.gradings[i]), span)
         if combo is None:
             return None
         icols.append(combo)
-    from .complexes import SKEW
     iota_m = Endomorphism(model, model, tuple(icols), SKEW, (0, 0),
                           check=False)
     if iota_m.grading_violation():
         return None
-    inclusion = Endomorphism(model, cx, tuple({t: p for t, p in cols[i].items()}
-                                              for i in kept),
+    inclusion = Endomorphism(model, cx, [f.cols[i] for i in kept],
                              STRAIGHT, (0, 0), check=False)
     projection = Endomorphism(cx, model,
-                              tuple(_express(cx, f.cols[s],
-                                             cx.gradings[s], span) or {}
-                                    for s in range(cx.n)),
+                              [_express(cx, cols[s], cx.gradings[s], span)
+                               or 0 for s in range(cx.n)],
                               STRAIGHT, (0, 0), check=False)
     try:
         conn = iota_complex(model, iota_m)
@@ -822,7 +806,8 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
 
 def _express(cx, vec, grading, span):
     """Write a homogeneous element over monomial multiples of the spanning
-    columns; dict {span-index: Poly} or None."""
+    columns: the bit column over span indices, or None.  Each span element
+    has one monomial that lands it on the grading."""
     tgt = cx.slice(grading)
     if not tgt and vec:
         return None
@@ -847,11 +832,7 @@ def _express(cx, vec, grading, span):
     coords = ColumnSpan(cols).coordinates(target)
     if coords is None:
         return None
-    combo: dict = {}
-    for uidx, (k, m) in enumerate(unknowns):
-        if (coords >> uidx) & 1:
-            combo[k] = padd(combo.get(k, frozenset()), frozenset({m}))
-    return {k: p for k, p in combo.items() if p}
+    return sum(1 << unknowns[u][0] for u in ones(coords))
 
 
 # -- the nontriviality decision ----------------------------------------------------------

@@ -22,8 +22,6 @@ from .algebra import (
     gr_add,
     gr_swap,
     lexmin_affine,
-    pscale,
-    pswap,
     slice_pairs,
     solve_f2_rows,
 )
@@ -33,6 +31,7 @@ from .complexes import (
     PhiIotaComplex,
     SKEW,
     STRAIGHT,
+    entries,
 )
 from .errors import ConsistencyError, ValidationError
 
@@ -57,11 +56,10 @@ class MapShape:
         return out
 
     def assemble(self, bits: int, coords: list) -> Endomorphism:
-        cols = [dict() for _ in range(self.source.n)]
-        for i, (s, m, t) in enumerate(coords):
+        cols = [0] * self.source.n
+        for i, (s, _, t) in enumerate(coords):
             if (bits >> i) & 1:
-                cur = cols[s].get(t, frozenset())
-                cols[s][t] = cur ^ {m}
+                cols[s] ^= 1 << t
         return Endomorphism(self.source, self.target, cols, self.mode,
                             self.bidegree, check=False)
 
@@ -78,16 +76,16 @@ class Left(NamedTuple):
         """(coordinate index, source, target, monomial) of every term of
         A o E over the elementary maps E, one per coordinate (s, m, t).
 
-        A o E is column s of A.cols[t] scaled by m, where m moves through
-        A (swapped when A is skew)."""
-        cols = self.map.cols
-        swap = self.map.mode == SKEW
+        A o E is column t of A scaled by m, where m moves through A
+        (swapped when A is skew)."""
+        a = self.map
+        cols = [entries(a, t) for t in range(a.source.n)]
+        swap = a.mode == SKEW
         for ci, (s, m, t) in enumerate(coords):
             if swap:
                 m = (m[1], m[0])
-            for t2, p in cols[t].items():
-                for q in p:
-                    yield ci, s, t2, (m[0] + q[0], m[1] + q[1])
+            for t2, q in cols[t]:
+                yield ci, s, t2, (m[0] + q[0], m[1] + q[1])
 
 
 class Right(NamedTuple):
@@ -99,16 +97,16 @@ class Right(NamedTuple):
         _check_composable(self.map.target, shape.source)
 
     def entries(self, coords: list, skew: bool):
-        """As :meth:`Left.entries` for E o B: each entry (s', p) in row s
-        of B puts m times p (swapped when E is skew) in column s'."""
-        rows: list = [[] for _ in range(self.map.target.n)]
-        for s2, col in enumerate(self.map.cols):
-            for s, p in col.items():
-                rows[s].append((s2, pswap(p) if skew else p))
+        """As :meth:`Left.entries` for E o B: each entry (s', q) in row s
+        of B puts m times q (swapped when E is skew) in column s'."""
+        b = self.map
+        rows: list = [[] for _ in range(b.target.n)]
+        for s2 in range(b.source.n):
+            for s, q in entries(b, s2):
+                rows[s].append((s2, (q[1], q[0]) if skew else q))
         for ci, (s, m, t) in enumerate(coords):
-            for s2, p in rows[s]:
-                for q in p:
-                    yield ci, s2, t, (m[0] + q[0], m[1] + q[1])
+            for s2, q in rows[s]:
+                yield ci, s2, t, (m[0] + q[0], m[1] + q[1])
 
 
 def _check_composable(produced: KnotComplex, consumed: KnotComplex) -> None:
@@ -164,10 +162,9 @@ class MapSystem:
         rhs: dict = {}
         for ei, (terms, rhs_endo) in enumerate(self.equations):
             if rhs_endo is not None:
-                for s, col in enumerate(rhs_endo.cols):
-                    for t, p in col.items():
-                        for m in p:
-                            rhs[ei, s, t, m] = 1
+                for s in range(rhs_endo.source.n):
+                    for t, m in entries(rhs_endo, s):
+                        rhs[ei, s, t, m] = 1
             for name, ops in terms:
                 off = self.offsets[name]
                 skew = self.shapes[name].mode == SKEW
@@ -184,7 +181,9 @@ class MapSystem:
             row = 0
             for ci, (s, m, t) in enumerate(self.coords[name]):
                 p = vector.get(s)
-                if p and bit_fn({t: pscale(m, pswap(p) if skew else p)}):
+                if p and bit_fn({t: frozenset(
+                        (m[0] + b, m[1] + a) if skew else (m[0] + a, m[1] + b)
+                        for a, b in p)}):
                     row |= 1 << (off + ci)
             out_rows.append(row)
             out_rhs.append(rhs_bit)
@@ -243,10 +242,9 @@ class HomotopyClasses:
 
     def normal_form(self, f: Endomorphism) -> int:
         v = 0
-        for s, col in enumerate(f.cols):
-            for t, p in col.items():
-                for m in p:
-                    v ^= self.bit[s, t, m]
+        for s in range(f.source.n):
+            for t, m in entries(f, s):
+                v ^= self.bit[s, t, m]
         return self.image.reduce(v)
 
 

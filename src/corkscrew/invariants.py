@@ -26,10 +26,16 @@ from .algebra import (
     alexander,
     gr_add,
     lexmin_affine,
-    mono_swap,
     slice_pairs,
 )
-from .complexes import KnotComplex, PhiIotaComplex, validate
+from .complexes import (
+    Endomorphism,
+    KnotComplex,
+    PhiIotaComplex,
+    SKEW,
+    entries,
+    validate,
+)
 from .errors import (
     ConsistencyError,
     GradingParityError,
@@ -290,24 +296,22 @@ def _embed_mono(gr: Grading) -> Mono:
     return (a, 0) if a >= 0 else (0, -a)
 
 
-def _restrict_cols(cx: KnotComplex, cols, monos, skew: bool):
+def _restrict_cols(cx: KnotComplex, f: Endomorphism, monos):
     out = []
-    for s, col in enumerate(cols):
-        ms = mono_swap(monos[s]) if skew else monos[s]
+    for s in range(cx.n):
+        ms = monos[s]
+        if f.mode == SKEW:
+            ms = (ms[1], ms[0])
         ucol: dict = {}
-        for t, p in col.items():
-            exps = ucol.get(t, frozenset())
-            for m in p:
-                total = (ms[0] + m[0], ms[1] + m[1])
-                ku = total[0] - monos[t][0]
-                kv = total[1] - monos[t][1]
-                if ku != kv or ku < 0:
-                    raise ValidationError(
-                        f"entry {cx.generators[s]}->{cx.generators[t]} "
-                        f"does not restrict to the diagonal")
-                exps = exps ^ {ku}
-            ucol[t] = exps
-        out.append({t: e for t, e in ucol.items() if e})
+        for t, m in entries(f, s):
+            ku = ms[0] + m[0] - monos[t][0]
+            kv = ms[1] + m[1] - monos[t][1]
+            if ku != kv or ku < 0:
+                raise ValidationError(
+                    f"entry {cx.generators[s]}->{cx.generators[t]} "
+                    f"does not restrict to the diagonal")
+            ucol[t] = frozenset({ku})
+        out.append(ucol)
     return tuple(out)
 
 
@@ -330,9 +334,9 @@ def a0(x: PhiIotaComplex) -> UComplex:
         name=f"A0({cx.name})",
         labels=cx.generators,
         gradings=gradings,
-        cols=_restrict_cols(cx, cx.diff, monos, False),
-        phi_cols=_restrict_cols(cx, x.phi.cols, monos, False),
-        iota_cols=_restrict_cols(cx, x.iota.cols, monos, True),
+        cols=_restrict_cols(cx, cx.boundary(), monos),
+        phi_cols=_restrict_cols(cx, x.phi, monos),
+        iota_cols=_restrict_cols(cx, x.iota, monos),
         embed_monos=monos,
     )
 
@@ -665,14 +669,11 @@ def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
 
     cols = []
     maxexp = 0
-    for col in cx.diff:
-        out: dict = {}
-        for t, p in col.items():
-            keep = frozenset(m for m in p if m[kill_idx] == 0)
-            if keep:
-                out[t] = keep
-                maxexp = max(maxexp, max(m[1 - kill_idx] for m in keep))
-        cols.append(out)
+    d = cx.boundary()
+    for s in range(cx.n):
+        kept = [(t, m) for t, m in entries(d, s) if m[kill_idx] == 0]
+        cols.append([t for t, _ in kept])
+        maxexp = max([maxexp] + [m[1 - kill_idx] for _, m in kept])
     depth = cx.n * (1 + maxexp) + 2
 
     def slice_of(t: Grading) -> list:
@@ -690,7 +691,7 @@ def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
         bnds = []
         for g in up:
             word = 0
-            for tt, p in cols[g].items():
+            for tt in cols[g]:
                 if tt in src_pos:
                     word ^= 1 << src_pos[tt]
             if word:

@@ -20,13 +20,14 @@ import json
 from itertools import combinations
 from typing import Optional
 
-from .algebra import P_ONE, gr_add
+from .algebra import gr_add
 from .complexes import (
     Endomorphism,
     KnotComplex,
     PhiIotaComplex,
     SKEW,
     STRAIGHT,
+    transpose_cols,
     action_from_dict,
     complex_from_dict,
     direct_sum,
@@ -44,18 +45,10 @@ from .errors import (
     ValidationError,
 )
 
-_U = frozenset({(1, 0)})
-_V = frozenset({(0, 1)})
-
-
-def _mono(a: int, b: int) -> frozenset:
-    return frozenset({(a, b)})
-
-
 # -- bare complexes ------------------------------------------------------------
 
 def dot_complex(label: str = "y0", at=(0, 0), name: str = "dot") -> KnotComplex:
-    return KnotComplex(name, (label,), (tuple(at),), ({},))
+    return KnotComplex(name, (label,), (tuple(at),), (0,))
 
 
 def box_complex(ell: int, at=None, suffix: str = "",
@@ -78,10 +71,10 @@ def box_complex(ell: int, at=None, suffix: str = "",
     gens = (a, b, c, d)
     grads = tuple(gr_add(base[g], off) for g in gens)
     cols = (
-        {1: _mono(ell, 0), 2: _mono(0, ell)},   # a -> U^L b + V^L c
-        {3: _mono(0, ell)},                     # b -> V^L d
-        {3: _mono(ell, 0)},                     # c -> U^L d
-        {},
+        0b0110,  # a -> U^L b + V^L c
+        0b1000,  # b -> V^L d
+        0b1000,  # c -> U^L d
+        0,
     )
     return KnotComplex(name or f"box({ell})", gens, grads, cols)
 
@@ -94,45 +87,38 @@ def staircase_complex(n: int, name: Optional[str] = None) -> KnotComplex:
         return dot_complex(name=name or "dot")
     gens = tuple(f"y{i}" for i in range(2 * n + 1))
     grads = tuple((-i, -2 * n + i) for i in range(2 * n + 1))
-    cols = []
-    for i in range(2 * n + 1):
-        if i % 2 == 1:
-            cols.append({i - 1: _U, i + 1: _V})
-        else:
-            cols.append({})
-    return KnotComplex(name or f"staircase({n})", gens, grads, tuple(cols))
+    # d y(2i+1) = U y(2i) + V y(2i+2)
+    cols = tuple(0b101 << (i - 1) if i % 2 else 0 for i in range(2 * n + 1))
+    return KnotComplex(name or f"staircase({n})", gens, grads, cols)
 
 
 def dual_complex(cx: KnotComplex, name: Optional[str] = None) -> KnotComplex:
     """Bare basis dual: gradings negated, matrix transposed."""
     gens = tuple(f"{g}*" for g in cx.generators)
     grads = tuple(gr_neg(g) for g in cx.gradings)
-    cols = [dict() for _ in gens]
-    for s, col in enumerate(cx.diff):
-        for t, p in col.items():
-            cols[t][s] = p
-    return KnotComplex(name or f"-{cx.name}", gens, grads, tuple(cols))
+    return KnotComplex(name or f"-{cx.name}", gens, grads,
+                       transpose_cols(cx.diff, cx.n))
 
 
 # -- complexes with actions -----------------------------------------------------
 
 def unknot() -> PhiIotaComplex:
-    cx = KnotComplex("unknot", ("u0",), ((0, 0),), ({},))
-    iota = Endomorphism(cx, cx, ({0: P_ONE},), SKEW, (0, 0))
+    cx = KnotComplex("unknot", ("u0",), ((0, 0),), (0,))
+    iota = Endomorphism(cx, cx, (1,), SKEW, (0, 0))
     return PhiIotaComplex(cx, cx.identity(), iota, cx.identity())
 
 
 def trivial() -> PhiIotaComplex:
     """The rank-one complex with identity actions (the unit local class)."""
-    cx = KnotComplex("trivial", ("1",), ((0, 0),), ({},))
-    iota = Endomorphism(cx, cx, ({0: P_ONE},), SKEW, (0, 0))
+    cx = KnotComplex("trivial", ("1",), ((0, 0),), (0,))
+    iota = Endomorphism(cx, cx, (1,), SKEW, (0, 0))
     return PhiIotaComplex(cx, cx.identity(), iota, cx.identity())
 
 
 def _reflection_iota(cx: KnotComplex) -> Endomorphism:
     """y_i -> y_(2n-i) on a staircase-shaped complex."""
     n = cx.n
-    cols = tuple({n - 1 - i: P_ONE} for i in range(n))
+    cols = tuple(1 << (n - 1 - i) for i in range(n))
     return Endomorphism(cx, cx, cols, SKEW, (0, 0))
 
 
@@ -157,21 +143,10 @@ def figure_eight_with_actions() -> PhiIotaComplex:
     symmetry tau as phi; tau^2 equals the basepoint full twist on the
     nose, so tau^-1 = tau^3 exactly."""
     cx = direct_sum(dot_complex("x"), box_complex(1), name="4_1")
-    ix, ia, ib, ic, id_ = (cx.index(g) for g in ("x", "a", "b", "c", "d"))
-    iota_cols = [dict() for _ in range(cx.n)]
-    iota_cols[ix] = {ix: P_ONE, id_: P_ONE}
-    iota_cols[ia] = {ia: P_ONE, ix: P_ONE}
-    iota_cols[ib] = {ic: P_ONE}
-    iota_cols[ic] = {ib: P_ONE}
-    iota_cols[id_] = {id_: P_ONE}
-    iota = Endomorphism(cx, cx, tuple(iota_cols), SKEW, (0, 0))
-    tau_cols = [dict() for _ in range(cx.n)]
-    tau_cols[ix] = {ix: P_ONE, id_: P_ONE}
-    tau_cols[ia] = {ia: P_ONE, ix: P_ONE}
-    tau_cols[ib] = {ib: P_ONE}
-    tau_cols[ic] = {ic: P_ONE}
-    tau_cols[id_] = {id_: P_ONE}
-    tau = Endomorphism(cx, cx, tuple(tau_cols), STRAIGHT, (0, 0))
+    x, a, b, c, d = (1 << cx.index(g) for g in ("x", "a", "b", "c", "d"))
+    # columns in generator order x, a, b, c, d
+    iota = Endomorphism(cx, cx, (x | d, a | x, c, b, d), SKEW, (0, 0))
+    tau = Endomorphism(cx, cx, (x | d, a | x, b, c, d), STRAIGHT, (0, 0))
     tau_inv = tau.compose(tau).compose(tau)
     if tau.compose(tau_inv) != cx.identity():
         raise ConsistencyError("tau^3 does not invert tau on 4_1")

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from corkscrew.algebra import slice_monomial
+from corkscrew.algebra import ones, slice_monomial
 from corkscrew.complexes import (
     Endomorphism,
     KnotComplex,
@@ -15,7 +15,6 @@ from corkscrew.complexes import (
     SKEW,
     STRAIGHT,
 )
-from corkscrew.connected import transvect
 from corkscrew.homotopy import Left, MapShape, MapSystem, Right
 from corkscrew.models import (
     figure_eight_iota_only,
@@ -28,15 +27,27 @@ from corkscrew.models import (
 )
 
 
+def transvect(cols, i, j):
+    """Conjugate a map's bit columns, in place, by the basis change
+    new_i = e_i + m e_j: column j is added to column i, then every
+    column's coefficient on e_i is added to its coefficient on e_j.  The
+    map stays homogeneous, so its monomials stay forced and the bits
+    carry it exactly."""
+    cols[i] ^= cols[j]
+    for s, col in enumerate(cols):
+        if (col >> i) & 1:
+            cols[s] = col ^ (1 << j)
+
+
 def scramble(x: PhiIotaComplex, rng: random.Random,
              moves: int = 10) -> PhiIotaComplex:
     """Conjugate everything by random admissible transvections and a
     random relabelling; the result is chain isomorphic to the input."""
     cx = x.complex
-    diff, phi, iota = ([dict(c) for c in cols]
+    diff, phi, iota = (list(cols)
                        for cols in (cx.diff, x.phi.cols, x.iota.cols))
-    phi_inv = ([dict(c) for c in x.phi_inverse.cols] if x.phi_inverse
-               else None)
+    phi_inv = list(x.phi_inverse.cols) if x.phi_inverse else None
+    maps = [diff, phi, iota] + ([phi_inv] if phi_inv is not None else [])
     n = cx.n
     done = 0
     attempts = 0
@@ -46,22 +57,18 @@ def scramble(x: PhiIotaComplex, rng: random.Random,
         if i == j:
             continue
         # new_i = e_i + m e_j is homogeneous iff gr(e_j) + deg(m) = gr(e_i)
-        m = slice_monomial(cx.gradings[j], cx.gradings[i])
-        if m is None:
+        if slice_monomial(cx.gradings[j], cx.gradings[i]) is None:
             continue
-        transvect(diff, i, j, m)
-        transvect(phi, i, j, m)
-        transvect(iota, i, j, m, skew=True)
-        if phi_inv is not None:
-            transvect(phi_inv, i, j, m)
+        for cols in maps:
+            transvect(cols, i, j)
         done += 1
     perm = list(range(n))
     rng.shuffle(perm)
 
     def permute(cols):
-        out = [dict() for _ in range(n)]
+        out = [0] * n
         for s in range(n):
-            out[perm[s]] = {perm[t]: p for t, p in cols[s].items()}
+            out[perm[s]] = sum(1 << perm[t] for t in ones(cols[s]))
         return tuple(out)
 
     gens = [None] * n

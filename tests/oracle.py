@@ -14,6 +14,147 @@ from corkscrew.algebra import F2Inconsistency, F2Solution, gr_add, mono_deg
 from corkscrew.complexes import PhiIotaComplex
 
 
+# -- polynomials and maps over F2[U,V], as sets of monomials ------------------
+# A Poly is the frozenset of its (u_exp, v_exp) monomials, so addition is
+# symmetric difference; a map is a list of columns {target: Poly}.
+
+P_ONE = frozenset({(0, 0)})
+
+
+def poly(monos) -> frozenset:
+    """Build a polynomial, cancelling duplicated monomials mod 2."""
+    out: set = set()
+    for m in monos:
+        out ^= {m}
+    return frozenset(out)
+
+
+def pscale(m, p) -> frozenset:
+    return frozenset((m[0] + a, m[1] + b) for a, b in p)
+
+
+def pswap(p) -> frozenset:
+    return frozenset((b, a) for a, b in p)
+
+
+def pmul(p1, p2) -> frozenset:
+    return poly((a1 + a2, b1 + b2) for a1, b1 in p1 for a2, b2 in p2)
+
+
+def formal_derivative(p, variable: str) -> frozenset:
+    """d/dU or d/dV: U^a V^b goes to a U^(a-1) V^b, which vanishes mod 2
+    when a is even (and symmetrically in V)."""
+    if variable not in ("u", "v"):
+        raise ValueError(f"unknown variable {variable!r}")
+    k = 0 if variable == "u" else 1
+    return poly((a - 1, b) if k == 0 else (a, b - 1)
+                for a, b in p if (a, b)[k] % 2)
+
+
+def dict_cols(f) -> list:
+    """A library map's columns as {target: Poly}.  Each entry's monomial
+    is solved from the gradings alone: its degree must take the target's
+    grading to the source's (swapped for a skew map) plus the bidegree."""
+    out = []
+    for s, word in enumerate(f.cols):
+        g = f.source.gradings[s]
+        if f.mode == "skew":
+            g = (g[1], g[0])
+        want = gr_add(g, f.bidegree)
+        col = {}
+        for t in range(f.target.n):
+            if (word >> t) & 1:
+                have = f.target.gradings[t]
+                m = ((have[0] - want[0]) // 2, (have[1] - want[1]) // 2)
+                assert min(m) >= 0 and gr_add(have, mono_deg(m)) == want, (
+                    f"entry {s}->{t} has no monomial")
+                col[t] = frozenset({m})
+        if word >> f.target.n:
+            raise AssertionError(f"column {s} has bits past the target")
+        out.append(col)
+    return out
+
+
+def _add_into(col: dict, t, p) -> None:
+    col[t] = col.get(t, frozenset()) ^ p
+    if not col[t]:
+        del col[t]
+
+
+def reference_add(f_cols, g_cols) -> list:
+    out = [dict(c) for c in f_cols]
+    for col, other in zip(out, g_cols):
+        for t, p in other.items():
+            _add_into(col, t, p)
+    return out
+
+
+def reference_apply(cols, skew: bool, vec: dict) -> dict:
+    """A map applied to {generator: Poly}, monomial by monomial."""
+    out: dict = {}
+    for s, p in vec.items():
+        moved = pswap(p) if skew else p
+        for t, entry in cols[s].items():
+            for m in moved:
+                _add_into(out, t, pscale(m, entry))
+    return out
+
+
+def reference_compose(f_cols, f_skew: bool, g_cols) -> list:
+    """Columns of f o g: f applied to every column of g."""
+    return [reference_apply(f_cols, f_skew, col) for col in g_cols]
+
+
+def reference_kron(f_cols, g_cols) -> list:
+    """Columns of f (x) g, the pair (i, j) at index i * len(g) + j."""
+    n2 = len(g_cols)
+    out = []
+    for f_col in f_cols:
+        for g_col in g_cols:
+            col: dict = {}
+            for t1, p1 in f_col.items():
+                for t2, p2 in g_col.items():
+                    _add_into(col, t1 * n2 + t2, pmul(p1, p2))
+            out.append(col)
+    return out
+
+
+def reference_transpose(cols, swap: bool) -> list:
+    out = [dict() for _ in cols]
+    for s, col in enumerate(cols):
+        for t, p in col.items():
+            _add_into(out[t], s, pswap(p) if swap else p)
+    return out
+
+
+def reference_phi_psi_maps(diff_cols):
+    """Entrywise U- and V-derivatives of a differential's columns."""
+    return tuple([{t: q for t, p in col.items()
+                   for q in (formal_derivative(p, var),) if q}
+                  for col in diff_cols] for var in ("u", "v"))
+
+
+def reference_tensor_maps(x1, x2):
+    """(diff, phi, iota, phi_inverse) columns of the involutive tensor
+    product, with iota = (id (x) id + Phi (x) Psi) o (iota1 (x) iota2)."""
+    d1, d2 = dict_cols(x1.complex.boundary()), dict_cols(x2.complex.boundary())
+    n1, n2 = len(d1), len(d2)
+    diff = reference_add(
+        reference_kron(d1, [{j: P_ONE} for j in range(n2)]),
+        reference_kron([{i: P_ONE} for i in range(n1)], d2))
+    phi = reference_kron(dict_cols(x1.phi), dict_cols(x2.phi))
+    inv = None
+    if x1.phi_inverse is not None and x2.phi_inverse is not None:
+        inv = reference_kron(dict_cols(x1.phi_inverse),
+                             dict_cols(x2.phi_inverse))
+    iot = reference_kron(dict_cols(x1.iota), dict_cols(x2.iota))
+    correction = reference_kron(reference_phi_psi_maps(d1)[0],
+                                reference_phi_psi_maps(d2)[1])
+    one_plus = reference_add([{s: P_ONE} for s in range(n1 * n2)],
+                             correction)
+    return diff, phi, reference_compose(one_plus, False, iot), inv
+
+
 def reference_solve(rows: list, rhs: list, ncols: int):
     """A x = b by Gauss-Jordan elimination with leftmost pivoting over the
     whole row list, carrying for every row the combination of original
@@ -110,8 +251,10 @@ def diag_slice(x: PhiIotaComplex, d: int, cap: int):
 def _matrix_of(x, fmap, src_basis, tgt_basis):
     tpos = {e: i for i, e in enumerate(tgt_basis)}
     cols = []
+    fcols = dict_cols(fmap)
     for (m, g) in src_basis:
-        img = fmap.apply({g: frozenset({m})})
+        img = reference_apply(fcols, fmap.mode == "skew",
+                              {g: frozenset({m})})
         word = 0
         for gg, p in img.items():
             for mm in p:
@@ -256,25 +399,28 @@ def reference_rows(sys):
     for ei, (_, rhs_endo) in enumerate(sys.equations):
         if rhs_endo is None:
             continue
-        for s, col in enumerate(rhs_endo.cols):
+        for s, col in enumerate(dict_cols(rhs_endo)):
             for t, p in col.items():
                 for m in p:
                     rhs[row_of((ei, s, t, m))] ^= 1
     for name in sys.names:
         shape, coords = sys.shapes[name], sys.coords[name]
+        skew = shape.mode == "skew"
         for ci in range(len(coords)):
-            elem = shape.assemble(1 << ci, coords)
+            elem = dict_cols(shape.assemble(1 << ci, coords))
             colbit = 1 << (sys.offsets[name] + ci)
             for ei, (terms, _) in enumerate(sys.equations):
                 for nm, ops in terms:
                     if nm != name:
                         continue
-                    val = None
+                    val = [{} for _ in elem]
                     for op in ops:
-                        v = (op.map.compose(elem) if isinstance(op, Left)
-                             else elem.compose(op.map))
-                        val = v if val is None else val + v
-                    for s, col in enumerate(val.cols):
+                        a = dict_cols(op.map)
+                        v = (reference_compose(a, op.map.mode == "skew", elem)
+                             if isinstance(op, Left)
+                             else reference_compose(elem, skew, a))
+                        val = reference_add(val, v)
+                    for s, col in enumerate(val):
                         for t, p in col.items():
                             for m in p:
                                 rows[row_of((ei, s, t, m))] ^= colbit
@@ -282,8 +428,8 @@ def reference_rows(sys):
         shape, coords = sys.shapes[name], sys.coords[name]
         row = 0
         for ci in range(len(coords)):
-            elem = shape.assemble(1 << ci, coords)
-            if bit_fn(elem.apply(vector)):
+            elem = dict_cols(shape.assemble(1 << ci, coords))
+            if bit_fn(reference_apply(elem, shape.mode == "skew", vector)):
                 row |= 1 << (sys.offsets[name] + ci)
         rows.append(row)
         rhs.append(rhs_bit)
@@ -295,23 +441,57 @@ def reference_rows(sys):
 def reference_conjugate_cols(cols, i, j, m, skew: bool):
     """P^-1 F P for the basis change new_i = e_i + m e_j, on a fresh copy
     of the columns."""
-    from corkscrew.algebra import padd, pscale, pswap
-
     n = len(cols)
     out = [dict(c) for c in cols]
     add = pswap(frozenset({m})) if skew else frozenset({m})
     merged = dict(out[i])
     for t, p in cols[j].items():
         for mm in add:
-            merged[t] = padd(merged.get(t, frozenset()), pscale(mm, p))
+            merged[t] = merged.get(t, frozenset()) ^ pscale(mm, p)
     out[i] = {t: p for t, p in merged.items() if p}
     for s in range(n):
         p_i = out[s].get(i)
         if p_i:
-            out[s][j] = padd(out[s].get(j, frozenset()), pscale(m, p_i))
+            out[s][j] = out[s].get(j, frozenset()) ^ pscale(m, p_i)
             if not out[s][j]:
                 del out[s][j]
     return tuple({t: p for t, p in col.items() if p} for col in out)
+
+
+def reference_scramble(x, rng, moves: int = 10):
+    """The seeded scramble of ``conftest.scramble`` on {target: Poly}
+    columns, each move conjugating by :func:`reference_conjugate_cols`:
+    (generators, gradings, [diff, phi, iota(, phi_inverse)] columns)."""
+    cx = x.complex
+    maps = [cx.boundary(), x.phi, x.iota] + (
+        [x.phi_inverse] if x.phi_inverse else [])
+    skews = [f.mode == "skew" for f in maps]
+    maps = [dict_cols(f) for f in maps]
+    n = cx.n
+    done = attempts = 0
+    while done < moves and attempts < 40 * moves:
+        attempts += 1
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        # new_i = e_i + m e_j with gr(e_j) + deg(m) = gr(e_i)
+        du, dv = (cx.gradings[j][k] - cx.gradings[i][k] for k in (0, 1))
+        if du < 0 or dv < 0 or du % 2 or dv % 2:
+            continue
+        m = (du // 2, dv // 2)
+        maps = [reference_conjugate_cols(cols, i, j, m, skew)
+                for cols, skew in zip(maps, skews)]
+        done += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    gens, grads = [None] * n, [None] * n
+    out = [[None] * n for _ in maps]
+    for s in range(n):
+        gens[perm[s]] = f"g{perm[s]}"
+        grads[perm[s]] = cx.gradings[s]
+        for cols, new in zip(maps, out):
+            new[perm[s]] = {perm[t]: p for t, p in cols[s].items()}
+    return tuple(gens), tuple(grads), out
 
 
 def reference_objective(cols):

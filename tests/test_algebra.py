@@ -9,17 +9,14 @@ from corkscrew.algebra import (
     F2Matrix,
     F2Solution,
     f2_rank,
-    formal_derivative,
     lexmin_affine,
     mono_deg,
-    pmul,
-    poly,
     slice_basis,
     solve_f2,
     solve_f2_rows,
 )
 
-from oracle import reference_solve
+from oracle import formal_derivative, pmul, poly, reference_solve
 
 
 def P(*monos):

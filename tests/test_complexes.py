@@ -2,10 +2,10 @@
 
 import pytest
 
-from corkscrew.algebra import P_ONE, poly
 from corkscrew.complexes import (
     KnotComplex,
     SKEW,
+    complex_from_dict,
     dual,
     phi_psi_maps,
     sarkar_map,
@@ -14,7 +14,7 @@ from corkscrew.complexes import (
     to_dict,
     validate,
 )
-from corkscrew.errors import ParseError
+from corkscrew.errors import ParseError, ValidationError
 from corkscrew.models import (
     box_complex,
     dual_complex,
@@ -24,6 +24,7 @@ from corkscrew.models import (
     torus_model,
     unknot,
 )
+from oracle import P_ONE, dict_cols, poly
 
 
 def test_unknot_is_valid_s3(fig8):
@@ -46,62 +47,94 @@ def test_box_alone_fails_s3_by_quotient_homology_oracle():
     assert shape.tower_count == 0
 
 
+def _box_with_column_a(triples):
+    doc = to_dict(box_complex(1))
+    doc["differential"]["a"] = triples
+    return doc
+
+
 def test_bad_bidegree_is_reported():
+    # U -> U^2 on a->b: a monomial other than the forced one
+    with pytest.raises(ValidationError) as err:
+        complex_from_dict(_box_with_column_a([["b", 2, 0], ["c", 0, 1]]))
+    assert "bidegree violated at a->b" in str(err.value)
+    # a bit no monomial can fill: a->a
     cx = box_complex(1)
-    cols = [dict(c) for c in cx.diff]
-    cols[0] = {1: poly([(2, 0)]), 2: poly([(0, 1)])}  # U -> U^2 on a->b
-    bad = KnotComplex("bad", cx.generators, cx.gradings, tuple(cols))
+    bad = KnotComplex("bad", cx.generators, cx.gradings,
+                      (cx.diff[0] | 1,) + cx.diff[1:])
     rep = validate(bad)
     assert not rep.ok
-    assert "bidegree violated at a->b" in rep.first_violation
+    assert rep.first_violation == "differential bidegree violated at a->a"
 
 
 def test_d_squared_detected():
     cx = KnotComplex("nc", ("p", "q", "r"), ((0, 0), (-1, -1), (-2, -2)),
-                     ({1: P_ONE}, {2: P_ONE}, {}))
+                     (0b10, 0b100, 0))
     rep = validate(cx)
     assert not rep.ok and "d^2" in rep.first_violation
 
 
 def test_d_squared_names_the_lowest_target():
-    # a's column lists c before b, so the column of d^2 at a is built in
-    # descending target order (e before d); the report names d all the same
+    # d^2 at a hits both d and e; the report names the lower target, d
     cx = KnotComplex("nc", ("a", "b", "c", "d", "e"),
                      ((0, 0), (-1, -1), (-1, -1), (-2, -2), (-2, -2)),
-                     ({2: P_ONE, 1: P_ONE}, {3: P_ONE}, {4: P_ONE}, {}, {}))
+                     (0b110, 0b1000, 0b10000, 0, 0))
     d = cx.boundary()
-    assert list(d.compose(d).cols[0]) == [4, 3]
+    assert d.compose(d).cols[0] == 0b11000
     assert validate(cx).first_violation == "d^2 != 0 at a->d"
 
 
 def test_bad_bidegree_names_the_lowest_target():
-    cx = box_complex(1)
-    cols = [dict(c) for c in cx.diff]
-    cols[0] = {2: poly([(0, 2)]), 1: poly([(2, 0)])}  # both entries wrong
-    bad = KnotComplex("bad", cx.generators, cx.gradings, tuple(cols))
-    assert validate(bad).first_violation == (
-        "differential bidegree violated at a->b")
+    both_wrong = [["c", 0, 2], ["b", 2, 0]]
+    with pytest.raises(ValidationError) as err:
+        complex_from_dict(_box_with_column_a(both_wrong))
+    assert str(err.value) == "differential bidegree violated at a->b"
+
+
+class TestParserAccumulatesModTwo:
+    """Repeated [target, u, v] triples cancel before any entry is checked
+    against the monomial its gradings force."""
+
+    @staticmethod
+    def _parse(triples):
+        return complex_from_dict({
+            "generators": [{"id": "a", "gr": [0, 0]},
+                           {"id": "b", "gr": [-1, -1]}],
+            "differential": {"a": triples}})
+
+    def test_forced_triple_twice_is_a_zero_column(self):
+        cx = self._parse([["b", 0, 0], ["b", 0, 0]])
+        assert cx.boundary().is_zero()
+
+    def test_wrong_triple_twice_cancels_before_the_check(self):
+        cx = self._parse([["b", 1, 0], ["b", 1, 0]])
+        assert cx.boundary().is_zero()
+
+    def test_wrong_triple_once_is_a_bidegree_violation(self):
+        with pytest.raises(ValidationError) as err:
+            self._parse([["b", 1, 0]])
+        assert str(err.value) == "differential bidegree violated at a->b"
 
 
 class TestDerivativeMaps:
     def test_box(self):
         cx = box_complex(1)
-        phi, psi = phi_psi_maps(cx)
+        phi, psi = (dict_cols(f) for f in phi_psi_maps(cx))
         a, b, c, d = (cx.index(g) for g in "abcd")
-        assert phi.cols[a] == {b: P_ONE}
-        assert phi.cols[c] == {d: P_ONE}
-        assert phi.cols[b] == {} and phi.cols[d] == {}
-        assert psi.cols[a] == {c: P_ONE}
-        assert psi.cols[b] == {d: P_ONE}
-        assert psi.cols[c] == {} and psi.cols[d] == {}
+        assert phi[a] == {b: P_ONE}
+        assert phi[c] == {d: P_ONE}
+        assert phi[b] == {} and phi[d] == {}
+        assert psi[a] == {c: P_ONE}
+        assert psi[b] == {d: P_ONE}
+        assert psi[c] == {} and psi[d] == {}
 
     def test_trefoil_staircase(self):
         cx = staircase_complex(1)
-        phi, psi = phi_psi_maps(cx)
+        phi, psi = (dict_cols(f) for f in phi_psi_maps(cx))
         y0, y1, y2 = (cx.index(f"y{i}") for i in range(3))
-        assert phi.cols[y1] == {y0: P_ONE}
-        assert psi.cols[y1] == {y2: P_ONE}
-        assert phi.cols[y0] == {} and psi.cols[y0] == {}
+        assert phi[y1] == {y0: P_ONE}
+        assert psi[y1] == {y2: P_ONE}
+        assert phi[y0] == {} and psi[y0] == {}
 
     def test_unknot_zero(self):
         cx = unknot().complex
@@ -119,11 +152,11 @@ class TestDerivativeMaps:
 class TestSarkarMap:
     def test_unit_box_sends_a_to_a_plus_d(self):
         cx = box_complex(1)
-        s = sarkar_map(cx)
+        s = dict_cols(sarkar_map(cx))
         a, b, c, d = (cx.index(g) for g in "abcd")
-        assert s.cols[a] == {a: P_ONE, d: P_ONE}
+        assert s[a] == {a: P_ONE, d: P_ONE}
         for g in (b, c, d):
-            assert s.cols[g] == {g: P_ONE}
+            assert s[g] == {g: P_ONE}
 
     @pytest.mark.parametrize("ell", [2, 4, 6])
     def test_even_box_identity(self, ell):
@@ -133,9 +166,9 @@ class TestSarkarMap:
     @pytest.mark.parametrize("ell", [3, 5])
     def test_odd_box_diagonal_correction(self, ell):
         cx = box_complex(ell)
-        s = sarkar_map(cx)
+        s = dict_cols(sarkar_map(cx))
         a, d = cx.index("a"), cx.index("d")
-        assert s.cols[a] == {a: P_ONE, d: poly([(ell - 1, ell - 1)])}
+        assert s[a] == {a: P_ONE, d: poly([(ell - 1, ell - 1)])}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_staircases_identity(self, n):
@@ -224,9 +257,11 @@ class TestDual:
         perm = [dx.generators.index(g) for g in ("d*", "c*", "b*", "a*")]
         regraded = tuple(dx.gradings[p] for p in perm)
         assert regraded == cx.gradings
+        dx_cols = dict_cols(dx.boundary())
+        cx_cols = dict_cols(cx.boundary())
         for src_new, src_old in enumerate(perm):
-            col = {perm.index(t): p for t, p in dx.diff[src_old].items()}
-            assert col == dict(cx.diff[src_new]), relabel
+            col = {perm.index(t): p for t, p in dx_cols[src_old].items()}
+            assert col == cx_cols[src_new], relabel
 
     def test_double_dual_is_identity(self, fig8):
         dd = dual(dual(fig8))

@@ -77,7 +77,7 @@ def test_torus_tower_depths():
 
 def test_shifted_tower_fails_the_shape_check():
     from corkscrew.complexes import KnotComplex
-    cx = KnotComplex("shifted", ("u",), ((2, 0),), ({},))
+    cx = KnotComplex("shifted", ("u",), ((2, 0),), (0,))
     rep = validate(cx, require_s3_type=True)
     assert rep.ok and rep.s3_type is False
     assert "tower top" in rep.first_violation

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corkscrew.algebra import P_ONE, F2Inconsistency, solve_f2_rows
+from corkscrew.algebra import F2Inconsistency, solve_f2_rows
 from corkscrew.complexes import (
     SKEW,
     STRAIGHT,
@@ -28,9 +28,9 @@ from oracle import reference_rows
 def _dot_and_pair():
     """A dot plus a cancelling pair p -> q: the pair carries the nonzero
     (1, 1) maps that no reduced model has."""
-    pair = KnotComplex("pair", ("p", "q"), ((1, 1), (0, 0)), ({1: P_ONE}, {}))
+    pair = KnotComplex("pair", ("p", "q"), ((1, 1), (0, 0)), (0b10, 0))
     cx = direct_sum(dot_complex(), pair, name="dot+pair")
-    iota = Endomorphism(cx, cx, tuple({i: P_ONE} for i in range(cx.n)),
+    iota = Endomorphism(cx, cx, tuple(1 << i for i in range(cx.n)),
                         SKEW, (0, 0))
     return iota_complex(cx, iota)
 
@@ -140,7 +140,6 @@ def test_operators_check_composability():
 
 _CORRUPTED_SOLVE = """
 import sys
-from corkscrew.algebra import P_ONE
 from corkscrew.complexes import KnotComplex
 from corkscrew.errors import ConsistencyError
 from corkscrew.homotopy import (
@@ -161,7 +160,7 @@ def corrupted(self, lexmin=False):
 MapSystem.solve = corrupted
 MapSystem.solutions_bits = lambda self: None
 
-pair = KnotComplex("pair", ("p", "q"), ((1, 1), (0, 0)), ({1: P_ONE}, {}))
+pair = KnotComplex("pair", ("p", "q"), ((1, 1), (0, 0)), (0b10, 0))
 shape = MapShape(pair, pair, "straight", (1, 1))
 e = shape.assemble(1, shape.unknowns())
 d = pair.boundary()

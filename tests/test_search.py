@@ -14,7 +14,13 @@ import conftest
 from conftest import base_models, scramble
 from corkscrew import connected
 from corkscrew.algebra import slice_monomial
-from corkscrew.complexes import SKEW, PhiIotaComplex, direct_sum, tensor
+from corkscrew.complexes import (
+    SKEW,
+    Endomorphism,
+    PhiIotaComplex,
+    direct_sum,
+    tensor,
+)
 from corkscrew.homotopy import MapShape
 from corkscrew.models import (
     BUNDLED,
@@ -28,8 +34,10 @@ from corkscrew.models import (
     torus_model,
 )
 from oracle import (
+    dict_cols,
     reference_conjugate_cols,
     reference_involution_candidates,
+    reference_scramble,
     reference_sweep,
 )
 
@@ -49,43 +57,50 @@ def _items(cols):
     return [list(col.items()) for col in cols]
 
 
-# -- one transvection helper ----------------------------------------------------
+# -- the transvection helpers -------------------------------------------------
 
 def test_transvect_matches_the_reference_conjugation():
+    """The bit transvection of ``conftest`` on every map, and the sweep's
+    incremental one on the differential, against the reference."""
     rng = random.Random(11)
     for x in [bundled(name) for name in sorted(BUNDLED)] + base_models():
         cx = x.complex
-        for f, skew in ((cx.boundary(), False), (x.phi, False),
-                        (x.iota, True)):
-            cols = [dict(c) for c in f.cols]
-            want = tuple(f.cols)
+        for f in (cx.boundary(), x.phi, x.iota):
+            skew = f.mode == SKEW
+            bits = list(f.cols)
+            cols = dict_cols(f)
+            want = tuple(dict_cols(f))
             for _ in range(12):
                 i, j = rng.randrange(cx.n), rng.randrange(cx.n)
                 m = slice_monomial(cx.gradings[j], cx.gradings[i])
                 if i == j or m is None:
                     continue
-                connected.transvect(cols, i, j, m, skew=skew)
+                conftest.transvect(bits, i, j)
                 want = reference_conjugate_cols(want, i, j, m, skew)
-                # same entries in the same insertion order
-                assert _items(cols) == _items(want)
+                # the bits carry the conjugated map exactly: its monomials
+                # are the forced ones
+                g = Endomorphism(f.source, f.target, bits, f.mode,
+                                 f.bidegree)
+                assert dict_cols(g) == list(want)
+                if f.bidegree == (-1, -1):
+                    hits = [{s for s, col in enumerate(cols) if t in col}
+                            for t in range(cx.n)]
+                    connected._write(cols, connected._transvection(
+                        cols, i, j, m, hits))
+                    # same entries in the same insertion order
+                    assert _items(cols) == _items(want)
 
 
-def test_scramble_is_unchanged(monkeypatch):
-    def reference(cols, i, j, m, skew=False):
-        cols[:] = [dict(c) for c in reference_conjugate_cols(cols, i, j, m,
-                                                             skew)]
-
-    from corkscrew.complexes import serialize
+def test_scramble_is_unchanged():
     models = [bundled(name) for name in sorted(BUNDLED)] + base_models()
-    got = [scramble(x, random.Random(seed)) for seed, x in enumerate(models)]
-    monkeypatch.setattr(conftest, "transvect", reference)
-    want = [scramble(x, random.Random(seed)) for seed, x in enumerate(models)]
-    for a, b in zip(got, want):
-        assert serialize(a) == serialize(b)
-        for f, g in ((a.complex.boundary(), b.complex.boundary()),
-                     (a.phi, b.phi), (a.iota, b.iota),
-                     (a.phi_inverse, b.phi_inverse)):
-            assert _items(f.cols) == _items(g.cols)
+    for seed, x in enumerate(models):
+        got = scramble(x, random.Random(seed))
+        gens, grads, want = reference_scramble(x, random.Random(seed))
+        assert got.complex.generators == gens
+        assert got.complex.gradings == grads
+        maps = [got.complex.boundary(), got.phi, got.iota] + (
+            [got.phi_inverse] if got.phi_inverse else [])
+        assert [dict_cols(f) for f in maps] == want
 
 
 # -- the sweep -----------------------------------------------------------------
@@ -137,8 +152,8 @@ def test_sweep_matches_the_reference(monkeypatch, cx):
 
 def _coordinate_bits(cx, maps):
     coords = MapShape(cx, cx, SKEW, (0, 0)).unknowns()
-    return [tuple(int(m in f.cols[s].get(t, ())) for s, m, t in coords)
-            for f in maps]
+    return [tuple(int(m in cols[s].get(t, ())) for s, m, t in coords)
+            for cols in map(dict_cols, maps)]
 
 
 def _involution_inputs():
