@@ -500,9 +500,9 @@ def _recognize(cx: KnotComplex, max_passes: int = 80):
             return None
         m2, q2, grads = peeled
         names = tuple(f"v{k}" for k in range(cx.n))
-        cols2 = KnotComplex(cx.name, names, grads,
-                            _conjugate_diff(_bits(cols), m2, q2))
-        cols3, moves3 = _sweep(grads, _poly_cols(cols2), max_passes)
+        peeled_cx = KnotComplex(cx.name, names, grads,
+                                _conjugate_diff(_bits(cols), m2, q2))
+        cols3, moves3 = _sweep(grads, _poly_cols(peeled_cx), max_passes)
         m3, q3 = _moves_matrices(cx.n, moves3)
         got = _match_all(names, grads, cols3)
         if got is None:
