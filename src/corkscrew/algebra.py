@@ -2,11 +2,12 @@
 slice enumeration, and bit-packed F2 linear algebra.
 
 A monomial U^a V^b is the exponent pair ``(a, b)``; it shifts the
-bigrading by ``(-2a, -2b)``.  Coefficients live in F2, so a polynomial is
-the frozenset of the monomials present and addition is symmetric
-difference.  Maps store no polynomials: a grading-homogeneous entry is
-the one monomial the gradings force (:func:`slice_monomial`), so a map is
-an F2 bit matrix (see ``complexes``).
+bigrading by ``(-2a, -2b)``.  Nothing stores a polynomial: every element
+and map is grading homogeneous, so each coefficient is zero or the one
+monomial the gradings force (:func:`slice_monomial`).  An element at a
+known bigrading is therefore an F2 bit vector over the generators, a map
+is an F2 bit matrix given by its columns (see ``complexes``), and
+applying one to the other is :func:`mat_vec`.
 
 Every F2 elimination in the package goes through one routine, the
 incremental row echelon :class:`Echelon`: ranks, lexmin witnesses and
@@ -31,13 +32,6 @@ Grading = tuple  # (gr_u, gr_v)
 def mono_deg(m: Mono) -> Grading:
     """Bigrading shift contributed by the monomial."""
     return (-2 * m[0], -2 * m[1])
-
-
-def pscale(m: Mono, p: frozenset) -> frozenset:
-    """A polynomial, as the frozenset of its monomials, times U^a V^b."""
-    if m == (0, 0):
-        return p
-    return frozenset((m[0] + a, m[1] + b) for a, b in p)
 
 
 # -- bigradings --------------------------------------------------------------
@@ -157,11 +151,16 @@ class F2Inconsistency:
 
 def ones(word: int):
     """Positions of the set bits of a non-negative word, lowest first."""
-    bits = bin(word)[:1:-1]
-    j = bits.find("1")
-    while j >= 0:
-        yield j
-        j = bits.find("1", j + 1)
+    while word:
+        low = word & -word
+        yield low.bit_length() - 1
+        word ^= low
+
+
+def parity(word: int) -> int:
+    """The number of set bits, mod 2: the value at ``word`` of the linear
+    functional whose mask was ANDed into it."""
+    return word.bit_count() & 1
 
 
 def mat_vec(cols: Sequence[int], word: int) -> int:

@@ -11,7 +11,9 @@ A map is therefore stored as F2 bit columns: ``cols[s]`` (``diff[s]`` for
 a complex) is an int with bit t set when the entry s -> t is nonzero, and
 :func:`entries` reads the monomials back off the gradings.  Composition,
 sums, duals and tensor products are integer XORs; a map is well graded
-when every set bit has a forced monomial.
+when every set bit has a forced monomial.  An element at a known
+bigrading is a bit vector over the generators, and ``mat_vec(f.cols, v)``
+is its image, at the bigrading the map's mode and bidegree give.
 
 The module also provides the derivative endomorphisms of the differential,
 the basepoint-twist map ``id + (d/dU diff)(d/dV diff)``, duals, involutive
@@ -136,18 +138,6 @@ class Endomorphism:
         return None
 
     # -- algebra ----------------------------------------------------------
-
-    def apply(self, vec: dict) -> dict:
-        """Apply to an element given as {generator-index: Poly}, a Poly
-        being a frozenset of (u_exp, v_exp) monomials."""
-        out: dict = {}
-        for s, p in vec.items():
-            if self.mode == SKEW:
-                p = [(b, a) for a, b in p]
-            for t, (u, v) in entries(self, s):
-                out[t] = out.get(t, frozenset()) ^ frozenset(
-                    (a + u, b + v) for a, b in p)
-        return {t: p for t, p in out.items() if p}
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other."""

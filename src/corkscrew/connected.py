@@ -26,7 +26,6 @@ from .algebra import (
     gr_swap,
     mat_vec,
     ones,
-    pscale,
     slice_monomial,
 )
 from .complexes import (
@@ -36,14 +35,12 @@ from .complexes import (
     SKEW,
     STRAIGHT,
     direct_sum,
-    entries,
     iota_complex,
     sarkar_map,
     validate,
 )
 from .errors import ConsistencyError, ValidationError
 from .homotopy import (
-    Left,
     MapShape,
     MapSystem,
     Right,
@@ -79,94 +76,77 @@ class StandardForm:
 
 
 # -- transvection sweep ----------------------------------------------------------
+# The sweep works on the differential's bit columns.  A basis change
+# new_i = e_i + m e_j by a homogeneous element keeps every generator's
+# grading, so each entry stays the one monomial its gradings force: a move
+# only toggles entries, and the score reads each entry's monomial off the
+# gradings.
 
-def _transvection(cols, i, j, m, hits):
-    """Entries of a differential that the basis change new_i = e_i + m e_j
-    moves, as [(source, target, old Poly, new Poly)] in the order they
-    apply.
-
-    ``cols`` holds the columns ({target: Poly} per source).  The source
-    side adds m times column j to column i; the target side then adds m
-    times each coefficient on e_i to the coefficient on e_j.  Both sides
-    together conjugate the map.  ``hits[i]`` holds the sources with a
-    coefficient on e_i.
-    """
-    changes = []
-    col_i = cols[i]
-    on_i, on_j = col_i.get(i), col_i.get(j, frozenset())  # after source
-    for t, p in cols[j].items():
-        old = col_i.get(t, frozenset())
-        new = old ^ pscale(m, p)
-        changes.append((i, t, old, new))
-        if t == i:
-            on_i = new
-        elif t == j:
-            on_j = new
-    for s in hits[i]:
-        if s != i:
-            p_i = cols[s].get(i)
-            if p_i:
-                old = cols[s].get(j, frozenset())
-                changes.append((s, j, old, old ^ pscale(m, p_i)))
-    if on_i:
-        changes.append((i, j, on_j, on_j ^ pscale(m, on_i)))
-    return changes
-
-
-def _write(cols, changes):
-    for s, t, _, new in changes:
-        if new:
-            cols[s][t] = new
-        else:
-            del cols[s][t]
+def _monomial(gradings, s, t):
+    """The monomial of the differential's entry s -> t."""
+    return slice_monomial(gradings[t], gr_add(gradings[s], (-1, -1)))
 
 
 class _Objective:
-    """The sweep's score (terms, conflicts, mixed) of a differential, kept
-    live: terms counts monomials, mixed those in both variables; every
-    other monomial is pure in U, or in V (constants included), and loads
-    its source's outgoing and its target's incoming count for that
-    variable; conflicts sums max(0, load - 1) over all four counts."""
+    """The sweep's differential with its score (terms, conflicts, mixed),
+    kept live: terms counts entries, mixed those in both variables; every
+    other entry is pure in U, or in V (constants included), and loads its
+    source's outgoing and its target's incoming count for that variable;
+    conflicts sums max(0, load - 1) over all four counts."""
 
-    def __init__(self, cols):
+    def __init__(self, gradings, cols):
         n = self.n = len(cols)
+        self.gu = [g[0] for g in gradings]
+        self.gv = [g[1] for g in gradings]
+        self.cols = [0] * n
+        self.rows = [0] * n  # rows[t]: bit s set when s -> t is an entry
         self.score = (0, 0, 0)
         self.load = [0] * (4 * n)  # out_u, out_v, in_u, in_v per node
-        self.hits = [set() for _ in range(n)]  # sources hitting each target
-        changes = [(s, t, frozenset(), p)
-                   for s, col in enumerate(cols) for t, p in col.items()]
-        self.accept(changes, self.trial(changes))
+        toggles = [(s, t) for s, col in enumerate(cols) for t in ones(col)]
+        self.accept(toggles, self.trial(toggles))
 
-    def trial(self, changes):
-        """(score after the changes, load deltas), the counts untouched."""
-        n, load = self.n, self.load
+    def transvection(self, i, j):
+        """The entries the move new_i = e_i + m e_j toggles, none twice.
+
+        The source side adds column j to column i; the target side then
+        adds every coefficient on e_i to the one on e_j.  Both sides
+        together conjugate the map.  Gradings rule out the entries i -> i,
+        j -> j and j -> i, so the two sides never meet."""
+        return ([(i, t) for t in ones(self.cols[j])]
+                + [(s, j) for s in ones(self.rows[i])])
+
+    def trial(self, toggles):
+        """(score after the toggles, load deltas), the counts untouched."""
+        cols, gu, gv, load, n = self.cols, self.gu, self.gv, self.load, self.n
+        n2 = 2 * n
         terms, conflicts, mixed = self.score
         moved: dict = {}
-        for s, t, old, new in changes:
-            for mono in old ^ new:
-                sign = -1 if mono in old else 1
-                terms += sign
-                a, b = mono
-                if a and b:
-                    mixed += sign
-                    continue
-                k = n if a == 0 else 0
-                moved[k + s] = moved.get(k + s, 0) + sign
-                moved[2 * n + k + t] = moved.get(2 * n + k + t, 0) + sign
-        for key, dk in moved.items():
-            k0 = load[key]
+        for s, t in toggles:
+            sign = -1 if (cols[s] >> t) & 1 else 1
+            terms += sign
+            # the entry's monomial U^a V^b has a = 0 exactly when
+            # gr_u(t) = gr_u(s) - 1, and likewise b
+            if gu[t] == gu[s] - 1:
+                k = n  # pure in V, or the constant
+            elif gv[t] == gv[s] - 1:
+                k = 0  # pure in U
+            else:
+                mixed += sign
+                continue
+            moved[k + s] = moved.get(k + s, 0) + sign
+            moved[n2 + k + t] = moved.get(n2 + k + t, 0) + sign
+        for k, dk in moved.items():
+            k0 = load[k]
             conflicts += max(0, k0 + dk - 1) - max(0, k0 - 1)
         return (terms, conflicts, mixed), moved
 
-    def accept(self, changes, trial):
+    def accept(self, toggles, trial):
         self.score, moved = trial
-        for key, dk in moved.items():
-            self.load[key] += dk
-        for s, t, _, new in changes:
-            if new:
-                self.hits[t].add(s)
-            else:
-                self.hits[t].discard(s)
+        for k, dk in moved.items():
+            self.load[k] += dk
+        for s, t in toggles:
+            self.cols[s] ^= 1 << t
+            self.rows[t] ^= 1 << s
 
 
 def _sweep(gradings, cols, max_passes: int = 80):
@@ -175,41 +155,37 @@ def _sweep(gradings, cols, max_passes: int = 80):
 
     Each pass tries every admissible move (i-major, j-minor) and keeps one
     when it strictly lowers the score; a trial is scored from the entries
-    it moves, and only a kept move touches the columns."""
+    it toggles, and only a kept move touches the columns."""
     n = len(gradings)
-    cols = [dict(c) for c in cols]
     # new_i = e_i + m e_j needs gr(e_j) + deg(m) = gr(e_i)
     admissible = [(i, j, m) for i in range(n) for j in range(n) if i != j
                   for m in (slice_monomial(gradings[j], gradings[i]),)
                   if m is not None]
-    objective = _Objective(cols)
+    objective = _Objective(gradings, cols)
     moves = []
     for _ in range(max_passes):
         improved = False
         for i, j, m in admissible:
-            changes = _transvection(cols, i, j, m, objective.hits)
-            trial = objective.trial(changes)
+            toggles = objective.transvection(i, j)
+            trial = objective.trial(toggles)
             if trial[0] < objective.score:
-                objective.accept(changes, trial)
-                _write(cols, changes)
+                objective.accept(toggles, trial)
                 moves.append((i, j, m))
                 improved = True
         if not improved:
             break
-    return cols, moves
+    return objective.cols, moves
 
 
 # -- pattern matching -------------------------------------------------------------
 
-def _pure_arrows(cols):
-    """Arrows (src, tgt, var, exp) when every entry is a single pure-power
-    monomial; None otherwise."""
+def _pure_arrows(gradings, cols):
+    """Arrows (src, tgt, var, exp) when every entry is a pure power of one
+    variable; None otherwise."""
     arrows = []
     for s, col in enumerate(cols):
-        for t, p in col.items():
-            if len(p) != 1:
-                return None
-            ((a, b),) = p
+        for t in ones(col):
+            a, b = _monomial(gradings, s, t)
             if a and b:
                 return None
             if not a and not b:
@@ -323,11 +299,6 @@ def recognize_standard(cx: KnotComplex,
 # A change of basis by homogeneous elements is a grading-homogeneous map, so
 # it is held as bit columns (see complexes); its monomials are forced.
 
-def _bits(cols):
-    """Bit columns of {target: Poly} columns."""
-    return [sum(1 << t for t in col) for col in cols]
-
-
 def _identity_cols(n):
     return [1 << i for i in range(n)]
 
@@ -367,27 +338,13 @@ def _peel_boxes(gradings, cols):
     so its kernel is a complementary subcomplex on the nose.
     """
     n = len(gradings)
-    ell = None
+    arrows = _pure_arrows(gradings, cols)
+    if not arrows or len({e for _, _, _, e in arrows}) != 1:
+        return None
     a_cols = [0] * n
     b_cols = [0] * n
-    for s, col in enumerate(cols):
-        for t, p in col.items():
-            if len(p) != 1:
-                return None
-            ((a, b),) = p
-            if (a and b) or (not a and not b):
-                return None
-            e = a or b
-            if ell is None:
-                ell = e
-            if e != ell:
-                return None
-            if a:
-                a_cols[s] |= 1 << t
-            else:
-                b_cols[s] |= 1 << t
-    if ell is None:
-        return None
+    for s, t, var, _ in arrows:
+        (a_cols if var == "u" else b_cols)[s] |= 1 << t
 
     p_vecs = [mat_vec(a_cols, b_cols[s]) for s in range(n)]
     span = Echelon()
@@ -448,7 +405,7 @@ def _peel_boxes(gradings, cols):
 
 def _match_all(names, gradings, cols):
     n = len(names)
-    arrows = _pure_arrows(cols)
+    arrows = _pure_arrows(gradings, cols)
     if arrows is None:
         return None
     comps = _components(n, arrows)
@@ -480,16 +437,8 @@ def _match_all(names, gradings, cols):
     return form, roles
 
 
-def _poly_cols(cx: KnotComplex):
-    """The differential as {target: Poly} columns, the sweep's working
-    form."""
-    d = cx.boundary()
-    return [{t: frozenset({m}) for t, m in entries(d, s)}
-            for s in range(cx.n)]
-
-
 def _recognize(cx: KnotComplex, max_passes: int = 80):
-    cols, moves = _sweep(cx.gradings, _poly_cols(cx), max_passes)
+    cols, moves = _sweep(cx.gradings, cx.diff, max_passes)
     m_cols, q_cols = _moves_matrices(cx.n, moves)
     grads = cx.gradings
     got = _match_all(cx.generators, grads, cols)
@@ -500,9 +449,8 @@ def _recognize(cx: KnotComplex, max_passes: int = 80):
             return None
         m2, q2, grads = peeled
         names = tuple(f"v{k}" for k in range(cx.n))
-        peeled_cx = KnotComplex(cx.name, names, grads,
-                                _conjugate_diff(_bits(cols), m2, q2))
-        cols3, moves3 = _sweep(grads, _poly_cols(peeled_cx), max_passes)
+        cols3, moves3 = _sweep(grads, _conjugate_diff(cols, m2, q2),
+                               max_passes)
         m3, q3 = _moves_matrices(cx.n, moves3)
         got = _match_all(names, grads, cols3)
         if got is None:
@@ -514,11 +462,11 @@ def _recognize(cx: KnotComplex, max_passes: int = 80):
         if _matmul(q_cols, m_cols) != _identity_cols(cx.n):
             raise ConsistencyError(
                 f"{cx.name}: peeled change of basis is not invertible")
-        if _conjugate_diff(list(cx.diff), m_cols, q_cols) != _bits(cols3):
+        if _conjugate_diff(cx.diff, m_cols, q_cols) != cols3:
             raise ConsistencyError(
                 f"{cx.name}: peeled basis does not conjugate the "
                 f"differential onto the recognised form")
-        probe = KnotComplex(cx.name, names, grads, _bits(cols3))
+        probe = KnotComplex(cx.name, names, grads, cols3)
         if not validate(probe).ok:
             raise ConsistencyError(
                 f"{cx.name}: recognised form is not a valid complex")
@@ -727,7 +675,11 @@ def _conn_greedy(x: PhiIotaComplex, seed: int, rounds: int):
 
 
 def _window_kernel_dim(f: Endomorphism) -> int:
-    """Total slice-kernel dimension over the generator window."""
+    """Total slice-kernel dimension over the generator window.
+
+    f is straight of bidegree (0, 0), so it maps the slice at each
+    bigrading into itself, and on the slice it is the sub-matrix of its
+    bit columns on the slice's generators."""
     cx = f.source
     total = 0
     seen = set()
@@ -738,16 +690,8 @@ def _window_kernel_dim(f: Endomorphism) -> int:
                 if t in seen:
                     continue
                 seen.add(t)
-                src = cx.slice(t)
-                if not src:
-                    continue
-                pos = {(m, g): i for i, (m, g) in enumerate(src)}
-                cols = []
-                for m, g in src:
-                    img = f.apply({g: frozenset({m})})
-                    cols.append(sum(1 << pos[(mm, gg)]
-                                    for gg, p in img.items() for mm in p))
-                total += len(src) - f2_rank(cols, len(src))
+                src = [f.cols[g] for _, g in cx.slice(t)]
+                total += len(src) - f2_rank(src, cx.n)
     return total
 
 
@@ -756,11 +700,11 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     drawn from the columns of f; None when the presentation fails."""
     cx = x.complex
     kept = []  # indices whose column generates
-    cols = [f.apply({i: {(0, 0)}}) for i in range(cx.n)]
+    cols = f.cols  # f(e_i), at the grading of e_i
     for i in range(cx.n):
         if not cols[i]:
             continue
-        if _express(cx, cols[i], cx.gradings[i],
+        if _express(cols[i], cx.gradings[i],
                     [(cols[k], cx.gradings[k]) for k in kept]) is None:
             kept.append(i)
     if not kept:
@@ -768,11 +712,10 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     gens = tuple(f"w{k}" for k in range(len(kept)))
     grads = tuple(cx.gradings[i] for i in kept)
     span = [(cols[k], cx.gradings[k]) for k in kept]
-    d = cx.boundary()
     dcols = []
     for i in kept:
-        img = d.apply(cols[i])
-        combo = _express(cx, img, gr_add(cx.gradings[i], (-1, -1)), span)
+        img = mat_vec(cx.diff, cols[i])
+        combo = _express(img, gr_add(cx.gradings[i], (-1, -1)), span)
         if combo is None:
             return None
         dcols.append(combo)
@@ -782,8 +725,8 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
         return None
     icols = []
     for i in kept:
-        img = f.apply(x.iota.apply({i: {(0, 0)}}))
-        combo = _express(cx, img, gr_swap(cx.gradings[i]), span)
+        img = mat_vec(f.cols, x.iota.cols[i])
+        combo = _express(img, gr_swap(cx.gradings[i]), span)
         if combo is None:
             return None
         icols.append(combo)
@@ -794,7 +737,7 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     inclusion = Endomorphism(model, cx, [f.cols[i] for i in kept],
                              STRAIGHT, (0, 0), check=False)
     projection = Endomorphism(cx, model,
-                              [_express(cx, cols[s], cx.gradings[s], span)
+                              [_express(cols[s], cx.gradings[s], span)
                                or 0 for s in range(cx.n)],
                               STRAIGHT, (0, 0), check=False)
     try:
@@ -804,35 +747,17 @@ def _image_complex(x: PhiIotaComplex, f: Endomorphism):
     return conn, inclusion, projection
 
 
-def _express(cx, vec, grading, span):
-    """Write a homogeneous element over monomial multiples of the spanning
-    columns: the bit column over span indices, or None.  Each span element
-    has one monomial that lands it on the grading."""
-    tgt = cx.slice(grading)
-    if not tgt and vec:
-        return None
-    tpos = {(m, g): i for i, (m, g) in enumerate(tgt)}
-
-    def word(element):
-        keys = [(mm, gg) for gg, p in element.items() for mm in p]
-        if any(key not in tpos for key in keys):
-            return None
-        return sum(1 << tpos[key] for key in keys)
-
-    unknowns = []  # (span index, monomial with col_gr + deg = grading)
-    for k, (col, col_gr) in enumerate(span):
-        m = slice_monomial(col_gr, grading)
-        if m is not None:
-            unknowns.append((k, m))
-    cols = [word({t: pscale(m, p) for t, p in span[k][0].items()})
-            for k, m in unknowns]
-    target = word(vec)
-    if target is None or None in cols:
-        return None
-    coords = ColumnSpan(cols).coordinates(target)
+def _express(vec, grading, span):
+    """Write an element at ``grading`` over monomial multiples of the
+    spanning (element, grading) pairs: the bit column over span indices,
+    or None.  A span element reaches the grading through at most one
+    monomial, and its multiple has the same generator bits."""
+    unknowns = [k for k, (_, col_gr) in enumerate(span)
+                if slice_monomial(col_gr, grading) is not None]
+    coords = ColumnSpan([span[k][0] for k in unknowns]).coordinates(vec)
     if coords is None:
         return None
-    return sum(1 << unknowns[u][0] for u in ones(coords))
+    return sum(1 << unknowns[u] for u in ones(coords))
 
 
 # -- the nontriviality decision ----------------------------------------------------------

@@ -7,13 +7,15 @@ constraints -- chain map, homotopy, commutation up to homotopy, locality --
 are linear in those coordinates.  Locality is a single extra affine row:
 the class of the image of a fixed nontorsion cycle must survive inverting
 the variables, which is one F2 functional, so existence questions never
-enumerate the solution space.
+enumerate the solution space.  The cycle is a bit vector over generators
+and the functional a bit mask over the target's generators (see
+``invariants.A0Data``), so the row is read straight off the coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     Echelon,
@@ -22,6 +24,8 @@ from .algebra import (
     gr_add,
     gr_swap,
     lexmin_affine,
+    mat_vec,
+    parity,
     slice_pairs,
     solve_f2_rows,
 )
@@ -132,7 +136,7 @@ class MapSystem:
         self.offsets: dict = {}
         self.total = 0
         self.equations: list = []  # (terms, rhs_endo_or_None)
-        self.functionals: list = []  # (name, vector, bit_fn, rhs_bit)
+        self.functionals: list = []  # (name, vector, mask, rhs_bit)
 
     def add_unknown(self, name: str, shape: MapShape) -> None:
         if name in self.shapes:
@@ -150,12 +154,16 @@ class MapSystem:
                 op.check(self.shapes[name])
         self.equations.append((list(terms), rhs))
 
-    def add_functional(self, name: str, vector: dict,
-                       bit_fn: Callable[[dict], int], rhs_bit: int) -> None:
-        """One affine row: ``bit_fn(f(vector)) = rhs_bit`` for the unknown f,
-        with ``vector`` an element {generator index: Poly} of its source and
-        ``bit_fn`` linear."""
-        self.functionals.append((name, vector, bit_fn, rhs_bit))
+    def add_functional(self, name: str, vector: int, mask: int,
+                       rhs_bit: int) -> None:
+        """One affine row: ``parity(f(vector) & mask) = rhs_bit`` for the
+        unknown f.  ``vector`` is a homogeneous element of f's source, as
+        bits over its generators, and ``mask`` a bit mask over f's target
+        generators at the bigrading f takes it to.  The elementary map
+        (s, m, t) sends the vector to generator t when s is in it, so the
+        row has coordinate (s, m, t) exactly when s is in ``vector`` and t
+        in ``mask``."""
+        self.functionals.append((name, vector, mask, rhs_bit))
 
     def _rows(self):
         rows: dict = {}
@@ -175,15 +183,11 @@ class MapSystem:
         keys = list(rows) + [k for k in rhs if k not in rows]
         out_rows = [rows.get(k, 0) for k in keys]
         out_rhs = [rhs.get(k, 0) for k in keys]
-        for name, vector, bit_fn, rhs_bit in self.functionals:
+        for name, vector, mask, rhs_bit in self.functionals:
             off = self.offsets[name]
-            skew = self.shapes[name].mode == SKEW
             row = 0
-            for ci, (s, m, t) in enumerate(self.coords[name]):
-                p = vector.get(s)
-                if p and bit_fn({t: frozenset(
-                        (m[0] + b, m[1] + a) if skew else (m[0] + a, m[1] + b)
-                        for a, b in p)}):
+            for ci, (s, _, t) in enumerate(self.coords[name]):
+                if (vector >> s) & 1 and (mask >> t) & 1:
                     row |= 1 << (off + ci)
             out_rows.append(row)
             out_rhs.append(rhs_bit)
@@ -338,7 +342,7 @@ class LocalityCertificate:
 
 
 def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex, shift: int,
-                  t_cycle: dict, functional) -> MapSystem:
+                  t_cycle: int, mask: int) -> MapSystem:
     c1, c2 = x1.complex, x2.complex
     d1, d2 = c1.boundary(), c2.boundary()
     sys = MapSystem()
@@ -350,7 +354,7 @@ def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex, shift: int,
                       ("hp", [Left(d2), Right(d1)])])
     sys.add_equation([("f", [Right(x1.iota), Left(x2.iota)]),
                       ("hi", [Left(d2), Right(d1)])])
-    sys.add_functional("f", t_cycle, functional, 1)
+    sys.add_functional("f", t_cycle, mask, 1)
     return sys
 
 
@@ -383,10 +387,8 @@ def local_map_exists(x1: PhiIotaComplex, x2: PhiIotaComplex,
 
     last_obstruction = None
     for shift in shifts:
-        def functional(image, _shift=shift):
-            return tower2.nontorsion_bit(image, t_grading + _shift)
-
-        sys = _local_system(x1, x2, shift, t_cycle, functional)
+        sys = _local_system(x1, x2, shift, t_cycle,
+                            tower2.mask(t_grading + shift))
         ans, cert = sys.solve()
         if ans is not None:
             out = LocalityCertificate(True, ans["f"], ans["hp"], ans["hi"],
@@ -451,6 +453,7 @@ def self_local_space(x: PhiIotaComplex, window_bump: int = 0) -> MorphismSpace:
     d = cx.boundary()
     tower = A0Data(x, window_bump=window_bump)
     t_cycle, t_grading = tower.tower_cycle_in_c()
+    mask = tower.mask(t_grading)
 
     sys = MapSystem()
     f_shape = MapShape(cx, cx, STRAIGHT, (0, 0))
@@ -474,5 +477,5 @@ def self_local_space(x: PhiIotaComplex, window_bump: int = 0) -> MorphismSpace:
             f = f_shape.assemble(v, sys.coords["f"])
             space.basis.append(f)
             space.locality_bits.append(
-                tower.nontorsion_bit(f.apply(t_cycle), t_grading))
+                parity(mat_vec(f.cols, t_cycle) & mask))
     return space

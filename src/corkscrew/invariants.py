@@ -11,6 +11,12 @@ margin dominates every possible torsion order; below the minimum generator
 grading multiplication by U identifies consecutive slices, so answers in
 the window are exact and the re-check at an enlarged window is a
 certificate rather than a heuristic.
+
+Nothing here stores a polynomial.  A slice is a set of generators, each
+carrying the power of U its grading forces, so a slice element is a bit
+vector over the slice's positions and a map is a bit matrix; the tower
+functional, which says whether a class survives every power of U, is one
+bit mask per parity, and its value on a vector is the parity of their AND.
 """
 
 from __future__ import annotations
@@ -26,13 +32,14 @@ from .algebra import (
     alexander,
     gr_add,
     lexmin_affine,
+    mat_vec,
+    ones,
+    parity,
     slice_pairs,
 )
 from .complexes import (
-    Endomorphism,
     KnotComplex,
     PhiIotaComplex,
-    SKEW,
     entries,
     validate,
 )
@@ -42,8 +49,6 @@ from .errors import (
     ValidationError,
     WindowUnstableError,
 )
-
-UPoly = frozenset  # frozenset of U-exponents
 
 
 # -- slice homology ------------------------------------------------------------
@@ -93,51 +98,52 @@ class _HSlice:
 class UComplex:
     """Free graded F2[U]-complex, possibly carrying restricted actions.
 
-    ``embed_monos`` records, per generator, the bigraded monomial that
-    realises it inside the parent two-variable complex (when there is one).
+    Maps are bit columns, as in ``complexes``: bit t of ``cols[s]`` is set
+    when the differential has an entry s -> t.  That entry is the one
+    power U^e the gradings force, G(t) - 2e = G(s) - 1 (G(s) for the
+    actions), so no exponent is stored.
     """
 
     name: str
     labels: tuple
     gradings: tuple  # int per generator; deg(U) = -2, deg(d) = -1
-    cols: tuple  # cols[src] = {tgt: UPoly}
+    cols: tuple  # cols[src]: int, bit tgt set when the entry is nonzero
     phi_cols: Optional[tuple] = None
     iota_cols: Optional[tuple] = None
-    embed_monos: Optional[tuple] = None
+
+    def _maps(self):
+        """(label, columns, degree) of every map the complex carries."""
+        return [(label, group, degree) for label, group, degree in (
+            ("U-differential", self.cols, -1),
+            ("restricted phi", self.phi_cols, 0),
+            ("restricted iota", self.iota_cols, 0)) if group is not None]
 
     def __post_init__(self):
-        for s, col in enumerate(self.cols):
-            for t, exps in col.items():
-                for e in exps:
-                    if self.gradings[t] - 2 * e != self.gradings[s] - 1:
+        for label, group, degree in self._maps():
+            for s, col in enumerate(group):
+                for t in ones(col):
+                    if self.exponent(s, t, degree) is None:
                         raise ValidationError(
-                            f"U-differential degree violated at "
+                            f"{label} degree violated at "
                             f"{self.labels[s]}->{self.labels[t]}")
-        for name, action in (("phi", self.phi_cols), ("iota", self.iota_cols)):
-            if action is None:
-                continue
-            for s, col in enumerate(action):
-                for t, exps in col.items():
-                    for e in exps:
-                        if self.gradings[t] - 2 * e != self.gradings[s]:
-                            raise ValidationError(
-                                f"restricted {name} degree violated at "
-                                f"{self.labels[s]}->{self.labels[t]}")
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    def exponent(self, s: int, t: int, degree: int) -> Optional[int]:
+        """The power of U on an entry s -> t of a map of the given degree,
+        None when no power fits the gradings."""
+        twice = self.gradings[t] - self.gradings[s] - degree
+        if twice < 0 or twice % 2:
+            return None
+        return twice // 2
+
     def max_exponent(self) -> int:
-        worst = 0
-        for group in (self.cols, self.phi_cols, self.iota_cols):
-            if group is None:
-                continue
-            for col in group:
-                for exps in col.values():
-                    if exps:
-                        worst = max(worst, max(exps))
-        return worst
+        return max((self.exponent(s, t, degree)
+                    for _, group, degree in self._maps()
+                    for s, col in enumerate(group) for t in ones(col)),
+                   default=0)
 
 
 class DiagonalHomology:
@@ -155,15 +161,21 @@ class DiagonalHomology:
                  share: Optional["DiagonalHomology"] = None):
         if share is not None and share.uc is not uc:
             raise ValueError("shared slices belong to another complex")
+        if window_bump < 0:
+            # the margin 2 * N_tor is what makes the window exact
+            raise ValidationError(
+                f"window bump must be non-negative, got {window_bump}")
         self.uc = uc
         self.gmax = max(uc.gradings)
         self.gmin = min(uc.gradings)
         self.ntor = uc.n * (1 + uc.max_exponent())
         self.hi = self.gmax + 2
         self.lo = self.gmin - 2 * self.ntor - 2 * window_bump
-        # grading -> slice generators, their positions, cycle basis, homology
-        self._cache = ({}, {}, {}, {}) if share is None else share._cache
-        self._slices, self._positions, self._cycles, self._H = self._cache
+        # grading -> slice generators, their positions, cycle basis,
+        # homology; stable grading -> tower mask
+        self._cache = ({}, {}, {}, {}, {}) if share is None else share._cache
+        (self._slices, self._positions, self._cycles, self._H,
+         self._masks) = self._cache
         self._tower = None  # (top grading, functional on its cycle basis)
         self._tower_rep = None
         if expect_tower:
@@ -189,18 +201,13 @@ class DiagonalHomology:
         """Column bitmasks of the slice map into grading d-1.
 
         A slice is just a subset of generators (the U-power is forced by
-        the grading), so an entry U^e contributes its target's bit once
-        per exponent, mod 2.
+        the grading), so the slice map is the differential's bit columns
+        restricted to the slice and re-indexed by position.
         """
         tgt_pos = self.positions(d - 1)
-        cols = []
-        for g in self.slice_gens(d):
-            word = 0
-            for t, exps in self.uc.cols[g].items():
-                if len(exps) % 2:
-                    word ^= 1 << tgt_pos[t]
-            cols.append(word)
-        return cols
+        cols = self.uc.cols
+        return [sum(1 << tgt_pos[t] for t in ones(cols[g]))
+                for g in self.slice_gens(d)]
 
     def cycle_basis(self, d: int) -> list:
         if d not in self._cycles:
@@ -227,30 +234,52 @@ class DiagonalHomology:
             vec ^= low
         return out
 
+    def _stable(self, d: int) -> int:
+        """The stable grading of d's parity: G_min - 1 or G_min - 2."""
+        return self.gmin - 1 - (d - self.gmin + 1) % 2
+
     def stable_grading_for(self, d: int) -> int:
         """The deepest-but-one grading of matching parity at which slices
         are U-translates of each other."""
-        target = self.gmin - 1
-        if (d - target) % 2:
-            target -= 1
-        return min(d, target)
+        return min(d, self._stable(d))
+
+    def tower_mask(self, d: int) -> int:
+        """The tower functional at the stable grading of d's parity, as a
+        mask over that slice's positions.
+
+        The homology there has rank at most one (``_locate_tower`` checks
+        the two stable gradings together), and the functional is the
+        coefficient of its one representative, read once off every unit
+        vector; the unit-vector completion of :class:`_HSlice` makes it
+        linear on the whole slice.  Every slice at or below a stable
+        grading has the same generators, in the same order, and the same
+        homology, so one mask per parity serves them all.
+        """
+        target = self._stable(d)
+        if target not in self._masks:
+            h = self.homology(target)
+            if h.rank > 1:
+                raise ValidationError(
+                    f"{self.uc.name}: homology at the stable grading "
+                    f"{target} has rank {h.rank}; the tower functional "
+                    f"needs at most one class")
+            self._masks[target] = sum(
+                1 << j for j in range(h.dim if h.rank else 0)
+                if h.rep_coefficient(1 << j, 0))
+        return self._masks[target]
 
     def nontorsion_bit(self, vec: int, d: int) -> int:
         """1 when the (cycle) vector's class survives all U powers.
 
         Below the minimum generator grading multiplication by U identifies
         consecutive slices, so surviving one push past that point decides
-        all further ones.  Linear in ``vec`` over the whole slice; on
-        non-cycles the value is an arbitrary linear extension, which
-        callers pair with a chain-map constraint.
+        all further ones: push, then read the tower mask.  Linear in
+        ``vec`` over the whole slice; on non-cycles the value is a fixed
+        linear extension, which callers pair with a chain-map constraint.
         """
-        if vec == 0:
-            return 0
         target = self.stable_grading_for(d)
         pushed = self.push(vec, d, (d - target) // 2)
-        h = self.homology(target)
-        return 1 if any(h.rep_coefficient(pushed, i)
-                        for i in range(h.rank)) else 0
+        return parity(pushed & self.tower_mask(d))
 
     def _locate_tower(self):
         r0 = self.homology(self.gmin - 1).rank
@@ -296,31 +325,15 @@ def _embed_mono(gr: Grading) -> Mono:
     return (a, 0) if a >= 0 else (0, -a)
 
 
-def _restrict_cols(cx: KnotComplex, f: Endomorphism, monos):
-    out = []
-    for s in range(cx.n):
-        ms = monos[s]
-        if f.mode == SKEW:
-            ms = (ms[1], ms[0])
-        ucol: dict = {}
-        for t, m in entries(f, s):
-            ku = ms[0] + m[0] - monos[t][0]
-            kv = ms[1] + m[1] - monos[t][1]
-            if ku != kv or ku < 0:
-                raise ValidationError(
-                    f"entry {cx.generators[s]}->{cx.generators[t]} "
-                    f"does not restrict to the diagonal")
-            ucol[t] = frozenset({ku})
-        out.append(ucol)
-    return tuple(out)
-
-
 def a0(x: PhiIotaComplex) -> UComplex:
     """Diagonal subcomplex as a free F2[U]-complex with restricted actions.
 
     One generator per parent generator g: multiply by U^A(g) when the
     Alexander grading A(g) is non-negative and by V^-A(g) otherwise, which
-    is the unique monomial bringing g onto the diagonal.
+    is the unique monomial bringing g onto the diagonal.  A homogeneous
+    map takes diagonal elements to diagonal elements, so every entry
+    restricts to a power of U: the restricted maps have the parent's bit
+    columns.
     """
     cx = x.complex
     monos = tuple(_embed_mono(g) for g in cx.gradings)
@@ -334,58 +347,41 @@ def a0(x: PhiIotaComplex) -> UComplex:
         name=f"A0({cx.name})",
         labels=cx.generators,
         gradings=gradings,
-        cols=_restrict_cols(cx, cx.boundary(), monos),
-        phi_cols=_restrict_cols(cx, x.phi, monos),
-        iota_cols=_restrict_cols(cx, x.iota, monos),
-        embed_monos=monos,
+        cols=cx.diff,
+        phi_cols=x.phi.cols,
+        iota_cols=x.iota.cols,
     )
 
 
 class A0Data:
-    """Diagonal homology of a complex-with-actions, with the conversions
-    needed by the locality solvers."""
+    """Diagonal homology of a complex-with-actions, with the tower cycle
+    and functional in the form the locality solvers read.
+
+    An element of the parent complex at bigrading (d, d) is a bit vector
+    over the parent's generators: generator g takes the one monomial that
+    lands it there, and it does so exactly when g lies in the diagonal
+    slice at d.
+    """
 
     def __init__(self, x: PhiIotaComplex, window_bump: int = 0):
         self.x = x
         self.uc = a0(x)
         self.hom = DiagonalHomology(self.uc, window_bump=window_bump)
 
-    def slice_vector(self, vec_c: dict, grading: int):
-        """Convert a diagonal element of the parent complex to slice
-        coordinates; returns None when a component falls outside."""
-        pos = self.hom.positions(grading)
-        out = 0
-        monos = self.uc.embed_monos
-        for g, p in vec_c.items():
-            for m in p:
-                k = m[0] - monos[g][0]
-                if k != m[1] - monos[g][1] or k < 0 or g not in pos:
-                    return None
-                if self.uc.gradings[g] - 2 * k != grading:
-                    return None
-                out ^= 1 << pos[g]
-        return out
-
-    def nontorsion_bit(self, vec_c: dict, grading: int) -> int:
-        if not vec_c:
-            return 0
-        v = self.slice_vector(vec_c, grading)
-        if v is None:
-            return 0
-        return self.hom.nontorsion_bit(v, grading)
+    def mask(self, grading: int) -> int:
+        """The tower functional at bigrading (grading, grading) as a mask
+        over parent generators: an element there is nontorsion exactly
+        when ``parity(bits & mask)`` is 1."""
+        hom = self.hom
+        return sum(1 << g for i, g in enumerate(hom.slice_gens(grading))
+                   if hom.nontorsion_bit(1 << i, grading))
 
     def tower_cycle_in_c(self):
         """The lexicographically first nontorsion cycle at the tower top,
-        as an element of the parent complex, plus its grading."""
+        as generator bits of the parent complex, plus its grading."""
         d = self.hom.tower_top
-        rep = self.hom.tower_rep
-        vec: dict = {}
-        monos = self.uc.embed_monos
-        for i, g in enumerate(self.hom.slice_gens(d)):
-            if (rep >> i) & 1:
-                k = (self.uc.gradings[g] - d) // 2
-                vec[g] = frozenset({(monos[g][0] + k, monos[g][1] + k)})
-        return vec, d
+        gens = self.hom.slice_gens(d)
+        return sum(1 << gens[i] for i in ones(self.hom.tower_rep)), d
 
 
 # -- spec-facing homology summary --------------------------------------------------
@@ -486,26 +482,10 @@ def build_cyl(uc: UComplex) -> CylComplex:
     gradings = (uc.gradings
                 + tuple(g - 1 for g in uc.gradings)
                 + tuple(g - 1 for g in uc.gradings))
-    cols = []
-    for s in range(n):
-        col: dict = {}
-        for t, e in uc.cols[s].items():
-            col[t] = e
-        one_phi = dict(uc.phi_cols[s])
-        one_phi[s] = one_phi.get(s, frozenset()) ^ frozenset({0})
-        for t, e in one_phi.items():
-            if e:
-                col[n + t] = e
-        one_iota = dict(uc.iota_cols[s])
-        one_iota[s] = one_iota.get(s, frozenset()) ^ frozenset({0})
-        for t, e in one_iota.items():
-            if e:
-                col[2 * n + t] = e
-        cols.append(col)
-    for s in range(n):
-        cols.append({n + t: e for t, e in uc.cols[s].items()})
-    for s in range(n):
-        cols.append({2 * n + t: e for t, e in uc.cols[s].items()})
+    # x:s -> d s + (1 + phi) s in the y block + (1 + iota) s in the z block
+    cols = [uc.cols[s] | (uc.phi_cols[s] ^ 1 << s) << n
+            | (uc.iota_cols[s] ^ 1 << s) << 2 * n for s in range(n)]
+    cols += [col << n for col in uc.cols] + [col << 2 * n for col in uc.cols]
     total = UComplex(name=f"Cyl({uc.name})", labels=labels,
                      gradings=gradings, cols=tuple(cols))
     # D^2 = 0 holds because 1 + phi and 1 + iota are chain maps
@@ -522,17 +502,7 @@ def _squares_to_zero(cols) -> bool:
     U = 1, as a bit matrix over all generators (the two deepest slices,
     side by side).
     """
-    words = [sum(1 << t for t, exps in col.items() if len(exps) % 2)
-             for col in cols]
-    for word in words:
-        acc = 0
-        while word:
-            low = word & -word
-            acc ^= words[low.bit_length() - 1]
-            word ^= low
-        if acc:
-            return False
-    return True
+    return not any(mat_vec(cols, col) for col in cols)
 
 
 # -- the delta invariant -------------------------------------------------------------

@@ -51,28 +51,48 @@ def formal_derivative(p, variable: str) -> frozenset:
                 for a, b in p if (a, b)[k] % 2)
 
 
-def dict_cols(f) -> list:
-    """A library map's columns as {target: Poly}.  Each entry's monomial
-    is solved from the gradings alone: its degree must take the target's
-    grading to the source's (swapped for a skew map) plus the bidegree."""
-    out = []
-    for s, word in enumerate(f.cols):
-        g = f.source.gradings[s]
-        if f.mode == "skew":
-            g = (g[1], g[0])
-        want = gr_add(g, f.bidegree)
-        col = {}
-        for t in range(f.target.n):
-            if (word >> t) & 1:
-                have = f.target.gradings[t]
-                m = ((have[0] - want[0]) // 2, (have[1] - want[1]) // 2)
-                assert min(m) >= 0 and gr_add(have, mono_deg(m)) == want, (
-                    f"entry {s}->{t} has no monomial")
-                col[t] = frozenset({m})
-        if word >> f.target.n:
-            raise AssertionError(f"column {s} has bits past the target")
-        out.append(col)
+def poly_element(gradings, bits: int, bigrading) -> dict:
+    """A homogeneous element, given by its generator bits at a bigrading,
+    as {generator: Poly}.  Each generator's monomial is solved from the
+    gradings alone: its degree must take the generator's grading to the
+    element's."""
+    out = {}
+    for g, have in enumerate(gradings):
+        if (bits >> g) & 1:
+            m = ((have[0] - bigrading[0]) // 2, (have[1] - bigrading[1]) // 2)
+            assert min(m) >= 0 and gr_add(have, mono_deg(m)) == bigrading, (
+                f"generator {g} has no monomial to {bigrading}")
+            out[g] = frozenset({m})
+    if bits >> len(gradings):
+        raise AssertionError("bits past the last generator")
     return out
+
+
+def image_grading(f, bigrading):
+    """Where a map takes the bigrading: swapped for a skew map, then
+    shifted by the bidegree."""
+    if f.mode == "skew":
+        bigrading = (bigrading[1], bigrading[0])
+    return gr_add(bigrading, f.bidegree)
+
+
+def dict_cols(f) -> list:
+    """A library map's columns as {target: Poly}: column s is the image
+    of generator s, at the grading the map takes it to."""
+    return [poly_element(f.target.gradings, word,
+                         image_grading(f, f.source.gradings[s]))
+            for s, word in enumerate(f.cols)]
+
+
+def diff_cols(gradings, cols) -> list:
+    """Bit columns of a differential, degree (-1, -1), as {target: Poly}."""
+    return [poly_element(gradings, col, gr_add(gradings[s], (-1, -1)))
+            for s, col in enumerate(cols)]
+
+
+def dict_bits(cols) -> list:
+    """{target: Poly} columns back to bit columns."""
+    return [sum(1 << t for t in col) for col in cols]
 
 
 def _add_into(col: dict, t, p) -> None:
@@ -300,12 +320,41 @@ class _BruteDiag:
                 out |= 1 << tgt[((m[0] + 1, m[1] + 1), g)]
         return out
 
+    def push_deep(self, vec, d):
+        """(vector, grading) after pushing down to the deepest slice."""
+        while d > self.lowest + 2:
+            vec = self.push_once(vec, d)
+            d -= 2
+        return vec, d
+
     def nontorsion(self, vec, d):
-        cur, cur_d = vec, d
-        while cur_d > self.lowest + 2:
-            cur = self.push_once(cur, cur_d)
-            cur_d -= 2
+        cur, cur_d = self.push_deep(vec, d)
         return _reduce(cur, self.boundary_span(cur_d)) != 0
+
+    def tower_coefficient(self, vec, d):
+        """A linear extension of :meth:`nontorsion` from cycles to the
+        whole slice: push to the deepest slice, whose homology is the
+        tower alone, and read the coefficient of the first cycle outside
+        the boundaries in a basis of boundaries, that cycle and unit
+        vectors."""
+        cur, cur_d = self.push_deep(vec, d)
+        basis = [(b, 0) for b in self.boundary_span(cur_d)]
+        for z in _kernel(self.bnd_cols(cur_d)):
+            z = _reduce(z, [b for b, _ in basis])
+            if z:
+                basis.append((z, 1))
+                break
+        for j in range(len(self.slices[cur_d])):
+            u = _reduce(1 << j, [b for b, _ in basis])
+            if u:
+                basis.append((u, 0))
+        coefficient = 0
+        for b, tag in basis:
+            if cur & (b & -b):
+                cur ^= b
+                coefficient ^= tag
+        assert cur == 0
+        return coefficient
 
 
 def _brute_delta_at(x: PhiIotaComplex, margin: int):
@@ -379,10 +428,13 @@ def brute_h_classes(x: PhiIotaComplex, d: int, margin: int = None):
     return data, sl, cycles, bspan
 
 
-def reference_rows(sys):
+def reference_rows(sys, functionals=()):
     """Rows and rhs of a MapSystem assembled the slow way: a full
     elementary Endomorphism per coordinate, each operator evaluated on it
-    by composition, the functionals on its image of their vector."""
+    by composition.  ``functionals`` has one (vector, bit_fn) pair per
+    functional of the system, in order: the vector as {generator: Poly}
+    and a linear bit_fn, evaluated on the vector's image under every
+    elementary map."""
     from corkscrew.homotopy import Left
 
     row_index: dict = {}
@@ -424,7 +476,9 @@ def reference_rows(sys):
                         for t, p in col.items():
                             for m in p:
                                 rows[row_of((ei, s, t, m))] ^= colbit
-    for name, vector, bit_fn, rhs_bit in sys.functionals:
+    assert len(functionals) == len(sys.functionals)
+    for (name, _, _, rhs_bit), (vector, bit_fn) in zip(sys.functionals,
+                                                      functionals):
         shape, coords = sys.shapes[name], sys.coords[name]
         row = 0
         for ci in range(len(coords)):
@@ -586,8 +640,27 @@ def reference_involution_candidates(cx, cap: int = 18) -> list:
 
 # -- the slice-homology pipeline, two passes with nothing shared --------------
 
+def u_cols(uc, cols, degree: int) -> list:
+    """Bit columns of a map of the given degree on a UComplex as
+    {target: U-exponents}, each exponent solved from the gradings: U^e
+    takes the target's grading to the source's plus the degree."""
+    out = []
+    for s, col in enumerate(cols):
+        want = uc.gradings[s] + degree
+        entry = {}
+        for t, have in enumerate(uc.gradings):
+            if (col >> t) & 1:
+                e = (have - want) // 2
+                assert e >= 0 and have - 2 * e == want, (
+                    f"entry {s}->{t} has no power of U")
+                entry[t] = frozenset({e})
+        out.append(entry)
+    return out
+
+
 def apply_ucols(cols, vec: dict) -> dict:
-    """Apply U-complex columns to {generator: U-exponents}."""
+    """Apply U-complex columns, as from :func:`u_cols`, to
+    {generator: U-exponents}."""
     out: dict = {}
     for s, exps in vec.items():
         for t, entry in cols[s].items():
@@ -626,8 +699,8 @@ class _ReferenceDiagonal:
         cols = []
         for g in self.slice_gens(d):
             word = 0
-            for t, exps in self.uc.cols[g].items():
-                if len(exps) % 2:
+            for t in range(self.uc.n):
+                if (self.uc.cols[g] >> t) & 1:
                     word ^= 1 << tgt_pos[t]
             cols.append(word)
         return cols
@@ -653,16 +726,7 @@ class _ReferenceDiagonal:
         return out
 
     def nontorsion_bit(self, vec: int, d: int) -> int:
-        if vec == 0:
-            return 0
-        target = self.gmin - 1
-        if (d - target) % 2:
-            target -= 1
-        target = min(d, target)
-        pushed = self.push(vec, d, (d - target) // 2)
-        h = self.homology(target)
-        return 1 if any(h.rep_coefficient(pushed, i)
-                        for i in range(h.rank)) else 0
+        return reference_nontorsion_bit(self, vec, d)
 
     def _locate_tower(self):
         from corkscrew.errors import ValidationError
@@ -690,6 +754,23 @@ class _ReferenceDiagonal:
         rest = [z for z, bit in zip(h.cycles, lam) if not bit]
         return lexmin_affine(pick[0], rest + [pick[0] ^ z for z in pick[1:]],
                              len(self.slice_gens(d)))
+
+
+def reference_nontorsion_bit(hom, vec: int, d: int) -> int:
+    """The tower functional as first written, on a DiagonalHomology (or
+    the reference above): push the vector to the stable grading of its
+    parity, then ask every homology representative there for its
+    coefficient through ``Echelon.coefficients``."""
+    if vec == 0:
+        return 0
+    target = hom.gmin - 1
+    if (d - target) % 2:
+        target -= 1
+    target = min(d, target)
+    pushed = hom.push(vec, d, (d - target) // 2)
+    h = hom.homology(target)
+    return 1 if any(h.rep_coefficient(pushed, i)
+                    for i in range(h.rank)) else 0
 
 
 def _reference_summary(uc, window_bump: int):
@@ -746,10 +827,12 @@ def _reference_cylinder(uc):
     from corkscrew.invariants import UComplex
 
     n = uc.n
+    d_cols = u_cols(uc, uc.cols, -1)
     cols = []
     for s in range(n):
-        col = dict(uc.cols[s])
-        for block, action in ((1, uc.phi_cols), (2, uc.iota_cols)):
+        col = dict(d_cols[s])
+        for block, action in ((1, u_cols(uc, uc.phi_cols, 0)),
+                              (2, u_cols(uc, uc.iota_cols, 0))):
             one_plus = dict(action[s])
             one_plus[s] = one_plus.get(s, frozenset()) ^ frozenset({0})
             for t, e in one_plus.items():
@@ -758,16 +841,18 @@ def _reference_cylinder(uc):
         cols.append(col)
     for block in (1, 2):
         for s in range(n):
-            cols.append({block * n + t: e for t, e in uc.cols[s].items()})
+            cols.append({block * n + t: e for t, e in d_cols[s].items()})
+    for s in range(3 * n):
+        if apply_ucols(cols, apply_ucols(cols, {s: frozenset({0})})):
+            raise ValidationError("cylinder differential does not square to 0")
     total = UComplex(
         name=f"Cyl({uc.name})",
         labels=tuple(f"{p}:{m}" for p in "xyz" for m in uc.labels),
         gradings=uc.gradings + tuple(g - 1 for g in uc.gradings) * 2,
-        cols=tuple(cols))
-    for s in range(3 * n):
-        if apply_ucols(total.cols,
-                       apply_ucols(total.cols, {s: frozenset({0})})):
-            raise ValidationError("cylinder differential does not square to 0")
+        cols=tuple(dict_bits(cols)))
+    # the exponents of the totalised columns are the ones the gradings
+    # force
+    assert u_cols(total, total.cols, -1) == cols
     return total
 
 

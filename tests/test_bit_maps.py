@@ -2,13 +2,15 @@
 arithmetic it replaced, kept in ``tests/oracle.py``: composition,
 application, sums, derivative maps, tensor products and duals agree entry
 for entry, monomials included, on scrambled bundled models, T(2,q) sums,
-duals and the 125-generator (4_1,tau)^2 (x) 4_1."""
+duals and the 125-generator (4_1,tau)^2 (x) 4_1.  An element is a bit
+vector at a bigrading, and applying a map is ``mat_vec``."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import scramble
+from corkscrew.algebra import gr_add, mat_vec, mono_deg, slice_pairs
 from corkscrew.complexes import SKEW, dual, phi_psi_maps, sarkar_map, tensor
 from corkscrew.models import (
     BUNDLED,
@@ -19,6 +21,8 @@ from corkscrew.models import (
 )
 from oracle import (
     dict_cols,
+    image_grading,
+    poly_element,
     reference_add,
     reference_apply,
     reference_compose,
@@ -68,10 +72,14 @@ def _scrambled(name, seed):
     return scramble(MODELS[name], random.Random(seed))
 
 
-def _vector(n, rng):
-    return {s: frozenset((rng.randrange(3), rng.randrange(3))
-                         for _ in range(rng.randrange(1, 3)))
-            for s in range(n) if rng.getrandbits(1)}
+def _element(gradings, rng):
+    """A random homogeneous element: (bits, bigrading), the bigrading a
+    random monomial below a random generator's."""
+    g = gradings[rng.randrange(len(gradings))]
+    bigrading = gr_add(g, mono_deg((rng.randrange(3), rng.randrange(3))))
+    bits = sum(1 << i for _, i in slice_pairs(gradings, bigrading)
+               if rng.getrandbits(1))
+    return bits, bigrading
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -87,8 +95,11 @@ def test_compose_apply_and_add_match_the_reference(name, seed, f_name,
     if (f.mode, f.bidegree) == (g.mode, g.bidegree):
         assert dict_cols(f + g) == reference_add(fc, gc)
         assert (f + g).is_zero() == (f == g)
-    vec = _vector(x.complex.n, random.Random(seed))
-    assert f.apply(vec) == reference_apply(fc, skew, vec)
+    bits, bigrading = _element(x.complex.gradings, random.Random(seed))
+    vec = poly_element(x.complex.gradings, bits, bigrading)
+    assert poly_element(f.target.gradings, mat_vec(f.cols, bits),
+                        image_grading(f, bigrading)) == reference_apply(
+        fc, skew, vec)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

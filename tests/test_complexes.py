@@ -2,6 +2,7 @@
 
 import pytest
 
+from corkscrew.algebra import mat_vec
 from corkscrew.complexes import (
     KnotComplex,
     SKEW,
@@ -24,7 +25,7 @@ from corkscrew.models import (
     torus_model,
     unknot,
 )
-from oracle import P_ONE, dict_cols, poly
+from oracle import P_ONE, dict_cols, poly, poly_element
 
 
 def test_unknot_is_valid_s3(fig8):
@@ -204,7 +205,8 @@ class TestTensor:
         x = tensor(fig8, fig8)
         cx = x.complex
         xx = cx.index("x|x")
-        got = x.iota.apply({xx: P_ONE})
+        assert cx.gradings[xx] == (0, 0)
+        got = poly_element(cx.gradings, mat_vec(x.iota.cols, 1 << xx), (0, 0))
         want = {cx.index("x|x"): P_ONE, cx.index("x|d"): P_ONE,
                 cx.index("d|x"): P_ONE, cx.index("d|d"): P_ONE}
         assert got == want

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corkscrew.algebra import F2Inconsistency, solve_f2_rows
+from corkscrew.algebra import (
+    F2Inconsistency,
+    gr_add,
+    mat_vec,
+    mono_deg,
+    parity,
+    slice_pairs,
+    solve_f2_rows,
+)
 from corkscrew.complexes import (
     SKEW,
     STRAIGHT,
@@ -22,7 +30,12 @@ from corkscrew.homotopy import Left, MapShape, MapSystem, Right
 from corkscrew.models import bundled, dot_complex
 
 from conftest import scramble
-from oracle import reference_rows
+from oracle import (
+    _BruteDiag,
+    image_grading,
+    poly_element,
+    reference_rows,
+)
 
 
 def _dot_and_pair():
@@ -47,6 +60,22 @@ def _parity(image: dict) -> int:
     return sum(a > b for p in image.values() for a, b in p) & 1
 
 
+def _parity_mask(gradings, bigrading) -> int:
+    """:func:`_parity` at a bigrading, as a mask over generators: the
+    generators whose monomial there has a > b."""
+    return sum(1 << t for (a, b), t in slice_pairs(gradings, bigrading)
+               if a > b)
+
+
+def _element(gradings, rng):
+    """A random homogeneous element: (bits, bigrading)."""
+    g = gradings[rng.randrange(len(gradings))]
+    bigrading = gr_add(g, mono_deg((rng.randrange(3), rng.randrange(3))))
+    bits = sum(1 << i for _, i in slice_pairs(gradings, bigrading)
+               if rng.getrandbits(1))
+    return bits, bigrading
+
+
 def _random_map(shape: MapShape, rng: random.Random) -> Endomorphism:
     coords = shape.unknowns()
     return shape.assemble(rng.getrandbits(len(coords)), coords)
@@ -56,7 +85,8 @@ def _system(x, y, mode, action, rng, flip):
     """Unknowns f, g: x -> y of ``mode`` and h of the mode of f o action
     with bidegree (1, 1).  Equations: f a1 + a2 f + d2 h + h d1 = rhs, with
     rhs made from random (f0, h0) so that the system is consistent; g is a
-    chain map; a parity functional of f(vector), flipped on request."""
+    chain map; a parity functional of f(vector), flipped on request.
+    Returns the system and the functional in the reference's form."""
     a1, a2 = getattr(x, action), getattr(y, action)
     d1, d2 = x.complex.boundary(), y.complex.boundary()
     h_mode = STRAIGHT if mode == a1.mode else SKEW
@@ -65,8 +95,8 @@ def _system(x, y, mode, action, rng, flip):
     f0, h0 = _random_map(f_shape, rng), _random_map(h_shape, rng)
     rhs = (f0.compose(a1) + a2.compose(f0)
            + d2.compose(h0) + h0.compose(d1))
-    vector = {s: frozenset({(rng.randrange(3), rng.randrange(3))})
-              for s in range(x.complex.n) if rng.getrandbits(1)}
+    vector, bigrading = _element(x.complex.gradings, rng)
+    mask = _parity_mask(y.complex.gradings, image_grading(f0, bigrading))
     sys_ = MapSystem()
     sys_.add_unknown("f", f_shape)
     sys_.add_unknown("h", h_shape)
@@ -74,9 +104,10 @@ def _system(x, y, mode, action, rng, flip):
     sys_.add_equation([("f", [Right(a1), Left(a2)]),
                        ("h", [Left(d2), Right(d1)])], rhs=rhs)
     sys_.add_equation([("g", [Right(d1), Left(d2)])])
-    sys_.add_functional("f", vector, _parity,
-                        _parity(f0.apply(vector)) ^ flip)
-    return sys_
+    sys_.add_functional("f", vector, mask,
+                        parity(mat_vec(f0.cols, vector) & mask) ^ flip)
+    return sys_, [(poly_element(x.complex.gradings, vector, bigrading),
+                   _parity)]
 
 
 @pytest.mark.parametrize("action", ["phi", "iota"])
@@ -89,15 +120,15 @@ def test_assembly_matches_reference(mode, action, src, tgt, seed, flip):
     rng = random.Random(seed)
     x = scramble(MODELS[src](), rng, moves=6)
     y = scramble(MODELS[tgt](), rng, moves=6)
-    sys_ = _system(x, y, mode, action, rng, flip)
-    assert _matches_reference(sys_) or flip
+    sys_, functionals = _system(x, y, mode, action, rng, flip)
+    assert _matches_reference(sys_, functionals) or flip
 
 
-def _matches_reference(sys_: MapSystem) -> bool:
+def _matches_reference(sys_: MapSystem, functionals) -> bool:
     """Assert that the system and the reference evaluator give the same
     solution space; True when that space is nonempty."""
     got = sys_.solutions_bits()
-    want = solve_f2_rows(*reference_rows(sys_), sys_.total)
+    want = solve_f2_rows(*reference_rows(sys_, functionals), sys_.total)
     if isinstance(want, F2Inconsistency):
         assert got is None
         return False
@@ -114,16 +145,29 @@ def _matches_reference(sys_: MapSystem) -> bool:
     ("4_1x4_1_tau", "4_1", False),
 ])
 def test_assembly_matches_reference_on_locality_systems(src, tgt, exists):
+    """The locality row is read off the tower mask; the reference reads
+    the tower functional off the dense oracle instead, with its own
+    extension from cycles to the whole slice.  The chain-map equations
+    make f(tower cycle) a cycle, so the solution spaces agree."""
     from corkscrew.homotopy import _local_system
     from corkscrew.invariants import A0Data
 
     x1, x2 = bundled(src), bundled(tgt)
-    t_cycle, t_grading = A0Data(x1).tower_cycle_in_c()
-    tower2 = A0Data(x2)
-    sys_ = _local_system(
-        x1, x2, 0, t_cycle,
-        lambda image: tower2.nontorsion_bit(image, t_grading))
-    assert _matches_reference(sys_) == exists
+    t_cycle, d = A0Data(x1).tower_cycle_in_c()
+    sys_ = _local_system(x1, x2, 0, t_cycle, A0Data(x2).mask(d))
+    dense = _BruteDiag(x2, margin=8)
+    pos = {e: i for i, e in enumerate(dense.slices[d])}
+
+    def tower_bit(image: dict) -> int:
+        vec = 0
+        for g, p in image.items():
+            for m in p:
+                vec ^= 1 << pos[(m, g)]
+        return dense.tower_coefficient(vec, d)
+
+    functionals = [(poly_element(x1.complex.gradings, t_cycle, (d, d)),
+                    tower_bit)]
+    assert _matches_reference(sys_, functionals) == exists
 
 
 def test_operators_check_composability():

@@ -165,12 +165,12 @@ def test_first_block_slice_is_the_diagonal_slice(name):
 
 def _not_a_chain_map(exponent: int) -> UComplex:
     """a -> U^e b with phi(a) = a, phi(b) = 0: d phi(a) = U^e b but
-    phi d(a) = 0, so the cylinder has D^2(x:a) = U^e y:b."""
+    phi d(a) = 0, so the cylinder has D^2(x:a) = U^e y:b.  The gradings
+    force the exponent e on the entry a -> b."""
     return UComplex(name="broken", labels=("b", "a"),
                     gradings=(2 * exponent - 1, 0),
-                    cols=({}, {0: frozenset({exponent})}),
-                    phi_cols=({}, {1: frozenset({0})}),
-                    iota_cols=({0: frozenset({0})}, {1: frozenset({0})}))
+                    cols=(0, 0b01), phi_cols=(0, 0b10),
+                    iota_cols=(0b01, 0b10))
 
 
 @pytest.mark.parametrize("exponent", [0, 1, 2])
@@ -192,9 +192,7 @@ from corkscrew.errors import ValidationError
 from corkscrew.invariants import UComplex, build_cyl
 
 uc = UComplex(name="broken", labels=("b", "a"), gradings=(1, 0),
-              cols=({}, {0: frozenset({1})}),
-              phi_cols=({}, {1: frozenset({0})}),
-              iota_cols=({0: frozenset({0})}, {1: frozenset({0})}))
+              cols=(0, 0b01), phi_cols=(0, 0b10), iota_cols=(0b01, 0b10))
 try:
     build_cyl(uc)
 except ValidationError as exc:
