@@ -25,7 +25,7 @@ from .complexes import (
     validate,
 )
 from .connected import connected_complex, s_nontrivial
-from .errors import CorkscrewError
+from .errors import CorkscrewError, ValidationError
 from .invariants import delta
 from .knot_table import bundled_table, census, parse_knot_csv
 from .models import bundled, parse_complex
@@ -115,11 +115,39 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
+def _bundled(ref: str):
+    try:
+        return bundled(ref.split(":", 1)[1])
+    except KeyError as exc:
+        raise CorkscrewError(exc.args[0]) from None
+
+
 def resolve_complex(ref: str):
     """A path, or bundled:NAME for a built-in model."""
     if ref.startswith("bundled:"):
-        return bundled(ref.split(":", 1)[1])
+        return _bundled(ref)
     return parse_complex(ref)
+
+
+def _required(args, *options) -> None:
+    """Raise unless every named option was given."""
+    for name in options:
+        if getattr(args, name) is None:
+            raise CorkscrewError(f"verdict {args.mode} needs --{name}")
+
+
+def _window_bump(text: str) -> int:
+    """The window bump from the command line or the environment: a
+    non-negative integer, since a negative one would cut the window below
+    its proven margin."""
+    try:
+        bump = int(text)
+    except ValueError:
+        bump = -1
+    if bump < 0:
+        raise ValidationError(
+            f"window bump must be a non-negative integer, got {text!r}")
+    return bump
 
 
 def _element_str(vec: dict) -> str:
@@ -140,7 +168,7 @@ def cmd_validate(args, report: Report) -> int:
 
     try:
         if args.file.startswith("bundled:"):
-            cx = bundled(args.file.split(":", 1)[1]).complex
+            cx = _bundled(args.file).complex
         else:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -247,6 +275,8 @@ def cmd_conn(args, report: Report) -> int:
 
 def cmd_verdict(args, report: Report) -> int:
     if args.mode == "gompf":
+        if args.knot is None and args.file is None:
+            raise CorkscrewError("verdict gompf needs --knot or --file")
         if args.knot:
             table = bundled_table()
             row = next((r for r in table.rows if r.name == args.knot), None)
@@ -265,6 +295,7 @@ def cmd_verdict(args, report: Report) -> int:
         report.echo_input("params", {"m": args.m, "i": args.i, "j": args.j})
         v = verdict_gompf(subject, args.m, args.i, args.j, seed=args.seed)
     elif args.mode == "split":
+        _required(args, "k1", "k2")
         x1 = resolve_complex(args.k1)
         x2 = resolve_complex(args.k2)
         report.echo_input("k1", args.k1)
@@ -272,6 +303,7 @@ def cmd_verdict(args, report: Report) -> int:
         report.echo_input("params", {"m": args.m})
         v = verdict_split(x1, x2, args.m, window_bump=args.window_bump)
     elif args.mode == "periodic":
+        _required(args, "file")
         x = resolve_complex(args.file)
         report.echo_input("file", args.file)
         report.echo_input("params", {"m": args.m, "i": args.i})
@@ -302,6 +334,8 @@ def cmd_census(args, report: Report) -> int:
     skipped = [e for e in entries if not e.qualifies]
     if skipped:
         report.say("not covered: " + ", ".join(e.name for e in skipped))
+    for line, reason in table.rejected:
+        report.say(f"rejected: line {line}: {reason}")
     return 0
 
 
@@ -312,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog=TOOL,
         description="Exact strong-cork detection from knot Floer complexes")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--window-bump", type=int,
-                        default=int(os.environ.get("CORKSCREW_WINDOW_BUMP",
-                                                   "0")))
+    parser.add_argument("--window-bump",
+                        default=os.environ.get("CORKSCREW_WINDOW_BUMP", "0"))
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -361,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    report = Report(args.command, args.seed, args.window_bump)
     try:
+        args.window_bump = _window_bump(args.window_bump)
+        report = Report(args.command, args.seed, args.window_bump)
         code = args.func(args, report)
     except CorkscrewError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}

@@ -364,7 +364,6 @@ class A0Data:
     """
 
     def __init__(self, x: PhiIotaComplex, window_bump: int = 0):
-        self.x = x
         self.uc = a0(x)
         self.hom = DiagonalHomology(self.uc, window_bump=window_bump)
 

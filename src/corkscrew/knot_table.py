@@ -84,7 +84,9 @@ def _parse_row(raw: dict) -> KnotTableRow:
     if not name:
         raise ParseError("blank knot name")
     crossings = int(raw["crossings"])
-    alternating = bool(int(raw["alternating"]))
+    alternating = int(raw["alternating"])
+    if alternating not in (0, 1):
+        raise ParseError(f"{name}: alternating must be 0 or 1")
     signature = int(raw["signature"])
     determinant = int(raw["determinant"])
     arf = int(raw["arf"])
@@ -107,7 +109,7 @@ def _parse_row(raw: dict) -> KnotTableRow:
         tau = None
         derived = False
     return KnotTableRow(name=name, crossings=crossings,
-                        alternating=alternating, signature=signature,
+                        alternating=bool(alternating), signature=signature,
                         determinant=determinant, arf=arf,
                         tau_invariant=tau, tau_derived=derived)
 

@@ -679,7 +679,13 @@ class _ReferenceDiagonal:
         self.uc = uc
         self.gmax = max(uc.gradings)
         self.gmin = min(uc.gradings)
-        self.ntor = uc.n * (1 + uc.max_exponent())
+        maps = [(uc.cols, -1)] + [(cols, 0) for cols in (uc.phi_cols,
+                                                         uc.iota_cols)
+                                  if cols is not None]
+        self.ntor = uc.n * (1 + max((e for cols, degree in maps
+                                     for col in u_cols(uc, cols, degree)
+                                     for exps in col.values()
+                                     for e in exps), default=0))
         self.hi = self.gmax + 2
         self.lo = self.gmin - 2 * self.ntor - 2 * window_bump
         self._H: dict = {}

@@ -165,6 +165,46 @@ def test_round_trip_canonical_form(fig8_file, capsys):
     assert serialize(parse_complex(fig8_file)) == text
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("args, message", [
+    (["verdict", "gompf", "-m", "1"], "needs --knot or --file"),
+    (["verdict", "periodic", "-m", "1"], "needs --file"),
+    (["verdict", "split", "-m", "1", "--k1", "bundled:4_1"], "needs --k2"),
+    (["conn", "bundled:nope"], "no bundled complex 'nope'"),
+    (["validate", "bundled:nope"], "no bundled complex 'nope'"),
+    (["--window-bump", "-50", "delta", "bundled:4_1"], "window bump"),
+    (["--window-bump", "1.5", "delta", "bundled:4_1"], "window bump"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_arguments_are_one_line_errors(capsys, args, message, fmt):
+    code, out, err = run_cli(["--format", fmt, *args], capsys)
+    assert (code, out) == (1, "")
+    if fmt == "json":
+        assert message in json.loads(err)["message"]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_window_bump_env_must_be_a_non_negative_integer(capsys, monkeypatch,
+                                                        value):
+    monkeypatch.setenv("CORKSCREW_WINDOW_BUMP", value)
+    code, out, err = run_cli(["--format", "json", "delta", "bundled:4_1"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_census_text_lists_rejected_rows(tmp_path, capsys):
+    path = tmp_path / "knots.csv"
+    path.write_text("name,crossings,alternating,signature,determinant,arf,"
+                    "tau\n3_1,3,1,-2,3,1,\nbad,4,2,0,5,1,\n")
+    code, out, _ = run_cli(["census", "--table", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "rejected: line 3: bad: alternating must be 0 or 1")
+
+
 def test_window_bump_env(capsys, monkeypatch):
     monkeypatch.setenv("CORKSCREW_WINDOW_BUMP", "2")
     code, out, _ = run_cli(["--format", "json", "delta",

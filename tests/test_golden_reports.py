@@ -2,9 +2,11 @@
 
 Each command runs in text and in JSON format; its exit code, stdout and
 stderr are hashed together and compared with the sha256 recorded in
-``tests/data/golden_reports.json``.  A refactor that keeps the reports
-byte for byte keeps every hash.  After a declared behaviour change,
-regenerate the file with
+``tests/data/golden_reports.json``.  The greedy connected models of the
+two ``dot + box(1) + box(l)`` inputs, which no bundled model reaches, are
+hashed the same way.  A refactor that keeps the reports byte for byte
+keeps every hash.  After a declared behaviour change, regenerate the file
+with
 
     PYTHONPATH=src python tests/test_golden_reports.py --regenerate
 """
@@ -19,7 +21,9 @@ from pathlib import Path
 import pytest
 
 from corkscrew.cli import main
-from corkscrew.models import BUNDLED
+from corkscrew.complexes import SKEW, PhiIotaComplex, direct_sum, serialize
+from corkscrew.connected import connected_complex
+from corkscrew.models import BUNDLED, box_complex, dot_complex
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 
@@ -48,6 +52,22 @@ def report_hash(argv) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def greedy_hash(ell: int) -> str:
+    """The greedy connected model of dot + box(1) + box(ell), with its
+    inclusion and projection."""
+    cx = direct_sum(dot_complex("x"), box_complex(1, at=(0, 0), suffix="0"),
+                    box_complex(ell, at=(0, 0), suffix="1"),
+                    name=f"dot+box(1)+box({ell})")
+    res = connected_complex(PhiIotaComplex(cx, cx.identity(),
+                                           cx.zero_map(SKEW), cx.identity()))
+    blob = "\n".join([serialize(res.conn), res.method, str(res.caveat),
+                      str(res.inclusion.cols), str(res.projection.cols)])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+GREEDY = (2, 3)
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -55,8 +75,12 @@ def _golden() -> dict:
 ARGVS = list(_argvs())
 
 
+def _keys():
+    return [" ".join(a) for a in ARGVS] + [f"greedy {ell}" for ell in GREEDY]
+
+
 def test_every_command_is_recorded():
-    assert sorted(_golden()) == sorted(" ".join(a) for a in ARGVS)
+    assert sorted(_golden()) == sorted(_keys())
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
@@ -64,10 +88,15 @@ def test_report_is_byte_identical(argv):
     assert report_hash(argv) == _golden()[" ".join(argv)]
 
 
+@pytest.mark.parametrize("ell", GREEDY)
+def test_greedy_model_is_byte_identical(ell):
+    assert greedy_hash(ell) == _golden()[f"greedy {ell}"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(
-        {" ".join(a): report_hash(a) for a in ARGVS}, indent=1,
-        sort_keys=True) + "\n")
+    golden = {" ".join(a): report_hash(a) for a in ARGVS}
+    golden.update({f"greedy {ell}": greedy_hash(ell) for ell in GREEDY})
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

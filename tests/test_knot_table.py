@@ -33,6 +33,13 @@ def test_tau_derived_from_signature():
     assert row.tau_invariant == 0 and row.tau_derived
 
 
+@pytest.mark.parametrize("flag", ["2", "-1", "yes"])
+def test_alternating_flag_must_be_zero_or_one(flag):
+    rep = parse_knot_csv_text(HEADER + f"good,3,1,-2,3,1,\nbad,4,{flag},0,5,1,\n")
+    assert [row.name for row in rep.rows] == ["good"]
+    assert rep.rejected and rep.rejected[0][0] == 3
+
+
 def test_even_determinant_rejected_with_row_number():
     rep = parse_knot_csv_text(HEADER + "good,3,1,-2,3,1,\nbad,4,1,0,4,0,\n")
     assert len(rep.rows) == 1

@@ -130,6 +130,14 @@ def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
     assert len(spans) == len(a_first._cycles) + len(c_first._cycles)
 
 
+def test_negative_window_bump_is_rejected():
+    # a negative bump would cut the window below its proven margin
+    with pytest.raises(ValidationError, match="window bump"):
+        delta(bundled("4_1x4_1_tau"), window_bump=-50)
+    with pytest.raises(ValidationError, match="window bump"):
+        homology_u(a0(bundled("T2_3#T2_3")), window_bump=-1)
+
+
 def test_sharing_needs_the_same_complex():
     x = bundled("4_1x4_1_tau")
     hom = DiagonalHomology(a0(x))
