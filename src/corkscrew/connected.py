@@ -82,11 +82,6 @@ class StandardForm:
 # only toggles entries, and the score reads each entry's monomial off the
 # gradings.
 
-def _monomial(gradings, s, t):
-    """The monomial of the differential's entry s -> t."""
-    return slice_monomial(gradings[t], gr_add(gradings[s], (-1, -1)))
-
-
 class _Objective:
     """The sweep's differential with its score (terms, conflicts, mixed),
     kept live: terms counts entries, mixed those in both variables; every
@@ -185,7 +180,8 @@ def _pure_arrows(gradings, cols):
     arrows = []
     for s, col in enumerate(cols):
         for t in ones(col):
-            a, b = _monomial(gradings, s, t)
+            a, b = slice_monomial(gradings[t],
+                                  gr_add(gradings[s], (-1, -1)))
             if a and b:
                 return None
             if not a and not b:
@@ -691,7 +687,8 @@ def _window_kernel_dim(f: Endomorphism) -> int:
                     continue
                 seen.add(t)
                 src = [f.cols[g] for _, g in cx.slice(t)]
-                total += len(src) - f2_rank(src, cx.n)
+                if src:
+                    total += len(src) - f2_rank(src, cx.n)
     return total
 
 
