@@ -40,10 +40,6 @@ def gr_add(g1: Grading, g2: Grading) -> Grading:
     return (g1[0] + g2[0], g1[1] + g2[1])
 
 
-def gr_sub(g1: Grading, g2: Grading) -> Grading:
-    return (g1[0] - g2[0], g1[1] - g2[1])
-
-
 def gr_neg(g: Grading) -> Grading:
     return (-g[0], -g[1])
 
@@ -98,6 +94,41 @@ def slice_pairs(gradings: Sequence[Grading], target: Grading,
         if m is not None:
             out.append((m, i))
     return out
+
+
+class Levels:
+    """Indices grouped by height: ``masks`` lists (height, bits of the
+    indices there), highest first; for integer heights, a power of U
+    takes height d to the heights at or above it with d's parity."""
+
+    def __init__(self, heights: Iterable[int]):
+        at: dict = {}
+        for t, h in enumerate(heights):
+            at[h] = at.get(h, 0) | 1 << t
+        self.masks = sorted(at.items(), reverse=True)
+        self._above: dict = {}
+
+    def above(self, d: int) -> int:
+        if d not in self._above:
+            self._above[d] = sum(bits for h, bits in self.masks
+                                 if h >= d and (h - d) % 2 == 0)
+        return self._above[d]
+
+    def max_rise(self, cols: Sequence[int], base: Sequence[int]) -> int:
+        """The largest height(t) - base[s] over set bits t of cols[s], or 0:
+        per base, the OR of its columns scans the masks top down."""
+        union: dict = {}
+        for b, col in zip(base, cols):
+            union[b] = union.get(b, 0) | col
+        best = 0
+        for b, col in union.items():
+            for h, bits in self.masks:
+                if h - b <= best:
+                    break
+                if col & bits:
+                    best = h - b
+                    break
+        return best
 
 
 @dataclass(frozen=True)

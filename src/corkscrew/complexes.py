@@ -11,8 +11,9 @@ A map is therefore stored as F2 bit columns: ``cols[s]`` (``diff[s]`` for
 a complex) is an int with bit t set when the entry s -> t is nonzero, and
 :func:`entries` reads the monomials back off the gradings.  Composition,
 sums, duals and tensor products are integer XORs; a map is well graded
-when every set bit has a forced monomial.  An element at a known
-bigrading is a bit vector over the generators, and ``mat_vec(f.cols, v)``
+when every set bit has a forced monomial (one AND per column with a
+:meth:`KnotComplex.admissible` mask).  An element at a known bigrading
+is a bit vector over the generators, and ``mat_vec(f.cols, v)``
 is its image, at the bigrading the map's mode and bidegree give.
 
 The module also provides the derivative endomorphisms of the differential,
@@ -25,17 +26,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .algebra import (
     Grading,
+    Levels,
     gr_add,
     gr_neg,
     gr_swap,
     mat_vec,
     ones,
     slice_monomial,
-    slice_pairs,
 )
 from .errors import ParseError, ValidationError
 
@@ -51,6 +53,8 @@ class KnotComplex:
     generators: tuple  # generator ids, order fixes every basis below
     gradings: tuple  # Grading per generator
     diff: tuple  # diff[src]: int, bit tgt set when the entry is nonzero
+    _admissible: dict = field(default_factory=dict, init=False,
+                              repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diff", tuple(self.diff))
@@ -84,9 +88,20 @@ class KnotComplex:
     def grading(self, gid: str) -> Grading:
         return self.gradings[self.index(gid)]
 
-    def slice(self, target: Grading, variables: str = "uv") -> list:
-        """(monomial, generator-index) pairs at a bigrading, basis order."""
-        return slice_pairs(self.gradings, target, variables)
+    @cached_property
+    def _by_grading(self) -> list:
+        return Levels(self.gradings).masks
+
+    def admissible(self, expect: Grading) -> int:
+        """Bits of the generators t with gr(t) - expect non-negative and
+        even in both coordinates: the slice at ``expect``, cached."""
+        mask = self._admissible.get(expect)
+        if mask is None:
+            eu, ev = expect
+            mask = self._admissible[expect] = sum(
+                bits for (gu, gv), bits in self._by_grading
+                if gu >= eu and gv >= ev and (gu - eu) % 2 == (gv - ev) % 2 == 0)
+        return mask
 
     def boundary(self) -> "Endomorphism":
         return Endomorphism(self, self, self.diff, STRAIGHT, (-1, -1),
@@ -128,13 +143,18 @@ class Endomorphism:
 
     def grading_violation(self) -> Optional[str]:
         """First entry, in (source, target) order, that no monomial can
-        fill under the mode/bidegree contract, if any."""
-        for s in range(self.source.n):
-            for t, m in entries(self, s):
-                if m is None:
-                    return (f"bidegree violated at "
-                            f"{self.source.generators[s]}->"
-                            f"{self.target.generators[t]}")
+        fill under the mode/bidegree contract, if any: the lowest bit of
+        the first column outside its admissible mask."""
+        du, dv = self.bidegree
+        skew = self.mode == SKEW
+        admissible = self.target.admissible
+        for s, (gu, gv) in enumerate(self.source.gradings):
+            if skew:
+                gu, gv = gv, gu
+            bad = self.cols[s] & ~admissible((gu + du, gv + dv))
+            if bad:
+                return (f"bidegree violated at {self.source.generators[s]}->"
+                        f"{self.target.generators[(bad & -bad).bit_length() - 1]}")
         return None
 
     # -- algebra ----------------------------------------------------------

@@ -62,10 +62,6 @@ class StandardForm:
     boxes: tuple  # ((side_length, corner_bigrading), ...)
     roles: tuple  # generator ids in canonical role order
 
-    @property
-    def staircase_rank(self) -> int:
-        return len(self.staircase_steps) + 1
-
     def describe(self) -> str:
         n = len(self.staircase_steps) // 2
         stair = "dot" if n == 0 else f"staircase({self.staircase_sign * n})"
@@ -686,7 +682,7 @@ def _window_kernel_dim(f: Endomorphism) -> int:
                 if t in seen:
                     continue
                 seen.add(t)
-                src = [f.cols[g] for _, g in cx.slice(t)]
+                src = [f.cols[g] for g in ones(cx.admissible(t))]
                 if src:
                     total += len(src) - f2_rank(src, cx.n)
     return total

@@ -14,20 +14,24 @@ certificate rather than a heuristic.
 
 Nothing here stores a polynomial.  A slice is a set of generators, each
 carrying the power of U its grading forces, so a slice element is a bit
-vector over the slice's positions and a map is a bit matrix; the tower
-functional, which says whether a class survives every power of U, is one
-bit mask per parity, and its value on a vector is the parity of their AND.
+vector over the slice's positions and a map is a bit matrix.  What the
+gradings fix is a bit mask computed once: the slice at a grading
+(``UComplex.levels``), which is also the set of targets a map may reach
+from there, so a degree check is one AND per column; and the tower
+functional, which says whether a class survives every power of U, one
+mask per grading, whose value on a vector is the parity of their AND.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
     ColumnSpan,
     Echelon,
     Grading,
+    Levels,
     Mono,
     alexander,
     gr_add,
@@ -35,14 +39,8 @@ from .algebra import (
     mat_vec,
     ones,
     parity,
-    slice_pairs,
 )
-from .complexes import (
-    KnotComplex,
-    PhiIotaComplex,
-    entries,
-    validate,
-)
+from .complexes import KnotComplex, PhiIotaComplex, validate
 from .errors import (
     ConsistencyError,
     GradingParityError,
@@ -101,7 +99,7 @@ class UComplex:
     Maps are bit columns, as in ``complexes``: bit t of ``cols[s]`` is set
     when the differential has an entry s -> t.  That entry is the one
     power U^e the gradings force, G(t) - 2e = G(s) - 1 (G(s) for the
-    actions), so no exponent is stored.
+    actions), so no exponent is stored; the largest e is found once.
     """
 
     name: str
@@ -110,6 +108,8 @@ class UComplex:
     cols: tuple  # cols[src]: int, bit tgt set when the entry is nonzero
     phi_cols: Optional[tuple] = None
     iota_cols: Optional[tuple] = None
+    max_exponent: int = field(init=False, repr=False, compare=False)
+    levels: Levels = field(init=False, repr=False, compare=False)
 
     def _maps(self):
         """(label, columns, degree) of every map the complex carries."""
@@ -119,31 +119,24 @@ class UComplex:
             ("restricted iota", self.iota_cols, 0)) if group is not None]
 
     def __post_init__(self):
+        levels = Levels(self.gradings)
+        object.__setattr__(self, "levels", levels)
+        top = 0
         for label, group, degree in self._maps():
+            base = [g + degree for g in self.gradings]
             for s, col in enumerate(group):
-                for t in ones(col):
-                    if self.exponent(s, t, degree) is None:
-                        raise ValidationError(
-                            f"{label} degree violated at "
-                            f"{self.labels[s]}->{self.labels[t]}")
+                bad = col & ~levels.above(base[s])
+                if bad:
+                    t = (bad & -bad).bit_length() - 1
+                    raise ValidationError(
+                        f"{label} degree violated at "
+                        f"{self.labels[s]}->{self.labels[t]}")
+            top = max(top, levels.max_rise(group, base))
+        object.__setattr__(self, "max_exponent", top // 2)
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def exponent(self, s: int, t: int, degree: int) -> Optional[int]:
-        """The power of U on an entry s -> t of a map of the given degree,
-        None when no power fits the gradings."""
-        twice = self.gradings[t] - self.gradings[s] - degree
-        if twice < 0 or twice % 2:
-            return None
-        return twice // 2
-
-    def max_exponent(self) -> int:
-        return max((self.exponent(s, t, degree)
-                    for _, group, degree in self._maps()
-                    for s, col in enumerate(group) for t in ones(col)),
-                   default=0)
 
 
 class DiagonalHomology:
@@ -168,14 +161,15 @@ class DiagonalHomology:
         self.uc = uc
         self.gmax = max(uc.gradings)
         self.gmin = min(uc.gradings)
-        self.ntor = uc.n * (1 + uc.max_exponent())
+        self.ntor = uc.n * (1 + uc.max_exponent)
         self.hi = self.gmax + 2
         self.lo = self.gmin - 2 * self.ntor - 2 * window_bump
         # grading -> slice generators, their positions, cycle basis,
-        # homology; stable grading -> tower mask
-        self._cache = ({}, {}, {}, {}, {}) if share is None else share._cache
+        # homology, tower mask; stable grading -> tower generators
+        self._cache = (({}, {}, {}, {}, {}, {}) if share is None
+                       else share._cache)
         (self._slices, self._positions, self._cycles, self._H,
-         self._masks) = self._cache
+         self._masks, self._towers) = self._cache
         self._tower = None  # (top grading, functional on its cycle basis)
         self._tower_rep = None
         if expect_tower:
@@ -185,9 +179,7 @@ class DiagonalHomology:
 
     def slice_gens(self, d: int) -> list:
         if d not in self._slices:
-            self._slices[d] = [g for g in range(self.uc.n)
-                               if self.uc.gradings[g] >= d
-                               and (self.uc.gradings[g] - d) % 2 == 0]
+            self._slices[d] = list(ones(self.uc.levels.above(d)))
         return self._slices[d]
 
     def positions(self, d: int) -> dict:
@@ -227,59 +219,44 @@ class DiagonalHomology:
             return vec
         src = self.slice_gens(d)
         tgt_pos = self.positions(d - 2 * steps)
-        out = 0
-        while vec:
-            low = vec & -vec
-            out |= 1 << tgt_pos[src[low.bit_length() - 1]]
-            vec ^= low
-        return out
+        return sum(1 << tgt_pos[src[i]] for i in ones(vec))
 
-    def _stable(self, d: int) -> int:
-        """The stable grading of d's parity: G_min - 1 or G_min - 2."""
-        return self.gmin - 1 - (d - self.gmin + 1) % 2
-
-    def stable_grading_for(self, d: int) -> int:
-        """The deepest-but-one grading of matching parity at which slices
-        are U-translates of each other."""
-        return min(d, self._stable(d))
-
-    def tower_mask(self, d: int) -> int:
-        """The tower functional at the stable grading of d's parity, as a
-        mask over that slice's positions.
+    def tower_generators(self, d: int) -> int:
+        """The tower functional at the stable grading of d's parity
+        (G_min - 1 or G_min - 2), as a mask over generators.
 
         The homology there has rank at most one (``_locate_tower`` checks
-        the two stable gradings together), and the functional is the
-        coefficient of its one representative, read once off every unit
-        vector; the unit-vector completion of :class:`_HSlice` makes it
-        linear on the whole slice.  Every slice at or below a stable
-        grading has the same generators, in the same order, and the same
-        homology, so one mask per parity serves them all.
+        the two stable gradings together); the functional, the coefficient
+        of its one representative, is read once off every unit vector (the
+        unit-vector completion of :class:`_HSlice` makes it linear).
         """
-        target = self._stable(d)
-        if target not in self._masks:
+        target = self.gmin - 1 - (d - self.gmin + 1) % 2
+        if target not in self._towers:
             h = self.homology(target)
             if h.rank > 1:
                 raise ValidationError(
                     f"{self.uc.name}: homology at the stable grading "
                     f"{target} has rank {h.rank}; the tower functional "
                     f"needs at most one class")
-            self._masks[target] = sum(
-                1 << j for j in range(h.dim if h.rank else 0)
+            gens = self.slice_gens(target)
+            self._towers[target] = sum(
+                1 << gens[j] for j in range(h.dim if h.rank else 0)
                 if h.rep_coefficient(1 << j, 0))
-        return self._masks[target]
+        return self._towers[target]
 
     def nontorsion_bit(self, vec: int, d: int) -> int:
         """1 when the (cycle) vector's class survives all U powers.
 
-        Below the minimum generator grading multiplication by U identifies
-        consecutive slices, so surviving one push past that point decides
-        all further ones: push, then read the tower mask.  Linear in
-        ``vec`` over the whole slice; on non-cycles the value is a fixed
-        linear extension, which callers pair with a chain-map constraint.
-        """
-        target = self.stable_grading_for(d)
-        pushed = self.push(vec, d, (d - target) // 2)
-        return parity(pushed & self.tower_mask(d))
+        U includes each slice in the next, so the stable mask pulled back
+        to d's positions decides it.  Linear in ``vec``; on non-cycles the
+        value is a fixed linear extension, which callers pair with a
+        chain-map constraint."""
+        if d not in self._masks:
+            tower = self.tower_generators(d)
+            self._masks[d] = sum(1 << i for i, g
+                                 in enumerate(self.slice_gens(d))
+                                 if tower >> g & 1)
+        return parity(vec & self._masks[d])
 
     def _locate_tower(self):
         r0 = self.homology(self.gmin - 1).rank
@@ -371,9 +348,8 @@ class A0Data:
         """The tower functional at bigrading (grading, grading) as a mask
         over parent generators: an element there is nontorsion exactly
         when ``parity(bits & mask)`` is 1."""
-        hom = self.hom
-        return sum(1 << g for i, g in enumerate(hom.slice_gens(grading))
-                   if hom.nontorsion_bit(1 << i, grading))
+        return (self.hom.tower_generators(grading)
+                & self.uc.levels.above(grading))
 
     def tower_cycle_in_c(self):
         """The lexicographically first nontorsion cycle at the tower top,
@@ -625,95 +601,57 @@ class QuotientShape:
 
 def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
     """Free-tower count and top of the quotient complex killing one
-    variable, computed slicewise in the surviving variable."""
-    if killed == "u":
-        surviving = "v"
-        step = (0, -2)
-    elif killed == "v":
-        surviving = "u"
-        step = (-2, 0)
-    else:
+    variable, computed slicewise in the surviving variable.  An entry is
+    kept when its target's killed grading is one below its source's, and
+    a slice is a killed-grading plane ANDed with a surviving level."""
+    if killed not in ("u", "v"):
         raise ValueError("killed must be 'u' or 'v'")
-    kill_idx = 0 if killed == "u" else 1
-
-    cols = []
-    maxexp = 0
-    d = cx.boundary()
-    for s in range(cx.n):
-        kept = [(t, m) for t, m in entries(d, s) if m[kill_idx] == 0]
-        cols.append([t for t, _ in kept])
-        maxexp = max([maxexp] + [m[1 - kill_idx] for _, m in kept])
+    k = "uv".index(killed)  # the killed coordinate; 1 - k survives
+    plane = dict(Levels(gr[k] for gr in cx.gradings).masks)
+    surviving = Levels(gr[1 - k] for gr in cx.gradings)
+    cols = [col & plane.get(gr[k] - 1, 0)
+            for col, gr in zip(cx.diff, cx.gradings)]
+    maxexp = surviving.max_rise(
+        cols, [gr[1 - k] - 1 for gr in cx.gradings]) // 2
     depth = cx.n * (1 + maxexp) + 2
 
     def slice_of(t: Grading) -> list:
-        return [i for m, i in slice_pairs(cx.gradings, t, surviving)]
+        return list(ones(plane.get(t[k], 0) & surviving.above(t[1 - k])))
 
     def cycles_and_h(t: Grading):
         src = slice_of(t)
-        tgt = slice_of(gr_add(t, (-1, -1)))
-        tgt_pos = {g: i for i, g in enumerate(tgt)}
-        cyc = ColumnSpan([
-            sum(1 << tgt_pos[tt] for tt in cols[g] if tt in tgt_pos)
-            for g in src]).kernel
-        up = slice_of(gr_add(t, (1, 1)))
+        tgt_pos = {g: i for i, g in enumerate(slice_of(gr_add(t, (-1, -1))))}
+        cyc = ColumnSpan([sum(1 << tgt_pos[tt] for tt in ones(cols[g]))
+                          for g in src]).kernel
         src_pos = {g: i for i, g in enumerate(src)}
-        bnds = []
-        for g in up:
-            word = 0
-            for tt in cols[g]:
-                if tt in src_pos:
-                    word ^= 1 << src_pos[tt]
-            if word:
-                bnds.append(word)
-        return src, _HSlice(len(src), cyc, bnds)
+        bnds = [sum(1 << src_pos[tt] for tt in ones(cols[g]))
+                for g in slice_of(gr_add(t, (1, 1)))]
+        return src, _HSlice(len(src), cyc, [b for b in bnds if b])
 
-    rays: dict = {}
-    for g in range(cx.n):
-        gr = cx.gradings[g]
-        if killed == "u":
-            key = (gr[0], gr[1] % 2)
-        else:
-            key = (gr[1], gr[0] % 2)
-        rays.setdefault(key, []).append(g)
+    def at(killed_gr: int, surviving_gr: int) -> Grading:
+        return ((killed_gr, surviving_gr) if k == 0
+                else (surviving_gr, killed_gr))
 
-    tower_count = 0
-    tower_ray = None
-    deep_slices: dict = {}
+    rays: dict = {}  # (killed grading, surviving parity) -> generators
+    for g, gr in enumerate(cx.gradings):
+        rays.setdefault((gr[k], gr[1 - k] % 2), []).append(g)
+    towers = []  # (ray, deep grading, its homology) per free tower
     for key, members in sorted(rays.items()):
-        grs = [cx.gradings[g] for g in members]
-        if killed == "u":
-            deep = (grs[0][0], min(g[1] for g in grs) - 2 * depth)
-        else:
-            deep = (min(g[0] for g in grs) - 2 * depth, grs[0][1])
-        _, h = cycles_and_h(deep)
-        deep_slices[key] = (deep, h)
-        if h.rank:
-            tower_count += h.rank
-            tower_ray = key
-    if tower_count != 1:
-        return QuotientShape(tower_count=tower_count, tower_top=None)
+        deep = at(key[0], min(cx.gradings[g][1 - k] for g in members)
+                  - 2 * depth)
+        h = cycles_and_h(deep)[1]
+        towers += [(key, deep, h)] * h.rank
+    if len(towers) != 1:
+        return QuotientShape(tower_count=len(towers), tower_top=None)
 
-    deep, deep_h = deep_slices[tower_ray]
-    members = rays[tower_ray]
-    if killed == "u":
-        top_v = max(cx.gradings[g][1] for g in members)
-        span = (top_v - deep[1]) // 2
-        tops = [(deep[0], top_v - 2 * k) for k in range(span + 1)]
-    else:
-        top_u = max(cx.gradings[g][0] for g in members)
-        span = (top_u - deep[0]) // 2
-        tops = [(top_u - 2 * k, deep[1]) for k in range(span + 1)]
-    for t in tops:
+    (tower_ray, deep, deep_h), = towers
+    deep_pos = {g: i for i, g in enumerate(slice_of(deep))}
+    top = max(cx.gradings[g][1 - k] for g in rays[tower_ray])
+    for step in range(0, top - deep[1 - k] + 1, 2):
+        t = at(tower_ray[0], top - step)
         src, h = cycles_and_h(t)
-        if not src:
-            continue
-        deep_src = slice_of(deep)
-        deep_pos = {g: i for i, g in enumerate(deep_src)}
         for z in h.cycles:
-            pushed = 0
-            for i, g in enumerate(src):
-                if (z >> i) & 1:
-                    pushed |= 1 << deep_pos[g]
+            pushed = sum(1 << deep_pos[src[i]] for i in ones(z))
             if deep_h.class_coords(pushed):
                 return QuotientShape(tower_count=1, tower_top=t)
     return QuotientShape(tower_count=1, tower_top=None)

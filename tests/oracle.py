@@ -925,3 +925,142 @@ def reference_delta(x, window_bump: int = 0):
         raise ConsistencyError(
             f"{x.complex.name}: negative delta on an S^3-type complex")
     return first
+
+
+# -- grading checks and tower shapes, one entry at a time ---------------------
+
+def reference_grading_violation(f):
+    """Endomorphism.grading_violation as first written: the forced
+    monomial of every set bit, in (source, target) order."""
+    from corkscrew.algebra import slice_monomial
+    from corkscrew.complexes import SKEW
+
+    for s, col in enumerate(f.cols):
+        g = f.source.gradings[s]
+        if f.mode == SKEW:
+            g = (g[1], g[0])
+        expect = gr_add(g, f.bidegree)
+        for t in range(f.target.n):
+            if ((col >> t) & 1 and slice_monomial(f.target.gradings[t],
+                                                  expect) is None):
+                return (f"bidegree violated at {f.source.generators[s]}->"
+                        f"{f.target.generators[t]}")
+    return None
+
+
+def reference_ucomplex_check(labels, gradings, maps):
+    """The UComplex degree check and largest power of U as first
+    written, entry by entry in (map, source, target) order, over maps
+    given as (label, columns, degree): (first violation, None) or
+    (None, max exponent)."""
+    top = 0
+    for label, cols, degree in maps:
+        for s, col in enumerate(cols):
+            for t in range(len(labels)):
+                if not (col >> t) & 1:
+                    continue
+                twice = gradings[t] - gradings[s] - degree
+                if twice < 0 or twice % 2:
+                    return (f"{label} degree violated at "
+                            f"{labels[s]}->{labels[t]}"), None
+                top = max(top, twice // 2)
+    return None, top
+
+
+def reference_quotient_tower_shape(cx, killed: str):
+    """quotient_tower_shape as first written: kept entries read off the
+    forced monomial of every set bit, slices enumerated generator by
+    generator through their monomials."""
+    from corkscrew.algebra import ColumnSpan, slice_pairs
+    from corkscrew.complexes import entries
+    from corkscrew.invariants import QuotientShape, _HSlice
+
+    if killed == "u":
+        surviving = "v"
+    elif killed == "v":
+        surviving = "u"
+    else:
+        raise ValueError("killed must be 'u' or 'v'")
+    kill_idx = 0 if killed == "u" else 1
+
+    cols = []
+    maxexp = 0
+    d = cx.boundary()
+    for s in range(cx.n):
+        kept = [(t, m) for t, m in entries(d, s) if m[kill_idx] == 0]
+        cols.append([t for t, _ in kept])
+        maxexp = max([maxexp] + [m[1 - kill_idx] for _, m in kept])
+    depth = cx.n * (1 + maxexp) + 2
+
+    def slice_of(t):
+        return [i for m, i in slice_pairs(cx.gradings, t, surviving)]
+
+    def cycles_and_h(t):
+        src = slice_of(t)
+        tgt = slice_of(gr_add(t, (-1, -1)))
+        tgt_pos = {g: i for i, g in enumerate(tgt)}
+        cyc = ColumnSpan([
+            sum(1 << tgt_pos[tt] for tt in cols[g] if tt in tgt_pos)
+            for g in src]).kernel
+        up = slice_of(gr_add(t, (1, 1)))
+        src_pos = {g: i for i, g in enumerate(src)}
+        bnds = []
+        for g in up:
+            word = 0
+            for tt in cols[g]:
+                if tt in src_pos:
+                    word ^= 1 << src_pos[tt]
+            if word:
+                bnds.append(word)
+        return src, _HSlice(len(src), cyc, bnds)
+
+    rays: dict = {}
+    for g in range(cx.n):
+        gr = cx.gradings[g]
+        if killed == "u":
+            key = (gr[0], gr[1] % 2)
+        else:
+            key = (gr[1], gr[0] % 2)
+        rays.setdefault(key, []).append(g)
+
+    tower_count = 0
+    tower_ray = None
+    deep_slices: dict = {}
+    for key, members in sorted(rays.items()):
+        grs = [cx.gradings[g] for g in members]
+        if killed == "u":
+            deep = (grs[0][0], min(g[1] for g in grs) - 2 * depth)
+        else:
+            deep = (min(g[0] for g in grs) - 2 * depth, grs[0][1])
+        _, h = cycles_and_h(deep)
+        deep_slices[key] = (deep, h)
+        if h.rank:
+            tower_count += h.rank
+            tower_ray = key
+    if tower_count != 1:
+        return QuotientShape(tower_count=tower_count, tower_top=None)
+
+    deep, deep_h = deep_slices[tower_ray]
+    members = rays[tower_ray]
+    if killed == "u":
+        top_v = max(cx.gradings[g][1] for g in members)
+        span = (top_v - deep[1]) // 2
+        tops = [(deep[0], top_v - 2 * k) for k in range(span + 1)]
+    else:
+        top_u = max(cx.gradings[g][0] for g in members)
+        span = (top_u - deep[0]) // 2
+        tops = [(top_u - 2 * k, deep[1]) for k in range(span + 1)]
+    for t in tops:
+        src, h = cycles_and_h(t)
+        if not src:
+            continue
+        deep_src = slice_of(deep)
+        deep_pos = {g: i for i, g in enumerate(deep_src)}
+        for z in h.cycles:
+            pushed = 0
+            for i, g in enumerate(src):
+                if (z >> i) & 1:
+                    pushed |= 1 << deep_pos[g]
+            if deep_h.class_coords(pushed):
+                return QuotientShape(tower_count=1, tower_top=t)
+    return QuotientShape(tower_count=1, tower_top=None)

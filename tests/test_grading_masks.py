@@ -1,0 +1,309 @@
+"""Grading checks read off bit masks, against the per-entry routes they
+replaced (``oracle.reference_*``): the first grading violation of a map,
+the U-complex degree check and largest power of U, and the quotient
+tower shape of the S^3-type test.  Then the structure the masks buy on
+the 625-generator tensor, and the checks that must survive ``python -O``.
+"""
+
+import functools
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import scramble
+from corkscrew import complexes
+from corkscrew.algebra import Levels
+from corkscrew.complexes import (
+    SKEW,
+    STRAIGHT,
+    Endomorphism,
+    direct_sum,
+    dual,
+    shift,
+    tensor,
+)
+from corkscrew.errors import ValidationError
+from corkscrew.invariants import (
+    DiagonalHomology,
+    UComplex,
+    a0,
+    build_cyl,
+    delta,
+    quotient_tower_shape,
+)
+from corkscrew.models import (
+    BUNDLED,
+    box_complex,
+    bundled,
+    figure_eight_with_actions,
+    staircase_complex,
+    torus_model,
+)
+from oracle import (
+    reference_grading_violation,
+    reference_quotient_tower_shape,
+    reference_ucomplex_check,
+)
+
+
+def _torus_sum(*qs):
+    x = torus_model(qs[0])
+    for q in qs[1:]:
+        x = tensor(x, torus_model(q))
+    return x
+
+
+MODELS = {f"scrambled({name})": (lambda name=name: scramble(
+    bundled(name), random.Random(name))) for name in BUNDLED}
+for _qs in ((3, -3), (3, 5), (5, -5), (3, 3, -3)):
+    MODELS[f"T{_qs}"] = functools.partial(_torus_sum, *_qs)
+MODELS["dual(4_1x4_1_tau)"] = lambda: dual(bundled("4_1x4_1_tau"))
+MODELS["dual(T(3, 5))"] = lambda: dual(_torus_sum(3, 5))
+MODELS["4_1x4_1_tau(x)4_1"] = lambda: tensor(bundled("4_1x4_1_tau"),
+                                             figure_eight_with_actions())
+
+
+@functools.lru_cache(maxsize=None)
+def _model(name):
+    return MODELS[name]()
+
+
+BIDEGREES = [(0, 0), (-1, -1), (1, -1), (-1, 1), (2, 0), (0, -2), (1, 1)]
+
+
+def _flip(cols, n, rng, count):
+    cols = list(cols)
+    for _ in range(count):
+        cols[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return cols
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16))
+def test_grading_violation_matches_the_reference(name, seed):
+    x = _model(name)
+    cx = x.complex
+    rng = random.Random(seed)
+    for cols in (cx.diff, x.phi.cols, x.iota.cols):
+        for mode in (STRAIGHT, SKEW):
+            for bidegree in rng.sample(BIDEGREES, 3):
+                for flips in (0, 1, 3):
+                    f = Endomorphism(cx, cx, _flip(cols, cx.n, rng, flips),
+                                     mode, bidegree, check=False)
+                    assert (f.grading_violation()
+                            == reference_grading_violation(f)), (
+                        name, mode, bidegree)
+
+
+def test_well_graded_maps_have_no_violation():
+    x = _model("4_1x4_1_tau(x)4_1")
+    d = x.complex.boundary()
+    for f in (d, x.phi, x.iota, d.compose(x.iota)):
+        assert f.grading_violation() is None
+        assert reference_grading_violation(f) is None
+
+
+def _admissible_flip(uc, cols, degree, rng):
+    """Set or clear one entry s -> t that the gradings allow."""
+    cols = list(cols)
+    s = rng.randrange(uc.n)
+    fits = [t for t in range(uc.n)
+            if (uc.gradings[t] - uc.gradings[s] - degree) % 2 == 0
+            and uc.gradings[t] >= uc.gradings[s] + degree]
+    if fits:
+        cols[s] ^= 1 << rng.choice(fits)
+    return cols
+
+
+def _ucomplex_outcome(uc, maps):
+    kwargs = dict(zip(("cols", "phi_cols", "iota_cols"),
+                      (cols for _, cols, _ in maps)))
+    try:
+        built = UComplex(name=uc.name, labels=uc.labels,
+                         gradings=uc.gradings, **kwargs)
+    except ValidationError as exc:
+        return str(exc), None
+    return None, built.max_exponent
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16))
+def test_ucomplex_check_matches_the_reference(name, seed):
+    rng = random.Random(seed)
+    uc = a0(_model(name))
+    cyl = build_cyl(uc).total
+    for target in (uc, cyl):
+        maps = target._maps()
+        cases = [maps]
+        for k in range(len(maps)):
+            label, cols, degree = maps[k]
+            admissible = _admissible_flip(target, cols, degree, rng)
+            wild = _flip(cols, target.n, rng, rng.randrange(1, 3))
+            for new in (admissible, wild):
+                cases.append(maps[:k] + [(label, new, degree)]
+                             + maps[k + 1:])
+        for case in cases:
+            assert (_ucomplex_outcome(target, case)
+                    == reference_ucomplex_check(target.labels,
+                                                target.gradings, case))
+
+
+def _non_s3():
+    """Complexes whose quotients have no tower, several, or a tower top
+    off degree zero."""
+    box = box_complex(1)
+    stair = staircase_complex(2)
+    return {
+        "box(1)": box,
+        "box(2)": box_complex(2),
+        "staircase(2)+staircase(2)": direct_sum(
+            stair, shift(stair, (0, 0), rename=lambda g: g + "'")),
+        "shift(staircase(2), (2, 0))": shift(stair, (2, 0)),
+        "shift(staircase(3), (-2, 2))": shift(staircase_complex(3), (-2, 2)),
+        "shift(4_1, (0, 4))": shift(bundled("4_1").complex, (0, 4)),
+    }
+
+
+SHAPES = dict(_non_s3())
+for _name in MODELS:
+    SHAPES[_name] = _name
+
+
+@pytest.mark.parametrize("killed", ["u", "v"])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_quotient_tower_shape_matches_the_reference(name, killed):
+    cx = SHAPES[name]
+    if isinstance(cx, str):
+        cx = _model(cx).complex
+    assert (quotient_tower_shape(cx, killed)
+            == reference_quotient_tower_shape(cx, killed))
+
+
+def test_non_s3_shapes_are_covered():
+    shapes = [quotient_tower_shape(cx, "u") for cx in _non_s3().values()]
+    counts = {shape.tower_count for shape in shapes}
+    assert {0, 1, 2} <= counts  # no tower, one, two
+    assert any(shape.tower_count == 1 and shape.tower_top[0] != 0
+               for shape in shapes)  # one tower, top off degree zero
+
+
+def test_the_125_generator_tensor_is_covered():
+    assert _model("4_1x4_1_tau(x)4_1").complex.n == 125
+
+
+# -- structure on the 625-generator tensor --------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _factors():
+    x2 = bundled("4_1x4_1_tau")
+    return scramble(x2, random.Random(1)), scramble(x2, random.Random(2))
+
+
+@functools.lru_cache(maxsize=None)
+def _big():
+    return tensor(*_factors())
+
+
+def test_tensor_checks_gradings_without_slice_monomial(monkeypatch):
+    calls = {"check": 0, "inside": 0}
+    real_check = Endomorphism.grading_violation
+    real_mono = complexes.slice_monomial
+    inside = []
+
+    def checking(self):
+        calls["check"] += 1
+        inside.append(True)
+        try:
+            return real_check(self)
+        finally:
+            inside.pop()
+
+    def counting(*args):
+        if inside:
+            calls["inside"] += 1
+        return real_mono(*args)
+
+    monkeypatch.setattr(Endomorphism, "grading_violation", checking)
+    monkeypatch.setattr(complexes, "slice_monomial", counting)
+    x = tensor(*_factors())
+    assert x.complex.n == 625
+    assert calls["check"] >= 3  # phi, iota and phi_inverse
+    assert calls["inside"] == 0
+
+
+def test_max_exponent_is_scanned_once_per_ucomplex(monkeypatch):
+    scans = []
+    homs = []
+    real_scan = Levels.max_rise
+    real_init = DiagonalHomology.__init__
+
+    def scanning(self, cols, base):
+        scans.append(len(cols))
+        return real_scan(self, cols, base)
+
+    def recording(self, uc, *args, **kwargs):
+        homs.append(uc)
+        real_init(self, uc, *args, **kwargs)
+
+    monkeypatch.setattr(Levels, "max_rise", scanning)
+    monkeypatch.setattr(DiagonalHomology, "__init__", recording)
+    delta(_big(), validated=True)
+    # four DiagonalHomology objects on two U-complexes: the diagonal
+    # subcomplex scans d, phi and iota once each, the cylinder its one
+    # differential
+    assert len(homs) == 4 and len({id(uc) for uc in homs}) == 2
+    assert scans == [625, 625, 625, 3 * 625]
+
+
+def test_nontorsion_bit_pushes_nothing(monkeypatch):
+    counts = {"push": 0, "bit": 0}
+    real_bit = DiagonalHomology.nontorsion_bit
+    real_push = DiagonalHomology.push
+
+    def push(self, vec, d, steps):
+        counts["push"] += 1
+        return real_push(self, vec, d, steps)
+
+    def bit(self, vec, d):
+        counts["bit"] += 1
+        return real_bit(self, vec, d)
+
+    monkeypatch.setattr(DiagonalHomology, "push", push)
+    monkeypatch.setattr(DiagonalHomology, "nontorsion_bit", bit)
+    res = delta(_big(), validated=True)
+    assert res.delta == delta(_big()).delta
+    assert counts["bit"] > 0 and counts["push"] == 0
+
+
+_BAD_PHI = """
+import sys
+from corkscrew.complexes import Endomorphism, KnotComplex, PhiIotaComplex
+from corkscrew.complexes import SKEW
+from corkscrew.errors import ValidationError
+
+cx = KnotComplex("k", ("a", "b"), ((0, 0), (1, 1)), (0, 0))
+phi = Endomorphism(cx, cx, (0b11, 0b10), check=False)  # a -> b is odd
+iota = Endomorphism(cx, cx, (0b01, 0b10), SKEW, check=False)
+try:
+    PhiIotaComplex(cx, phi, iota)
+except ValidationError as exc:
+    print("raised:", exc)
+else:
+    print("accepted")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_bad_phi_entry_raises_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", _BAD_PHI],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["raised: phi bidegree violated at a->b",
+                                "optimize 1"]
