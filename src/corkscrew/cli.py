@@ -25,7 +25,7 @@ from .complexes import (
     validate,
 )
 from .connected import connected_complex, s_nontrivial
-from .errors import CorkscrewError, ValidationError
+from .errors import CorkscrewError, ParseError, ValidationError, read_input
 from .invariants import delta
 from .knot_table import bundled_table, census, parse_knot_csv
 from .models import bundled, parse_complex
@@ -164,14 +164,13 @@ def _element_str(vec: dict) -> str:
 
 def cmd_validate(args, report: Report) -> int:
     from .complexes import complex_from_dict
-    from .errors import ParseError, ValidationError
 
+    # a file that cannot be read is an error, not an invalid complex
+    text = None if args.file.startswith("bundled:") else read_input(args.file)
     try:
-        if args.file.startswith("bundled:"):
+        if text is None:
             cx = _bundled(args.file).complex
         else:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
             try:
                 doc = json.loads(text)
             except json.JSONDecodeError as exc:
@@ -404,9 +403,6 @@ def main(argv=None) -> int:
             sys.stderr.write(json.dumps(err) + "\n")
         else:
             sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 1
     sys.stdout.write(report.emit(args.format))
     return code

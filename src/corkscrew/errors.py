@@ -20,6 +20,18 @@ class ParseError(CorkscrewError):
         self.column = column
 
 
+def read_input(path: str) -> str:
+    """The text of a file; an unreadable or non-UTF-8 one is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
+
+
 class NoInvolutionError(CorkscrewError):
     """No skew chain map squaring to the Sarkar map exists on the complex."""
 

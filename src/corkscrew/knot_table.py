@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
-from .errors import ParseError
+from .errors import ParseError, read_input
 from .verdicts import KnotDescriptor, cor13_arithmetic
 
 REQUIRED_COLUMNS = ("name", "crossings", "alternating", "signature",
@@ -115,8 +115,7 @@ def _parse_row(raw: dict) -> KnotTableRow:
 
 
 def parse_knot_csv(path: str) -> TableReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_knot_csv_text(fh.read())
+    return parse_knot_csv_text(read_input(path))
 
 
 def bundled_table() -> TableReport:

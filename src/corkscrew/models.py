@@ -43,6 +43,7 @@ from .errors import (
     ParseError,
     SearchCapExceeded,
     ValidationError,
+    read_input,
 )
 
 # -- bare complexes ------------------------------------------------------------
@@ -281,9 +282,8 @@ def parse_complex(path: str, solve_missing_iota: bool = True) -> PhiIotaComplex:
     phi defaults to the identity; a missing iota is solved for when the
     complex is of S^3 type.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_complex_text(text, solve_missing_iota=solve_missing_iota)
+    return parse_complex_text(read_input(path),
+                              solve_missing_iota=solve_missing_iota)
 
 
 def parse_complex_text(text: str,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,44 @@ def test_missing_file_error(capsys):
     code, _, err = run_cli(["validate", "/nonexistent.json"], capsys)
     assert code == 1
     assert "error" in err
+
+
+def test_missing_file_is_a_json_error(capsys):
+    code, out, err = run_cli(["--format", "json", "validate",
+                              "/nonexistent.json"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": "cannot read '/nonexistent.json': "
+                   "No such file or directory"}
+
+
+@pytest.mark.parametrize("command", ["validate", "sarkar"])
+def test_directory_is_a_structured_error(tmp_path, capsys, command):
+    code, out, err = run_cli([command, str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
+
+
+def test_non_utf8_file_is_a_structured_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["--format", "json", "validate", str(bad)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"{str(bad)!r} is not UTF-8 text: invalid start byte "
+                   f"at byte 0"}
+
+
+def test_python_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "corkscrew", "validate",
+                           "bundled:4_1"], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "4_1: valid=True s3_type=True\n", "")
 
 
 def test_json_error_stream(capsys):
