@@ -12,7 +12,7 @@ applying one to the other is :func:`mat_vec`.
 Every F2 elimination in the package goes through one routine, the
 incremental row echelon :class:`Echelon`: ranks, lexmin witnesses and
 linear solves here, :class:`ColumnSpan` for kernels and coordinates over
-a list of columns, and the homology, peeling and self-map spans of the
+keyed columns, and the homology, peeling and self-map spans of the
 other modules.
 """
 
@@ -270,31 +270,35 @@ class Echelon:
 
 
 class ColumnSpan:
-    """The span of columns c_0, c_1, ... with coordinates over them.
+    """The span of keyed columns ``{key: c_key}`` with coordinates over
+    the keys (non-negative integers).
 
-    Column j goes into an :class:`Echelon` as ``c_j | 1 << (shift + j)``:
-    the bits from ``shift`` up record which columns a stored row is a sum
-    of, so a vector that reduces to zero below ``shift`` reduces to its
-    coordinates above it.  A column that depends on earlier ones is not
-    stored; its coordinates plus itself make a kernel vector.  Columns
-    that are stored are the pivot columns of the reduced echelon form,
-    and coordinates use only those, so both match that form.
+    Column ``key`` goes into an :class:`Echelon` as
+    ``c_key | 1 << (shift + key)``: the bits from ``shift`` up record
+    which columns a stored row is a sum of, so a vector that reduces to
+    zero below ``shift`` reduces to its coordinates above it, bit ``key``
+    for column ``key``.  Columns go in in increasing key order.  A column
+    that depends on earlier ones is not stored; its coordinates plus
+    itself make a kernel vector.  Columns that are stored are the pivot
+    columns of the reduced echelon form, and coordinates use only those,
+    so both match that form.
     """
 
-    def __init__(self, cols: Sequence[int]):
-        self.shift = max(cols, default=0).bit_length()
+    def __init__(self, cols: dict):
+        self.shift = max(cols.values(), default=0).bit_length()
         self.span = Echelon()
         self.kernel: list = []  # one vector per dependent column, in order
         low = (1 << self.shift) - 1
-        for j, col in enumerate(cols):
-            v = self.span.reduce(col | (1 << (self.shift + j)))
+        for key in sorted(cols):
+            v = self.span.reduce(cols[key] | (1 << (self.shift + key)))
             if v & low:
                 self.span.insert(v)
             else:
                 self.kernel.append(v >> self.shift)
 
     def coordinates(self, v: int) -> Optional[int]:
-        """Bitmask over the columns summing to v; None outside the span."""
+        """Bitmask over the keys of the columns summing to v; None outside
+        the span."""
         if v >> self.shift:
             return None
         v = self.span.reduce(v)
@@ -340,8 +344,8 @@ def _left_kernel_witness(rows: list, rhs: list, ncols: int,
     """A row combination y with y A = 0 and y b = 1: the coordinates of
     the bare rhs bit over the augmented rows.  Only the ``stored`` rows,
     those that raised the rank, can take part."""
-    aug = ColumnSpan([rows[i] | (rhs[i] << ncols) for i in stored])
-    return sum(1 << stored[k] for k in ones(aug.coordinates(1 << ncols)))
+    aug = ColumnSpan({i: rows[i] | (rhs[i] << ncols) for i in stored})
+    return aug.coordinates(1 << ncols)
 
 
 def solve_f2(a: F2Matrix, b: Sequence[int]):

@@ -276,7 +276,10 @@ def cmd_verdict(args, report: Report) -> int:
     if args.mode == "gompf":
         if args.knot is None and args.file is None:
             raise CorkscrewError("verdict gompf needs --knot or --file")
-        if args.knot:
+        if args.knot is not None and args.file is not None:
+            raise CorkscrewError("verdict gompf takes --knot or --file, "
+                                 "not both")
+        if args.knot is not None:
             table = bundled_table()
             row = next((r for r in table.rows if r.name == args.knot), None)
             if row is None:

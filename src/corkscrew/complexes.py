@@ -560,6 +560,9 @@ def complex_from_dict(doc: dict) -> KnotComplex:
                 and all(_is_int(g) for g in gr)):
             raise ParseError(f"generator {gid!r}: gr must be [gr_u, gr_v] "
                              f"with integer entries")
+        if (gr[0] - gr[1]) % 2:
+            raise ParseError(f"generator {gid!r}: gr_u - gr_v must be even "
+                             f"(the Alexander grading is an integer)")
         gens.append(gid)
         grads.append(tuple(gr))
     name = doc.get("name", "unnamed")

@@ -380,7 +380,7 @@ def _peel_boxes(gradings, cols):
         m_bits.append(c ^ sigma(c))
     # invert the constant change of basis over F2: column s of the inverse
     # holds the coordinates of e_s over the new basis
-    basis = ColumnSpan(m_bits)
+    basis = ColumnSpan(dict(enumerate(m_bits)))
     if basis.kernel:
         return None
     inv_bits = [basis.coordinates(1 << s) for s in range(n)]
@@ -745,12 +745,9 @@ def _express(vec, grading, span):
     spanning (element, grading) pairs: the bit column over span indices,
     or None.  A span element reaches the grading through at most one
     monomial, and its multiple has the same generator bits."""
-    unknowns = [k for k, (_, col_gr) in enumerate(span)
-                if slice_monomial(col_gr, grading) is not None]
-    coords = ColumnSpan([span[k][0] for k in unknowns]).coordinates(vec)
-    if coords is None:
-        return None
-    return sum(1 << unknowns[u] for u in ones(coords))
+    return ColumnSpan({k: col for k, (col, col_gr) in enumerate(span)
+                       if slice_monomial(col_gr, grading) is not None}
+                      ).coordinates(vec)
 
 
 # -- the nontriviality decision ----------------------------------------------------------

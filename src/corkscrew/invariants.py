@@ -13,13 +13,15 @@ the window are exact and the re-check at an enlarged window is a
 certificate rather than a heuristic.
 
 Nothing here stores a polynomial.  A slice is a set of generators, each
-carrying the power of U its grading forces, so a slice element is a bit
-vector over the slice's positions and a map is a bit matrix.  What the
-gradings fix is a bit mask computed once: the slice at a grading
-(``UComplex.levels``), which is also the set of targets a map may reach
-from there, so a degree check is one AND per column; and the tower
-functional, which says whether a class survives every power of U, one
-mask per grading, whose value on a vector is the parity of their AND.
+carrying the power of U its grading forces: the bit mask
+``UComplex.levels.above(d)``.  A slice element is therefore a plain
+generator bit vector inside that mask, a map is the complex's own bit
+columns, and multiplying by U, the inclusion of one slice in the next,
+is the identity on bits.  The slice mask is also the set of targets a
+map may reach from there, so a degree check is one AND per column; and
+the tower functional, which says whether a class survives every power of
+U, is one mask per parity, whose value on a vector is the parity of
+their AND.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ from .errors import (
 # -- slice homology ------------------------------------------------------------
 
 class _HSlice:
-    """Homology of one grading slice with deterministic representatives."""
+    """Homology of one grading slice with deterministic representatives;
+    ``mask`` holds the slice's generators."""
 
-    def __init__(self, dim: int, cycle_basis: list, boundary_span: list):
-        self.dim = dim
+    def __init__(self, mask: int, cycle_basis: list, boundary_span: list):
         self.cycles = cycle_basis
         span = Echelon()
         for b in boundary_span:
@@ -65,10 +67,10 @@ class _HSlice:
             if span.insert(z, tag=("h", len(self.reps))):
                 self.reps.append(z)
         self._span = span
-        # complete to a full decomposition of the ambient slice so the
-        # tower functional extends linearly off the cycle subspace
-        for j in range(dim):
-            span.insert(1 << j, tag="c")
+        # complete over the slice's generators to a full decomposition so
+        # the tower functional extends linearly off the cycle subspace
+        for g in ones(mask):
+            span.insert(1 << g, tag="c")
 
     @property
     def rank(self) -> int:
@@ -144,9 +146,8 @@ class DiagonalHomology:
 
     A slice does not depend on the window, only the loop bounds do; an
     instance built with ``share`` (another instance on the same complex)
-    reads and fills the same per-grading slices, position maps, cycle
-    bases and homology, so it computes only the gradings the other never
-    reached.
+    reads and fills the same per-grading cycle bases, homology and tower
+    masks, so it computes only the gradings the other never reached.
     """
 
     def __init__(self, uc: UComplex, window_bump: int = 0,
@@ -164,12 +165,9 @@ class DiagonalHomology:
         self.ntor = uc.n * (1 + uc.max_exponent)
         self.hi = self.gmax + 2
         self.lo = self.gmin - 2 * self.ntor - 2 * window_bump
-        # grading -> slice generators, their positions, cycle basis,
-        # homology, tower mask; stable grading -> tower generators
-        self._cache = (({}, {}, {}, {}, {}, {}) if share is None
-                       else share._cache)
-        (self._slices, self._positions, self._cycles, self._H,
-         self._masks, self._towers) = self._cache
+        # grading -> cycle basis, homology; stable grading -> tower mask
+        self._cache = ({}, {}, {}) if share is None else share._cache
+        self._cycles, self._H, self._towers = self._cache
         self._tower = None  # (top grading, functional on its cycle basis)
         self._tower_rep = None
         if expect_tower:
@@ -177,49 +175,24 @@ class DiagonalHomology:
 
     # window contract: [G_min - 2*N_tor, G_max + 2], widened by the bump
 
-    def slice_gens(self, d: int) -> list:
-        if d not in self._slices:
-            self._slices[d] = list(ones(self.uc.levels.above(d)))
-        return self._slices[d]
-
-    def positions(self, d: int) -> dict:
-        """{generator: bit} of the slice at grading d."""
-        if d not in self._positions:
-            self._positions[d] = {g: i for i, g
-                                  in enumerate(self.slice_gens(d))}
-        return self._positions[d]
-
-    def boundary_columns(self, d: int) -> list:
-        """Column bitmasks of the slice map into grading d-1.
-
-        A slice is just a subset of generators (the U-power is forced by
-        the grading), so the slice map is the differential's bit columns
-        restricted to the slice and re-indexed by position.
-        """
-        tgt_pos = self.positions(d - 1)
+    def _columns(self, d: int) -> dict:
+        """The slice map into grading d-1: the differential's columns at
+        the slice's generators, which the degree check keeps inside the
+        slice at d-1."""
         cols = self.uc.cols
-        return [sum(1 << tgt_pos[t] for t in ones(cols[g]))
-                for g in self.slice_gens(d)]
+        return {g: cols[g] for g in ones(self.uc.levels.above(d))}
 
     def cycle_basis(self, d: int) -> list:
         if d not in self._cycles:
-            self._cycles[d] = ColumnSpan(self.boundary_columns(d)).kernel
+            self._cycles[d] = ColumnSpan(self._columns(d)).kernel
         return self._cycles[d]
 
     def homology(self, d: int) -> _HSlice:
         if d not in self._H:
-            bcols = self.boundary_columns(d + 1)
-            self._H[d] = _HSlice(len(self.slice_gens(d)),
-                                 self.cycle_basis(d), bcols)
+            self._H[d] = _HSlice(self.uc.levels.above(d),
+                                 self.cycle_basis(d),
+                                 self._columns(d + 1).values())
         return self._H[d]
-
-    def push(self, vec: int, d: int, steps: int) -> int:
-        """Multiply a slice vector by U^steps (an inclusion of subsets)."""
-        if steps == 0:
-            return vec
-        src = self.slice_gens(d)
-        tgt_pos = self.positions(d - 2 * steps)
-        return sum(1 << tgt_pos[src[i]] for i in ones(vec))
 
     def tower_generators(self, d: int) -> int:
         """The tower functional at the stable grading of d's parity
@@ -238,25 +211,19 @@ class DiagonalHomology:
                     f"{self.uc.name}: homology at the stable grading "
                     f"{target} has rank {h.rank}; the tower functional "
                     f"needs at most one class")
-            gens = self.slice_gens(target)
-            self._towers[target] = sum(
-                1 << gens[j] for j in range(h.dim if h.rank else 0)
-                if h.rep_coefficient(1 << j, 0))
+            mask = self.uc.levels.above(target) if h.rank else 0
+            self._towers[target] = sum(1 << g for g in ones(mask)
+                                       if h.rep_coefficient(1 << g, 0))
         return self._towers[target]
 
     def nontorsion_bit(self, vec: int, d: int) -> int:
         """1 when the (cycle) vector's class survives all U powers.
 
-        U includes each slice in the next, so the stable mask pulled back
-        to d's positions decides it.  Linear in ``vec``; on non-cycles the
-        value is a fixed linear extension, which callers pair with a
-        chain-map constraint."""
-        if d not in self._masks:
-            tower = self.tower_generators(d)
-            self._masks[d] = sum(1 << i for i, g
-                                 in enumerate(self.slice_gens(d))
-                                 if tower >> g & 1)
-        return parity(vec & self._masks[d])
+        U includes each slice in the next, so the stable mask decides it
+        as it stands.  Linear in ``vec``; on non-cycles the value is a
+        fixed linear extension, which callers pair with a chain-map
+        constraint."""
+        return parity(vec & self.tower_generators(d))
 
     def _locate_tower(self):
         r0 = self.homology(self.gmin - 1).rank
@@ -280,7 +247,8 @@ class DiagonalHomology:
         rest = [z for z, bit in zip(cycles, lam) if not bit]
         particular = pick[0]
         kernel = rest + [pick[0] ^ z for z in pick[1:]]
-        return lexmin_affine(particular, kernel, len(self.slice_gens(d)))
+        return lexmin_affine(particular, kernel,
+                             self.uc.levels.above(d).bit_count())
 
     @property
     def tower_top(self) -> int:
@@ -354,9 +322,7 @@ class A0Data:
     def tower_cycle_in_c(self):
         """The lexicographically first nontorsion cycle at the tower top,
         as generator bits of the parent complex, plus its grading."""
-        d = self.hom.tower_top
-        gens = self.hom.slice_gens(d)
-        return sum(1 << gens[i] for i in ones(self.hom.tower_rep)), d
+        return self.hom.tower_rep, self.hom.tower_top
 
 
 # -- spec-facing homology summary --------------------------------------------------
@@ -373,22 +339,16 @@ class UHomology:
 def _homology_summary(hom: DiagonalHomology) -> UHomology:
     uc = hom.uc
     top = hom.tower_top
-    rep_bits = hom.tower_rep
-    rep = []
-    for i, g in enumerate(hom.slice_gens(top)):
-        if (rep_bits >> i) & 1:
-            rep.append((uc.labels[g], (uc.gradings[g] - top) // 2))
+    rep = [(uc.labels[g], (uc.gradings[g] - top) // 2)
+           for g in ones(hom.tower_rep)]
     torsion = []
     u_action = {}
     for d in range(hom.hi, hom.gmin - 1, -1):
         h = hom.homology(d)
         if h.rank == 0:
             continue
-        rows = []
         hdown = hom.homology(d - 2)
-        for z in h.reps:
-            rows.append(hdown.class_coords(hom.push(z, d, 1)))
-        u_action[d] = rows
+        u_action[d] = [hdown.class_coords(z) for z in h.reps]
         # U^(k-1) H_d / U^k H_d counts the classes of order k, whatever
         # the representatives; the free part has rank 0 or 1
         free = int(any(hom.nontorsion_bit(z, d) for z in h.reps))
@@ -399,8 +359,7 @@ def _homology_summary(hom: DiagonalHomology) -> UHomology:
                 raise WindowUnstableError(
                     f"{uc.name}: torsion order exceeds the window bound")
             hk = hom.homology(d - 2 * k)
-            image = Echelon(hk.class_coords(hom.push(z, d, k))
-                            for z in h.reps)
+            image = Echelon(hk.class_coords(z) for z in h.reps)
             torsion += [(d, k)] * (rank - image.rank)
             rank = image.rank
     return UHomology(tower_top=top, tower_rep=tuple(rep),
@@ -436,15 +395,14 @@ class CylComplex:
     total: UComplex
     n_block: int
 
-    def project(self, vec: int, d: int, hom_a0: DiagonalHomology) -> int:
-        """q: restriction of a grading-d slice vector to the first block.
+    def project(self, vec: int) -> int:
+        """q: restriction of a cylinder slice vector to the first block.
 
         The first block is generators 0..n-1 with the gradings of the
-        diagonal subcomplex, so the cylinder's slice at d starts with the
-        diagonal subcomplex's slice at d, in the same order; q keeps
-        those low bits.
+        diagonal subcomplex, so the cylinder's slice at any grading,
+        restricted to it, is the diagonal subcomplex's slice there.
         """
-        return vec & ((1 << len(hom_a0.slice_gens(d))) - 1)
+        return vec & ((1 << self.n_block) - 1)
 
 
 def build_cyl(uc: UComplex) -> CylComplex:
@@ -535,7 +493,7 @@ def _delta_once(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
     uc = cyl.uc
     q_ranks: dict = {}
     for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
-        lam = [a0_hom.nontorsion_bit(cyl.project(z, d, a0_hom), d)
+        lam = [a0_hom.nontorsion_bit(cyl.project(z), d)
                for z in cyl_hom.cycle_basis(d)]
         q_ranks[d] = sum(lam)
         if not any(lam):
@@ -545,26 +503,16 @@ def _delta_once(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
                 f"{name}: nontorsion cylinder class at odd grading {d}")
         # lexicographically first witness cycle with functional value 1
         bits = cyl_hom._lex_witness(d, lam)
+        # x, y and z blocks: label -> its one forced power of U
         n = uc.n
-        wx: dict = {}
-        wy: dict = {}
-        wz: dict = {}
-        for i, g in enumerate(cyl_hom.slice_gens(d)):
-            if not (bits >> i) & 1:
-                continue
-            k = (cyl.total.gradings[g] - d) // 2
-            if g < n:
-                wx.setdefault(uc.labels[g], []).append(k)
-            elif g < 2 * n:
-                wy.setdefault(uc.labels[g - n], []).append(k)
-            else:
-                wz.setdefault(uc.labels[g - 2 * n], []).append(k)
-        value = -d // 2
+        blocks = ({}, {}, {})
+        for g in ones(bits):
+            blocks[g // n][uc.labels[g % n]] = [
+                (cyl.total.gradings[g] - d) // 2]
+        wx, wy, wz = blocks
         return DeltaResult(
-            delta=value, max_grading=d,
-            witness_x={k: sorted(v) for k, v in wx.items()},
-            witness_y={k: sorted(v) for k, v in wy.items()},
-            witness_z={k: sorted(v) for k, v in wz.items()},
+            delta=-d // 2, max_grading=d,
+            witness_x=wx, witness_y=wy, witness_z=wz,
             window=(cyl_hom.lo, cyl_hom.hi), q_ranks=q_ranks)
     raise ConsistencyError(
         f"{name}: no nontorsion projection found in the window")
@@ -615,18 +563,16 @@ def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
         cols, [gr[1 - k] - 1 for gr in cx.gradings]) // 2
     depth = cx.n * (1 + maxexp) + 2
 
-    def slice_of(t: Grading) -> list:
-        return list(ones(plane.get(t[k], 0) & surviving.above(t[1 - k])))
+    def slice_of(t: Grading) -> int:
+        return plane.get(t[k], 0) & surviving.above(t[1 - k])
 
-    def cycles_and_h(t: Grading):
-        src = slice_of(t)
-        tgt_pos = {g: i for i, g in enumerate(slice_of(gr_add(t, (-1, -1))))}
-        cyc = ColumnSpan([sum(1 << tgt_pos[tt] for tt in ones(cols[g]))
-                          for g in src]).kernel
-        src_pos = {g: i for i, g in enumerate(src)}
-        bnds = [sum(1 << src_pos[tt] for tt in ones(cols[g]))
-                for g in slice_of(gr_add(t, (1, 1)))]
-        return src, _HSlice(len(src), cyc, [b for b in bnds if b])
+    def columns(t: Grading) -> dict:
+        return {g: cols[g] for g in ones(slice_of(t))}
+
+    def homology(t: Grading) -> _HSlice:
+        bnds = columns(gr_add(t, (1, 1))).values()
+        return _HSlice(slice_of(t), ColumnSpan(columns(t)).kernel,
+                       [b for b in bnds if b])
 
     def at(killed_gr: int, surviving_gr: int) -> Grading:
         return ((killed_gr, surviving_gr) if k == 0
@@ -639,19 +585,17 @@ def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
     for key, members in sorted(rays.items()):
         deep = at(key[0], min(cx.gradings[g][1 - k] for g in members)
                   - 2 * depth)
-        h = cycles_and_h(deep)[1]
+        h = homology(deep)
         towers += [(key, deep, h)] * h.rank
     if len(towers) != 1:
         return QuotientShape(tower_count=len(towers), tower_top=None)
 
+    # a slice is included in the deeper ones, so a cycle is its own image
     (tower_ray, deep, deep_h), = towers
-    deep_pos = {g: i for i, g in enumerate(slice_of(deep))}
     top = max(cx.gradings[g][1 - k] for g in rays[tower_ray])
     for step in range(0, top - deep[1 - k] + 1, 2):
         t = at(tower_ray[0], top - step)
-        src, h = cycles_and_h(t)
-        for z in h.cycles:
-            pushed = sum(1 << deep_pos[src[i]] for i in ones(z))
-            if deep_h.class_coords(pushed):
+        for z in ColumnSpan(columns(t)).kernel:
+            if deep_h.class_coords(z):
                 return QuotientShape(tower_count=1, tower_top=t)
     return QuotientShape(tower_count=1, tower_top=None)

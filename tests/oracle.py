@@ -716,8 +716,9 @@ class _ReferenceDiagonal:
         from corkscrew.invariants import _HSlice
 
         if d not in self._H:
-            self._H[d] = _HSlice(len(self.slice_gens(d)),
-                                 ColumnSpan(self.boundary_columns(d)).kernel,
+            cols = dict(enumerate(self.boundary_columns(d)))
+            self._H[d] = _HSlice((1 << len(self.slice_gens(d))) - 1,
+                                 ColumnSpan(cols).kernel,
                                  self.boundary_columns(d + 1))
         return self._H[d]
 
@@ -999,9 +1000,9 @@ def reference_quotient_tower_shape(cx, killed: str):
         src = slice_of(t)
         tgt = slice_of(gr_add(t, (-1, -1)))
         tgt_pos = {g: i for i, g in enumerate(tgt)}
-        cyc = ColumnSpan([
-            sum(1 << tgt_pos[tt] for tt in cols[g] if tt in tgt_pos)
-            for g in src]).kernel
+        cyc = ColumnSpan({
+            j: sum(1 << tgt_pos[tt] for tt in cols[g] if tt in tgt_pos)
+            for j, g in enumerate(src)}).kernel
         up = slice_of(gr_add(t, (1, 1)))
         src_pos = {g: i for i, g in enumerate(src)}
         bnds = []
@@ -1012,7 +1013,7 @@ def reference_quotient_tower_shape(cx, killed: str):
                     word ^= 1 << src_pos[tt]
             if word:
                 bnds.append(word)
-        return src, _HSlice(len(src), cyc, bnds)
+        return src, _HSlice((1 << len(src)) - 1, cyc, bnds)
 
     rays: dict = {}
     for g in range(cx.n):

@@ -218,14 +218,14 @@ class TestEchelonAgainstReference:
         rows = [sum(((c >> i) & 1) << j for j, c in enumerate(cols))
                 for i in range(nrows)]
         want = reference_solve(rows, [0] * nrows, len(cols)).kernel
-        assert ColumnSpan(cols).kernel == want
+        assert ColumnSpan(dict(enumerate(cols))).kernel == want
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(1, 8).flatmap(lambda n: st.lists(
         st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
     def test_coordinates_of_unit_vectors_invert_the_matrix(self, m_cols):
         n = len(m_cols)
-        span = ColumnSpan(m_cols)
+        span = ColumnSpan(dict(enumerate(m_cols)))
         if span.kernel:
             assert f2_rank(m_cols, n) < n
             return
@@ -244,3 +244,25 @@ class TestEchelonAgainstReference:
         unit = [1 << s for s in range(n)]
         assert times(m_cols, inv_cols) == unit
         assert times(inv_cols, m_cols) == unit
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 255), max_size=12), st.data())
+    def test_keyed_columns_relabel_the_positional_ones(self, cols, data):
+        """Column j under key k_j, for increasing keys: kernel vectors and
+        coordinates are those of the columns keyed 0, 1, ..., with bit j
+        moved to bit k_j."""
+        keys = sorted(data.draw(st.sets(st.integers(0, 40),
+                                        min_size=len(cols),
+                                        max_size=len(cols))))
+
+        def relabel(word):
+            return sum(1 << keys[j] for j in range(len(cols))
+                       if word >> j & 1)
+
+        plain = ColumnSpan(dict(enumerate(cols)))
+        keyed = ColumnSpan(dict(zip(keys, cols)))
+        assert keyed.kernel == [relabel(z) for z in plain.kernel]
+        for v in data.draw(st.lists(st.integers(0, 511), max_size=4)):
+            want = plain.coordinates(v)
+            got = keyed.coordinates(v)
+            assert got == (None if want is None else relabel(want))

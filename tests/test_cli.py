@@ -73,6 +73,39 @@ def test_malformed_files_are_structured_errors(tmp_path, capsys, text):
     assert json.loads(err)["error"] == "ParseError"
 
 
+_HALF_INTEGER = json.dumps({
+    "name": "half", "generators": [{"id": "x", "gr": [1, 0]},
+                                   {"id": "y", "gr": [0, 1]}],
+    "differential": {},
+    "phi": {"mode": "straight", "map": {"x": [["x", 0, 0]],
+                                        "y": [["y", 0, 0]]}},
+    "iota": {"mode": "skew", "map": {"x": [["y", 0, 0]],
+                                     "y": [["x", 0, 0]]}}})
+
+
+@pytest.mark.parametrize("command", ["validate", "conn"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_half_integer_alexander_grading_is_a_parse_error(tmp_path, capsys,
+                                                        command, fmt):
+    bad = tmp_path / "half.json"
+    bad.write_text(_HALF_INTEGER)
+    code, out, err = run_cli(["--format", fmt, command, str(bad)], capsys)
+    assert code == 1
+    message = "generator 'x': gr_u - gr_v must be even"
+    if command == "validate" and fmt == "json":
+        doc = json.loads(out)["invariants"]
+        assert doc["valid"] is False and message in doc["error"]
+    elif command == "validate":
+        assert out.startswith("invalid: ") and message in out
+    elif fmt == "json":
+        doc = json.loads(err)
+        assert out == "" and doc["error"] == "ParseError"
+        assert message in doc["message"]
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
+
+
 def test_sarkar_output(fig8_file, capsys):
     code, out, _ = run_cli(["sarkar", fig8_file], capsys)
     assert code == 0
@@ -207,6 +240,8 @@ def test_round_trip_canonical_form(fig8_file, capsys):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("args, message", [
     (["verdict", "gompf", "-m", "1"], "needs --knot or --file"),
+    (["verdict", "gompf", "-m", "1", "--knot", "3_1", "--file",
+      "bundled:4_1"], "not both"),
     (["verdict", "periodic", "-m", "1"], "needs --file"),
     (["verdict", "split", "-m", "1", "--k1", "bundled:4_1"], "needs --k2"),
     (["conn", "bundled:nope"], "no bundled complex 'nope'"),

@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from corkscrew.complexes import (
@@ -14,7 +16,7 @@ from corkscrew.complexes import (
     validate,
 )
 from corkscrew.connected import connected_complex, s_nontrivial
-from corkscrew.errors import CorkscrewError
+from corkscrew.errors import CorkscrewError, ParseError
 from corkscrew.homotopy import homotopic, local_map_exists
 from corkscrew.invariants import delta, delta_zero_iff_local
 from corkscrew.models import (
@@ -157,3 +159,21 @@ def test_parse_round_trips_or_raises_a_library_error(data):
         return
     canon = serialize(x)
     assert serialize(parse_complex_text(canon)) == canon
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_half_integer_alexander_grading_is_a_parse_error(data):
+    """Mutated bundled fixtures: one generator's gr_u or gr_v moves by an
+    odd amount, which leaves its Alexander grading a half-integer; the
+    parser names that generator."""
+    name = data.draw(st.sampled_from(
+        ["unknot", "4_1", "4_1_iota", "4_1_s", "T2_3", "mirror_T2_3",
+         "stair_box_3"]))
+    doc = to_dict(bundled(name))
+    gen = data.draw(st.sampled_from(doc["generators"]))
+    gen["gr"][data.draw(st.integers(0, 1))] += data.draw(
+        st.sampled_from([-3, -1, 1, 3]))
+    with pytest.raises(ParseError, match=re.escape(
+            f"generator {gen['id']!r}: gr_u - gr_v must be even")):
+        parse_complex_text(json.dumps(doc))

@@ -253,32 +253,13 @@ def test_max_exponent_is_scanned_once_per_ucomplex(monkeypatch):
 
     monkeypatch.setattr(Levels, "max_rise", scanning)
     monkeypatch.setattr(DiagonalHomology, "__init__", recording)
-    delta(_big(), validated=True)
+    res = delta(_big(), validated=True)
     # four DiagonalHomology objects on two U-complexes: the diagonal
     # subcomplex scans d, phi and iota once each, the cylinder its one
     # differential
     assert len(homs) == 4 and len({id(uc) for uc in homs}) == 2
     assert scans == [625, 625, 625, 3 * 625]
-
-
-def test_nontorsion_bit_pushes_nothing(monkeypatch):
-    counts = {"push": 0, "bit": 0}
-    real_bit = DiagonalHomology.nontorsion_bit
-    real_push = DiagonalHomology.push
-
-    def push(self, vec, d, steps):
-        counts["push"] += 1
-        return real_push(self, vec, d, steps)
-
-    def bit(self, vec, d):
-        counts["bit"] += 1
-        return real_bit(self, vec, d)
-
-    monkeypatch.setattr(DiagonalHomology, "push", push)
-    monkeypatch.setattr(DiagonalHomology, "nontorsion_bit", bit)
-    res = delta(_big(), validated=True)
     assert res.delta == delta(_big()).delta
-    assert counts["bit"] > 0 and counts["push"] == 0
 
 
 _BAD_PHI = """

@@ -1,7 +1,9 @@
 """The tower functional read off one mask per parity, against the route
-it replaced (``oracle.reference_nontorsion_bit``: push the vector to the
-stable grading, then ask each homology representative there for its
-coefficient), on random slice vectors at every grading of the window."""
+it replaced (``oracle.reference_nontorsion_bit`` on the oracle's own
+position-indexed slices: push the vector to the stable grading, then ask
+each homology representative there for its coefficient), on random
+generator-bit vectors inside the slice mask at every grading of the
+window; and every cycle basis vector is a cycle inside its slice mask."""
 
 import functools
 import random
@@ -9,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corkscrew.algebra import mat_vec, ones
 from corkscrew.complexes import tensor
 from corkscrew.invariants import DiagonalHomology, a0
 from corkscrew.models import (
@@ -17,7 +20,8 @@ from corkscrew.models import (
     figure_eight_with_actions,
     torus_model,
 )
-from oracle import reference_nontorsion_bit
+from conftest import scramble
+from oracle import _ReferenceDiagonal, reference_nontorsion_bit
 
 
 def _torus_sum(*qs):
@@ -39,19 +43,45 @@ def _homology(name):
     return DiagonalHomology(a0(MODELS[name]()))
 
 
+@functools.lru_cache(maxsize=None)
+def _reference(name):
+    # the oracle's own position-indexed slices, no library slice code
+    return _ReferenceDiagonal(_homology(name).uc, expect_tower=False)
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16))
 def test_nontorsion_bit_matches_the_reference(name, seed):
     hom = _homology(name)
+    ref = _reference(name)
     rng = random.Random(seed)
     for d in range(hom.lo, hom.hi + 1):
-        width = len(hom.slice_gens(d))
-        for vec in (rng.getrandbits(width), 1 << rng.randrange(width or 1)):
-            vec &= (1 << width) - 1
+        mask = hom.uc.levels.above(d)
+        gens = ref.slice_gens(d)
+        assert mask == sum(1 << g for g in gens), (name, d)
+        unit = 1 << gens[rng.randrange(len(gens))] if gens else 0
+        for vec in (rng.getrandbits(hom.uc.n) & mask, unit):
+            at = ref._pos(d)
+            by_pos = sum(1 << at[g] for g in ones(vec))
             assert hom.nontorsion_bit(vec, d) == reference_nontorsion_bit(
-                hom, vec, d), (name, d, vec)
+                ref, by_pos, d), (name, d, vec)
 
 
 def test_the_125_generator_tensor_is_covered():
     assert _homology("4_1x4_1_tau(x)4_1").uc.n == 125
+
+
+@pytest.mark.parametrize("name", ["scrambled(4_1x4_1_tau)",
+                                  "4_1x4_1_tau(x)4_1"])
+def test_cycle_bases_are_generator_bits_inside_the_slice(name):
+    if name.startswith("scrambled"):
+        hom = DiagonalHomology(a0(scramble(bundled("4_1x4_1_tau"),
+                                           random.Random(name))))
+    else:
+        hom = _homology(name)
+    for d in range(hom.lo, hom.hi + 1):
+        mask = hom.uc.levels.above(d)
+        for z in hom.cycle_basis(d):
+            assert z and z & ~mask == 0, (name, d, z)
+            assert mat_vec(hom.uc.cols, z) == 0, (name, d, z)
