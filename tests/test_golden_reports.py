@@ -4,7 +4,9 @@ Each command runs in text and in JSON format; its exit code, stdout and
 stderr are hashed together and compared with the sha256 recorded in
 ``tests/data/golden_reports.json``.  The greedy connected models of the
 two ``dot + box(1) + box(l)`` inputs, which no bundled model reaches, are
-hashed the same way.  A refactor that keeps the reports byte for byte
+hashed the same way, and so are ``verdict split`` on two fixed scrambles
+of ``4_1x4_1_tau`` (the 625-generator tensor delta and the no-local-map
+path) and the :class:`DeltaResult` of that tensor.  A refactor that keeps the reports byte for byte
 keeps every hash.  After a declared behaviour change, regenerate the file
 with
 
@@ -15,15 +17,32 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from conftest import scramble
 from corkscrew.cli import main
-from corkscrew.complexes import SKEW, PhiIotaComplex, direct_sum, serialize
+from corkscrew.complexes import (
+    SKEW,
+    PhiIotaComplex,
+    direct_sum,
+    serialize,
+    tensor,
+)
 from corkscrew.connected import connected_complex
-from corkscrew.models import BUNDLED, box_complex, dot_complex
+from corkscrew.invariants import delta
+from corkscrew.models import (
+    BUNDLED,
+    box_complex,
+    bundled,
+    dot_complex,
+    parse_complex,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 
@@ -67,6 +86,48 @@ def greedy_hash(ell: int) -> str:
 
 GREEDY = (2, 3)
 
+SPLIT_FILES = ("k1.json", "k2.json")
+SPLIT_ARGV = ("verdict", "split", "--k1", SPLIT_FILES[0],
+              "--k2", SPLIT_FILES[1], "-m", "1")
+SPLIT_FORMATS = ("text", "json")
+DELTA_KEY = "delta tensor(k1.json, k2.json)"
+
+
+@contextlib.contextmanager
+def _split_inputs():
+    """A working directory holding two fixed scrambles of (4_1, tau)^2
+    under the names of ``SPLIT_FILES``; the reports echo those names."""
+    x = bundled("4_1x4_1_tau")
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, name in enumerate(SPLIT_FILES):
+            Path(tmp, name).write_text(
+                serialize(scramble(x, random.Random(f"golden split {k}"))))
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(here)
+
+
+def split_hash(fmt: str) -> str:
+    with _split_inputs():
+        return report_hash(["--format", fmt, *SPLIT_ARGV])
+
+
+def delta_hash() -> str:
+    """Every field of the DeltaResult of the 625-generator tensor of the
+    two split inputs: delta, witnesses, window and q_ranks."""
+    with _split_inputs():
+        x = tensor(*(parse_complex(name) for name in SPLIT_FILES))
+    res = delta(x, validated=True)
+    blob = json.dumps(vars(res), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _split_key(fmt: str) -> str:
+    return " ".join(["--format", fmt, *SPLIT_ARGV])
+
 
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -76,7 +137,8 @@ ARGVS = list(_argvs())
 
 
 def _keys():
-    return [" ".join(a) for a in ARGVS] + [f"greedy {ell}" for ell in GREEDY]
+    return ([" ".join(a) for a in ARGVS] + [f"greedy {ell}" for ell in GREEDY]
+            + [_split_key(fmt) for fmt in SPLIT_FORMATS] + [DELTA_KEY])
 
 
 def test_every_command_is_recorded():
@@ -93,10 +155,21 @@ def test_greedy_model_is_byte_identical(ell):
     assert greedy_hash(ell) == _golden()[f"greedy {ell}"]
 
 
+@pytest.mark.parametrize("fmt", SPLIT_FORMATS)
+def test_split_report_is_byte_identical(fmt):
+    assert split_hash(fmt) == _golden()[_split_key(fmt)]
+
+
+def test_tensor_delta_result_is_identical():
+    assert delta_hash() == _golden()[DELTA_KEY]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
     golden = {" ".join(a): report_hash(a) for a in ARGVS}
     golden.update({f"greedy {ell}": greedy_hash(ell) for ell in GREEDY})
+    golden.update({_split_key(fmt): split_hash(fmt) for fmt in SPLIT_FORMATS})
+    golden[DELTA_KEY] = delta_hash()
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
