@@ -207,40 +207,37 @@ def mat_vec(cols: Sequence[int], word: int) -> int:
 
 class Echelon:
     """Incremental F2 span in row echelon form: every stored row has a
-    distinct pivot, its lowest set bit.
+    distinct pivot, its lowest set bit, and ``_pivots`` is the mask of
+    all pivot bits.
 
     A vector is reduced by clearing its lowest pivot bit with that pivot's
     row, repeatedly; a row changes no bit below its pivot, so this ends
     with a vector that is zero at every pivot.  That vector, and the rows
-    used to reach it, do not depend on the order of the steps.  This is
-    the one elimination routine of the package: ranks, kernels,
-    solutions, coordinates and inverses are all read off it.
+    used to reach it, do not depend on the order of the steps.  The
+    vector ANDed with the pivot mask names the next pivot to clear, so a
+    step never visits a bit that has no row.  This is the one elimination
+    routine of the package: ranks, kernels, solutions, coordinates and
+    inverses are all read off it.
     """
 
     def __init__(self, vectors: Iterable[int] = ()):
         self.rows: list = []  # (pivot, vec, tag), in insertion order
-        self._at: dict = {}  # pivot bit -> (vec, tag)
-        self._top = 0  # highest pivot bit
+        self._at: dict = {}  # pivot index -> (vec, tag)
+        self._pivots = 0
         for v in vectors:
             self.insert(v)
 
     def _reduce(self, v: int, coeffs: Optional[dict]) -> int:
         at = self._at
-        top = self._top
-        rest = 0
-        while v:
-            low = v & -v
-            if low > top:  # no pivot left at or above this bit
-                return rest | v
-            hit = at.get(low)
-            if hit is None:
-                rest |= low
-                v ^= low
-            else:
-                v ^= hit[0]
-                if coeffs is not None:
-                    coeffs[hit[1]] = coeffs.get(hit[1], 0) ^ 1
-        return rest
+        pivots = self._pivots
+        hit = v & pivots
+        while hit:
+            vec, tag = at[(hit & -hit).bit_length() - 1]
+            v ^= vec
+            if coeffs is not None:
+                coeffs[tag] = coeffs.get(tag, 0) ^ 1
+            hit = v & pivots
+        return v
 
     def reduce(self, v: int) -> int:
         return self._reduce(v, None)
@@ -251,9 +248,10 @@ class Echelon:
         v = self._reduce(v, None)
         if v:
             low = v & -v
-            self._at[low] = (v, tag)
-            self._top = max(self._top, low)
-            self.rows.append((low.bit_length() - 1, v, tag))
+            pivot = low.bit_length() - 1
+            self._at[pivot] = (v, tag)
+            self._pivots |= low
+            self.rows.append((pivot, v, tag))
         return v
 
     def coefficients(self, v: int) -> dict:

@@ -11,6 +11,7 @@ Reports are canonical: identical inputs reproduce byte-identical output
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -343,13 +344,15 @@ def cmd_census(args, report: Report) -> int:
 
 # -- argument parsing ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no state
+    from the environment, which ``main`` reads on every call."""
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="Exact strong-cork detection from knot Floer complexes")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--window-bump",
-                        default=os.environ.get("CORKSCREW_WINDOW_BUMP", "0"))
+    parser.add_argument("--window-bump")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -397,6 +400,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.window_bump is None:
+            args.window_bump = os.environ.get("CORKSCREW_WINDOW_BUMP", "0")
         args.window_bump = _window_bump(args.window_bump)
         report = Report(args.command, args.seed, args.window_bump)
         code = args.func(args, report)

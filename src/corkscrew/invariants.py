@@ -67,10 +67,7 @@ class _HSlice:
             if span.insert(z, tag=("h", len(self.reps))):
                 self.reps.append(z)
         self._span = span
-        # complete over the slice's generators to a full decomposition so
-        # the tower functional extends linearly off the cycle subspace
-        for g in ones(mask):
-            span.insert(1 << g, tag="c")
+        self._incomplete = mask  # generators the completion still needs
 
     @property
     def rank(self) -> int:
@@ -88,6 +85,12 @@ class _HSlice:
     def rep_coefficient(self, v: int, idx: int) -> int:
         """Linear functional extracting one representative's coefficient,
         defined on the whole slice (not only on cycles)."""
+        # complete over the slice's generators, on first use, to a full
+        # decomposition so the functional extends linearly off the cycle
+        # subspace; coordinates of cycles are unique either way
+        for g in ones(self._incomplete):
+            self._span.insert(1 << g, tag="c")
+        self._incomplete = 0
         coeffs = self._span.coefficients(v)
         return coeffs.get(("h", idx), 0)
 
@@ -471,26 +474,40 @@ def delta(x: PhiIotaComplex, window_bump: int = 0,
     cyl = build_cyl(uc)
     cyl_hom = DiagonalHomology(cyl.total, window_bump=window_bump,
                                expect_tower=False)
-    first = _delta_once(x.complex.name, cyl, a0_hom, cyl_hom)
+    name = x.complex.name
+    d, lam, q_ranks = _delta_grading(name, cyl, a0_hom, cyl_hom)
     # the enlarged pass reuses both complexes and every slice computed so
-    # far, and runs over its own window
-    second = _delta_once(
-        x.complex.name, cyl,
+    # far, runs over its own window and only has to find the same grading
+    wide, _, _ = _delta_grading(
+        name, cyl,
         DiagonalHomology(uc, window_bump=window_bump + 1, share=a0_hom),
         DiagonalHomology(cyl.total, window_bump=window_bump + 1,
                          expect_tower=False, share=cyl_hom))
-    if first.delta != second.delta:
+    if wide != d:
         raise WindowUnstableError(
-            f"{x.complex.name}: delta changed under window enlargement")
-    if first.delta < 0:
+            f"{name}: delta changed under window enlargement")
+    if d > 0:
         raise ConsistencyError(
-            f"{x.complex.name}: negative delta on an S^3-type complex")
-    return first
+            f"{name}: negative delta on an S^3-type complex")
+    # lexicographically first witness cycle with functional value 1
+    bits = cyl_hom._lex_witness(d, lam)
+    # x, y and z blocks: label -> its one forced power of U
+    n = uc.n
+    blocks = ({}, {}, {})
+    for g in ones(bits):
+        blocks[g // n][uc.labels[g % n]] = [(cyl.total.gradings[g] - d) // 2]
+    wx, wy, wz = blocks
+    return DeltaResult(
+        delta=-d // 2, max_grading=d,
+        witness_x=wx, witness_y=wy, witness_z=wz,
+        window=(cyl_hom.lo, cyl_hom.hi), q_ranks=q_ranks)
 
 
-def _delta_once(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
-                cyl_hom: DiagonalHomology) -> DeltaResult:
-    uc = cyl.uc
+def _delta_grading(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
+                   cyl_hom: DiagonalHomology):
+    """The top grading d of the window carrying a cylinder cycle whose
+    projection is nontorsion, the tower functional on its cycle basis,
+    and the rank of that functional at every grading down to d."""
     q_ranks: dict = {}
     for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
         lam = [a0_hom.nontorsion_bit(cyl.project(z), d)
@@ -501,19 +518,7 @@ def _delta_once(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
         if d % 2:
             raise GradingParityError(
                 f"{name}: nontorsion cylinder class at odd grading {d}")
-        # lexicographically first witness cycle with functional value 1
-        bits = cyl_hom._lex_witness(d, lam)
-        # x, y and z blocks: label -> its one forced power of U
-        n = uc.n
-        blocks = ({}, {}, {})
-        for g in ones(bits):
-            blocks[g // n][uc.labels[g % n]] = [
-                (cyl.total.gradings[g] - d) // 2]
-        wx, wy, wz = blocks
-        return DeltaResult(
-            delta=-d // 2, max_grading=d,
-            witness_x=wx, witness_y=wy, witness_z=wz,
-            window=(cyl_hom.lo, cyl_hom.hi), q_ranks=q_ranks)
+        return d, lam, q_ranks
     raise ConsistencyError(
         f"{name}: no nontorsion projection found in the window")
 

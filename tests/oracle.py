@@ -257,6 +257,55 @@ def _kernel(cols):
     return kernel
 
 
+class ReferenceSlice:
+    """Homology of one slice of ``nbits`` positions, with the library's
+    representatives and coordinates, by the oracle's own elimination.
+
+    Boundaries, then cycles, then unit vectors are each reduced against
+    the vectors kept before them (``_reduce``) and kept when nonzero; a
+    cycle kept that way is a representative.  The kept vectors are a
+    basis of the slice, and a class coordinate is the coefficient of a
+    reduced representative in that basis: the parity against its dual
+    vector, which :func:`reference_solve` finds on first use.
+    """
+
+    def __init__(self, nbits: int, cycles: list, boundaries: list):
+        self.nbits = nbits
+        self.cycles = cycles
+        self.basis = _span_basis(boundaries)
+        self.reps = []
+        self._at = []  # basis index of each representative
+        for z in cycles:
+            r = _reduce(z, self.basis)
+            if r:
+                self._at.append(len(self.basis))
+                self.basis.append(r)
+                self.reps.append(z)
+        self._duals = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.reps)
+
+    def _dual(self, idx: int) -> int:
+        if self._duals is None:
+            basis = list(self.basis)
+            for j in range(self.nbits):
+                u = _reduce(1 << j, basis)
+                if u:
+                    basis.append(u)
+            self._duals = [reference_solve(
+                basis, [int(k == at) for k in range(len(basis))],
+                self.nbits).particular for at in self._at]
+        return self._duals[idx]
+
+    def rep_coefficient(self, v: int, idx: int) -> int:
+        return (v & self._dual(idx)).bit_count() & 1
+
+    def class_coords(self, v: int) -> int:
+        return sum(self.rep_coefficient(v, i) << i for i in range(self.rank))
+
+
 def diag_slice(x: PhiIotaComplex, d: int, cap: int):
     """All (mono, gen) with bigrading (d, d), exponents scanned to cap."""
     out = []
@@ -711,15 +760,11 @@ class _ReferenceDiagonal:
             cols.append(word)
         return cols
 
-    def homology(self, d: int):
-        from corkscrew.algebra import ColumnSpan
-        from corkscrew.invariants import _HSlice
-
+    def homology(self, d: int) -> ReferenceSlice:
         if d not in self._H:
-            cols = dict(enumerate(self.boundary_columns(d)))
-            self._H[d] = _HSlice((1 << len(self.slice_gens(d))) - 1,
-                                 ColumnSpan(cols).kernel,
-                                 self.boundary_columns(d + 1))
+            self._H[d] = ReferenceSlice(len(self.slice_gens(d)),
+                                        _kernel(self.boundary_columns(d)),
+                                        self.boundary_columns(d + 1))
         return self._H[d]
 
     def push(self, vec: int, d: int, steps: int) -> int:
@@ -754,20 +799,21 @@ class _ReferenceDiagonal:
             f"{self.uc.name}: no nontorsion class found in the window")
 
     def lex_witness(self, d: int, lam: list) -> int:
-        from corkscrew.algebra import lexmin_affine
-
+        """The smallest cycle with functional 1: the first such cycle
+        reduced against the differences that keep the functional, which
+        clears its lowest bits first."""
         h = self.homology(d)
         pick = [z for z, bit in zip(h.cycles, lam) if bit]
         rest = [z for z, bit in zip(h.cycles, lam) if not bit]
-        return lexmin_affine(pick[0], rest + [pick[0] ^ z for z in pick[1:]],
-                             len(self.slice_gens(d)))
+        return _reduce(pick[0],
+                       _span_basis(rest + [pick[0] ^ z for z in pick[1:]]))
 
 
 def reference_nontorsion_bit(hom, vec: int, d: int) -> int:
-    """The tower functional as first written, on a DiagonalHomology (or
-    the reference above): push the vector to the stable grading of its
-    parity, then ask every homology representative there for its
-    coefficient through ``Echelon.coefficients``."""
+    """The tower functional as first written, on the position-indexed
+    :class:`_ReferenceDiagonal`: push the vector to the stable grading of
+    its parity, then ask every homology representative there for its
+    coefficient (:meth:`ReferenceSlice.rep_coefficient`)."""
     if vec == 0:
         return 0
     target = hom.gmin - 1
@@ -781,7 +827,6 @@ def reference_nontorsion_bit(hom, vec: int, d: int) -> int:
 
 
 def _reference_summary(uc, window_bump: int):
-    from corkscrew.algebra import Echelon
     from corkscrew.errors import WindowUnstableError
     from corkscrew.invariants import UHomology
 
@@ -805,10 +850,10 @@ def _reference_summary(uc, window_bump: int):
                 raise WindowUnstableError(
                     f"{uc.name}: torsion order exceeds the window bound")
             hk = hom.homology(d - 2 * k)
-            image = Echelon(hk.class_coords(hom.push(z, d, k))
-                            for z in h.reps)
-            torsion += [(d, k)] * (rank - image.rank)
-            rank = image.rank
+            image = len(_span_basis([hk.class_coords(hom.push(z, d, k))
+                                     for z in h.reps]))
+            torsion += [(d, k)] * (rank - image)
+            rank = image
     return UHomology(tower_top=top, tower_rep=tuple(rep),
                      torsion=tuple(sorted(torsion)),
                      u_action=u_action, window=(hom.lo, hom.hi))
@@ -972,9 +1017,9 @@ def reference_quotient_tower_shape(cx, killed: str):
     """quotient_tower_shape as first written: kept entries read off the
     forced monomial of every set bit, slices enumerated generator by
     generator through their monomials."""
-    from corkscrew.algebra import ColumnSpan, slice_pairs
+    from corkscrew.algebra import slice_pairs
     from corkscrew.complexes import entries
-    from corkscrew.invariants import QuotientShape, _HSlice
+    from corkscrew.invariants import QuotientShape
 
     if killed == "u":
         surviving = "v"
@@ -1000,9 +1045,8 @@ def reference_quotient_tower_shape(cx, killed: str):
         src = slice_of(t)
         tgt = slice_of(gr_add(t, (-1, -1)))
         tgt_pos = {g: i for i, g in enumerate(tgt)}
-        cyc = ColumnSpan({
-            j: sum(1 << tgt_pos[tt] for tt in cols[g] if tt in tgt_pos)
-            for j, g in enumerate(src)}).kernel
+        cyc = _kernel([sum(1 << tgt_pos[tt] for tt in cols[g] if tt in tgt_pos)
+                       for g in src])
         up = slice_of(gr_add(t, (1, 1)))
         src_pos = {g: i for i, g in enumerate(src)}
         bnds = []
@@ -1013,7 +1057,7 @@ def reference_quotient_tower_shape(cx, killed: str):
                     word ^= 1 << src_pos[tt]
             if word:
                 bnds.append(word)
-        return src, _HSlice((1 << len(src)) - 1, cyc, bnds)
+        return src, ReferenceSlice(len(src), cyc, bnds)
 
     rays: dict = {}
     for g in range(cx.n):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from corkscrew.algebra import (
     ColumnSpan,
+    Echelon,
     F2Inconsistency,
     F2Matrix,
     F2Solution,
@@ -15,6 +16,7 @@ from corkscrew.algebra import (
     solve_f2,
     solve_f2_rows,
 )
+from corkscrew.errors import ValidationError
 
 from oracle import formal_derivative, pmul, poly, reference_solve
 
@@ -266,3 +268,96 @@ class TestEchelonAgainstReference:
             want = plain.coordinates(v)
             got = keyed.coordinates(v)
             assert got == (None if want is None else relabel(want))
+
+
+# -- the pivot-mask echelon against the per-bit reduction it replaced ---------
+
+class _PerBitEchelon:
+    """Echelon as first written: reduction steps through every set bit of
+    the vector, pivot or not, up to the highest pivot."""
+
+    def __init__(self):
+        self.rows = []
+        self._at = {}  # pivot bit -> (vec, tag)
+        self._top = 0
+
+    def _reduce(self, v, coeffs):
+        rest = 0
+        while v:
+            low = v & -v
+            if low > self._top:
+                return rest | v
+            hit = self._at.get(low)
+            if hit is None:
+                rest |= low
+                v ^= low
+            else:
+                v ^= hit[0]
+                if coeffs is not None:
+                    coeffs[hit[1]] = coeffs.get(hit[1], 0) ^ 1
+        return rest
+
+    def reduce(self, v):
+        return self._reduce(v, None)
+
+    def insert(self, v, tag=None):
+        v = self._reduce(v, None)
+        if v:
+            low = v & -v
+            self._at[low] = (v, tag)
+            self._top = max(self._top, low)
+            self.rows.append((low.bit_length() - 1, v, tag))
+        return v
+
+    def coefficients(self, v):
+        coeffs = {}
+        if self._reduce(v, coeffs):
+            raise ValidationError("vector outside the recorded span")
+        return coeffs
+
+
+_WIDE = 1200
+_VECTORS = st.one_of(
+    st.integers(0, (1 << _WIDE) - 1),
+    st.integers(0, 255),
+    st.sets(st.integers(0, _WIDE - 1), max_size=6).map(
+        lambda bits: sum(1 << b for b in bits)))
+_OPS = st.lists(st.tuples(
+    st.sampled_from(("insert", "reduce", "coefficients", "combination")),
+    _VECTORS, st.sampled_from((None, "a", ("h", 0), ("h", 1), 7)),
+    st.integers(0, (1 << 40) - 1)), max_size=40)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return ("raises", str(exc))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_OPS)
+def test_pivot_mask_echelon_matches_the_per_bit_reduction(ops):
+    """Streams of tagged vectors up to 1,200 bits wide, inserted, reduced
+    and written over the stored rows; "combination" asks for the
+    coefficients of a sum of earlier inserted vectors, which lies in the
+    span."""
+    new, old = Echelon(), _PerBitEchelon()
+    inserted = []
+    for kind, vec, tag, picks in ops:
+        if kind == "insert":
+            inserted.append(vec)
+            assert new.insert(vec, tag) == old.insert(vec, tag)
+        elif kind == "reduce":
+            assert new.reduce(vec) == old.reduce(vec)
+        else:
+            if kind == "combination":
+                vec = 0
+                for i, v in enumerate(inserted):
+                    vec ^= v if picks >> i & 1 else 0
+            assert (_outcome(new.coefficients, vec)
+                    == _outcome(old.coefficients, vec))
+            if kind == "combination":
+                assert isinstance(new.coefficients(vec), dict)
+        assert new.rows == old.rows
+        assert new.rank == len(old.rows)

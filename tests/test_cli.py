@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from corkscrew import cli
 from corkscrew.cli import check_schema, load_schema, main
 from corkscrew.complexes import serialize
 from corkscrew.models import figure_eight_with_actions
@@ -287,6 +288,27 @@ def test_window_bump_env(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["window_bump"] == 2
     assert doc["invariants"]["delta"] == 1
+
+
+def test_window_bump_env_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process; the environment is not
+    argv = ["--format", "json", "delta", "bundled:4_1"]
+    bumps = []
+    for value in ("3", "0"):
+        monkeypatch.setenv("CORKSCREW_WINDOW_BUMP", value)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        bumps.append(json.loads(out)["window_bump"])
+    monkeypatch.delenv("CORKSCREW_WINDOW_BUMP")
+    code, out, _ = run_cli(argv, capsys)
+    bumps.append(json.loads(out)["window_bump"])
+    code, out, _ = run_cli(["--window-bump", "1", *argv], capsys)
+    bumps.append(json.loads(out)["window_bump"])
+    assert bumps == [3, 0, 0, 1]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_console_script_installed():

@@ -6,9 +6,9 @@ stderr are hashed together and compared with the sha256 recorded in
 two ``dot + box(1) + box(l)`` inputs, which no bundled model reaches, are
 hashed the same way, and so are ``verdict split`` on two fixed scrambles
 of ``4_1x4_1_tau`` (the 625-generator tensor delta and the no-local-map
-path) and the :class:`DeltaResult` of that tensor.  A refactor that keeps the reports byte for byte
-keeps every hash.  After a declared behaviour change, regenerate the file
-with
+path) and the :class:`DeltaResult` of that tensor.  A refactor that
+keeps the reports byte for byte keeps every hash.  After a declared
+behaviour change, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py --regenerate
 """

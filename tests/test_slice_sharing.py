@@ -69,21 +69,35 @@ def test_homology_u_matches_the_reference(label, x, bump):
 # -- the enlarged-window re-check ---------------------------------------------
 
 def test_delta_recheck_runs_over_the_enlarged_window(monkeypatch):
-    real = invariants._delta_once
+    real = invariants._delta_grading
     windows = []
 
     def moved_when_widened(name, cyl, a0_hom, cyl_hom):
-        res = real(name, cyl, a0_hom, cyl_hom)
-        windows.append(res.window)
-        if res.window[0] < windows[0][0]:
-            res = dataclasses.replace(res, delta=res.delta + 1)
-        return res
+        d, lam, q_ranks = real(name, cyl, a0_hom, cyl_hom)
+        windows.append((cyl_hom.lo, cyl_hom.hi))
+        if cyl_hom.lo < windows[0][0]:
+            d -= 2
+        return d, lam, q_ranks
 
-    monkeypatch.setattr(invariants, "_delta_once", moved_when_widened)
+    monkeypatch.setattr(invariants, "_delta_grading", moved_when_widened)
     with pytest.raises(WindowUnstableError, match="window enlargement"):
         delta(bundled("4_1x4_1_tau"))
     (lo, hi), wide = windows
     assert wide == (lo - 2, hi)
+
+
+def test_delta_builds_one_witness(monkeypatch):
+    # the enlarged pass compares gradings; only the first builds a witness
+    calls = []
+    real = invariants.lexmin_affine
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "lexmin_affine", counting)
+    delta(scramble(bundled("4_1x4_1_tau"), random.Random(5)), validated=True)
+    assert len(calls) == 1
 
 
 def test_homology_u_recheck_runs_over_the_enlarged_window(monkeypatch):
@@ -110,7 +124,7 @@ def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
     spans = []
     homs = []
     real_span = invariants.ColumnSpan
-    real_once = invariants._delta_once
+    real_grading = invariants._delta_grading
 
     def counting_span(cols):
         spans.append(len(cols))
@@ -118,10 +132,10 @@ def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
 
     def recording(name, cyl, a0_hom, cyl_hom):
         homs.append((a0_hom, cyl_hom))
-        return real_once(name, cyl, a0_hom, cyl_hom)
+        return real_grading(name, cyl, a0_hom, cyl_hom)
 
     monkeypatch.setattr(invariants, "ColumnSpan", counting_span)
-    monkeypatch.setattr(invariants, "_delta_once", recording)
+    monkeypatch.setattr(invariants, "_delta_grading", recording)
     x = scramble(bundled("4_1x4_1_tau"), random.Random(3))
     delta(x, validated=True)  # validation computes spans of its own
     (a_first, c_first), (a_wide, c_wide) = homs
