@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .algebra import (
+    ColumnSpan,
     Echelon,
     F2Inconsistency,
     Grading,
@@ -25,6 +26,7 @@ from .algebra import (
     gr_swap,
     lexmin_affine,
     mat_vec,
+    ones,
     parity,
     slice_pairs,
     solve_f2_rows,
@@ -35,7 +37,8 @@ from .complexes import (
     PhiIotaComplex,
     SKEW,
     STRAIGHT,
-    entries,
+    chain_commutes,
+    transpose_cols,
 )
 from .errors import ConsistencyError, ValidationError
 
@@ -73,23 +76,18 @@ class Left(NamedTuple):
 
     map: Endomorphism
 
-    def check(self, shape: MapShape) -> None:
-        _check_composable(shape.target, self.map.source)
+    def apply(self, x: Endomorphism) -> Endomorphism:
+        return self.map.compose(x)
 
-    def entries(self, coords: list, skew: bool):
-        """(coordinate index, source, target, monomial) of every term of
-        A o E over the elementary maps E, one per coordinate (s, m, t).
-
-        A o E is column t of A scaled by m, where m moves through A
-        (swapped when A is skew)."""
-        a = self.map
-        cols = [entries(a, t) for t in range(a.source.n)]
-        swap = a.mode == SKEW
-        for ci, (s, m, t) in enumerate(coords):
-            if swap:
-                m = (m[1], m[0])
-            for t2, q in cols[t]:
-                yield ci, s, t2, (m[0] + q[0], m[1] + q[1])
+    def entries(self, coords: list):
+        """(coordinate index, source, target) of every term of A o E over
+        the elementary maps E, one per coordinate (s, m, t): A o E is
+        column t of A moved to source s.  A term's monomial is the one the
+        gradings force, so it is left out."""
+        targets = [list(ones(col)) for col in self.map.cols]
+        for ci, (s, _, t) in enumerate(coords):
+            for t2 in targets[t]:
+                yield ci, s, t2
 
 
 class Right(NamedTuple):
@@ -97,25 +95,18 @@ class Right(NamedTuple):
 
     map: Endomorphism
 
-    def check(self, shape: MapShape) -> None:
-        _check_composable(self.map.target, shape.source)
+    def apply(self, x: Endomorphism) -> Endomorphism:
+        return x.compose(self.map)
 
-    def entries(self, coords: list, skew: bool):
-        """As :meth:`Left.entries` for E o B: each entry (s', q) in row s
-        of B puts m times q (swapped when E is skew) in column s'."""
+    def entries(self, coords: list):
+        """As :meth:`Left.entries` for E o B: E o B is row s of B, the
+        sources s' whose column of B holds s, each sent to target t."""
         b = self.map
-        rows: list = [[] for _ in range(b.target.n)]
-        for s2 in range(b.source.n):
-            for s, q in entries(b, s2):
-                rows[s].append((s2, (q[1], q[0]) if skew else q))
-        for ci, (s, m, t) in enumerate(coords):
-            for s2, q in rows[s]:
-                yield ci, s2, t, (m[0] + q[0], m[1] + q[1])
-
-
-def _check_composable(produced: KnotComplex, consumed: KnotComplex) -> None:
-    if produced is not consumed and produced != consumed:
-        raise ValidationError("composition mismatch")
+        sources = [list(ones(row))
+                   for row in transpose_cols(b.cols, b.target.n)]
+        for ci, (s, _, t) in enumerate(coords):
+            for s2 in sources[s]:
+                yield ci, s2, t
 
 
 class MapSystem:
@@ -124,9 +115,11 @@ class MapSystem:
     Equations have the form ``sum of op(unknown) = rhs``, where each
     operator is a sum of :class:`Left` (``X -> A o X``) and :class:`Right`
     (``X -> X o B``) terms.  An unknown's coordinates are the elementary
-    maps (s, m, t); every row bit is written straight from the nonzero
-    entries of A and B, without building a map per coordinate.  A row is
-    one (equation, source, target, monomial) entry of the equation's value.
+    maps (s, m, t); every row bit is written straight from the bits of A
+    and B, without building a map per coordinate.  A row is one
+    (equation, source, target) entry of the equation's value: all terms
+    of an equation share one mode and bidegree, so the gradings force the
+    entry's monomial and the key leaves it out.
     """
 
     def __init__(self):
@@ -148,10 +141,18 @@ class MapSystem:
         self.total += len(self.coords[name])
 
     def add_equation(self, terms, rhs: Optional[Endomorphism] = None) -> None:
-        """terms: list of (unknown name, list of Left/Right operators)."""
+        """terms: list of (unknown name, list of Left/Right operators).
+        Every term must compose, and every term and the rhs must have one
+        mode and bidegree."""
+        values = set() if rhs is None else {(rhs.mode, rhs.bidegree)}
         for name, ops in terms:
+            zero = self.shapes[name].assemble(0, [])
             for op in ops:
-                op.check(self.shapes[name])
+                value = op.apply(zero)
+                values.add((value.mode, value.bidegree))
+        if len(values) > 1:
+            raise ValidationError(
+                f"equation terms differ in mode or bidegree: {sorted(values)}")
         self.equations.append((list(terms), rhs))
 
     def add_functional(self, name: str, vector: int, mask: int,
@@ -166,23 +167,30 @@ class MapSystem:
         self.functionals.append((name, vector, mask, rhs_bit))
 
     def _rows(self):
-        rows: dict = {}
-        rhs: dict = {}
-        for ei, (terms, rhs_endo) in enumerate(self.equations):
-            if rhs_endo is not None:
-                for s in range(rhs_endo.source.n):
-                    for t, m in entries(rhs_endo, s):
-                        rhs[ei, s, t, m] = 1
+        """Rows and rhs bits, equation by equation, each equation's rows in
+        the order their entries first occur; an entry only the rhs has is
+        an all-zero row with rhs 1, and those come after every equation.
+        Functional rows come last."""
+        out_rows: list = []
+        out_rhs: list = []
+        rhs_only = 0
+        for terms, rhs_endo in self.equations:
+            rows: dict = {}
             for name, ops in terms:
                 off = self.offsets[name]
-                skew = self.shapes[name].mode == SKEW
                 for op in ops:
-                    for ci, s, t, m in op.entries(self.coords[name], skew):
-                        key = (ei, s, t, m)
-                        rows[key] = rows.get(key, 0) ^ (1 << (off + ci))
-        keys = list(rows) + [k for k in rhs if k not in rows]
-        out_rows = [rows.get(k, 0) for k in keys]
-        out_rhs = [rhs.get(k, 0) for k in keys]
+                    for ci, s, t in op.entries(self.coords[name]):
+                        rows[s, t] = rows.get((s, t), 0) ^ (1 << (off + ci))
+            out_rows.extend(rows.values())
+            if rhs_endo is None:
+                out_rhs.extend([0] * len(rows))
+                continue
+            ones_at = {(s, t) for s, col in enumerate(rhs_endo.cols)
+                       for t in ones(col)}
+            out_rhs.extend([1 if key in ones_at else 0 for key in rows])
+            rhs_only += len(ones_at.difference(rows))
+        out_rows.extend([0] * rhs_only)
+        out_rhs.extend([1] * rhs_only)
         for name, vector, mask, rhs_bit in self.functionals:
             off = self.offsets[name]
             row = 0
@@ -234,21 +242,24 @@ class HomotopyClasses:
     """
 
     def __init__(self, cx: KnotComplex):
-        coords = MapShape(cx, cx, STRAIGHT, (0, 0)).unknowns()
-        self.bit = {(s, t, m): 1 << k for k, (s, m, t) in enumerate(coords)}
+        self.shape = MapShape(cx, cx, STRAIGHT, (0, 0))
+        self.coords = self.shape.unknowns()
+        self.bit = {(s, t): 1 << k for k, (s, _, t) in enumerate(self.coords)}
         d = cx.boundary()
         h_coords = MapShape(cx, cx, STRAIGHT, (1, 1)).unknowns()
         image = [0] * len(h_coords)
         for op in (Left(d), Right(d)):
-            for ci, s, t, m in op.entries(h_coords, False):
-                image[ci] ^= self.bit[s, t, m]
+            for ci, s, t in op.entries(h_coords):
+                image[ci] ^= self.bit[s, t]
         self.image = Echelon(image)
 
     def normal_form(self, f: Endomorphism) -> int:
+        if f.mode != STRAIGHT or f.bidegree != (0, 0):
+            raise ValidationError("normal forms are of straight (0, 0) maps")
         v = 0
-        for s in range(f.source.n):
-            for t, m in entries(f, s):
-                v ^= self.bit[s, t, m]
+        for s, col in enumerate(f.cols):
+            for t in ones(col):
+                v ^= self.bit[s, t]
         return self.image.reduce(v)
 
 
@@ -311,7 +322,59 @@ def commutes_up_to_homotopy(f: Endomorphism, g: Endomorphism):
 
 
 def homotopy_inverse(cx: KnotComplex, phi: Endomorphism):
-    """A chain map g with phi o g ~ id ~ g o phi, or None."""
+    """A chain map g with phi o g ~ id ~ g o phi, or None.
+
+    g is the lexicographically smallest such map in the slice basis, and
+    one of two routes finds it.
+
+    * When phi is straight of bidegree (0, 0) and its bit matrix B is
+      invertible over F2, phi is a chain isomorphism.  B^-1 is a power of
+      B, so it is again a homogeneous chain map.  The maps g that the
+      solve below accepts are exactly B^-1 plus a null-homotopic map
+      (g ~ B^-1 phi g ~ B^-1), the coset of B^-1 modulo the image of
+      H -> dH + Hd.  g's coordinates are the lowest bits of that solve,
+      so its lexmin g is the lexmin of the coset: the reduction of B^-1
+      against the image, :meth:`HomotopyClasses.normal_form`.
+    * Otherwise the three-unknown system g d = d g,
+      phi g + dH1 + H1 d = id, g phi + dH2 + H2 d = id is solved for its
+      lexmin solution.  A singular B does not rule out an inverse: on a
+      complex that is not reduced, phi may be a homotopy equivalence
+      without being an isomorphism.
+    """
+    inv = _bit_inverse(cx, phi)
+    if inv is None:
+        return _solve_inverse(cx, phi)
+    classes = HomotopyClasses(cx)
+    g = classes.shape.assemble(classes.normal_form(inv), classes.coords)
+    if not chain_commutes(cx, g):
+        raise ConsistencyError(f"{cx.name}: reduced inverse of phi is not "
+                               f"a chain map")
+    return g
+
+
+def _bit_inverse(cx: KnotComplex, phi: Endomorphism):
+    """The inverse of phi's bit matrix when phi is a well-graded straight
+    (0, 0) chain map whose matrix is invertible over F2, else None.
+    Column i is the coordinates of the unit vector e_i over phi's
+    columns."""
+    if (phi.mode != STRAIGHT or phi.bidegree != (0, 0)
+            or phi.grading_violation() or not chain_commutes(cx, phi)):
+        return None
+    span = ColumnSpan(dict(enumerate(phi.cols)))
+    if span.kernel:
+        return None
+    inv = Endomorphism(cx, cx, [span.coordinates(1 << i) for i in range(cx.n)],
+                       STRAIGHT, (0, 0), check=False)
+    ident = cx.identity()
+    if (phi.compose(inv) != ident or inv.compose(phi) != ident
+            or inv.grading_violation()):
+        raise ConsistencyError(f"{cx.name}: F2 inverse of phi is not a "
+                               f"homogeneous inverse")
+    return inv
+
+
+def _solve_inverse(cx: KnotComplex, phi: Endomorphism):
+    """The lexmin g of the three-unknown homotopy-inverse system, or None."""
     sys = MapSystem()
     d = cx.boundary()
     ident = cx.identity()

@@ -23,7 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import PhiIotaComplex, sarkar_map, tensor, dual, to_dict
+from .complexes import (
+    PhiIotaComplex,
+    dual,
+    sarkar_map,
+    tensor,
+    to_dict,
+    validate,
+)
 from .connected import s_nontrivial
 from .errors import ValidationError
 from .homotopy import homotopic, local_map_exists
@@ -198,7 +205,11 @@ def verdict_split(x1: PhiIotaComplex, x2: PhiIotaComplex, m: int,
 
     The equivalent route through the numerical obstruction of the tensor
     product of the two factors is computed as a consistency gate when
-    ``cross_check`` is set; disagreement is a bug, never a verdict.
+    ``cross_check`` is set; disagreement is a bug, never a verdict.  When
+    both factors are of S^3 type, so is their tensor product (Kuenneth
+    over F2[U] and F2[V]: the free tower counts multiply to 1 and the
+    tower tops add to 0), and ``delta`` skips re-checking it; otherwise
+    ``delta`` checks the tensor in full.
     """
     from .errors import ConsistencyError
 
@@ -206,9 +217,11 @@ def verdict_split(x1: PhiIotaComplex, x2: PhiIotaComplex, m: int,
     name = f"{x1.complex.name} # {x2.complex.name}"
     if m % 2 == 0 or m < 0:
         return _inconclusive(rule, "m is not positive odd", name, "split", m)
-    cert_map = local_map_exists(dual(x2), x1, window_bump=window_bump)
+    source = dual(x2)
+    cert_map = local_map_exists(source, x1, window_bump=window_bump)
     if cross_check:
-        res = delta(tensor(x1, x2), window_bump=window_bump)
+        res = delta(tensor(x1, x2), window_bump=window_bump,
+                    validated=_s3_type(x1) and _s3_type(x2))
         if (res.delta == 0) != cert_map.exists:
             raise ConsistencyError(
                 f"{name}: split-map route ({cert_map.exists}) disagrees "
@@ -219,7 +232,7 @@ def verdict_split(x1: PhiIotaComplex, x2: PhiIotaComplex, m: int,
     cert = {
         "ref": f"split:{name}:m={m}",
         "kind": "no-local-map",
-        "source": to_dict(dual(x2)),
+        "source": to_dict(source),
         "target": to_dict(x1),
         "obstruction": cert_map.obstruction and
         {"shift": cert_map.obstruction.get("shift")},
@@ -227,6 +240,11 @@ def verdict_split(x1: PhiIotaComplex, x2: PhiIotaComplex, m: int,
     return Verdict(conclusion=STRONG_CORK, rule=rule, knot=name,
                    diffeo="split", m=m, certificate=cert,
                    reason="no local map from the dual of the second factor")
+
+
+def _s3_type(x: PhiIotaComplex) -> bool:
+    report = validate(x.complex, require_s3_type=True)
+    return report.ok and report.s3_type
 
 
 def verdict_periodic(x: PhiIotaComplex, m: int, i: int,

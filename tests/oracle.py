@@ -539,6 +539,63 @@ def reference_rows(sys, functionals=()):
     return rows, rhs
 
 
+def reference_rows_per_bit(sys):
+    """Rows and rhs of a MapSystem as the library first assembled them:
+    one row per (equation, source, target, monomial) key, the monomial
+    worked out for every entry, and one bit XORed into a row per entry.
+    Rows come in first-occurrence order, then the keys only the rhs
+    has."""
+    from corkscrew.complexes import entries
+    from corkscrew.homotopy import Left
+
+    def left_entries(a, coords):
+        cols = [entries(a, t) for t in range(a.source.n)]
+        for ci, (s, m, t) in enumerate(coords):
+            if a.mode == "skew":
+                m = (m[1], m[0])
+            for t2, q in cols[t]:
+                yield ci, s, t2, (m[0] + q[0], m[1] + q[1])
+
+    def right_entries(b, coords, skew):
+        rows_of: list = [[] for _ in range(b.target.n)]
+        for s2 in range(b.source.n):
+            for s, q in entries(b, s2):
+                rows_of[s].append((s2, (q[1], q[0]) if skew else q))
+        for ci, (s, m, t) in enumerate(coords):
+            for s2, q in rows_of[s]:
+                yield ci, s2, t, (m[0] + q[0], m[1] + q[1])
+
+    rows: dict = {}
+    rhs: dict = {}
+    for ei, (terms, rhs_endo) in enumerate(sys.equations):
+        if rhs_endo is not None:
+            for s in range(rhs_endo.source.n):
+                for t, m in entries(rhs_endo, s):
+                    rhs[ei, s, t, m] = 1
+        for name, ops in terms:
+            off = sys.offsets[name]
+            skew = sys.shapes[name].mode == "skew"
+            for op in ops:
+                terms_of = (left_entries(op.map, sys.coords[name])
+                            if isinstance(op, Left) else
+                            right_entries(op.map, sys.coords[name], skew))
+                for ci, s, t, m in terms_of:
+                    key = (ei, s, t, m)
+                    rows[key] = rows.get(key, 0) ^ (1 << (off + ci))
+    keys = list(rows) + [k for k in rhs if k not in rows]
+    out_rows = [rows.get(k, 0) for k in keys]
+    out_rhs = [rhs.get(k, 0) for k in keys]
+    for name, vector, mask, rhs_bit in sys.functionals:
+        off = sys.offsets[name]
+        row = 0
+        for ci, (s, _, t) in enumerate(sys.coords[name]):
+            if (vector >> s) & 1 and (mask >> t) & 1:
+                row |= 1 << (off + ci)
+        out_rows.append(row)
+        out_rhs.append(rhs_bit)
+    return out_rows, out_rhs
+
+
 # -- transvections, the sweep and the involution search, as first written ----
 
 def reference_conjugate_cols(cols, i, j, m, skew: bool):

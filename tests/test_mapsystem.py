@@ -182,6 +182,23 @@ def test_operators_check_composability():
         sys_.add_equation([("f", [Right(b.boundary())])])
 
 
+def test_equation_terms_share_one_shape():
+    """Rows are keyed by (equation, source, target), which names one
+    entry only when every term of the equation has one mode and
+    bidegree; an equation mixing shapes is refused."""
+    from corkscrew.errors import ValidationError
+
+    x = bundled("4_1")
+    cx, d = x.complex, x.complex.boundary()
+    sys_ = MapSystem()
+    sys_.add_unknown("f", MapShape(cx, cx, STRAIGHT, (0, 0)))
+    with pytest.raises(ValidationError, match="differ in mode or bidegree"):
+        sys_.add_equation([("f", [Right(d), Left(x.iota)])])
+    with pytest.raises(ValidationError, match="differ in mode or bidegree"):
+        sys_.add_equation([("f", [Right(d), Left(d)])], rhs=cx.identity())
+    sys_.add_equation([("f", [Right(x.iota), Left(x.iota)])])
+
+
 _CORRUPTED_SOLVE = """
 import sys
 from corkscrew.complexes import KnotComplex
