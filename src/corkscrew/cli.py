@@ -26,7 +26,13 @@ from .complexes import (
     validate,
 )
 from .connected import connected_complex, s_nontrivial
-from .errors import CorkscrewError, ParseError, ValidationError, read_input
+from .errors import (
+    CorkscrewError,
+    ParseError,
+    ValidationError,
+    load_json,
+    read_input,
+)
 from .invariants import delta
 from .knot_table import bundled_table, census, parse_knot_csv
 from .models import bundled, parse_complex
@@ -41,6 +47,7 @@ from .verdicts import (
 TOOL = "corkscrew"
 
 
+@functools.cache
 def load_schema() -> dict:
     return json.loads(resources.files("corkscrew.data")
                       .joinpath("report.schema.json").read_text())
@@ -172,11 +179,7 @@ def cmd_validate(args, report: Report) -> int:
         if text is None:
             cx = _bundled(args.file).complex
         else:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-            cx = complex_from_dict(doc)
+            cx = complex_from_dict(load_json(text))
     except (ParseError, ValidationError) as exc:
         report.echo_input("file", args.file)
         report.invariant("valid", False)

@@ -37,7 +37,6 @@ from .algebra import (
     gr_swap,
     mat_vec,
     ones,
-    slice_monomial,
 )
 from .errors import ParseError, ValidationError
 
@@ -55,14 +54,16 @@ class KnotComplex:
     diff: tuple  # diff[src]: int, bit tgt set when the entry is nonzero
     _admissible: dict = field(default_factory=dict, init=False,
                               repr=False, compare=False)
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diff", tuple(self.diff))
-        seen = set()
-        for g in self.generators:
-            if g in seen:
+        positions = {}
+        for i, g in enumerate(self.generators):
+            if g in positions:
                 raise ValidationError(f"duplicate generator id {g!r}")
-            seen.add(g)
+            positions[g] = i
+        object.__setattr__(self, "_positions", positions)
         if not self.generators:
             raise ValidationError("no generators")
 
@@ -199,12 +200,20 @@ def entries(f: Endomorphism, s: int) -> list:
     """(target index, monomial) of every nonzero entry in column s of f,
     in target order.  The monomial is the one the gradings force, None
     when no monomial fits (a grading violation)."""
-    g = f.source.gradings[s]
+    eu, ev = f.source.gradings[s]
     if f.mode == SKEW:
-        g = gr_swap(g)
-    expect = gr_add(g, f.bidegree)
+        eu, ev = ev, eu
+    du, dv = f.bidegree
+    eu += du
+    ev += dv
     grads = f.target.gradings
-    return [(t, slice_monomial(grads[t], expect)) for t in ones(f.cols[s])]
+    out = []
+    for t in ones(f.cols[s]):
+        tu, tv = grads[t]
+        a, b = tu - eu, tv - ev
+        out.append((t, (a >> 1, b >> 1)
+                    if a >= 0 and b >= 0 and not (a | b) & 1 else None))
+    return out
 
 
 # -- canonical endomorphisms of the differential ------------------------------
@@ -244,25 +253,30 @@ class ValidationReport:
     checks: list = field(default_factory=list)
 
 
+def d_squared_violation(cx: KnotComplex) -> Optional[str]:
+    """The first nonzero entry of diff o diff, lowest source and then
+    lowest target, if any."""
+    for s, col in enumerate(cx.diff):
+        col = mat_vec(cx.diff, col)
+        if col:
+            t = (col & -col).bit_length() - 1
+            return f"d^2 != 0 at {cx.generators[s]}->{cx.generators[t]}"
+    return None
+
+
 def validate(cx: KnotComplex, require_s3_type: bool = False) -> ValidationReport:
     """Check diff^2 = 0, entry bidegrees, and optionally the S^3-type shape
     of the two one-variable quotients (single free tower, top degree zero).
     """
     report = ValidationReport(ok=True)
-    d = cx.boundary()
-    err = d.grading_violation()
+    err = cx.boundary().grading_violation()
     if err:
         return ValidationReport(
             ok=False, first_violation=f"differential {err}")
     report.checks.append("differential bidegree")
-    for s, col in enumerate(d.compose(d).cols):
-        if col:
-            t = (col & -col).bit_length() - 1
-            return ValidationReport(
-                ok=False,
-                first_violation=(
-                    f"d^2 != 0 at {cx.generators[s]}->"
-                    f"{cx.generators[t]}"))
+    err = d_squared_violation(cx)
+    if err:
+        return ValidationReport(ok=False, first_violation=err)
     report.checks.append("d^2 = 0")
     if require_s3_type:
         from .invariants import quotient_tower_shape  # local: avoids cycle
@@ -322,8 +336,12 @@ class PhiIotaComplex:
 
 
 def chain_commutes(cx: KnotComplex, f: Endomorphism) -> bool:
-    d = cx.boundary()
-    return f.compose(d).cols == d.compose(f).cols
+    """f o diff == diff o f, column by column on the bits."""
+    for end in (f.source, f.target):
+        if end is not cx and end != cx:
+            raise ValidationError("composition mismatch")
+    d, cols = cx.diff, f.cols
+    return [mat_vec(cols, c) for c in d] == [mat_vec(d, c) for c in cols]
 
 
 def iota_complex(cx: KnotComplex, iota: Endomorphism) -> PhiIotaComplex:
@@ -497,48 +515,67 @@ def _is_int(value) -> bool:
 
 
 def _decode_matrix(cx: KnotComplex, raw, label: str, mode: str,
-                   bidegree: Grading) -> Endomorphism:
-    """Read [target, u_exp, v_exp] triples into a map.  Repeated triples
-    add mod 2 first; every entry left must then be the monomial its
-    gradings force, checked in (source, target) order."""
+                   bidegree: Grading) -> tuple:
+    """Read [target, u_exp, v_exp] triples into bit columns, in one pass.
+
+    Each column's expected grading (gr(s), swapped when skew, plus the
+    bidegree) is worked out once.  A triple whose monomial is the forced
+    one, gr(t) - 2 (u_exp, v_exp) equal to it, toggles bit t; any other
+    triple toggles its (s, t, u_exp, v_exp) key in a set of stray
+    triples.  Repeated triples add mod 2 first, so an entry is well
+    formed exactly when its polynomial is 0 or the forced monomial, that
+    is when its non-forced monomials cancel in pairs: when no key of the
+    entry is left in the set.  Every shape error is a ParseError raised
+    while reading; the first left-over key in (source, target) order is
+    then the bidegree violation."""
     if not isinstance(raw, dict):
         raise ParseError(f"{label}: must be an object of columns")
-    pos = {g: i for i, g in enumerate(cx.generators)}
-
-    def index(gid) -> int:
-        if isinstance(gid, str) and gid in pos:
-            return pos[gid]
-        raise ParseError(f"{label}: unknown generator {gid!r}")
-
-    polys = [dict() for _ in range(cx.n)]
+    pos, grads = cx._positions, cx.gradings
+    du, dv = bidegree
+    skew = mode == SKEW
+    cols = [0] * cx.n
+    stray = set()
     for src, triples in raw.items():
-        s = index(src)
+        s = pos.get(src) if isinstance(src, str) else None
+        if s is None:
+            raise ParseError(f"{label}: unknown generator {src!r}")
         if not isinstance(triples, list):
             raise ParseError(f"{label}: column {src!r} must be a list")
-        col = polys[s]
+        eu, ev = grads[s]
+        if skew:
+            eu, ev = ev, eu
+        eu += du
+        ev += dv
+        col = 0
         for entry in triples:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError(f"{label}: entry {entry!r} is not a "
                                  f"[target, u_exp, v_exp] triple")
             tgt, a, b = entry
-            t = index(tgt)
-            if not (_is_int(a) and _is_int(b)):
+            t = pos.get(tgt) if isinstance(tgt, str) else None
+            if t is None:
+                raise ParseError(f"{label}: unknown generator {tgt!r}")
+            if not (type(a) is int and type(b) is int
+                    or _is_int(a) and _is_int(b)):
                 raise ParseError(f"{label}: non-integer exponent in {entry!r}")
             if a < 0 or b < 0:
                 raise ParseError(f"{label}: negative exponent in {entry!r}")
-            col[t] = col.get(t, frozenset()) ^ {(a, b)}
-    f = Endomorphism(cx, cx, [sum(1 << t for t, p in col.items() if p)
-                              for col in polys], mode, bidegree, check=False)
-    for s, col in enumerate(polys):
-        for t, m in entries(f, s):
-            if col[t] != {m}:
-                raise ValidationError(
-                    f"{label} bidegree violated at {cx.generators[s]}->"
-                    f"{cx.generators[t]}")
-    return f
+            tu, tv = grads[t]
+            if tu - 2 * a == eu and tv - 2 * b == ev:
+                col ^= 1 << t
+            else:
+                stray ^= {(s, t, a, b)}
+        cols[s] = col
+    if stray:
+        s, t, _, _ = min(stray)
+        raise ValidationError(f"{label} bidegree violated at "
+                              f"{cx.generators[s]}->{cx.generators[t]}")
+    return tuple(cols)
 
 
 def complex_from_dict(doc: dict) -> KnotComplex:
+    """A complex from its dictionary form.  The decoder has already
+    proved every entry forced, so only diff^2 = 0 is left to check."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     raw_gens = doc.get("generators")
@@ -557,7 +594,7 @@ def complex_from_dict(doc: dict) -> KnotComplex:
         seen.add(gid)
         gr = item.get("gr")
         if not (isinstance(gr, list) and len(gr) == 2
-                and all(_is_int(g) for g in gr)):
+                and _is_int(gr[0]) and _is_int(gr[1])):
             raise ParseError(f"generator {gid!r}: gr must be [gr_u, gr_v] "
                              f"with integer entries")
         if (gr[0] - gr[1]) % 2:
@@ -568,13 +605,13 @@ def complex_from_dict(doc: dict) -> KnotComplex:
     name = doc.get("name", "unnamed")
     if not isinstance(name, str):
         raise ParseError("name must be a string")
-    cx = KnotComplex(name, tuple(gens), tuple(grads), (0,) * len(gens))
-    d = _decode_matrix(cx, doc.get("differential", {}), "differential",
-                       STRAIGHT, (-1, -1))
-    cx = KnotComplex(cx.name, cx.generators, cx.gradings, d.cols)
-    report = validate(cx)
-    if not report.ok:
-        raise ValidationError(report.first_violation)
+    cx = KnotComplex(name, tuple(gens), tuple(grads), ())
+    diff = _decode_matrix(cx, doc.get("differential", {}), "differential",
+                          STRAIGHT, (-1, -1))
+    cx = KnotComplex(cx.name, cx.generators, cx.gradings, diff)
+    err = d_squared_violation(cx)
+    if err:
+        raise ValidationError(err)
     return cx
 
 
@@ -584,4 +621,6 @@ def action_from_dict(cx: KnotComplex, raw: dict, label: str) -> Endomorphism:
     mode = raw.get("mode")
     if mode not in (STRAIGHT, SKEW):
         raise ParseError(f"{label}: mode must be 'straight' or 'skew'")
-    return _decode_matrix(cx, raw.get("map", {}), label, mode, (0, 0))
+    return Endomorphism(cx, cx, _decode_matrix(cx, raw.get("map", {}), label,
+                                               mode, (0, 0)),
+                        mode, (0, 0), check=False)

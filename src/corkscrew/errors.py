@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+import json
+
 
 class CorkscrewError(Exception):
     """Base class for every error raised by this package."""
@@ -30,6 +32,17 @@ def read_input(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason} "
                          f"at byte {exc.start}") from None
+
+
+def load_json(text: str):
+    """The value of a JSON text.  Malformed text is a ParseError at its
+    line and column, and so is nesting too deep for the decoder."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise ParseError("JSON nesting is too deep") from None
 
 
 class NoInvolutionError(CorkscrewError):

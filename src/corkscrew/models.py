@@ -16,7 +16,6 @@ Grading conventions are pinned here once and for all:
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from typing import Optional
 
@@ -40,9 +39,9 @@ from .complexes import (
 from .errors import (
     ConsistencyError,
     NoInvolutionError,
-    ParseError,
     SearchCapExceeded,
     ValidationError,
+    load_json,
     read_input,
 )
 
@@ -288,11 +287,8 @@ def parse_complex(path: str, solve_missing_iota: bool = True) -> PhiIotaComplex:
 
 def parse_complex_text(text: str,
                        solve_missing_iota: bool = True) -> PhiIotaComplex:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return phi_iota_from_dict(doc, solve_missing_iota=solve_missing_iota)
+    return phi_iota_from_dict(load_json(text),
+                              solve_missing_iota=solve_missing_iota)
 
 
 def phi_iota_from_dict(doc: dict,

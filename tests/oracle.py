@@ -1051,6 +1051,57 @@ def reference_grading_violation(f):
     return None
 
 
+def reference_decode_matrix(cx, raw, label: str, mode: str, bidegree):
+    """The file decoder as first written: each entry's polynomial summed
+    mod 2 as a set of monomials, then every nonzero entry compared with
+    the monomial its gradings force, in (source, target) order.  Returns
+    the bit columns."""
+    from corkscrew.algebra import slice_monomial
+    from corkscrew.complexes import SKEW
+    from corkscrew.errors import ParseError, ValidationError
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    if not isinstance(raw, dict):
+        raise ParseError(f"{label}: must be an object of columns")
+    pos = {g: i for i, g in enumerate(cx.generators)}
+
+    def index(gid) -> int:
+        if isinstance(gid, str) and gid in pos:
+            return pos[gid]
+        raise ParseError(f"{label}: unknown generator {gid!r}")
+
+    polys = [dict() for _ in range(cx.n)]
+    for src, triples in raw.items():
+        s = index(src)
+        if not isinstance(triples, list):
+            raise ParseError(f"{label}: column {src!r} must be a list")
+        col = polys[s]
+        for entry in triples:
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ParseError(f"{label}: entry {entry!r} is not a "
+                                 f"[target, u_exp, v_exp] triple")
+            tgt, a, b = entry
+            t = index(tgt)
+            if not (is_int(a) and is_int(b)):
+                raise ParseError(f"{label}: non-integer exponent in {entry!r}")
+            if a < 0 or b < 0:
+                raise ParseError(f"{label}: negative exponent in {entry!r}")
+            col[t] = col.get(t, frozenset()) ^ {(a, b)}
+    for s, col in enumerate(polys):
+        g = cx.gradings[s]
+        if mode == SKEW:
+            g = (g[1], g[0])
+        expect = gr_add(g, bidegree)
+        for t in sorted(col):
+            if col[t] and col[t] != {slice_monomial(cx.gradings[t], expect)}:
+                raise ValidationError(
+                    f"{label} bidegree violated at {cx.generators[s]}->"
+                    f"{cx.generators[t]}")
+    return tuple(sum(1 << t for t, p in col.items() if p) for col in polys)
+
+
 def reference_ucomplex_check(labels, gradings, maps):
     """The UComplex degree check and largest power of U as first
     written, entry by entry in (map, source, target) order, over maps

@@ -372,3 +372,72 @@ def test_build_dispatch_models():
     assert build("thin", tau=0, parity_odd=True).complex.n == 5
     with _pytest.raises(NoInvolutionError):
         build("box", ell=1)
+
+
+# -- nesting too deep for the JSON decoder ------------------------------------
+
+DEEP = "[" * 100000
+DEEP_MESSAGE = "JSON nesting is too deep"
+
+
+def test_deep_nesting_is_a_parse_error_through_the_api():
+    from corkscrew.errors import ParseError
+    from corkscrew.models import parse_complex_text
+    with pytest.raises(ParseError) as err:
+        parse_complex_text(DEEP)
+    assert str(err.value) == DEEP_MESSAGE
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_deep_nesting_is_an_invalid_file_for_validate(tmp_path, capsys, fmt):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run_cli(["--format", fmt, "validate", str(deep)],
+                             capsys)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        doc = json.loads(out)["invariants"]
+        assert doc == {"valid": False, "error": DEEP_MESSAGE}
+    else:
+        assert out == f"invalid: {DEEP_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [["delta"],
+                                     ["verdict", "periodic", "-m", "1",
+                                      "--file"]])
+def test_deep_nesting_is_a_structured_error(tmp_path, capsys, fmt, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run_cli(["--format", fmt, *command, str(deep)], capsys)
+    assert (code, out) == (1, "")
+    if fmt == "json":
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": DEEP_MESSAGE}
+    else:
+        assert err == f"error: {DEEP_MESSAGE}\n"
+
+
+# -- the report schema is read once per process ---------------------------------
+
+def test_schema_is_read_once(capsys, monkeypatch):
+    reads = []
+    files = cli.resources.files
+
+    class Counting:
+        @staticmethod
+        def files(package):
+            reads.append(package)
+            return files(package)
+
+    monkeypatch.setattr(cli, "resources", Counting)
+    cli.load_schema.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run_cli(["--format", "json", "delta",
+                                    "bundled:4_1"], capsys)
+            assert code == 0
+            assert check_schema(json.loads(out), load_schema()) == []
+    finally:
+        cli.load_schema.cache_clear()
+    assert reads == ["corkscrew.data"]

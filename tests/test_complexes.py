@@ -92,6 +92,32 @@ def test_bad_bidegree_names_the_lowest_target():
     assert str(err.value) == "differential bidegree violated at a->b"
 
 
+def test_d_squared_names_the_lowest_target_when_parsed():
+    # the complex above, read from its file form
+    cx = KnotComplex("nc", ("a", "b", "c", "d", "e"),
+                     ((0, 0), (-1, -1), (-1, -1), (-2, -2), (-2, -2)),
+                     (0b110, 0b1000, 0b10000, 0, 0))
+    with pytest.raises(ValidationError) as err:
+        complex_from_dict(to_dict(cx))
+    assert str(err.value) == "d^2 != 0 at a->d"
+
+
+def test_bidegree_violation_is_reported_before_d_squared():
+    # d^2 != 0 at a->c, and c->d has the wrong monomial: the file reports
+    # the bidegree violation even though it sits later in the order
+    doc = {"generators": [{"id": g, "gr": [-k, -k]}
+                          for k, g in enumerate("abcd")],
+           "differential": {"a": [["b", 0, 0]], "b": [["c", 0, 0]],
+                            "c": [["d", 1, 0]]}}
+    with pytest.raises(ValidationError) as err:
+        complex_from_dict(doc)
+    assert str(err.value) == "differential bidegree violated at c->d"
+    doc["differential"]["c"] = []
+    with pytest.raises(ValidationError) as err:
+        complex_from_dict(doc)
+    assert str(err.value) == "d^2 != 0 at a->c"
+
+
 class TestParserAccumulatesModTwo:
     """Repeated [target, u, v] triples cancel before any entry is checked
     against the monomial its gradings force."""
