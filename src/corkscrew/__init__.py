@@ -11,12 +11,6 @@ results through the cork-detection rule book.
 
 __version__ = "0.1.0"
 
-from .algebra import (  # noqa: F401
-    F2Matrix,
-    GradedSlice,
-    slice_basis,
-    solve_f2,
-)
 from .complexes import (  # noqa: F401
     Endomorphism,
     KnotComplex,
@@ -66,7 +60,6 @@ from .knot_table import (  # noqa: F401
 )
 from .models import (  # noqa: F401
     box_complex,
-    build,
     bundled,
     figure_eight_with_actions,
     parse_complex,

@@ -63,26 +63,16 @@ def maslov(g: Grading) -> int:
 
 # -- graded slices -----------------------------------------------------------
 
-def slice_monomial(gen_grading: Grading, target: Grading,
-                   variables: str = "uv") -> Optional[Mono]:
-    """The unique monomial m with gr(gen) + deg(m) == target, or None.
-
-    ``variables`` restricts which exponents may be nonzero ("uv", "u", "v").
-    """
+def slice_monomial(gen_grading: Grading, target: Grading) -> Optional[Mono]:
+    """The unique monomial m with gr(gen) + deg(m) == target, or None."""
     du = gen_grading[0] - target[0]
     dv = gen_grading[1] - target[1]
     if du < 0 or dv < 0 or du % 2 or dv % 2:
         return None
-    a, b = du // 2, dv // 2
-    if "u" not in variables and a:
-        return None
-    if "v" not in variables and b:
-        return None
-    return (a, b)
+    return (du // 2, dv // 2)
 
 
-def slice_pairs(gradings: Sequence[Grading], target: Grading,
-                variables: str = "uv") -> list:
+def slice_pairs(gradings: Sequence[Grading], target: Grading) -> list:
     """All (monomial, generator-index) pairs spanning the piece at ``target``.
 
     Deterministic order: generator order (each generator contributes at most
@@ -90,7 +80,7 @@ def slice_pairs(gradings: Sequence[Grading], target: Grading,
     """
     out = []
     for i, g in enumerate(gradings):
-        m = slice_monomial(g, target, variables)
+        m = slice_monomial(g, target)
         if m is not None:
             out.append((m, i))
     return out
@@ -129,22 +119,6 @@ class Levels:
                     best = h - b
                     break
         return best
-
-
-@dataclass(frozen=True)
-class GradedSlice:
-    """Basis of the module piece at a fixed bigrading, with generator ids."""
-
-    bigrading: Grading
-    basis: tuple  # of (Mono, generator-id)
-
-
-def slice_basis(generators: Sequence, target: Grading) -> GradedSlice:
-    """Spec-facing slice enumeration over (id, bigrading) pairs."""
-    gradings = [g for _, g in generators]
-    ids = [gid for gid, _ in generators]
-    pairs = tuple((m, ids[i]) for m, i in slice_pairs(gradings, target))
-    return GradedSlice(bigrading=tuple(target), basis=pairs)
 
 
 # -- F2 linear algebra (rows as int bitmasks, bit j = column j) --------------
@@ -303,6 +277,16 @@ class ColumnSpan:
         if v & ((1 << self.shift) - 1):
             return None
         return v >> self.shift
+
+
+def inverse_cols(cols: Sequence[int]) -> Optional[list]:
+    """The bit columns of the inverse of the square bit matrix with
+    columns ``cols``, or None when it is singular: column i of the
+    inverse is the coordinates of e_i over ``cols``."""
+    span = ColumnSpan(dict(enumerate(cols)))
+    if span.kernel:
+        return None
+    return [span.coordinates(1 << i) for i in range(len(cols))]
 
 
 def solve_f2_rows(rows: list, rhs: list, ncols: int):

@@ -2,10 +2,12 @@
 
 Subcommands: validate, sarkar, delta, s-nontrivial, conn, verdict
 (gompf | split | periodic), census.  Global flags: --format json|text,
---window-bump K (also via CORKSCREW_WINDOW_BUMP), --seed S.
+--window-bump K (also via CORKSCREW_WINDOW_BUMP).
 
 Reports are canonical: identical inputs reproduce byte-identical output
-(no timestamps, stable ordering throughout).
+(no timestamps, stable ordering throughout).  Every error, a malformed
+command line included, is one line on stderr (a JSON object under
+``--format json``) with exit status 1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .complexes import (
     to_dict,
     validate,
 )
-from .connected import connected_complex, s_nontrivial
+from .connected import GREEDY_SEED, connected_complex, s_nontrivial
 from .errors import (
     CorkscrewError,
     ParseError,
@@ -82,11 +84,11 @@ def check_schema(doc, schema, path="$") -> list:
 
 
 class Report:
-    def __init__(self, command: str, seed: int, window_bump: int):
+    def __init__(self, command: str, window_bump: int):
         self.doc = {
             "tool": TOOL,
             "version": __version__,
-            "seed": seed,
+            "seed": GREEDY_SEED,
             "window_bump": window_bump,
             "command": command,
             "inputs": {},
@@ -242,7 +244,7 @@ def cmd_delta(args, report: Report) -> int:
 
 def cmd_s_nontrivial(args, report: Report) -> int:
     x = resolve_complex(args.file)
-    tw = s_nontrivial(x, seed=args.seed)
+    tw = s_nontrivial(x)
     report.echo_input("file", args.file)
     report.echo_input("complex", x.complex.name)
     report.invariant("s_nontrivial", tw.nontrivial)
@@ -258,7 +260,7 @@ def cmd_s_nontrivial(args, report: Report) -> int:
 
 def cmd_conn(args, report: Report) -> int:
     x = resolve_complex(args.file)
-    res = connected_complex(x, seed=args.seed)
+    res = connected_complex(x)
     report.echo_input("file", args.file)
     report.echo_input("complex", x.complex.name)
     report.invariant("method", res.method)
@@ -299,7 +301,7 @@ def cmd_verdict(args, report: Report) -> int:
             subject = resolve_complex(args.file)
             report.echo_input("file", args.file)
         report.echo_input("params", {"m": args.m, "i": args.i, "j": args.j})
-        v = verdict_gompf(subject, args.m, args.i, args.j, seed=args.seed)
+        v = verdict_gompf(subject, args.m, args.i, args.j)
     elif args.mode == "split":
         _required(args, "k1", "k2")
         x1 = resolve_complex(args.k1)
@@ -313,7 +315,7 @@ def cmd_verdict(args, report: Report) -> int:
         x = resolve_complex(args.file)
         report.echo_input("file", args.file)
         report.echo_input("params", {"m": args.m, "i": args.i})
-        v = verdict_periodic(x, args.m, args.i, seed=args.seed)
+        v = verdict_periodic(x, args.m, args.i)
     else:
         raise CorkscrewError(f"unknown verdict mode {args.mode!r}")
     report.add_verdict(v)
@@ -347,16 +349,28 @@ def cmd_census(args, report: Report) -> int:
 
 # -- argument parsing ----------------------------------------------------------------
 
+class UsageError(CorkscrewError):
+    """A command line the argument parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise instead of printing
+    the usage and exiting 2, so ``main`` reports them like every other
+    error.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; it holds no state
     from the environment, which ``main`` reads on every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL,
         description="Exact strong-cork detection from knot Floer complexes")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--window-bump")
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="structural and S^3-type checks")
@@ -400,13 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser fills this namespace left to right, so a usage error
+    # after ``--format json`` is still reported as JSON
+    args = argparse.Namespace(format="text")
     try:
+        build_parser().parse_args(argv, namespace=args)
         if args.window_bump is None:
             args.window_bump = os.environ.get("CORKSCREW_WINDOW_BUMP", "0")
         args.window_bump = _window_bump(args.window_bump)
-        report = Report(args.command, args.seed, args.window_bump)
+        report = Report(args.command, args.window_bump)
         code = args.func(args, report)
     except CorkscrewError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}

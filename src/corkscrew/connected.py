@@ -24,6 +24,7 @@ from .algebra import (
     f2_rank,
     gr_add,
     gr_swap,
+    inverse_cols,
     mat_vec,
     ones,
     slice_monomial,
@@ -40,16 +41,13 @@ from .complexes import (
     validate,
 )
 from .errors import ConsistencyError, ValidationError
-from .homotopy import (
-    MapShape,
-    MapSystem,
-    Right,
-    homotopic,
-    local_map_exists,
-)
+from .homotopy import homotopic, local_map_exists
 from .models import box_complex, involution_candidates
 
 GREEDY_CAVEAT = "greedy nonmaximal: unverified"
+GREEDY_SEED = 0  # the greedy search's fixed seed, echoed by JSON reports
+GREEDY_ROUNDS = 64
+SWEEP_PASSES = 80
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ class _Objective:
             self.rows[t] ^= 1 << s
 
 
-def _sweep(gradings, cols, max_passes: int = 80):
+def _sweep(gradings, cols):
     """Deterministic local minimisation of the differential by
     same-grading (and monomial-shifted) transvections.
 
@@ -154,7 +152,7 @@ def _sweep(gradings, cols, max_passes: int = 80):
                   if m is not None]
     objective = _Objective(gradings, cols)
     moves = []
-    for _ in range(max_passes):
+    for _ in range(SWEEP_PASSES):
         improved = False
         for i, j, m in admissible:
             toggles = objective.transvection(i, j)
@@ -280,10 +278,9 @@ def _match_staircase(nodes, arrows, gradings):
             "roles": tuple(path)}
 
 
-def recognize_standard(cx: KnotComplex,
-                       max_passes: int = 80) -> Optional[StandardForm]:
+def recognize_standard(cx: KnotComplex) -> Optional[StandardForm]:
     """Detect a basis change exhibiting staircase + boxes; None otherwise."""
-    got = _recognize(cx, max_passes)
+    got = _recognize(cx)
     return got[0] if got else None
 
 
@@ -378,12 +375,9 @@ def _peel_boxes(gradings, cols):
         m_bits.extend((x, ax, bx, px))
     for c in completion:
         m_bits.append(c ^ sigma(c))
-    # invert the constant change of basis over F2: column s of the inverse
-    # holds the coordinates of e_s over the new basis
-    basis = ColumnSpan(dict(enumerate(m_bits)))
-    if basis.kernel:
+    inv_bits = inverse_cols(m_bits)
+    if inv_bits is None:
         return None
-    inv_bits = [basis.coordinates(1 << s) for s in range(n)]
     # each new basis vector is homogeneous; read its grading off any
     # generator in its support
     new_grads = tuple(gradings[(v & -v).bit_length() - 1] for v in m_bits)
@@ -429,8 +423,8 @@ def _match_all(names, gradings, cols):
     return form, roles
 
 
-def _recognize(cx: KnotComplex, max_passes: int = 80):
-    cols, moves = _sweep(cx.gradings, cx.diff, max_passes)
+def _recognize(cx: KnotComplex):
+    cols, moves = _sweep(cx.gradings, cx.diff)
     m_cols, q_cols = _moves_matrices(cx.n, moves)
     grads = cx.gradings
     got = _match_all(cx.generators, grads, cols)
@@ -441,8 +435,7 @@ def _recognize(cx: KnotComplex, max_passes: int = 80):
             return None
         m2, q2, grads = peeled
         names = tuple(f"v{k}" for k in range(cx.n))
-        cols3, moves3 = _sweep(grads, _conjugate_diff(cols, m2, q2),
-                               max_passes)
+        cols3, moves3 = _sweep(grads, _conjugate_diff(cols, m2, q2))
         m3, q3 = _moves_matrices(cx.n, moves3)
         got = _match_all(names, grads, cols3)
         if got is None:
@@ -510,8 +503,7 @@ class ConnectedResult:
     certificates: dict = field(default_factory=dict)
 
 
-def connected_complex(x: PhiIotaComplex, seed: int = 0,
-                      rounds: int = 64) -> ConnectedResult:
+def connected_complex(x: PhiIotaComplex) -> ConnectedResult:
     """Minimal local representative of the iota-complex underlying x.
 
     Standard forms are answered exactly: the staircase plus one box when
@@ -530,7 +522,7 @@ def connected_complex(x: PhiIotaComplex, seed: int = 0,
             res = _conn_reduced(x, form)
             if res is not None:
                 return res
-    return _conn_greedy(x, seed=seed, rounds=rounds)
+    return _conn_greedy(x)
 
 
 def _conn_whole(x: PhiIotaComplex, form: StandardForm, p_cols, q_cols, roles):
@@ -559,17 +551,14 @@ def _conn_whole(x: PhiIotaComplex, form: StandardForm, p_cols, q_cols, roles):
 
 
 def _invert_iso(w: Endomorphism) -> Optional[Endomorphism]:
-    sys = MapSystem()
-    sys.add_unknown("z", MapShape(w.target, w.source, STRAIGHT, (0, 0)))
-    ident = w.source.identity()
-    sys.add_equation([("z", [Right(w)])], rhs=ident)
-    ans, _ = sys.solve()
-    if ans is None:
+    """The inverse of a straight (0, 0) self-map's bit matrix, or None
+    when it is singular.  The inverse is a power of the matrix, so it is
+    again a homogeneous map."""
+    inv = inverse_cols(w.cols)
+    if inv is None:
         return None
-    z = ans["z"]
-    if w.compose(z) == w.target.identity():
-        return z
-    return None
+    return Endomorphism(w.target, w.source, inv, STRAIGHT, (0, 0),
+                        check=False)
 
 
 def _conn_reduced(x: PhiIotaComplex, form: StandardForm):
@@ -624,18 +613,18 @@ def _conn_reduced(x: PhiIotaComplex, form: StandardForm):
     return None
 
 
-def _conn_greedy(x: PhiIotaComplex, seed: int, rounds: int):
+def _conn_greedy(x: PhiIotaComplex):
     """Best-effort kernel growth; the result is the input itself whenever
     no strictly larger kernel is found, and always carries the caveat."""
     from .homotopy import self_local_space
 
     cx = x.complex
     space = self_local_space(iota_complex(cx, x.iota))
-    rng = random.Random(seed)
+    rng = random.Random(GREEDY_SEED)
     best = cx.identity()
     best_rank = _window_kernel_dim(best)
     n_basis = len(space.basis)
-    for _ in range(rounds):
+    for _ in range(GREEDY_ROUNDS):
         if not n_basis:
             break
         sel = rng.getrandbits(n_basis)
@@ -761,10 +750,10 @@ class TwistTriviality:
     caveat: Optional[str]
 
 
-def s_nontrivial(x: PhiIotaComplex, seed: int = 0) -> TwistTriviality:
+def s_nontrivial(x: PhiIotaComplex) -> TwistTriviality:
     """Is the basepoint full twist homotopic to the identity on the
     connected complex?  Nontrivial means it is not."""
-    res = connected_complex(x, seed=seed)
+    res = connected_complex(x)
     model = res.conn.complex
     s = sarkar_map(model)
     h = homotopic(s, model.identity())

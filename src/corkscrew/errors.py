@@ -50,7 +50,7 @@ class NoInvolutionError(CorkscrewError):
 
 
 class SearchCapExceeded(CorkscrewError):
-    """An enumeration-backed solver hit its configured size cap."""
+    """An enumeration-backed solver hit its fixed size cap."""
 
 
 class WindowUnstableError(CorkscrewError):

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    ColumnSpan,
     Echelon,
     F2Inconsistency,
     Grading,
     gr_add,
     gr_swap,
+    inverse_cols,
     lexmin_affine,
     mat_vec,
     ones,
@@ -285,12 +285,11 @@ def _same_shape(f: Endomorphism, g: Endomorphism) -> None:
         raise ValidationError("maps do not share source/target/mode/bidegree")
 
 
-def homotopic(f: Endomorphism, g: Endomorphism,
-              lexmin: bool = False):
+def homotopic(f: Endomorphism, g: Endomorphism):
     """Solve dH + Hd = f + g.  Returns a Homotopy or None.
 
-    The returned witness is deterministic; with ``lexmin`` it is the
-    lexicographically smallest one in the slice basis.
+    The witness is deterministic: the solution read off the reduced
+    echelon form of the system, free coordinates zero.
     """
     _same_shape(f, g)
     diff = f + g
@@ -302,7 +301,7 @@ def homotopic(f: Endomorphism, g: Endomorphism,
     d_src = f.source.boundary()
     d_tgt = f.target.boundary()
     sys.add_equation([("h", [Left(d_tgt), Right(d_src)])], rhs=diff)
-    ans, _ = sys.solve(lexmin=lexmin)
+    ans, _ = sys.solve()
     if ans is None:
         return None
     h = Homotopy(ans["h"])
@@ -354,17 +353,14 @@ def homotopy_inverse(cx: KnotComplex, phi: Endomorphism):
 
 def _bit_inverse(cx: KnotComplex, phi: Endomorphism):
     """The inverse of phi's bit matrix when phi is a well-graded straight
-    (0, 0) chain map whose matrix is invertible over F2, else None.
-    Column i is the coordinates of the unit vector e_i over phi's
-    columns."""
+    (0, 0) chain map whose matrix is invertible over F2, else None."""
     if (phi.mode != STRAIGHT or phi.bidegree != (0, 0)
             or phi.grading_violation() or not chain_commutes(cx, phi)):
         return None
-    span = ColumnSpan(dict(enumerate(phi.cols)))
-    if span.kernel:
+    inv_cols = inverse_cols(phi.cols)
+    if inv_cols is None:
         return None
-    inv = Endomorphism(cx, cx, [span.coordinates(1 << i) for i in range(cx.n)],
-                       STRAIGHT, (0, 0), check=False)
+    inv = Endomorphism(cx, cx, inv_cols, STRAIGHT, (0, 0), check=False)
     ident = cx.identity()
     if (phi.compose(inv) != ident or inv.compose(phi) != ident
             or inv.grading_violation()):

@@ -199,7 +199,10 @@ def staircase_with_box(tau: int, ell: int,
 
 # -- the involution solver --------------------------------------------------------
 
-def involution_candidates(cx: KnotComplex, cap: int = 18) -> list:
+INVOLUTION_CAP = 18  # free bits of skew chain maps the search enumerates
+
+
+def involution_candidates(cx: KnotComplex) -> list:
     """All skew chain maps squaring to the basepoint twist up to strict
     homotopy of the square, lexicographically ordered.
 
@@ -225,10 +228,10 @@ def involution_candidates(cx: KnotComplex, cap: int = 18) -> list:
     if sol is None:
         return []
     r = len(sol.kernel)
-    if r > cap:
+    if r > INVOLUTION_CAP:
         raise SearchCapExceeded(
             f"{cx.name}: {r} free bits of skew chain maps "
-            f"exceed the enumeration cap {cap}")
+            f"exceed the enumeration cap {INVOLUTION_CAP}")
     coords = sys.coords["i"]
     classes = HomotopyClasses(cx)
     p = shape.assemble(sol.particular, coords)
@@ -256,12 +259,12 @@ def involution_candidates(cx: KnotComplex, cap: int = 18) -> list:
     return [shape.assemble(bits, coords) for bits in found]
 
 
-def solve_involution(cx: KnotComplex, cap: int = 18):
+def solve_involution(cx: KnotComplex):
     """Lexicographically minimal involution candidate plus the homotopy
     certificate for its square; raises when none exists."""
     from .homotopy import homotopic
 
-    cands = involution_candidates(cx, cap=cap)
+    cands = involution_candidates(cx)
     if not cands:
         raise NoInvolutionError(f"no involution found on {cx.name}")
     iota = cands[0]
@@ -275,24 +278,20 @@ def solve_involution(cx: KnotComplex, cap: int = 18):
 
 # -- file ingestion ----------------------------------------------------------------
 
-def parse_complex(path: str, solve_missing_iota: bool = True) -> PhiIotaComplex:
+def parse_complex(path: str) -> PhiIotaComplex:
     """Load a complex file, validate it, and fill in missing actions.
 
     phi defaults to the identity; a missing iota is solved for when the
     complex is of S^3 type.
     """
-    return parse_complex_text(read_input(path),
-                              solve_missing_iota=solve_missing_iota)
+    return parse_complex_text(read_input(path))
 
 
-def parse_complex_text(text: str,
-                       solve_missing_iota: bool = True) -> PhiIotaComplex:
-    return phi_iota_from_dict(load_json(text),
-                              solve_missing_iota=solve_missing_iota)
+def parse_complex_text(text: str) -> PhiIotaComplex:
+    return phi_iota_from_dict(load_json(text))
 
 
-def phi_iota_from_dict(doc: dict,
-                       solve_missing_iota: bool = True) -> PhiIotaComplex:
+def phi_iota_from_dict(doc: dict) -> PhiIotaComplex:
     cx = complex_from_dict(doc)
     if "phi" in doc:
         phi = action_from_dict(cx, doc["phi"], "phi")
@@ -304,10 +303,8 @@ def phi_iota_from_dict(doc: dict,
         iota = action_from_dict(cx, doc["iota"], "iota")
         if iota.mode != SKEW:
             raise ValidationError("iota must be skew")
-    elif solve_missing_iota:
-        iota, _ = solve_involution(cx)
     else:
-        raise ValidationError(f"{cx.name}: no iota given")
+        iota, _ = solve_involution(cx)
     phi_inv = None
     if phi == cx.identity():
         phi_inv = cx.identity()
@@ -371,42 +368,6 @@ def bundled(name: str) -> PhiIotaComplex:
             f"no bundled complex {name!r}; available: "
             f"{', '.join(sorted(BUNDLED))}")
     return BUNDLED[name]()
-
-
-def build(model: str, **params) -> PhiIotaComplex:
-    """Dispatch builder used by the command line.
-
-    Models: unknot, trivial, box (via thin shapes), staircase(tau),
-    torus(2, q), thin(tau, parity), figure_eight, from_file(path), or any
-    bundled name.
-    """
-    if model == "unknot":
-        return unknot()
-    if model == "trivial":
-        return trivial()
-    if model == "box":
-        # a lone box admits no involution squaring to the twist; it only
-        # occurs as a summand (see box_complex for the bare complex)
-        raise NoInvolutionError(
-            "a lone box carries no involution; build a thin or "
-            "staircase_with_box model instead")
-    if model == "staircase":
-        return staircase_model(params["tau"])
-    if model == "torus":
-        if params.get("p", 2) != 2:
-            raise ValueError("only (2, q) torus models are built in")
-        return torus_model(params["q"])
-    if model == "thin":
-        return thin_model(params["tau"], params["parity_odd"])
-    if model == "staircase_with_box":
-        return staircase_with_box(params["tau"], params["ell"])
-    if model == "figure_eight":
-        return figure_eight_with_actions()
-    if model == "from_file":
-        return parse_complex(params["path"])
-    if model in BUNDLED:
-        return bundled(model)
-    raise ValueError(f"unknown model {model!r}")
 
 
 def check_phi_iota(x: PhiIotaComplex) -> dict:

@@ -130,8 +130,7 @@ def _greedy_blocked(tw) -> bool:
     return tw.caveat is not None
 
 
-def verdict_gompf(knot, m: int, i: int, j: int,
-                  seed: int = 0) -> Verdict:
+def verdict_gompf(knot, m: int, i: int, j: int) -> Verdict:
     """Longitudinal-twist powers on the double of the knot.
 
     The meridional power j never affects the conclusion.  Requires m and i
@@ -152,7 +151,7 @@ def verdict_gompf(knot, m: int, i: int, j: int,
     if i % 2 == 0:
         return _inconclusive(rule, "longitudinal power is even", name,
                              diffeo, m)
-    tw = s_nontrivial(x, seed=seed)
+    tw = s_nontrivial(x)
     if _greedy_blocked(tw):
         return _inconclusive(rule, f"connected model unverified "
                              f"({tw.caveat})", name, diffeo, m)
@@ -247,8 +246,7 @@ def _s3_type(x: PhiIotaComplex) -> bool:
     return report.ok and report.s3_type
 
 
-def verdict_periodic(x: PhiIotaComplex, m: int, i: int,
-                     seed: int = 0) -> Verdict:
+def verdict_periodic(x: PhiIotaComplex, m: int, i: int) -> Verdict:
     """Powers of a chain symmetry whose square is the basepoint twist.
 
     The hypothesis tau^2 ~ s is machine-verified before the gates: odd m,
@@ -266,7 +264,7 @@ def verdict_periodic(x: PhiIotaComplex, m: int, i: int,
     if i % 4 == 0:
         return _inconclusive(rule, "power is divisible by 4", name,
                              diffeo, m)
-    tw = s_nontrivial(x, seed=seed)
+    tw = s_nontrivial(x)
     if _greedy_blocked(tw):
         return _inconclusive(rule, f"connected model unverified "
                              f"({tw.caveat})", name, diffeo, m)

@@ -1129,11 +1129,7 @@ def reference_quotient_tower_shape(cx, killed: str):
     from corkscrew.complexes import entries
     from corkscrew.invariants import QuotientShape
 
-    if killed == "u":
-        surviving = "v"
-    elif killed == "v":
-        surviving = "u"
-    else:
+    if killed not in ("u", "v"):
         raise ValueError("killed must be 'u' or 'v'")
     kill_idx = 0 if killed == "u" else 1
 
@@ -1147,7 +1143,8 @@ def reference_quotient_tower_shape(cx, killed: str):
     depth = cx.n * (1 + maxexp) + 2
 
     def slice_of(t):
-        return [i for m, i in slice_pairs(cx.gradings, t, surviving)]
+        return [i for m, i in slice_pairs(cx.gradings, t)
+                if m[kill_idx] == 0]
 
     def cycles_and_h(t):
         src = slice_of(t)

@@ -249,6 +249,11 @@ def test_round_trip_canonical_form(fig8_file, capsys):
     (["validate", "bundled:nope"], "no bundled complex 'nope'"),
     (["--window-bump", "-50", "delta", "bundled:4_1"], "window bump"),
     (["--window-bump", "1.5", "delta", "bundled:4_1"], "window bump"),
+    # usage errors from the argument parser itself
+    (["--seed", "1", "conn", "bundled:4_1"], "invalid choice: '1'"),
+    (["--seed=1", "conn", "bundled:4_1"], "unrecognized arguments: --seed=1"),
+    (["verdict", "gompf", "-m", "abc"], "invalid int value: 'abc'"),
+    (["frobnicate", "bundled:4_1"], "invalid choice: 'frobnicate'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_arguments_are_one_line_errors(capsys, args, message, fmt):
     code, out, err = run_cli(["--format", fmt, *args], capsys)
@@ -352,6 +357,24 @@ def test_conn_greedy_inputs_report_the_caveat(tmp_path, capsys):
     assert "greedy" in out and "unverified" in out
 
 
+def test_involution_search_cap_is_a_structured_error(tmp_path, capsys):
+    # a bare dot + 3 unit boxes has 25 free bits of skew chain maps, more
+    # than the involution search enumerates
+    from corkscrew.complexes import direct_sum, serialize
+    from corkscrew.models import INVOLUTION_CAP, box_complex, dot_complex
+    cx = direct_sum(dot_complex("x"),
+                    *(box_complex(1, suffix=str(k)) for k in range(3)),
+                    name="dot+3box")
+    path = tmp_path / "dot3box.cfk.json"
+    path.write_text(serialize(cx))
+    code, out, err = run_cli(["--format", "json", "conn", str(path)], capsys)
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "SearchCapExceeded"
+    assert "25 free bits" in doc["message"]
+    assert f"cap {INVOLUTION_CAP}" in doc["message"]
+
+
 def test_verdict_json_certificates_replay(capsys):
     from corkscrew.verdicts import replay_certificate
     code, out, _ = run_cli(["--format", "json", "verdict", "gompf",
@@ -362,16 +385,6 @@ def test_verdict_json_certificates_replay(capsys):
     ref = doc["verdicts"][0]["certificate_ref"]
     assert ref in doc["certificates"]
     assert replay_certificate(doc["certificates"][ref])
-
-
-def test_build_dispatch_models():
-    from corkscrew.errors import NoInvolutionError
-    from corkscrew.models import build
-    import pytest as _pytest
-    assert build("torus", q=3).complex.n == 3
-    assert build("thin", tau=0, parity_odd=True).complex.n == 5
-    with _pytest.raises(NoInvolutionError):
-        build("box", ell=1)
 
 
 # -- nesting too deep for the JSON decoder ------------------------------------

@@ -126,12 +126,11 @@ def _sweep_inputs():
     return [x.complex for x in out]
 
 
-def _reference_bit_sweep(gradings, cols, max_passes=80):
+def _reference_bit_sweep(gradings, cols):
     """The reference sweep on bit columns: the entries' monomials are
     read off the gradings on the way in, and checked to be the forced
     ones on the way out."""
-    ref_cols, moves = reference_sweep(gradings, diff_cols(gradings, cols),
-                                      max_passes)
+    ref_cols, moves = reference_sweep(gradings, diff_cols(gradings, cols))
     bits = dict_bits(ref_cols)
     assert diff_cols(gradings, bits) == ref_cols
     return bits, moves
@@ -140,8 +139,8 @@ def _reference_bit_sweep(gradings, cols, max_passes=80):
 def _recorded(monkeypatch, sweep, cx):
     calls = []
 
-    def recording(gradings, cols, max_passes=80):
-        got = sweep(gradings, cols, max_passes)
+    def recording(gradings, cols):
+        got = sweep(gradings, cols)
         calls.append(got)
         return got
 
