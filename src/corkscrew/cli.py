@@ -27,7 +27,7 @@ from .complexes import (
     to_dict,
     validate,
 )
-from .connected import GREEDY_SEED, connected_complex, s_nontrivial
+from .connected import connected_complex, s_nontrivial
 from .errors import (
     CorkscrewError,
     ParseError,
@@ -88,7 +88,7 @@ class Report:
         self.doc = {
             "tool": TOOL,
             "version": __version__,
-            "seed": GREEDY_SEED,
+            "seed": 0,  # the report schema requires the key
             "window_bump": window_bump,
             "command": command,
             "inputs": {},
@@ -362,6 +362,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _global_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--window-bump")
+
+
+@functools.cache
+def _prefix_parser() -> argparse.ArgumentParser:
+    """The global options alone, everything from the first positional on
+    left over.  argparse would take the value of an unknown option before
+    the subcommand for the subcommand; this parser names the option."""
+    parser = _Parser(prog=TOOL, add_help=False)
+    _global_options(parser)
+    parser.add_argument("-h", "--help", action="store_true")
+    parser.add_argument("rest", nargs=argparse.REMAINDER)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; it holds no state
@@ -369,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog=TOOL,
         description="Exact strong-cork detection from knot Floer complexes")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--window-bump")
+    _global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="structural and S^3-type checks")
@@ -414,10 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # the parser fills this namespace left to right, so a usage error
+    # the parsers fill this namespace left to right, so a usage error
     # after ``--format json`` is still reported as JSON
     args = argparse.Namespace(format="text")
     try:
+        _, unknown = _prefix_parser().parse_known_args(argv, namespace=args)
+        if unknown:
+            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
         build_parser().parse_args(argv, namespace=args)
         if args.window_bump is None:
             args.window_bump = os.environ.get("CORKSCREW_WINDOW_BUMP", "0")

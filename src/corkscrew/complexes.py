@@ -399,6 +399,14 @@ def transpose_cols(cols, n: int) -> tuple:
     return tuple(out)
 
 
+def dual_complex(cx: KnotComplex, name: Optional[str] = None) -> KnotComplex:
+    """Bare basis dual: gradings negated, matrix transposed."""
+    gens = tuple(f"{g}*" for g in cx.generators)
+    grads = tuple(gr_neg(g) for g in cx.gradings)
+    return KnotComplex(name or f"-{cx.name}", gens, grads,
+                       transpose_cols(cx.diff, cx.n))
+
+
 def dual(x: PhiIotaComplex, name: Optional[str] = None) -> PhiIotaComplex:
     """Basis dual with negated gradings.
 
@@ -412,10 +420,7 @@ def dual(x: PhiIotaComplex, name: Optional[str] = None) -> PhiIotaComplex:
     if x.phi_inverse is None:
         raise ValidationError(
             f"{c.name}: dual needs a recorded homotopy inverse for phi")
-    gens = tuple(f"{g}*" for g in c.generators)
-    grads = tuple(gr_neg(g) for g in c.gradings)
-    cxd = KnotComplex(name or f"-{c.name}", gens, grads,
-                      transpose_cols(c.diff, c.n))
+    cxd = dual_complex(c, name)
 
     def transpose(f, mode):
         return Endomorphism(cxd, cxd, transpose_cols(f.cols, c.n), mode,

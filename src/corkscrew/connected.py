@@ -5,25 +5,23 @@ The inputs this library certifies all decompose, after a change of basis,
 into one staircase (possibly a single dot) plus boxes.  The recogniser
 finds such a basis by a deterministic sweep of same-grading transvections
 that monotonically shrinks the differential, then pattern-matches the
-components.  For those shapes the connected complex is known exactly: the
+components, splitting off square summands between sweeps until they
+match.  For those shapes the connected complex is known exactly: the
 staircase survives and the boxes cancel in pairs, so only the parity of
-the box count matters.  Everything else falls back to a greedy search that
-is always labelled as unverified and never feeds a positive verdict.
+the box count matters.  Everything else is answered by the input itself,
+unreduced, always labelled as unverified; it never feeds a positive
+verdict.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
-    ColumnSpan,
     Echelon,
     Grading,
-    f2_rank,
     gr_add,
-    gr_swap,
     inverse_cols,
     mat_vec,
     ones,
@@ -33,7 +31,6 @@ from .complexes import (
     Endomorphism,
     KnotComplex,
     PhiIotaComplex,
-    SKEW,
     STRAIGHT,
     direct_sum,
     iota_complex,
@@ -45,8 +42,6 @@ from .homotopy import homotopic, local_map_exists
 from .models import box_complex, involution_candidates
 
 GREEDY_CAVEAT = "greedy nonmaximal: unverified"
-GREEDY_SEED = 0  # the greedy search's fixed seed, echoed by JSON reports
-GREEDY_ROUNDS = 64
 SWEEP_PASSES = 80
 
 
@@ -144,7 +139,8 @@ def _sweep(gradings, cols):
 
     Each pass tries every admissible move (i-major, j-minor) and keeps one
     when it strictly lowers the score; a trial is scored from the entries
-    it toggles, and only a kept move touches the columns."""
+    it toggles, and only a kept move touches the columns.  Returns the
+    columns, the kept moves and the final score."""
     n = len(gradings)
     # new_i = e_i + m e_j needs gr(e_j) + deg(m) = gr(e_i)
     admissible = [(i, j, m) for i in range(n) for j in range(n) if i != j
@@ -163,7 +159,7 @@ def _sweep(gradings, cols):
                 improved = True
         if not improved:
             break
-    return objective.cols, moves
+    return objective.cols, moves, objective.score
 
 
 # -- pattern matching -------------------------------------------------------------
@@ -424,34 +420,40 @@ def _match_all(names, gradings, cols):
 
 
 def _recognize(cx: KnotComplex):
-    cols, moves = _sweep(cx.gradings, cx.diff)
+    """Sweep, then peel square summands and sweep again until the form
+    matches.  Peeling stops when it finds no square or when a round fails
+    to strictly lower the sweep's score; the score is a triple of
+    non-negative integers, so the rounds end."""
+    cols, moves, score = _sweep(cx.gradings, cx.diff)
     m_cols, q_cols = _moves_matrices(cx.n, moves)
-    grads = cx.gradings
-    got = _match_all(cx.generators, grads, cols)
+    got = _match_all(cx.generators, cx.gradings, cols)
     if got is None:
-        # try splitting off square summands first, then sweep again
-        peeled = _peel_boxes(cx.gradings, cols)
-        if peeled is None:
-            return None
-        m2, q2, grads = peeled
+        grads = cx.gradings
         names = tuple(f"v{k}" for k in range(cx.n))
-        cols3, moves3 = _sweep(grads, _conjugate_diff(cols, m2, q2))
-        m3, q3 = _moves_matrices(cx.n, moves3)
-        got = _match_all(names, grads, cols3)
-        if got is None:
-            return None
-        m_cols = _matmul(_matmul(m_cols, m2), m3)
-        q_cols = _matmul(q3, _matmul(q2, q_cols))
+        while got is None:
+            peeled = _peel_boxes(grads, cols)
+            if peeled is None:
+                return None
+            m2, q2, grads = peeled
+            cols, moves, new_score = _sweep(grads,
+                                            _conjugate_diff(cols, m2, q2))
+            m3, q3 = _moves_matrices(cx.n, moves)
+            m_cols = _matmul(_matmul(m_cols, m2), m3)
+            q_cols = _matmul(q3, _matmul(q2, q_cols))
+            got = _match_all(names, grads, cols)
+            if got is None and not new_score < score:
+                return None
+            score = new_score
         # the composed change of basis must be an honest conjugation onto
         # a valid complex; cheap to certify, catastrophic if wrong
         if _matmul(q_cols, m_cols) != _identity_cols(cx.n):
             raise ConsistencyError(
                 f"{cx.name}: peeled change of basis is not invertible")
-        if _conjugate_diff(cx.diff, m_cols, q_cols) != cols3:
+        if _conjugate_diff(cx.diff, m_cols, q_cols) != cols:
             raise ConsistencyError(
                 f"{cx.name}: peeled basis does not conjugate the "
                 f"differential onto the recognised form")
-        probe = KnotComplex(cx.name, names, grads, cols3)
+        probe = KnotComplex(cx.name, names, grads, cols)
         if not validate(probe).ok:
             raise ConsistencyError(
                 f"{cx.name}: recognised form is not a valid complex")
@@ -498,7 +500,9 @@ class ConnectedResult:
     form: Optional[StandardForm]
     inclusion: Endomorphism  # conn -> input
     projection: Endomorphism  # input -> conn
-    method: str  # "exact-standard" | "greedy"
+    # "exact-standard", or "greedy" for the unreduced input itself: a name
+    # from a removed greedy search that reports and the benchmark match on
+    method: str
     caveat: Optional[str] = None
     certificates: dict = field(default_factory=dict)
 
@@ -509,7 +513,8 @@ def connected_complex(x: PhiIotaComplex) -> ConnectedResult:
     Standard forms are answered exactly: the staircase plus one box when
     the box count is odd, the staircase alone when it is even, with
     machine-checked local maps in both directions as certificates.  The
-    greedy fallback is labelled and never certifies anything.
+    input is returned unreduced otherwise, labelled unverified, and never
+    certifies anything.
     """
     cx = x.complex
     got = _recognize(cx)
@@ -522,7 +527,9 @@ def connected_complex(x: PhiIotaComplex) -> ConnectedResult:
             res = _conn_reduced(x, form)
             if res is not None:
                 return res
-    return _conn_greedy(x)
+    return ConnectedResult(conn=iota_complex(cx, x.iota), form=None,
+                           inclusion=cx.identity(), projection=cx.identity(),
+                           method="greedy", caveat=GREEDY_CAVEAT)
 
 
 def _conn_whole(x: PhiIotaComplex, form: StandardForm, p_cols, q_cols, roles):
@@ -568,13 +575,11 @@ def _conn_reduced(x: PhiIotaComplex, form: StandardForm):
     ell = form.boxes[0][0]
     keep = []
     if len(form.boxes) % 2 == 1:
+        # centre the surviving box on the middle staircase generator, laid
+        # out as in model_from_form
         n = len(form.staircase_steps) // 2
-        # centre the surviving box on the middle staircase generator
-        model_stair = model_from_form(form.staircase_steps,
-                                      form.staircase_sign,
-                                      form.staircase_anchor, ())
-        middle = model_stair.gradings[n]
-        keep = [(ell, middle)]
+        anchor = form.staircase_anchor
+        keep = [(ell, (anchor[0] - n, anchor[1] + n))]
     model = model_from_form(form.staircase_steps, form.staircase_sign,
                             form.staircase_anchor, tuple(keep),
                             name=f"conn({x.complex.name})")
@@ -611,132 +616,6 @@ def _conn_reduced(x: PhiIotaComplex, form: StandardForm):
             method="exact-standard",
             certificates={"down": down, "up": up})
     return None
-
-
-def _conn_greedy(x: PhiIotaComplex):
-    """Best-effort kernel growth; the result is the input itself whenever
-    no strictly larger kernel is found, and always carries the caveat."""
-    from .homotopy import self_local_space
-
-    cx = x.complex
-    space = self_local_space(iota_complex(cx, x.iota))
-    rng = random.Random(GREEDY_SEED)
-    best = cx.identity()
-    best_rank = _window_kernel_dim(best)
-    n_basis = len(space.basis)
-    for _ in range(GREEDY_ROUNDS):
-        if not n_basis:
-            break
-        sel = rng.getrandbits(n_basis)
-        if not space.locality(sel):
-            continue
-        g = space.members(sel)
-        candidate = g.compose(best)
-        rank = _window_kernel_dim(candidate)
-        if rank > best_rank:
-            best, best_rank = candidate, rank
-    if best == cx.identity():
-        conn = iota_complex(cx, x.iota)
-        return ConnectedResult(conn=conn, form=None,
-                               inclusion=cx.identity(),
-                               projection=cx.identity(),
-                               method="greedy", caveat=GREEDY_CAVEAT)
-    image = _image_complex(x, best)
-    if image is None:
-        conn = iota_complex(cx, x.iota)
-        return ConnectedResult(conn=conn, form=None,
-                               inclusion=cx.identity(),
-                               projection=cx.identity(),
-                               method="greedy",
-                               caveat=GREEDY_CAVEAT + "; image not free")
-    conn, inclusion, projection = image
-    return ConnectedResult(conn=conn, form=None, inclusion=inclusion,
-                           projection=projection, method="greedy",
-                           caveat=GREEDY_CAVEAT)
-
-
-def _window_kernel_dim(f: Endomorphism) -> int:
-    """Total slice-kernel dimension over the generator window.
-
-    f is straight of bidegree (0, 0), so it maps the slice at each
-    bigrading into itself, and on the slice it is the sub-matrix of its
-    bit columns on the slice's generators."""
-    cx = f.source
-    total = 0
-    seen = set()
-    for gr in cx.gradings:
-        for da in (0, 2, 4):
-            for db in (0, 2, 4):
-                t = (gr[0] - da, gr[1] - db)
-                if t in seen:
-                    continue
-                seen.add(t)
-                src = [f.cols[g] for g in ones(cx.admissible(t))]
-                if src:
-                    total += len(src) - f2_rank(src, cx.n)
-    return total
-
-
-def _image_complex(x: PhiIotaComplex, f: Endomorphism):
-    """Present im(f) as a complex on a minimal homogeneous generating set
-    drawn from the columns of f; None when the presentation fails."""
-    cx = x.complex
-    kept = []  # indices whose column generates
-    cols = f.cols  # f(e_i), at the grading of e_i
-    for i in range(cx.n):
-        if not cols[i]:
-            continue
-        if _express(cols[i], cx.gradings[i],
-                    [(cols[k], cx.gradings[k]) for k in kept]) is None:
-            kept.append(i)
-    if not kept:
-        return None
-    gens = tuple(f"w{k}" for k in range(len(kept)))
-    grads = tuple(cx.gradings[i] for i in kept)
-    span = [(cols[k], cx.gradings[k]) for k in kept]
-    dcols = []
-    for i in kept:
-        img = mat_vec(cx.diff, cols[i])
-        combo = _express(img, gr_add(cx.gradings[i], (-1, -1)), span)
-        if combo is None:
-            return None
-        dcols.append(combo)
-    model = KnotComplex(f"im({cx.name})", gens, grads, tuple(dcols))
-    rep = validate(model)
-    if not rep.ok:
-        return None
-    icols = []
-    for i in kept:
-        img = mat_vec(f.cols, x.iota.cols[i])
-        combo = _express(img, gr_swap(cx.gradings[i]), span)
-        if combo is None:
-            return None
-        icols.append(combo)
-    iota_m = Endomorphism(model, model, tuple(icols), SKEW, (0, 0),
-                          check=False)
-    if iota_m.grading_violation():
-        return None
-    inclusion = Endomorphism(model, cx, [f.cols[i] for i in kept],
-                             STRAIGHT, (0, 0), check=False)
-    projection = Endomorphism(cx, model,
-                              [_express(cols[s], cx.gradings[s], span)
-                               or 0 for s in range(cx.n)],
-                              STRAIGHT, (0, 0), check=False)
-    try:
-        conn = iota_complex(model, iota_m)
-    except ValidationError:
-        return None
-    return conn, inclusion, projection
-
-
-def _express(vec, grading, span):
-    """Write an element at ``grading`` over monomial multiples of the
-    spanning (element, grading) pairs: the bit column over span indices,
-    or None.  A span element reaches the grading through at most one
-    monomial, and its multiple has the same generator bits."""
-    return ColumnSpan({k: col for k, (col, col_gr) in enumerate(span)
-                       if slice_monomial(col_gr, grading) is not None}
-                      ).coordinates(vec)
 
 
 # -- the nontriviality decision ----------------------------------------------------------

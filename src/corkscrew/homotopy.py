@@ -396,18 +396,18 @@ class LocalityCertificate:
     f: Optional[Endomorphism] = None
     h_phi: Optional[Endomorphism] = None
     h_iota: Optional[Endomorphism] = None
-    shift: int = 0
+    shift: int = 0  # grading shift of f; local maps here preserve gradings
     obstruction: Optional[dict] = None
 
 
-def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex, shift: int,
+def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex,
                   t_cycle: int, mask: int) -> MapSystem:
     c1, c2 = x1.complex, x2.complex
     d1, d2 = c1.boundary(), c2.boundary()
     sys = MapSystem()
-    sys.add_unknown("f", MapShape(c1, c2, STRAIGHT, (shift, shift)))
-    sys.add_unknown("hp", MapShape(c1, c2, STRAIGHT, (shift + 1, shift + 1)))
-    sys.add_unknown("hi", MapShape(c1, c2, SKEW, (shift + 1, shift + 1)))
+    sys.add_unknown("f", MapShape(c1, c2, STRAIGHT, (0, 0)))
+    sys.add_unknown("hp", MapShape(c1, c2, STRAIGHT, (1, 1)))
+    sys.add_unknown("hi", MapShape(c1, c2, SKEW, (1, 1)))
     sys.add_equation([("f", [Right(d1), Left(d2)])])
     sys.add_equation([("f", [Right(x1.phi), Left(x2.phi)]),
                       ("hp", [Left(d2), Right(d1)])])
@@ -418,45 +418,28 @@ def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex, shift: int,
 
 
 def local_map_exists(x1: PhiIotaComplex, x2: PhiIotaComplex,
-                     allow_shift: bool = False,
                      window_bump: int = 0) -> LocalityCertificate:
-    """Decide whether a local map x1 -> x2 exists (grading preserving by
-    default), and produce the witness triple (f, H_phi, H_iota) or the
-    inconsistency certificate.
+    """Decide whether a grading-preserving local map x1 -> x2 exists, and
+    produce the witness triple (f, H_phi, H_iota) or the inconsistency
+    certificate.
 
     Locality is one affine row: the class of f(tower cycle) must be
     nontorsion after restricting to the diagonal subcomplex of x2, which is
-    a single linear functional of f.  With ``allow_shift`` the same system
-    is retried over diagonal even grading shifts, nearest first.
+    a single linear functional of f.
     """
     from .invariants import A0Data  # deferred: invariants imports us back
 
     tower1 = A0Data(x1, window_bump=window_bump)
     tower2 = A0Data(x2, window_bump=window_bump)
     t_cycle, t_grading = tower1.tower_cycle_in_c()
-
-    shifts = [0]
-    if allow_shift:
-        span = (max(g[0] for g in x2.complex.gradings)
-                - min(g[0] for g in x1.complex.gradings))
-        lo = -abs(span) - 2
-        hi = abs(span) + 2
-        extra = sorted((s for s in range(lo, hi + 1, 2) if s != 0), key=abs)
-        shifts += extra
-
-    last_obstruction = None
-    for shift in shifts:
-        sys = _local_system(x1, x2, shift, t_cycle,
-                            tower2.mask(t_grading + shift))
-        ans, cert = sys.solve()
-        if ans is not None:
-            out = LocalityCertificate(True, ans["f"], ans["hp"], ans["hi"],
-                                      shift)
-            _check_witness(x1, x2, out)
-            return out
-        last_obstruction = {"rows": "left-kernel", "combo": cert.combo,
-                            "shift": shift}
-    return LocalityCertificate(False, obstruction=last_obstruction)
+    sys = _local_system(x1, x2, t_cycle, tower2.mask(t_grading))
+    ans, cert = sys.solve()
+    if ans is None:
+        return LocalityCertificate(False, obstruction={
+            "rows": "left-kernel", "combo": cert.combo, "shift": 0})
+    out = LocalityCertificate(True, ans["f"], ans["hp"], ans["hi"])
+    _check_witness(x1, x2, out)
+    return out
 
 
 def _check_witness(x1, x2, cert: LocalityCertificate) -> None:

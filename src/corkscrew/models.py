@@ -26,11 +26,10 @@ from .complexes import (
     PhiIotaComplex,
     SKEW,
     STRAIGHT,
-    transpose_cols,
     action_from_dict,
     complex_from_dict,
     direct_sum,
-    gr_neg,
+    dual_complex,
     iota_complex,
     sarkar_map,
     tensor,
@@ -92,14 +91,6 @@ def staircase_complex(n: int, name: Optional[str] = None) -> KnotComplex:
     return KnotComplex(name or f"staircase({n})", gens, grads, cols)
 
 
-def dual_complex(cx: KnotComplex, name: Optional[str] = None) -> KnotComplex:
-    """Bare basis dual: gradings negated, matrix transposed."""
-    gens = tuple(f"{g}*" for g in cx.generators)
-    grads = tuple(gr_neg(g) for g in cx.gradings)
-    return KnotComplex(name or f"-{cx.name}", gens, grads,
-                       transpose_cols(cx.diff, cx.n))
-
-
 # -- complexes with actions -----------------------------------------------------
 
 def unknot() -> PhiIotaComplex:
@@ -159,23 +150,29 @@ def figure_eight_iota_only() -> PhiIotaComplex:
     return iota_complex(m.complex, m.iota)
 
 
+def _stair_plus_box(tau: int, ell: Optional[int], name: str) -> PhiIotaComplex:
+    """staircase(|tau|), mirrored when tau < 0, plus a box of side ``ell``
+    (none when ``ell`` is None) whose corner a shares the bigrading of the
+    middle staircase generator, with the lexmin involution."""
+    stair = staircase_complex(abs(tau))
+    if tau < 0:
+        stair = dual_complex(stair)
+    parts = [stair]
+    if ell is not None:
+        parts.append(box_complex(ell, at=stair.gradings[abs(tau)]))
+    cx = direct_sum(*parts, name=name)
+    iota, _ = solve_involution(cx)
+    return iota_complex(cx, iota)
+
+
 def thin_model(tau: int, box_parity_odd: bool,
                name: Optional[str] = None) -> PhiIotaComplex:
     """Connected model of a thin knot: staircase(|tau|) (mirrored when
     tau < 0) plus one unit box when the box count is odd, the box corner a
     sharing the bigrading of the middle staircase generator."""
-    stair = staircase_complex(abs(tau))
-    if tau < 0:
-        stair = dual_complex(stair)
-    n = abs(tau)
-    middle = stair.gradings[n]
-    parts = [stair]
-    if box_parity_odd:
-        parts.append(box_complex(1, at=middle))
-    cx = direct_sum(*parts, name=name or f"thin(tau={tau},"
-                    f"{'odd' if box_parity_odd else 'even'})")
-    iota, _ = solve_involution(cx)
-    return iota_complex(cx, iota)
+    return _stair_plus_box(
+        tau, 1 if box_parity_odd else None,
+        name or f"thin(tau={tau},{'odd' if box_parity_odd else 'even'})")
 
 
 def staircase_with_box(tau: int, ell: int,
@@ -187,14 +184,7 @@ def staircase_with_box(tau: int, ell: int,
     For ``ell > 1`` the involution must couple the box corner to the middle
     staircase generator, which therefore has to be a cycle: |tau| odd with
     an odd ``ell > 1`` admits no involution and raises."""
-    stair = staircase_complex(abs(tau))
-    if tau < 0:
-        stair = dual_complex(stair)
-    middle = stair.gradings[abs(tau)]
-    cx = direct_sum(stair, box_complex(ell, at=middle),
-                    name=name or f"staircase({tau})+box({ell})")
-    iota, _ = solve_involution(cx)
-    return iota_complex(cx, iota)
+    return _stair_plus_box(tau, ell, name or f"staircase({tau})+box({ell})")
 
 
 # -- the involution solver --------------------------------------------------------

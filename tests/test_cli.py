@@ -250,7 +250,13 @@ def test_round_trip_canonical_form(fig8_file, capsys):
     (["--window-bump", "-50", "delta", "bundled:4_1"], "window bump"),
     (["--window-bump", "1.5", "delta", "bundled:4_1"], "window bump"),
     # usage errors from the argument parser itself
-    (["--seed", "1", "conn", "bundled:4_1"], "invalid choice: '1'"),
+    # an unknown option before the subcommand is named, its value is not
+    # taken for the subcommand
+    (["--seed", "1", "conn", "bundled:4_1"], "unrecognized arguments: --seed"),
+    (["--window-bump", "0", "-q", "2", "delta", "bundled:4_1"],
+     "unrecognized arguments: -q"),
+    (["--seed", "--colour", "red", "conn", "bundled:4_1"],
+     "unrecognized arguments: --seed --colour"),
     (["--seed=1", "conn", "bundled:4_1"], "unrecognized arguments: --seed=1"),
     (["verdict", "gompf", "-m", "abc"], "invalid int value: 'abc'"),
     (["frobnicate", "bundled:4_1"], "invalid choice: 'frobnicate'"),

@@ -1,8 +1,13 @@
 """Standard-form recognition, connected models, twist nontriviality."""
 
+import random
+
 import pytest
 
+from conftest import scramble
+from corkscrew.algebra import f2_rank, ones
 from corkscrew.complexes import (
+    Endomorphism,
     direct_sum,
     dual,
     iota_complex,
@@ -12,7 +17,6 @@ from corkscrew.complexes import (
 )
 from corkscrew.connected import (
     GREEDY_CAVEAT,
-    _window_kernel_dim,
     connected_complex,
     recognize_standard,
     s_nontrivial,
@@ -66,8 +70,6 @@ class TestRecognizer:
         assert recognize_standard(cx) is None
 
     def test_scrambled_forms_recovered(self):
-        import random
-        from conftest import scramble
         rng = random.Random(17)
         for base in (thin_model(0, True), thin_model(2, True),
                      torus_model(3)):
@@ -76,6 +78,18 @@ class TestRecognizer:
                 got = recognize_standard(
                     scramble(base, rng, moves=6).complex)
                 assert got is not None and got.describe() == want
+
+    def test_every_scramble_of_a_trefoil_sum_is_recognised(self):
+        # one peel splits off five of the six squares on some of these
+        # seeds (2, 6, 42, ...); peeling again splits off the sixth
+        t3 = torus_model(3)
+        x = tensor(tensor(t3, t3), torus_model(-3))
+        want = "staircase(1)" + " + box(1)" * 6
+        for seed in range(120):
+            y = scramble(x, random.Random(seed))
+            form = recognize_standard(y.complex)
+            assert form is not None and form.describe() == want, seed
+            assert connected_complex(y).method == "exact-standard", seed
 
 
 class TestConnectedComplex:
@@ -136,7 +150,7 @@ class TestConnectedComplex:
 
     def test_greedy_fallback_carries_caveat(self):
         # boxes of different side lengths: recognised, but no exact
-        # reduction rule applies, so the greedy path answers
+        # reduction rule applies, so the input itself answers, unreduced
         cx = direct_sum(dot_complex("x"),
                         box_complex(1, at=(0, 0), suffix="0"),
                         box_complex(2, at=(0, 0), suffix="1"),
@@ -144,7 +158,34 @@ class TestConnectedComplex:
         iota, _ = solve_involution(cx)
         res = connected_complex(iota_complex(cx, iota))
         assert res.method == "greedy"
-        assert res.caveat and GREEDY_CAVEAT in res.caveat
+        assert res.caveat == GREEDY_CAVEAT
+        assert res.form is None
+        assert res.conn.complex == cx
+        assert res.conn.iota == iota
+        assert res.inclusion == cx.identity()
+        assert res.projection == cx.identity()
+
+
+def _window_kernel_dim(f: Endomorphism) -> int:
+    """Total slice-kernel dimension over the generator window.
+
+    f is straight of bidegree (0, 0), so it maps the slice at each
+    bigrading into itself, and on the slice it is the sub-matrix of its
+    bit columns on the slice's generators."""
+    cx = f.source
+    total = 0
+    seen = set()
+    for gr in cx.gradings:
+        for da in (0, 2, 4):
+            for db in (0, 2, 4):
+                t = (gr[0] - da, gr[1] - db)
+                if t in seen:
+                    continue
+                seen.add(t)
+                src = [f.cols[g] for g in ones(cx.admissible(t))]
+                if src:
+                    total += len(src) - f2_rank(src, cx.n)
+    return total
 
 
 class TestSelfLocalInjectivity:

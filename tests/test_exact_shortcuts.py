@@ -266,7 +266,7 @@ def test_rows_of_local_systems(rows_checked):
         ("4_1x4_1_tau", "4_1"), ("4_1_s", "4_1x4_1_s"))]
     pairs.append((dual(x2), x2))
     for x1, y in pairs:
-        local_map_exists(x1, y, allow_shift=True)
+        local_map_exists(x1, y)
     assert len(rows_checked) >= len(pairs)
 
 

@@ -2,9 +2,10 @@
 
 Each command runs in text and in JSON format; its exit code, stdout and
 stderr are hashed together and compared with the sha256 recorded in
-``tests/data/golden_reports.json``.  The greedy connected models of the
-two ``dot + box(1) + box(l)`` inputs, which no bundled model reaches, are
-hashed the same way, and so are ``verdict split`` on two fixed scrambles
+``tests/data/golden_reports.json``.  The connected results of the two
+``dot + box(1) + box(l)`` inputs, which no bundled model reaches, are
+hashed the same way (no exact model is known, so each is the input
+itself, labelled ``greedy``), and so are ``verdict split`` on two fixed scrambles
 of ``4_1x4_1_tau`` (the 625-generator tensor delta and the no-local-map
 path) and the :class:`DeltaResult` of that tensor.  A refactor that
 keeps the reports byte for byte keeps every hash.  After a declared
@@ -72,7 +73,7 @@ def report_hash(argv) -> str:
 
 
 def greedy_hash(ell: int) -> str:
-    """The greedy connected model of dot + box(1) + box(ell), with its
+    """The connected result of dot + box(1) + box(ell), with its
     inclusion and projection."""
     cx = direct_sum(dot_complex("x"), box_complex(1, at=(0, 0), suffix="0"),
                     box_complex(ell, at=(0, 0), suffix="1"),

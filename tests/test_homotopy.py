@@ -134,11 +134,6 @@ class TestLocalMaps:
         cert = local_map_exists(trivial(), torus_model(3))
         assert not cert.exists
 
-    def test_allow_shift_finds_the_dropped_map(self):
-        cert = local_map_exists(trivial(), torus_model(3), allow_shift=True)
-        assert cert.exists
-        assert cert.shift == -2
-
 
 class TestSelfLocalSpace:
     def test_trivial_complex(self):

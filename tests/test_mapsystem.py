@@ -154,7 +154,7 @@ def test_assembly_matches_reference_on_locality_systems(src, tgt, exists):
 
     x1, x2 = bundled(src), bundled(tgt)
     t_cycle, d = A0Data(x1).tower_cycle_in_c()
-    sys_ = _local_system(x1, x2, 0, t_cycle, A0Data(x2).mask(d))
+    sys_ = _local_system(x1, x2, t_cycle, A0Data(x2).mask(d))
     dense = _BruteDiag(x2, margin=8)
     pos = {e: i for i, e in enumerate(dense.slices[d])}
 

@@ -108,17 +108,19 @@ class TestGompfVerdict:
         assert v.conclusion == INCONCLUSIVE
         assert "identity" in v.reason
 
-    def test_greedy_inputs_stay_inconclusive(self):
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_greedy_inputs_stay_inconclusive(self, ell):
         from corkscrew.complexes import direct_sum, iota_complex
         from corkscrew.models import box_complex, dot_complex, solve_involution
         cx = direct_sum(dot_complex("x"),
                         box_complex(1, at=(0, 0), suffix="0"),
-                        box_complex(2, at=(0, 0), suffix="1"),
+                        box_complex(ell, at=(0, 0), suffix="1"),
                         name="mixed")
         iota, _ = solve_involution(cx)
         v = verdict_gompf(iota_complex(cx, iota), m=1, i=1, j=0)
         assert v.conclusion == INCONCLUSIVE
-        assert "unverified" in v.reason
+        assert v.reason == ("connected model unverified "
+                            "(greedy nonmaximal: unverified)")
 
 
 class TestDeltaVerdict:
