@@ -1,8 +1,9 @@
 """Command-line interface and report emission.
 
 Subcommands: validate, sarkar, delta, s-nontrivial, conn, verdict
-(gompf | split | periodic), census.  Global flags: --format json|text,
---window-bump K (also via CORKSCREW_WINDOW_BUMP).
+(gompf | split | periodic), census.  Global flag: --format json|text.
+Homology is computed in a window proven exact and re-checked at a wider
+one, so there is no window option.
 
 Reports are canonical: identical inputs reproduce byte-identical output
 (no timestamps, stable ordering throughout).  Every error, a malformed
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from importlib import resources
 
@@ -84,12 +84,13 @@ def check_schema(doc, schema, path="$") -> list:
 
 
 class Report:
-    def __init__(self, command: str, window_bump: int):
+    def __init__(self, command: str):
         self.doc = {
             "tool": TOOL,
             "version": __version__,
-            "seed": 0,  # the report schema requires the key
-            "window_bump": window_bump,
+            # the report schema requires these keys
+            "seed": 0,
+            "window_bump": 0,
             "command": command,
             "inputs": {},
             "invariants": {},
@@ -144,20 +145,6 @@ def _required(args, *options) -> None:
     for name in options:
         if getattr(args, name) is None:
             raise CorkscrewError(f"verdict {args.mode} needs --{name}")
-
-
-def _window_bump(text: str) -> int:
-    """The window bump from the command line or the environment: a
-    non-negative integer, since a negative one would cut the window below
-    its proven margin."""
-    try:
-        bump = int(text)
-    except ValueError:
-        bump = -1
-    if bump < 0:
-        raise ValidationError(
-            f"window bump must be a non-negative integer, got {text!r}")
-    return bump
 
 
 def _element_str(vec: dict) -> str:
@@ -222,7 +209,7 @@ def cmd_sarkar(args, report: Report) -> int:
 
 def cmd_delta(args, report: Report) -> int:
     x = resolve_complex(args.file)
-    res = delta(x, window_bump=args.window_bump)
+    res = delta(x)
     report.echo_input("file", args.file)
     report.echo_input("complex", x.complex.name)
     report.invariant("delta", res.delta)
@@ -237,7 +224,7 @@ def cmd_delta(args, report: Report) -> int:
     report.say(f"  witness y = {_element_str(res.witness_y)}")
     report.say(f"  witness z = {_element_str(res.witness_z)}")
     if args.m is not None:
-        v = verdict_delta(x, args.m, window_bump=args.window_bump)
+        v = verdict_delta(x, args.m)
         report.add_verdict(v)
     return 0
 
@@ -309,7 +296,7 @@ def cmd_verdict(args, report: Report) -> int:
         report.echo_input("k1", args.k1)
         report.echo_input("k2", args.k2)
         report.echo_input("params", {"m": args.m})
-        v = verdict_split(x1, x2, args.m, window_bump=args.window_bump)
+        v = verdict_split(x1, x2, args.m)
     elif args.mode == "periodic":
         _required(args, "file")
         x = resolve_complex(args.file)
@@ -364,7 +351,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _global_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--window-bump")
 
 
 @functools.cache
@@ -381,8 +367,7 @@ def _prefix_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; it holds no state
-    from the environment, which ``main`` reads on every call."""
+    """The argument parser, built once per process."""
     parser = _Parser(
         prog=TOOL,
         description="Exact strong-cork detection from knot Floer complexes")
@@ -438,10 +423,7 @@ def main(argv=None) -> int:
         if unknown:
             raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
         build_parser().parse_args(argv, namespace=args)
-        if args.window_bump is None:
-            args.window_bump = os.environ.get("CORKSCREW_WINDOW_BUMP", "0")
-        args.window_bump = _window_bump(args.window_bump)
-        report = Report(args.command, args.window_bump)
+        report = Report(args.command)
         code = args.func(args, report)
     except CorkscrewError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}

@@ -250,7 +250,6 @@ class ValidationReport:
     ok: bool
     s3_type: Optional[bool] = None
     first_violation: Optional[str] = None
-    checks: list = field(default_factory=list)
 
 
 def d_squared_violation(cx: KnotComplex) -> Optional[str]:
@@ -273,11 +272,9 @@ def validate(cx: KnotComplex, require_s3_type: bool = False) -> ValidationReport
     if err:
         return ValidationReport(
             ok=False, first_violation=f"differential {err}")
-    report.checks.append("differential bidegree")
     err = d_squared_violation(cx)
     if err:
         return ValidationReport(ok=False, first_violation=err)
-    report.checks.append("d^2 = 0")
     if require_s3_type:
         from .invariants import quotient_tower_shape  # local: avoids cycle
         for killed, axis in (("u", 0), ("v", 1)):
@@ -288,14 +285,13 @@ def validate(cx: KnotComplex, require_s3_type: bool = False) -> ValidationReport
                     f"quotient by {killed} has {shape.tower_count} free "
                     f"towers (need exactly 1)")
                 return report
-            if shape.tower_top is None or shape.tower_top[axis] != 0:
+            if shape.tower_top[axis] != 0:
                 report.s3_type = False
                 report.first_violation = (
                     f"quotient by {killed} tower top sits at "
                     f"{shape.tower_top}, need degree 0")
                 return report
         report.s3_type = True
-        report.checks.append("S^3-type towers")
     return report
 
 

@@ -417,8 +417,8 @@ def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex,
     return sys
 
 
-def local_map_exists(x1: PhiIotaComplex, x2: PhiIotaComplex,
-                     window_bump: int = 0) -> LocalityCertificate:
+def local_map_exists(x1: PhiIotaComplex,
+                     x2: PhiIotaComplex) -> LocalityCertificate:
     """Decide whether a grading-preserving local map x1 -> x2 exists, and
     produce the witness triple (f, H_phi, H_iota) or the inconsistency
     certificate.
@@ -429,8 +429,8 @@ def local_map_exists(x1: PhiIotaComplex, x2: PhiIotaComplex,
     """
     from .invariants import A0Data  # deferred: invariants imports us back
 
-    tower1 = A0Data(x1, window_bump=window_bump)
-    tower2 = A0Data(x2, window_bump=window_bump)
+    tower1 = A0Data(x1)
+    tower2 = A0Data(x2)
     t_cycle, t_grading = tower1.tower_cycle_in_c()
     sys = _local_system(x1, x2, t_cycle, tower2.mask(t_grading))
     ans, cert = sys.solve()
@@ -482,7 +482,7 @@ class MorphismSpace:
         return bit
 
 
-def self_local_space(x: PhiIotaComplex, window_bump: int = 0) -> MorphismSpace:
+def self_local_space(x: PhiIotaComplex) -> MorphismSpace:
     """Basis of the constraint space of grading-preserving self-maps.
 
     Members satisfy f d = d f and f iota ~ iota f; the locality of any
@@ -493,7 +493,7 @@ def self_local_space(x: PhiIotaComplex, window_bump: int = 0) -> MorphismSpace:
 
     cx = x.complex
     d = cx.boundary()
-    tower = A0Data(x, window_bump=window_bump)
+    tower = A0Data(x)
     t_cycle, t_grading = tower.tower_cycle_in_c()
     mask = tower.mask(t_grading)
 

@@ -9,7 +9,7 @@ variables fixes their product.
 All homology here is computed per grading inside a truncation window whose
 margin dominates every possible torsion order; below the minimum generator
 grading multiplication by U identifies consecutive slices, so answers in
-the window are exact and the re-check at an enlarged window is a
+the window are exact and the re-check at a window two gradings wider is a
 certificate rather than a heuristic.
 
 Nothing here stores a polynomial.  A slice is a set of generators, each
@@ -36,7 +36,6 @@ from .algebra import (
     Levels,
     Mono,
     alexander,
-    gr_add,
     lexmin_affine,
     mat_vec,
     ones,
@@ -58,7 +57,6 @@ class _HSlice:
     ``mask`` holds the slice's generators."""
 
     def __init__(self, mask: int, cycle_basis: list, boundary_span: list):
-        self.cycles = cycle_basis
         span = Echelon()
         for b in boundary_span:
             span.insert(b, tag="b")
@@ -74,7 +72,8 @@ class _HSlice:
         return len(self.reps)
 
     def class_coords(self, v: int) -> int:
-        """Coordinates of a cycle's class over the representatives."""
+        """Coordinates of a cycle's class over the span's stored rows, one
+        per representative."""
         coeffs = self._span.coefficients(v)
         out = 0
         for tag, bit in coeffs.items():
@@ -147,27 +146,25 @@ class UComplex:
 class DiagonalHomology:
     """Slicewise homology of a :class:`UComplex` with tower detection.
 
-    A slice does not depend on the window, only the loop bounds do; an
-    instance built with ``share`` (another instance on the same complex)
+    The window is [G_min - 2*N_tor, G_max + 2]; its margin 2*N_tor
+    dominates every torsion order, which makes it exact.  An instance
+    built with ``share`` (another instance on the same complex) is the
+    re-check: its window reaches two gradings below the other's, and it
     reads and fills the same per-grading cycle bases, homology and tower
     masks, so it computes only the gradings the other never reached.
     """
 
-    def __init__(self, uc: UComplex, window_bump: int = 0,
-                 expect_tower: bool = True,
+    def __init__(self, uc: UComplex, expect_tower: bool = True,
                  share: Optional["DiagonalHomology"] = None):
         if share is not None and share.uc is not uc:
             raise ValueError("shared slices belong to another complex")
-        if window_bump < 0:
-            # the margin 2 * N_tor is what makes the window exact
-            raise ValidationError(
-                f"window bump must be non-negative, got {window_bump}")
         self.uc = uc
         self.gmax = max(uc.gradings)
         self.gmin = min(uc.gradings)
         self.ntor = uc.n * (1 + uc.max_exponent)
         self.hi = self.gmax + 2
-        self.lo = self.gmin - 2 * self.ntor - 2 * window_bump
+        self.lo = (self.gmin - 2 * self.ntor if share is None
+                   else share.lo - 2)
         # grading -> cycle basis, homology; stable grading -> tower mask
         self._cache = ({}, {}, {}) if share is None else share._cache
         self._cycles, self._H, self._towers = self._cache
@@ -175,8 +172,6 @@ class DiagonalHomology:
         self._tower_rep = None
         if expect_tower:
             self._locate_tower()
-
-    # window contract: [G_min - 2*N_tor, G_max + 2], widened by the bump
 
     def _columns(self, d: int) -> dict:
         """The slice map into grading d-1: the differential's columns at
@@ -311,9 +306,9 @@ class A0Data:
     slice at d.
     """
 
-    def __init__(self, x: PhiIotaComplex, window_bump: int = 0):
+    def __init__(self, x: PhiIotaComplex):
         self.uc = a0(x)
-        self.hom = DiagonalHomology(self.uc, window_bump=window_bump)
+        self.hom = DiagonalHomology(self.uc)
 
     def mask(self, grading: int) -> int:
         """The tower functional at bigrading (grading, grading) as a mask
@@ -335,7 +330,6 @@ class UHomology:
     tower_top: int
     tower_rep: tuple  # ((label, u_exp), ...)
     torsion: tuple  # ((grading, order), ...) sorted
-    u_action: dict  # grading -> list of class-coordinate bitmasks
     window: tuple
 
 
@@ -345,13 +339,10 @@ def _homology_summary(hom: DiagonalHomology) -> UHomology:
     rep = [(uc.labels[g], (uc.gradings[g] - top) // 2)
            for g in ones(hom.tower_rep)]
     torsion = []
-    u_action = {}
     for d in range(hom.hi, hom.gmin - 1, -1):
         h = hom.homology(d)
         if h.rank == 0:
             continue
-        hdown = hom.homology(d - 2)
-        u_action[d] = [hdown.class_coords(z) for z in h.reps]
         # U^(k-1) H_d / U^k H_d counts the classes of order k, whatever
         # the representatives; the free part has rank 0 or 1
         free = int(any(hom.nontorsion_bit(z, d) for z in h.reps))
@@ -367,19 +358,18 @@ def _homology_summary(hom: DiagonalHomology) -> UHomology:
             rank = image.rank
     return UHomology(tower_top=top, tower_rep=tuple(rep),
                      torsion=tuple(sorted(torsion)),
-                     u_action=u_action, window=(hom.lo, hom.hi))
+                     window=(hom.lo, hom.hi))
 
 
-def homology_u(uc: UComplex, window_bump: int = 0) -> UHomology:
+def homology_u(uc: UComplex) -> UHomology:
     """Tower/torsion decomposition, cross-checked at an enlarged window.
 
     The enlarged pass reuses the slices of the first, so it computes only
     the gradings the first never reached.
     """
-    hom = DiagonalHomology(uc, window_bump=window_bump)
+    hom = DiagonalHomology(uc)
     first = _homology_summary(hom)
-    second = _homology_summary(
-        DiagonalHomology(uc, window_bump=window_bump + 1, share=hom))
+    second = _homology_summary(DiagonalHomology(uc, share=hom))
     if (first.tower_top, first.torsion) != (second.tower_top, second.torsion):
         raise WindowUnstableError(
             f"{uc.name}: enlarging the window changed the answer")
@@ -455,8 +445,7 @@ class DeltaResult:
     #                nontorsion projection
 
 
-def delta(x: PhiIotaComplex, window_bump: int = 0,
-          validated: bool = False) -> DeltaResult:
+def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     """-1/2 of the top cylinder grading carrying a class whose projection
     to the diagonal subcomplex is U-nontorsion.
 
@@ -470,19 +459,16 @@ def delta(x: PhiIotaComplex, window_bump: int = 0,
             raise ValidationError(
                 f"{x.complex.name}: {report.first_violation}")
     uc = a0(x)
-    a0_hom = DiagonalHomology(uc, window_bump=window_bump)
+    a0_hom = DiagonalHomology(uc)
     cyl = build_cyl(uc)
-    cyl_hom = DiagonalHomology(cyl.total, window_bump=window_bump,
-                               expect_tower=False)
+    cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
     name = x.complex.name
     d, lam, q_ranks = _delta_grading(name, cyl, a0_hom, cyl_hom)
     # the enlarged pass reuses both complexes and every slice computed so
     # far, runs over its own window and only has to find the same grading
     wide, _, _ = _delta_grading(
-        name, cyl,
-        DiagonalHomology(uc, window_bump=window_bump + 1, share=a0_hom),
-        DiagonalHomology(cyl.total, window_bump=window_bump + 1,
-                         expect_tower=False, share=cyl_hom))
+        name, cyl, DiagonalHomology(uc, share=a0_hom),
+        DiagonalHomology(cyl.total, expect_tower=False, share=cyl_hom))
     if wide != d:
         raise WindowUnstableError(
             f"{name}: delta changed under window enlargement")
@@ -523,7 +509,7 @@ def _delta_grading(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
         f"{name}: no nontorsion projection found in the window")
 
 
-def delta_zero_iff_local(x: PhiIotaComplex, window_bump: int = 0) -> dict:
+def delta_zero_iff_local(x: PhiIotaComplex) -> dict:
     """Cross-check the two characterisations of local triviality.
 
     delta vanishes exactly when a local map from the trivial complex
@@ -533,8 +519,8 @@ def delta_zero_iff_local(x: PhiIotaComplex, window_bump: int = 0) -> dict:
     from .homotopy import local_map_exists
     from .models import trivial
 
-    res = delta(x, window_bump=window_bump)
-    cert = local_map_exists(trivial(), x, window_bump=window_bump)
+    res = delta(x)
+    cert = local_map_exists(trivial(), x)
     if (res.delta == 0) != cert.exists:
         raise ConsistencyError(
             f"{x.complex.name}: delta={res.delta} but local map from the "
@@ -554,53 +540,42 @@ class QuotientShape:
 
 def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
     """Free-tower count and top of the quotient complex killing one
-    variable, computed slicewise in the surviving variable.  An entry is
-    kept when its target's killed grading is one below its source's, and
-    a slice is a killed-grading plane ANDed with a surviving level."""
+    variable.
+
+    Setting the killed variable to 0 and localising at the surviving one
+    (setting it to 1) leaves an F2 complex graded by the killed grading:
+    an entry is kept when its target's killed grading is one below its
+    source's.  Each free tower is one dimension of its homology.  The
+    tower top is the highest surviving grading of a cycle in the tower's
+    plane that is not a localised boundary: scanning that plane's
+    generators from the top down, the first such kernel vector is there.
+    """
     if killed not in ("u", "v"):
         raise ValueError("killed must be 'u' or 'v'")
     k = "uv".index(killed)  # the killed coordinate; 1 - k survives
     plane = dict(Levels(gr[k] for gr in cx.gradings).masks)
-    surviving = Levels(gr[1 - k] for gr in cx.gradings)
     cols = [col & plane.get(gr[k] - 1, 0)
             for col, gr in zip(cx.diff, cx.gradings)]
-    maxexp = surviving.max_rise(
-        cols, [gr[1 - k] - 1 for gr in cx.gradings]) // 2
-    depth = cx.n * (1 + maxexp) + 2
+    spans = {p: Echelon(cols[g] for g in ones(mask))
+             for p, mask in plane.items()}
+    # dim H_p = dim ker_p - rank of the boundaries from plane p + 1
+    free = {p: mask.bit_count() - spans[p].rank
+            - (spans[p + 1].rank if p + 1 in spans else 0)
+            for p, mask in plane.items()}
+    count = sum(free.values())
+    if count != 1:
+        return QuotientShape(tower_count=count, tower_top=None)
 
-    def slice_of(t: Grading) -> int:
-        return plane.get(t[k], 0) & surviving.above(t[1 - k])
-
-    def columns(t: Grading) -> dict:
-        return {g: cols[g] for g in ones(slice_of(t))}
-
-    def homology(t: Grading) -> _HSlice:
-        bnds = columns(gr_add(t, (1, 1))).values()
-        return _HSlice(slice_of(t), ColumnSpan(columns(t)).kernel,
-                       [b for b in bnds if b])
-
-    def at(killed_gr: int, surviving_gr: int) -> Grading:
-        return ((killed_gr, surviving_gr) if k == 0
-                else (surviving_gr, killed_gr))
-
-    rays: dict = {}  # (killed grading, surviving parity) -> generators
-    for g, gr in enumerate(cx.gradings):
-        rays.setdefault((gr[k], gr[1 - k] % 2), []).append(g)
-    towers = []  # (ray, deep grading, its homology) per free tower
-    for key, members in sorted(rays.items()):
-        deep = at(key[0], min(cx.gradings[g][1 - k] for g in members)
-                  - 2 * depth)
-        h = homology(deep)
-        towers += [(key, deep, h)] * h.rank
-    if len(towers) != 1:
-        return QuotientShape(tower_count=len(towers), tower_top=None)
-
-    # a slice is included in the deeper ones, so a cycle is its own image
-    (tower_ray, deep, deep_h), = towers
-    top = max(cx.gradings[g][1 - k] for g in rays[tower_ray])
-    for step in range(0, top - deep[1 - k] + 1, 2):
-        t = at(tower_ray[0], top - step)
-        for z in ColumnSpan(columns(t)).kernel:
-            if deep_h.class_coords(z):
-                return QuotientShape(tower_count=1, tower_top=t)
-    return QuotientShape(tower_count=1, tower_top=None)
+    p = next(p for p, dim in free.items() if dim)
+    boundaries = spans.get(p + 1, Echelon())
+    # identity bits above the n column bits record each kernel vector
+    kernel, low = Echelon(), (1 << cx.n) - 1
+    for g in sorted(ones(plane[p]), key=lambda g: -cx.gradings[g][1 - k]):
+        v = kernel.reduce(cols[g] | 1 << (cx.n + g))
+        if v & low:
+            kernel.insert(v)
+        elif boundaries.reduce(v >> cx.n):
+            return QuotientShape(tower_count=1, tower_top=cx.gradings[g])
+    raise ConsistencyError(
+        f"{cx.name}: quotient by {killed} has one free tower but no "
+        f"nontorsion cycle")

@@ -34,10 +34,6 @@ class KnotTableRow:
     tau_derived: bool  # True when filled in from the signature
 
     @property
-    def tau(self) -> Optional[int]:
-        return self.tau_invariant
-
-    @property
     def census_eligible(self) -> bool:
         """Thin data available: alternating, or tau asserted explicitly."""
         return self.alternating or (self.tau_invariant is not None
@@ -60,18 +56,24 @@ class TableReport:
 
 
 def parse_knot_csv_text(text: str) -> TableReport:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise ParseError("empty CSV")
-    fields = [f.strip() for f in reader.fieldnames]
+    fields = [f.strip() for f in header]
     for col in REQUIRED_COLUMNS:
         if col not in fields:
             raise ParseError(f"missing required column {col!r}")
     rows = []
     rejected = []
-    for lineno, raw in enumerate(reader, start=2):
+    # blank lines are skipped and not counted
+    for lineno, values in enumerate(filter(None, reader), start=2):
+        if len(values) != len(header):
+            rejected.append((lineno, f"row has {len(values)} fields, the "
+                                     f"header {len(header)}"))
+            continue
         try:
-            row = _parse_row(raw)
+            row = _parse_row(dict(zip(header, values)))
         except (ParseError, ValueError, KeyError) as exc:
             rejected.append((lineno, str(exc)))
             continue

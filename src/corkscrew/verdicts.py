@@ -170,8 +170,7 @@ def verdict_gompf(knot, m: int, i: int, j: int) -> Verdict:
                    reason="twist-nontrivial factor, m and i odd")
 
 
-def verdict_delta(x: PhiIotaComplex, m: int,
-                  window_bump: int = 0) -> Verdict:
+def verdict_delta(x: PhiIotaComplex, m: int) -> Verdict:
     """Positive odd m: strong cork iff the numerical obstruction is
     positive.  Negative odd m: the same test on the dual.  Even m is
     always inconclusive."""
@@ -180,7 +179,7 @@ def verdict_delta(x: PhiIotaComplex, m: int,
     if m % 2 == 0:
         return _inconclusive(rule, "m is even", name, "given action", m)
     y = x if m > 0 else dual(x)
-    res = delta(y, window_bump=window_bump)
+    res = delta(y)
     if res.delta > 0:
         cert = {
             "ref": f"delta:{name}:m={m}",
@@ -197,8 +196,7 @@ def verdict_delta(x: PhiIotaComplex, m: int,
 
 
 def verdict_split(x1: PhiIotaComplex, x2: PhiIotaComplex, m: int,
-                  cross_check: bool = True,
-                  window_bump: int = 0) -> Verdict:
+                  cross_check: bool = True) -> Verdict:
     """No local map from the dual of the second factor to the first, for
     positive odd m.
 
@@ -217,9 +215,9 @@ def verdict_split(x1: PhiIotaComplex, x2: PhiIotaComplex, m: int,
     if m % 2 == 0 or m < 0:
         return _inconclusive(rule, "m is not positive odd", name, "split", m)
     source = dual(x2)
-    cert_map = local_map_exists(source, x1, window_bump=window_bump)
+    cert_map = local_map_exists(source, x1)
     if cross_check:
-        res = delta(tensor(x1, x2), window_bump=window_bump,
+        res = delta(tensor(x1, x2),
                     validated=_s3_type(x1) and _s3_type(x2))
         if (res.delta == 0) != cert_map.exists:
             raise ConsistencyError(
@@ -284,7 +282,7 @@ def verdict_periodic(x: PhiIotaComplex, m: int, i: int) -> Verdict:
 
 # -- certificate replay ------------------------------------------------------------
 
-def replay_certificate(cert: dict, window_bump: int = 0) -> bool:
+def replay_certificate(cert: dict) -> bool:
     """Re-run the decision recorded in a certificate and confirm it."""
     from .models import phi_iota_from_dict
 
@@ -295,11 +293,10 @@ def replay_certificate(cert: dict, window_bump: int = 0) -> bool:
         return homotopic(sarkar_map(model), model.identity()) is None
     if kind == "delta-positive":
         x = phi_iota_from_dict(cert["complex"])
-        res = delta(x, window_bump=window_bump)
+        res = delta(x)
         return res.delta == cert["delta"] and res.delta > 0
     if kind == "no-local-map":
         src = phi_iota_from_dict(cert["source"])
         tgt = phi_iota_from_dict(cert["target"])
-        return not local_map_exists(src, tgt,
-                                    window_bump=window_bump).exists
+        return not local_map_exists(src, tgt).exists
     raise ValidationError(f"unknown certificate kind {kind!r}")

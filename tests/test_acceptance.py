@@ -226,11 +226,10 @@ def test_criterion_03_periodic_double_pipeline():
                     v ^= inv_basis[k]
             if (v >> idx["x|x"]) & 1:
                 assert tau_moves(v) != 0
-        # the numerical obstruction, pinned by the dense reference run,
-        # stable under window enlargement
+        # the numerical obstruction, pinned by the dense reference run;
+        # delta re-checks it at a wider window
         assert brute_delta(x) == 1
-        for bump in (0, 1, 2):
-            assert delta(x, window_bump=bump).delta == 1
+        assert delta(x).delta == 1
         v = verdict_delta(x, m=1)
         assert v.conclusion == STRONG_CORK
         assert replay_certificate(v.certificate)

@@ -247,14 +247,14 @@ def test_round_trip_canonical_form(fig8_file, capsys):
     (["verdict", "split", "-m", "1", "--k1", "bundled:4_1"], "needs --k2"),
     (["conn", "bundled:nope"], "no bundled complex 'nope'"),
     (["validate", "bundled:nope"], "no bundled complex 'nope'"),
-    (["--window-bump", "-50", "delta", "bundled:4_1"], "window bump"),
-    (["--window-bump", "1.5", "delta", "bundled:4_1"], "window bump"),
     # usage errors from the argument parser itself
     # an unknown option before the subcommand is named, its value is not
     # taken for the subcommand
     (["--seed", "1", "conn", "bundled:4_1"], "unrecognized arguments: --seed"),
-    (["--window-bump", "0", "-q", "2", "delta", "bundled:4_1"],
-     "unrecognized arguments: -q"),
+    (["-q", "2", "delta", "bundled:4_1"], "unrecognized arguments: -q"),
+    # the window is proven exact; there is no option to widen it
+    (["--window-bump", "1", "delta", "bundled:4_1"],
+     "unrecognized arguments: --window-bump"),
     (["--seed", "--colour", "red", "conn", "bundled:4_1"],
      "unrecognized arguments: --seed --colour"),
     (["--seed=1", "conn", "bundled:4_1"], "unrecognized arguments: --seed=1"),
@@ -271,16 +271,6 @@ def test_bad_arguments_are_one_line_errors(capsys, args, message, fmt):
         assert message in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_window_bump_env_must_be_a_non_negative_integer(capsys, monkeypatch,
-                                                        value):
-    monkeypatch.setenv("CORKSCREW_WINDOW_BUMP", value)
-    code, out, err = run_cli(["--format", "json", "delta", "bundled:4_1"],
-                             capsys)
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == "ValidationError"
-
-
 def test_census_text_lists_rejected_rows(tmp_path, capsys):
     path = tmp_path / "knots.csv"
     path.write_text("name,crossings,alternating,signature,determinant,arf,"
@@ -291,31 +281,14 @@ def test_census_text_lists_rejected_rows(tmp_path, capsys):
         "rejected: line 3: bad: alternating must be 0 or 1")
 
 
-def test_window_bump_env(capsys, monkeypatch):
-    monkeypatch.setenv("CORKSCREW_WINDOW_BUMP", "2")
+def test_reports_carry_a_constant_window_bump(capsys):
+    # the report schema requires the key; no option or variable sets it
     code, out, _ = run_cli(["--format", "json", "delta",
                             "bundled:4_1x4_1_tau"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["window_bump"] == 2
+    assert doc["window_bump"] == 0
     assert doc["invariants"]["delta"] == 1
-
-
-def test_window_bump_env_is_read_on_every_call(capsys, monkeypatch):
-    # the parser is built once per process; the environment is not
-    argv = ["--format", "json", "delta", "bundled:4_1"]
-    bumps = []
-    for value in ("3", "0"):
-        monkeypatch.setenv("CORKSCREW_WINDOW_BUMP", value)
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        bumps.append(json.loads(out)["window_bump"])
-    monkeypatch.delenv("CORKSCREW_WINDOW_BUMP")
-    code, out, _ = run_cli(argv, capsys)
-    bumps.append(json.loads(out)["window_bump"])
-    code, out, _ = run_cli(["--window-bump", "1", *argv], capsys)
-    bumps.append(json.loads(out)["window_bump"])
-    assert bumps == [3, 0, 0, 1]
 
 
 def test_parser_is_built_once():

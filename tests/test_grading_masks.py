@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scramble
+from conftest import scramble, transvect
 from corkscrew import algebra, complexes
 from corkscrew.algebra import Levels
 from corkscrew.complexes import (
     SKEW,
     STRAIGHT,
     Endomorphism,
+    KnotComplex,
     direct_sum,
     dual,
     shift,
@@ -39,6 +40,7 @@ from corkscrew.models import (
     BUNDLED,
     box_complex,
     bundled,
+    dot_complex,
     figure_eight_with_actions,
     staircase_complex,
     torus_model,
@@ -170,7 +172,38 @@ def _non_s3():
     }
 
 
+def _scramble_complex(cx, rng, moves=10):
+    """A chain-isomorphic copy of a bare complex: random admissible
+    transvections, then a random relabelling."""
+    diff = list(cx.diff)
+    for _ in range(40 * moves):
+        i, j = rng.randrange(cx.n), rng.randrange(cx.n)
+        if i != j and algebra.slice_monomial(
+                cx.gradings[j], cx.gradings[i]) is not None:
+            transvect(diff, i, j)
+            moves -= 1
+            if not moves:
+                break
+    perm = list(range(cx.n))
+    rng.shuffle(perm)
+    order = sorted(range(cx.n), key=perm.__getitem__)
+    return KnotComplex(
+        f"scrambled({cx.name})", tuple(f"g{k}" for k in range(cx.n)),
+        tuple(cx.gradings[s] for s in order),
+        tuple(sum(1 << perm[t] for t in algebra.ones(diff[s]))
+              for s in order))
+
+
 SHAPES = dict(_non_s3())
+for _name, _cx in _non_s3().items():
+    SHAPES[f"scrambled({_name})"] = _scramble_complex(_cx,
+                                                      random.Random(_name))
+# one tower in plane gr_u = 0, whose top (0, 0) lies below the box's a'
+# and d' at (0, 2) in the same plane
+SHAPES["dot+box(1) at (0, 2)"] = direct_sum(
+    dot_complex(), box_complex(1, at=(0, 2), suffix="'"))
+SHAPES["scrambled(dot+box(1) at (0, 2))"] = _scramble_complex(
+    SHAPES["dot+box(1) at (0, 2)"], random.Random(4))
 for _name in MODELS:
     SHAPES[_name] = _name
 
@@ -191,6 +224,15 @@ def test_non_s3_shapes_are_covered():
     assert {0, 1, 2} <= counts  # no tower, one, two
     assert any(shape.tower_count == 1 and shape.tower_top[0] != 0
                for shape in shapes)  # one tower, top off degree zero
+
+
+@pytest.mark.parametrize("name", ["dot+box(1) at (0, 2)",
+                                  "scrambled(dot+box(1) at (0, 2))"])
+def test_a_tower_top_below_the_top_of_its_plane(name):
+    cx = SHAPES[name]
+    top = quotient_tower_shape(cx, "u").tower_top
+    assert top == (0, 0)
+    assert max(gr[1] for gr in cx.gradings if gr[0] == top[0]) == 2
 
 
 def test_the_125_generator_tensor_is_covered():

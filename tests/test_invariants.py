@@ -173,10 +173,18 @@ class TestDelta:
         for x in cases:
             assert delta(x).delta == brute_delta(x), x.complex.name
 
-    def test_window_bump_stability(self):
-        x = bundled("4_1x4_1_tau")
-        for bump in (0, 1, 2):
-            assert delta(x, window_bump=bump).delta == 1
+    def test_window_enlargement_stability(self):
+        from corkscrew.invariants import _delta_grading
+        uc = a0(bundled("4_1x4_1_tau"))
+        cyl = build_cyl(uc)
+        a0_hom = DiagonalHomology(uc)
+        cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
+        for _ in range(3):  # the proven window, then 2 and 4 wider
+            d, _, _ = _delta_grading(uc.name, cyl, a0_hom, cyl_hom)
+            assert d == -2
+            a0_hom = DiagonalHomology(uc, share=a0_hom)
+            cyl_hom = DiagonalHomology(cyl.total, expect_tower=False,
+                                       share=cyl_hom)
 
     def test_witness_defining_equations(self, fig8):
         x = tensor(fig8, fig8)

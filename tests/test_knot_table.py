@@ -85,3 +85,13 @@ def test_census_stable_under_row_reordering():
 def test_max_crossings_filter():
     names7 = census_names(bundled_table().rows, max_crossings=7)
     assert names7 == ["4_1", "5_2", "6_3", "7_4", "7_5", "7_7"]
+
+
+@pytest.mark.parametrize("header, line, message", [
+    (HEADER.replace(",tau", ""), "short,4", "row has 2 fields, the header 6"),
+    (HEADER, "short,4", "row has 2 fields, the header 7"),
+    (HEADER, "long,3,1,-2,3,1,,extra", "row has 8 fields, the header 7"),
+], ids=["short, no tau column", "short", "long"])
+def test_row_with_another_field_count_is_rejected(header, line, message):
+    rep = parse_knot_csv_text(header + line + "\n")
+    assert (rep.rows, rep.rejected) == ([], [(2, message)])
