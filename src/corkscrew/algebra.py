@@ -27,13 +27,6 @@ Mono = tuple  # (u_exp, v_exp)
 Grading = tuple  # (gr_u, gr_v)
 
 
-# -- monomials ---------------------------------------------------------------
-
-def mono_deg(m: Mono) -> Grading:
-    """Bigrading shift contributed by the monomial."""
-    return (-2 * m[0], -2 * m[1])
-
-
 # -- bigradings --------------------------------------------------------------
 
 def gr_add(g1: Grading, g2: Grading) -> Grading:
@@ -54,11 +47,6 @@ def alexander(g: Grading) -> int:
     if d % 2:
         raise ValueError(f"bigrading {g} has odd gr_u - gr_v")
     return d // 2
-
-
-def maslov(g: Grading) -> int:
-    """Maslov grading; by convention this is gr_u."""
-    return g[0]
 
 
 # -- graded slices -----------------------------------------------------------

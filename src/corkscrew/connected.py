@@ -99,6 +99,12 @@ class _Objective:
         return ([(i, t) for t in ones(self.cols[j])]
                 + [(s, j) for s in ones(self.rows[i])])
 
+    def terms_change(self, i, j):
+        """Change in terms of transvection(i, j): a toggle flips an entry."""
+        ci, cj, ri, rj = self.cols[i], self.cols[j], self.rows[i], self.rows[j]
+        return (cj.bit_count() - 2 * (ci & cj).bit_count()
+                + ri.bit_count() - 2 * (ri & rj).bit_count())
+
     def trial(self, toggles):
         """(score after the toggles, load deltas), the counts untouched."""
         cols, gu, gv, load, n = self.cols, self.gu, self.gv, self.load, self.n
@@ -139,27 +145,32 @@ def _sweep(gradings, cols):
 
     Each pass tries every admissible move (i-major, j-minor) and keeps one
     when it strictly lowers the score; a trial is scored from the entries
-    it toggles, and only a kept move touches the columns.  Returns the
-    columns, the kept moves and the final score."""
-    n = len(gradings)
+    it toggles, and only a kept move touches the columns.  A move that
+    toggles nothing or adds terms cannot lower the lexicographic score, so
+    it is rejected untried: the same moves are kept.  Returns the columns,
+    the kept moves and the final score."""
     # new_i = e_i + m e_j needs gr(e_j) + deg(m) = gr(e_i)
-    admissible = [(i, j, m) for i in range(n) for j in range(n) if i != j
-                  for m in (slice_monomial(gradings[j], gradings[i]),)
-                  if m is not None]
+    admissible = [(i, j, ((uj - ui) // 2, (vj - vi) // 2))
+                  for i, (ui, vi) in enumerate(gradings)
+                  for j, (uj, vj) in enumerate(gradings)
+                  if i != j and uj >= ui and vj >= vi
+                  and (uj - ui) % 2 == (vj - vi) % 2 == 0]
     objective = _Objective(gradings, cols)
+    cols, rows = objective.cols, objective.rows  # updated in place
     moves = []
     for _ in range(SWEEP_PASSES):
-        improved = False
+        kept = len(moves)
         for i, j, m in admissible:
+            if not (cols[j] or rows[i]) or objective.terms_change(i, j) > 0:
+                continue
             toggles = objective.transvection(i, j)
             trial = objective.trial(toggles)
             if trial[0] < objective.score:
                 objective.accept(toggles, trial)
                 moves.append((i, j, m))
-                improved = True
-        if not improved:
+        if len(moves) == kept:
             break
-    return objective.cols, moves, objective.score
+    return cols, moves, objective.score
 
 
 # -- pattern matching -------------------------------------------------------------

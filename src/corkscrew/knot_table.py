@@ -73,7 +73,7 @@ def parse_knot_csv_text(text: str) -> TableReport:
                                      f"header {len(header)}"))
             continue
         try:
-            row = _parse_row(dict(zip(header, values)))
+            row = _parse_row(dict(zip(fields, values)))
         except (ParseError, ValueError, KeyError) as exc:
             rejected.append((lineno, str(exc)))
             continue

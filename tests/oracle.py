@@ -10,8 +10,13 @@ purpose; results are accepted only when a deeper margin reproduces them.
 
 from __future__ import annotations
 
-from corkscrew.algebra import F2Inconsistency, F2Solution, gr_add, mono_deg
+from corkscrew.algebra import F2Inconsistency, F2Solution, gr_add
 from corkscrew.complexes import PhiIotaComplex
+
+
+def mono_deg(m) -> tuple:
+    """Bigrading shift contributed by the monomial U^a V^b = (a, b)."""
+    return (-2 * m[0], -2 * m[1])
 
 
 # -- polynomials and maps over F2[U,V], as sets of monomials ------------------

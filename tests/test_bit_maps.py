@@ -10,7 +10,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import scramble
-from corkscrew.algebra import gr_add, mat_vec, mono_deg, slice_pairs
+from corkscrew.algebra import gr_add, mat_vec, slice_pairs
 from corkscrew.complexes import SKEW, dual, phi_psi_maps, sarkar_map, tensor
 from corkscrew.models import (
     BUNDLED,
@@ -22,6 +22,7 @@ from corkscrew.models import (
 from oracle import (
     dict_cols,
     image_grading,
+    mono_deg,
     poly_element,
     reference_add,
     reference_apply,

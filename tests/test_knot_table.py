@@ -67,6 +67,14 @@ def test_missing_required_column():
         parse_knot_csv_text("name,crossings\nfoo,3\n")
 
 
+def test_header_names_are_stripped_for_rows_too():
+    rep = parse_knot_csv_text(
+        "name, crossings,alternating,signature,determinant,arf\n"
+        "3_1,3,1,-2,3,1\n")
+    assert rep.rejected == []
+    assert [(row.name, row.crossings) for row in rep.rows] == [("3_1", 3)]
+
+
 def test_header_order_insensitive():
     text = ("determinant,arf,name,alternating,signature,crossings,tau\n"
             "5,1,4_1,1,0,4,\n")

@@ -13,7 +13,6 @@ from corkscrew.algebra import (
     F2Inconsistency,
     gr_add,
     mat_vec,
-    mono_deg,
     parity,
     slice_pairs,
     solve_f2_rows,
@@ -33,6 +32,7 @@ from conftest import scramble
 from oracle import (
     _BruteDiag,
     image_grading,
+    mono_deg,
     poly_element,
     reference_rows,
 )

@@ -5,6 +5,7 @@ test must keep the same candidates in the same order.  The sweep works on
 bit columns and the reference on {target: Poly} columns; an adapter
 converts between them through the gradings."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -163,6 +164,107 @@ def test_sweep_matches_the_reference(monkeypatch, cx):
         assert score == ref_score
     # form, change of basis and roles of recognize_standard
     assert got == want
+
+
+def _full_trial_sweep(gradings, cols, visited):
+    """The sweep with a full trial on every admissible move, checking the
+    popcount pre-test of ``_sweep`` against each trial as it goes; the
+    admissible moves come from ``slice_monomial``.  Appends the number of
+    moves visited to ``visited``."""
+    n = len(gradings)
+    admissible = [(i, j, m) for i in range(n) for j in range(n) if i != j
+                  for m in (slice_monomial(gradings[j], gradings[i]),)
+                  if m is not None]
+    objective = connected._Objective(gradings, cols)
+    moves = []
+    count = 0
+    for _ in range(connected.SWEEP_PASSES):
+        improved = False
+        for i, j, m in admissible:
+            count += 1
+            toggles = objective.transvection(i, j)
+            trial = objective.trial(toggles)
+            change = objective.terms_change(i, j)
+            assert change == trial[0][0] - objective.score[0]
+            if trial[0] < objective.score:
+                # a move the trial keeps is never rejected by the pre-test
+                assert toggles and change <= 0
+                objective.accept(toggles, trial)
+                moves.append((i, j, m))
+                improved = True
+        if not improved:
+            break
+    visited.append(count)
+    return objective.cols, moves, objective.score
+
+
+@pytest.mark.parametrize("cx", _sweep_inputs(), ids=lambda cx: cx.name)
+def test_terms_change_is_exact(monkeypatch, cx):
+    """At every move of every sweep recognition runs, including the
+    sweeps after peeling, ``terms_change`` is the trial's change in terms,
+    and the pre-test keeps every move the trial would keep."""
+    got, calls = _recorded(monkeypatch, connected._sweep, cx)
+    want, ref_calls = _recorded(
+        monkeypatch, lambda g, c: _full_trial_sweep(g, c, []), cx)
+    assert calls == ref_calls
+    assert got == want
+
+
+def test_sweep_trials_a_small_share_of_the_moves(monkeypatch):
+    """Work-count guard: on the scrambled 125-generator triple, fewer than
+    one admissible move in ten reaches the full trial (0.7% today)."""
+    cx = next(cx for cx in _sweep_inputs() if cx.n == 125)
+    trials = 0
+    full_trial = connected._Objective.trial
+
+    def counting(self, toggles):
+        nonlocal trials
+        trials += 1
+        return full_trial(self, toggles)
+
+    sweep = connected._sweep
+    visited = []
+    _recorded(monkeypatch, lambda g, c: _full_trial_sweep(g, c, visited), cx)
+    monkeypatch.setattr(connected._Objective, "trial", counting)
+    _recorded(monkeypatch, sweep, cx)
+    # one trial per sweep scores the initial differential
+    moves_trialled = trials - len(visited)
+    assert 0 < moves_trialled * 10 < sum(visited)
+
+
+def _tensor_power_of_four():
+    f = figure_eight_iota_only()
+    double = tensor(f, f)
+    return tensor(double, double)
+
+
+# Recorded before the popcount pre-test went into ``_sweep``: the form,
+# roles and change of basis it must keep finding on scrambled (4_1)^4.
+_RECOGNITION_625 = {
+    1: ("a02016681b2ad6f01434977e912d71e3b5d07826abb993e066601c01e92b670c",
+        "30920e64fa2fc4b053aa4af0ef2617ac726bd8e7be64f276593ae684e9c5d983",
+        "95eb56e991421122c65d986add892a4a570f473aea74d7189985b426c14ccf09"),
+    6: ("50d0edf4f3d42c9c565b1e0e13d27bdb60af4b06ff3da7185ca5535651eb98b3",
+        "5fe55166ba6e78bc509e6254b1ddd6a3d03aa11122678f43b844b64d79f63bc8",
+        "9abba3f3606c88af1c3a748b517a88fa2a547fbb964e724c6a99d2338d50946e"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RECOGNITION_625))
+def test_recognition_of_scrambled_fourth_power_is_pinned(seed):
+    cx = scramble(_tensor_power_of_four(), random.Random(seed)).complex
+    assert cx.n == 625
+    form, m_cols, q_cols, roles = connected._recognize(cx)
+    assert form.describe() == "dot" + " + box(1)" * 156
+    corners = [corner for _, corner in form.boxes]
+    assert [corners.count((k, -k)) for k in range(-3, 4)] == [
+        1, 10, 37, 60, 37, 10, 1]
+
+    def sha(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    assert (sha(form), sha(roles), sha((m_cols, q_cols))) == (
+        _RECOGNITION_625[seed])
 
 
 # -- the involution search -----------------------------------------------------
