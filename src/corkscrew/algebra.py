@@ -1,13 +1,15 @@
-"""Exact arithmetic ground layer: F2[U,V] monomials, bigradings, graded
-slice enumeration, and bit-packed F2 linear algebra.
+"""Exact arithmetic ground layer: F2[U,V] monomials, bigradings, grading
+levels, and bit-packed F2 linear algebra.
 
 A monomial U^a V^b is the exponent pair ``(a, b)``; it shifts the
 bigrading by ``(-2a, -2b)``.  Nothing stores a polynomial: every element
 and map is grading homogeneous, so each coefficient is zero or the one
-monomial the gradings force (:func:`slice_monomial`).  An element at a
-known bigrading is therefore an F2 bit vector over the generators, a map
-is an F2 bit matrix given by its columns (see ``complexes``), and
-applying one to the other is :func:`mat_vec`.
+monomial the gradings force (:func:`slice_monomial`).  Which generators
+can carry a coefficient at a bigrading is a bit mask, read off the
+grading groups of :class:`Levels` (``KnotComplex.admissible`` caches
+them).  An element at a known bigrading is therefore an F2 bit vector
+over the generators, a map is an F2 bit matrix given by its columns (see
+``complexes``), and applying one to the other is :func:`mat_vec`.
 
 Every F2 elimination in the package goes through one routine, the
 incremental row echelon :class:`Echelon`: ranks, lexmin witnesses and
@@ -37,10 +39,6 @@ def gr_neg(g: Grading) -> Grading:
     return (-g[0], -g[1])
 
 
-def gr_swap(g: Grading) -> Grading:
-    return (g[1], g[0])
-
-
 def alexander(g: Grading) -> int:
     """Alexander grading (gr_u - gr_v)/2; derived, never stored."""
     d = g[0] - g[1]
@@ -58,20 +56,6 @@ def slice_monomial(gen_grading: Grading, target: Grading) -> Optional[Mono]:
     if du < 0 or dv < 0 or du % 2 or dv % 2:
         return None
     return (du // 2, dv // 2)
-
-
-def slice_pairs(gradings: Sequence[Grading], target: Grading) -> list:
-    """All (monomial, generator-index) pairs spanning the piece at ``target``.
-
-    Deterministic order: generator order (each generator contributes at most
-    one monomial, so no further tie-breaking is needed).
-    """
-    out = []
-    for i, g in enumerate(gradings):
-        m = slice_monomial(g, target)
-        if m is not None:
-            out.append((m, i))
-    return out
 
 
 class Levels:

@@ -5,16 +5,20 @@ A :class:`KnotComplex` is a finitely generated free complex with
 Endomorphisms are either *straight* (module maps) or *skew* (the monomial
 exponents are exchanged when coefficients move through the map).
 
-Every map here is grading homogeneous, so each entry s -> t is zero or the
-one monomial the gradings, mode and bidegree force (``slice_monomial``).
-A map is therefore stored as F2 bit columns: ``cols[s]`` (``diff[s]`` for
-a complex) is an int with bit t set when the entry s -> t is nonzero, and
+Every map here is grading homogeneous.  Column s of a map lands on the
+bigrading :func:`landing` gives (gr(s), exchanged when the map is skew,
+plus the bidegree), and each entry s -> t is zero or the one monomial
+taking gr(t) there.  The targets that have such a monomial are a bit
+mask cached on the complex, :meth:`KnotComplex.admissible`.  A map is
+therefore stored as F2 bit columns: ``cols[s]`` (``diff[s]`` for a
+complex) is an int with bit t set when the entry s -> t is nonzero, and
 :func:`entries` reads the monomials back off the gradings.  Composition,
 sums, duals and tensor products are integer XORs; a map is well graded
-when every set bit has a forced monomial (one AND per column with a
-:meth:`KnotComplex.admissible` mask).  An element at a known bigrading
-is a bit vector over the generators, and ``mat_vec(f.cols, v)``
-is its image, at the bigrading the map's mode and bidegree give.
+when each column lies inside its admissible mask (one AND per column),
+and the maps of one mode and bidegree have the (s, t) bits of those
+masks as coordinates (``homotopy.MapShape``).  An element at a known
+bigrading is a bit vector over the generators, and ``mat_vec(f.cols, v)``
+is its image, at the bigrading :func:`landing` gives.
 
 The module also provides the derivative endomorphisms of the differential,
 the basepoint-twist map ``id + (d/dU diff)(d/dV diff)``, duals, involutive
@@ -34,7 +38,6 @@ from .algebra import (
     Levels,
     gr_add,
     gr_neg,
-    gr_swap,
     mat_vec,
     ones,
 )
@@ -42,6 +45,16 @@ from .errors import ParseError, ValidationError
 
 STRAIGHT = "straight"
 SKEW = "skew"
+
+
+def landing(grading: Grading, mode: str, bidegree: Grading) -> Grading:
+    """The bigrading a column at ``grading`` lands on under a map of this
+    mode and bidegree: exchanged first when the map is skew (the
+    involution exchanges U and V), then shifted by the bidegree."""
+    u, v = grading
+    if mode == SKEW:
+        u, v = v, u
+    return (u + bidegree[0], v + bidegree[1])
 
 
 @dataclass(frozen=True)
@@ -99,9 +112,14 @@ class KnotComplex:
         mask = self._admissible.get(expect)
         if mask is None:
             eu, ev = expect
-            mask = self._admissible[expect] = sum(
-                bits for (gu, gv), bits in self._by_grading
-                if gu >= eu and gv >= ev and (gu - eu) % 2 == (gv - ev) % 2 == 0)
+            # a plain loop costs half of sum() over a generator, and every
+            # fresh complex fills its masks here
+            mask = 0
+            for (gu, gv), bits in self._by_grading:
+                if (gu >= eu and gv >= ev
+                        and (gu - eu) % 2 == (gv - ev) % 2 == 0):
+                    mask |= bits
+            self._admissible[expect] = mask
         return mask
 
     def boundary(self) -> "Endomorphism":
@@ -146,13 +164,10 @@ class Endomorphism:
         """First entry, in (source, target) order, that no monomial can
         fill under the mode/bidegree contract, if any: the lowest bit of
         the first column outside its admissible mask."""
-        du, dv = self.bidegree
-        skew = self.mode == SKEW
         admissible = self.target.admissible
-        for s, (gu, gv) in enumerate(self.source.gradings):
-            if skew:
-                gu, gv = gv, gu
-            bad = self.cols[s] & ~admissible((gu + du, gv + dv))
+        for s, g in enumerate(self.source.gradings):
+            bad = self.cols[s] & ~admissible(
+                landing(g, self.mode, self.bidegree))
             if bad:
                 return (f"bidegree violated at {self.source.generators[s]}->"
                         f"{self.target.generators[(bad & -bad).bit_length() - 1]}")
@@ -166,10 +181,7 @@ class Endomorphism:
             raise ValidationError("composition mismatch")
         cols = [mat_vec(self.cols, col) for col in other.cols]
         mode = STRAIGHT if self.mode == other.mode else SKEW
-        od = other.bidegree
-        if self.mode == SKEW:
-            od = gr_swap(od)
-        bideg = gr_add(self.bidegree, od)
+        bideg = landing(other.bidegree, self.mode, self.bidegree)
         return Endomorphism(other.source, self.target, cols, mode, bideg,
                             check=False)
 
@@ -200,12 +212,7 @@ def entries(f: Endomorphism, s: int) -> list:
     """(target index, monomial) of every nonzero entry in column s of f,
     in target order.  The monomial is the one the gradings force, None
     when no monomial fits (a grading violation)."""
-    eu, ev = f.source.gradings[s]
-    if f.mode == SKEW:
-        eu, ev = ev, eu
-    du, dv = f.bidegree
-    eu += du
-    ev += dv
+    eu, ev = landing(f.source.gradings[s], f.mode, f.bidegree)
     grads = f.target.gradings
     out = []
     for t in ones(f.cols[s]):
@@ -532,8 +539,6 @@ def _decode_matrix(cx: KnotComplex, raw, label: str, mode: str,
     if not isinstance(raw, dict):
         raise ParseError(f"{label}: must be an object of columns")
     pos, grads = cx._positions, cx.gradings
-    du, dv = bidegree
-    skew = mode == SKEW
     cols = [0] * cx.n
     stray = set()
     for src, triples in raw.items():
@@ -542,11 +547,7 @@ def _decode_matrix(cx: KnotComplex, raw, label: str, mode: str,
             raise ParseError(f"{label}: unknown generator {src!r}")
         if not isinstance(triples, list):
             raise ParseError(f"{label}: column {src!r} must be a list")
-        eu, ev = grads[s]
-        if skew:
-            eu, ev = ev, eu
-        eu += du
-        ev += dv
+        eu, ev = landing(grads[s], mode, bidegree)
         col = 0
         for entry in triples:
             if not isinstance(entry, list) or len(entry) != 3:

@@ -21,6 +21,7 @@ from typing import Optional
 from .algebra import (
     Echelon,
     Grading,
+    Levels,
     gr_add,
     inverse_cols,
     mat_vec,
@@ -385,14 +386,12 @@ def _peel_boxes(gradings, cols):
     inv_bits = inverse_cols(m_bits)
     if inv_bits is None:
         return None
-    # each new basis vector is homogeneous; read its grading off any
-    # generator in its support
+    # each new basis vector is homogeneous: its grading is that of any
+    # generator in its support, and its bits lie in that grading's mask
     new_grads = tuple(gradings[(v & -v).bit_length() - 1] for v in m_bits)
-    for k, v in enumerate(m_bits):
-        for t in range(n):
-            if (v >> t) & 1 and gradings[t] != new_grads[k]:
-                raise ConsistencyError(
-                    "peeled basis vector is not homogeneous")
+    at = dict(Levels(gradings).masks)
+    if any(v & ~at[g] for v, g in zip(m_bits, new_grads)):
+        raise ConsistencyError("peeled basis vector is not homogeneous")
     return m_bits, inv_bits, new_grads
 
 

@@ -34,11 +34,30 @@ def read_input(path: str) -> str:
                          f"at byte {exc.start}") from None
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key is a
+    ParseError, where ``json`` would keep only its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ParseError(f"repeated key {key!r} in a JSON object")
+    return doc
+
+
+# built once: ``json.loads`` with a hook builds a new decoder per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def load_json(text: str):
     """The value of a JSON text.  Malformed text is a ParseError at its
-    line and column, and so is nesting too deep for the decoder."""
+    line and column, and so are nesting too deep for the decoder and a
+    key repeated within one object."""
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):  # the check json.loads makes
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError:

@@ -1,15 +1,17 @@
 """Decision procedures for homotopy questions between graded maps.
 
 Every question here reduces to an exact F2 linear system: a grading
-homogeneous map is determined by finitely many slice coordinates (one bit
-per admissible (monomial, target) pair for each source generator), and all
-constraints -- chain map, homotopy, commutation up to homotopy, locality --
-are linear in those coordinates.  Locality is a single extra affine row:
-the class of the image of a fixed nontorsion cycle must survive inverting
-the variables, which is one F2 functional, so existence questions never
-enumerate the solution space.  The cycle is a bit vector over generators
-and the functional a bit mask over the target's generators (see
-``invariants.A0Data``), so the row is read straight off the coordinates.
+homogeneous map is determined by finitely many coordinates, one bit per
+(source, target) pair whose target lies in the admissible mask the
+source lands on (the entry is then the one monomial the gradings force),
+and all constraints -- chain map, homotopy, commutation up to homotopy,
+locality -- are linear in those coordinates.  Locality is a single extra
+affine row: the class of the image of a fixed nontorsion cycle must
+survive inverting the variables, which is one F2 functional, so
+existence questions never enumerate the solution space.  The cycle is a
+bit vector over generators and the functional a bit mask over the
+target's generators (see ``invariants.DiagonalHomology.tower_mask``), so
+the row is read straight off the coordinates.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from .algebra import (
     F2Inconsistency,
     Grading,
     gr_add,
-    gr_swap,
     inverse_cols,
     lexmin_affine,
     mat_vec,
     ones,
     parity,
-    slice_pairs,
     solve_f2_rows,
 )
 from .complexes import (
@@ -38,6 +38,7 @@ from .complexes import (
     SKEW,
     STRAIGHT,
     chain_commutes,
+    landing,
     transpose_cols,
 )
 from .errors import ConsistencyError, ValidationError
@@ -51,22 +52,22 @@ class MapShape:
     bidegree: Grading
 
     def unknowns(self) -> list:
-        """(src, mono, tgt) coordinates, slice-basis order per source."""
-        out = []
-        for s in range(self.source.n):
-            g = self.source.gradings[s]
-            if self.mode == SKEW:
-                g = gr_swap(g)
-            target_gr = gr_add(g, self.bidegree)
-            for m, t in slice_pairs(self.target.gradings, target_gr):
-                out.append((s, m, t))
-        return out
+        """(source, target) coordinates: for each source s, ascending,
+        the targets t in the admissible mask that s lands on, ascending.
+        Each stands for the entry s -> t holding the one monomial the
+        gradings force."""
+        mode, bidegree = self.mode, self.bidegree
+        admissible = self.target.admissible
+        return [(s, t) for s, g in enumerate(self.source.gradings)
+                for t in ones(admissible(landing(g, mode, bidegree)))]
 
     def assemble(self, bits: int, coords: list) -> Endomorphism:
+        """The map with coordinate i set for each set bit i of ``bits``;
+        bits past the last coordinate are ignored."""
         cols = [0] * self.source.n
-        for i, (s, _, t) in enumerate(coords):
-            if (bits >> i) & 1:
-                cols[s] ^= 1 << t
+        for i in ones(bits & ((1 << len(coords)) - 1)):
+            s, t = coords[i]
+            cols[s] ^= 1 << t
         return Endomorphism(self.source, self.target, cols, self.mode,
                             self.bidegree, check=False)
 
@@ -81,11 +82,10 @@ class Left(NamedTuple):
 
     def entries(self, coords: list):
         """(coordinate index, source, target) of every term of A o E over
-        the elementary maps E, one per coordinate (s, m, t): A o E is
-        column t of A moved to source s.  A term's monomial is the one the
-        gradings force, so it is left out."""
+        the elementary maps E, one per coordinate (s, t): A o E is column
+        t of A moved to source s."""
         targets = [list(ones(col)) for col in self.map.cols]
-        for ci, (s, _, t) in enumerate(coords):
+        for ci, (s, t) in enumerate(coords):
             for t2 in targets[t]:
                 yield ci, s, t2
 
@@ -104,7 +104,7 @@ class Right(NamedTuple):
         b = self.map
         sources = [list(ones(row))
                    for row in transpose_cols(b.cols, b.target.n)]
-        for ci, (s, _, t) in enumerate(coords):
+        for ci, (s, t) in enumerate(coords):
             for s2 in sources[s]:
                 yield ci, s2, t
 
@@ -115,7 +115,7 @@ class MapSystem:
     Equations have the form ``sum of op(unknown) = rhs``, where each
     operator is a sum of :class:`Left` (``X -> A o X``) and :class:`Right`
     (``X -> X o B``) terms.  An unknown's coordinates are the elementary
-    maps (s, m, t); every row bit is written straight from the bits of A
+    maps (s, t); every row bit is written straight from the bits of A
     and B, without building a map per coordinate.  A row is one
     (equation, source, target) entry of the equation's value: all terms
     of an equation share one mode and bidegree, so the gradings force the
@@ -161,8 +161,8 @@ class MapSystem:
         unknown f.  ``vector`` is a homogeneous element of f's source, as
         bits over its generators, and ``mask`` a bit mask over f's target
         generators at the bigrading f takes it to.  The elementary map
-        (s, m, t) sends the vector to generator t when s is in it, so the
-        row has coordinate (s, m, t) exactly when s is in ``vector`` and t
+        (s, t) sends the vector to generator t when s is in it, so the
+        row has coordinate (s, t) exactly when s is in ``vector`` and t
         in ``mask``."""
         self.functionals.append((name, vector, mask, rhs_bit))
 
@@ -194,7 +194,7 @@ class MapSystem:
         for name, vector, mask, rhs_bit in self.functionals:
             off = self.offsets[name]
             row = 0
-            for ci, (s, _, t) in enumerate(self.coords[name]):
+            for ci, (s, t) in enumerate(self.coords[name]):
                 if (vector >> s) & 1 and (mask >> t) & 1:
                     row |= 1 << (off + ci)
             out_rows.append(row)
@@ -235,7 +235,7 @@ class HomotopyClasses:
     ones, i.e. modulo the image of H -> dH + Hd over straight H of
     bidegree (1, 1).
 
-    A map is a bitmask over its entry coordinates (s, m, t); the image is
+    A map is a bitmask over its entry coordinates (s, t); the image is
     echelonised once, and the reduction of a map against it is a normal
     form: two maps are homotopic exactly when their normal forms agree.
     The normal form is linear in the map.
@@ -244,13 +244,13 @@ class HomotopyClasses:
     def __init__(self, cx: KnotComplex):
         self.shape = MapShape(cx, cx, STRAIGHT, (0, 0))
         self.coords = self.shape.unknowns()
-        self.bit = {(s, t): 1 << k for k, (s, _, t) in enumerate(self.coords)}
+        self.index = {st: k for k, st in enumerate(self.coords)}
         d = cx.boundary()
         h_coords = MapShape(cx, cx, STRAIGHT, (1, 1)).unknowns()
         image = [0] * len(h_coords)
         for op in (Left(d), Right(d)):
             for ci, s, t in op.entries(h_coords):
-                image[ci] ^= self.bit[s, t]
+                image[ci] ^= 1 << self.index[s, t]
         self.image = Echelon(image)
 
     def normal_form(self, f: Endomorphism) -> int:
@@ -259,7 +259,7 @@ class HomotopyClasses:
         v = 0
         for s, col in enumerate(f.cols):
             for t in ones(col):
-                v ^= self.bit[s, t]
+                v ^= 1 << self.index[s, t]
         return self.image.reduce(v)
 
 
@@ -323,7 +323,7 @@ def commutes_up_to_homotopy(f: Endomorphism, g: Endomorphism):
 def homotopy_inverse(cx: KnotComplex, phi: Endomorphism):
     """A chain map g with phi o g ~ id ~ g o phi, or None.
 
-    g is the lexicographically smallest such map in the slice basis, and
+    g is the lexicographically smallest such map in its coordinates, and
     one of two routes finds it.
 
     * When phi is straight of bidegree (0, 0) and its bit matrix B is
@@ -427,12 +427,13 @@ def local_map_exists(x1: PhiIotaComplex,
     nontorsion after restricting to the diagonal subcomplex of x2, which is
     a single linear functional of f.
     """
-    from .invariants import A0Data  # deferred: invariants imports us back
+    # deferred: invariants imports us back
+    from .invariants import DiagonalHomology, a0
 
-    tower1 = A0Data(x1)
-    tower2 = A0Data(x2)
-    t_cycle, t_grading = tower1.tower_cycle_in_c()
-    sys = _local_system(x1, x2, t_cycle, tower2.mask(t_grading))
+    hom1 = DiagonalHomology(a0(x1))
+    hom2 = DiagonalHomology(a0(x2))
+    sys = _local_system(x1, x2, hom1.tower_rep,
+                        hom2.tower_mask(hom1.tower_top))
     ans, cert = sys.solve()
     if ans is None:
         return LocalityCertificate(False, obstruction={
@@ -489,13 +490,13 @@ def self_local_space(x: PhiIotaComplex) -> MorphismSpace:
     member is read off from the stored functional bits (the space itself
     always contains non-local members such as 0).
     """
-    from .invariants import A0Data
+    from .invariants import DiagonalHomology, a0
 
     cx = x.complex
     d = cx.boundary()
-    tower = A0Data(x)
-    t_cycle, t_grading = tower.tower_cycle_in_c()
-    mask = tower.mask(t_grading)
+    hom = DiagonalHomology(a0(x))
+    t_cycle = hom.tower_rep
+    mask = hom.tower_mask(hom.tower_top)
 
     sys = MapSystem()
     f_shape = MapShape(cx, cx, STRAIGHT, (0, 0))

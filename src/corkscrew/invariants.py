@@ -223,6 +223,14 @@ class DiagonalHomology:
         constraint."""
         return parity(vec & self.tower_generators(d))
 
+    def tower_mask(self, d: int) -> int:
+        """The tower functional at grading d as a mask over the slice's
+        generators.  For a diagonal subcomplex ``a0(x)`` an element of x
+        at bigrading (d, d) is a bit vector over x's generators (each
+        takes the one monomial landing it there), and it is nontorsion
+        exactly when ``parity(bits & mask)`` is 1."""
+        return self.tower_generators(d) & self.uc.levels.above(d)
+
     def _locate_tower(self):
         r0 = self.homology(self.gmin - 1).rank
         r1 = self.homology(self.gmin - 2).rank
@@ -294,33 +302,6 @@ def a0(x: PhiIotaComplex) -> UComplex:
         phi_cols=x.phi.cols,
         iota_cols=x.iota.cols,
     )
-
-
-class A0Data:
-    """Diagonal homology of a complex-with-actions, with the tower cycle
-    and functional in the form the locality solvers read.
-
-    An element of the parent complex at bigrading (d, d) is a bit vector
-    over the parent's generators: generator g takes the one monomial that
-    lands it there, and it does so exactly when g lies in the diagonal
-    slice at d.
-    """
-
-    def __init__(self, x: PhiIotaComplex):
-        self.uc = a0(x)
-        self.hom = DiagonalHomology(self.uc)
-
-    def mask(self, grading: int) -> int:
-        """The tower functional at bigrading (grading, grading) as a mask
-        over parent generators: an element there is nontorsion exactly
-        when ``parity(bits & mask)`` is 1."""
-        return (self.hom.tower_generators(grading)
-                & self.uc.levels.above(grading))
-
-    def tower_cycle_in_c(self):
-        """The lexicographically first nontorsion cycle at the tower top,
-        as generator bits of the parent complex, plus its grading."""
-        return self.hom.tower_rep, self.hom.tower_top
 
 
 # -- spec-facing homology summary --------------------------------------------------

@@ -19,6 +19,34 @@ def mono_deg(m) -> tuple:
     return (-2 * m[0], -2 * m[1])
 
 
+def slice_pairs(gradings, target) -> list:
+    """All (monomial, generator-index) pairs spanning the piece at
+    ``target``, in generator order: each generator contributes at most
+    one monomial, so no further tie-breaking is needed."""
+    from corkscrew.algebra import slice_monomial
+
+    out = []
+    for i, g in enumerate(gradings):
+        m = slice_monomial(g, target)
+        if m is not None:
+            out.append((m, i))
+    return out
+
+
+def reference_unknowns(shape) -> list:
+    """(source, monomial, target) coordinates of a ``MapShape`` as the
+    library first listed them: for each source, the slice scan of the
+    target's gradings at gr(source), exchanged when the map is skew, plus
+    the bidegree."""
+    out = []
+    for s, (gu, gv) in enumerate(shape.source.gradings):
+        if shape.mode == "skew":
+            gu, gv = gv, gu
+        at = gr_add((gu, gv), shape.bidegree)
+        out += [(s, m, t) for m, t in slice_pairs(shape.target.gradings, at)]
+    return out
+
+
 # -- polynomials and maps over F2[U,V], as sets of monomials ------------------
 # A Poly is the frozenset of its (u_exp, v_exp) monomials, so addition is
 # symmetric difference; a map is a list of columns {target: Poly}.
@@ -548,8 +576,10 @@ def reference_rows_per_bit(sys):
     """Rows and rhs of a MapSystem as the library first assembled them:
     one row per (equation, source, target, monomial) key, the monomial
     worked out for every entry, and one bit XORed into a row per entry.
-    Rows come in first-occurrence order, then the keys only the rhs
-    has."""
+    Each coordinate's own monomial comes from the slice scan of
+    :func:`reference_unknowns`, whose (source, target) pairs must be the
+    system's coordinates.  Rows come in first-occurrence order, then the
+    keys only the rhs has."""
     from corkscrew.complexes import entries
     from corkscrew.homotopy import Left
 
@@ -570,6 +600,10 @@ def reference_rows_per_bit(sys):
             for s2, q in rows_of[s]:
                 yield ci, s2, t, (m[0] + q[0], m[1] + q[1])
 
+    coords = {}
+    for name in sys.names:
+        coords[name] = reference_unknowns(sys.shapes[name])
+        assert [(s, t) for s, _, t in coords[name]] == sys.coords[name]
     rows: dict = {}
     rhs: dict = {}
     for ei, (terms, rhs_endo) in enumerate(sys.equations):
@@ -581,9 +615,9 @@ def reference_rows_per_bit(sys):
             off = sys.offsets[name]
             skew = sys.shapes[name].mode == "skew"
             for op in ops:
-                terms_of = (left_entries(op.map, sys.coords[name])
+                terms_of = (left_entries(op.map, coords[name])
                             if isinstance(op, Left) else
-                            right_entries(op.map, sys.coords[name], skew))
+                            right_entries(op.map, coords[name], skew))
                 for ci, s, t, m in terms_of:
                     key = (ei, s, t, m)
                     rows[key] = rows.get(key, 0) ^ (1 << (off + ci))
@@ -593,7 +627,7 @@ def reference_rows_per_bit(sys):
     for name, vector, mask, rhs_bit in sys.functionals:
         off = sys.offsets[name]
         row = 0
-        for ci, (s, _, t) in enumerate(sys.coords[name]):
+        for ci, (s, t) in enumerate(sys.coords[name]):
             if (vector >> s) & 1 and (mask >> t) & 1:
                 row |= 1 << (off + ci)
         out_rows.append(row)
@@ -1127,7 +1161,6 @@ def reference_quotient_tower_shape(cx, killed: str):
     """quotient_tower_shape as first written: kept entries read off the
     forced monomial of every set bit, slices enumerated generator by
     generator through their monomials."""
-    from corkscrew.algebra import slice_pairs
     from corkscrew.complexes import entries
     from corkscrew.invariants import QuotientShape
 

@@ -9,7 +9,12 @@ from corkscrew.algebra import mat_vec, parity
 from corkscrew.complexes import dual, sarkar_map, tensor
 from corkscrew.connected import connected_complex, s_nontrivial
 from corkscrew.homotopy import commutes_up_to_homotopy, homotopic
-from corkscrew.invariants import A0Data, delta, delta_zero_iff_local
+from corkscrew.invariants import (
+    DiagonalHomology,
+    a0,
+    delta,
+    delta_zero_iff_local,
+)
 from corkscrew.knot_table import bundled_table, census_names
 from corkscrew.models import (
     box_complex,
@@ -106,24 +111,24 @@ TABLE_TAU = {
 }
 
 
-def _slice_vector(data, bits):
+def _slice_vector(hom, bits):
     """An element at bigrading (0, 0) in the diagonal slice at 0."""
-    assert bits & ~data.hom.uc.levels.above(0) == 0
+    assert bits & ~hom.uc.levels.above(0) == 0
     return bits
 
 
 def _class_setup(x):
-    data = A0Data(x)
-    h0 = data.hom.homology(0)
+    hom = DiagonalHomology(a0(x))
+    h0 = hom.homology(0)
     cx = x.complex
     cycles = _table_cycles(cx)
     coords = {}
     for name, vec in cycles.items():
-        coords[name] = h0.class_coords(_slice_vector(data, vec))
-    return data, h0, cycles, coords
+        coords[name] = h0.class_coords(_slice_vector(hom, vec))
+    return hom, h0, cycles, coords
 
 
-def _action_on_classes(x, fmap, data, h0, cycles, coords):
+def _action_on_classes(x, fmap, hom, h0, cycles, coords):
     """Induced map on the five classes, as a dict name -> coordinate set."""
     from corkscrew.algebra import solve_f2_rows
 
@@ -131,7 +136,7 @@ def _action_on_classes(x, fmap, data, h0, cycles, coords):
     basis_order = list(coords)
     for name, vec in cycles.items():
         img = mat_vec(fmap.cols, vec)
-        cls = h0.class_coords(_slice_vector(data, img))
+        cls = h0.class_coords(_slice_vector(hom, img))
         # the table classes are a basis of the rank-5 slice homology, so
         # express the image class over them by one exact solve
         rows = []
@@ -148,30 +153,30 @@ def _action_on_classes(x, fmap, data, h0, cycles, coords):
 def test_criterion_02_table_reproduction():
     with criterion(2, "homology classes and actions on the double", 10.0):
         x = bundled("4_1x4_1_tau")
-        data, h0, cycles, coords = _class_setup(x)
+        hom, h0, cycles, coords = _class_setup(x)
         # exactly five classes and the table cycles are a basis
         from corkscrew.algebra import f2_rank
         assert h0.rank == 5
         assert f2_rank(list(coords.values()), 5) == 5
         # x|x is the unique nontorsion class among them
         for name, vec in cycles.items():
-            bit = parity(vec & data.mask(0))
+            bit = parity(vec & hom.tower_mask(0))
             assert bit == (1 if name == "x|x" else 0), name
-        got_iota = _action_on_classes(x, x.iota, data, h0, cycles, coords)
+        got_iota = _action_on_classes(x, x.iota, hom, h0, cycles, coords)
         assert got_iota == {k: set(v) for k, v in TABLE_IOTA.items()}
-        got_tau = _action_on_classes(x, x.phi, data, h0, cycles, coords)
+        got_tau = _action_on_classes(x, x.phi, hom, h0, cycles, coords)
         assert got_tau == {k: set(v) for k, v in TABLE_TAU.items()}
 
 
 def test_criterion_03_periodic_double_pipeline():
     with criterion(3, "invariant subspace, delta, and the verdict", 30.0):
         x = bundled("4_1x4_1_tau")
-        data, h0, cycles, coords = _class_setup(x)
+        hom, h0, cycles, coords = _class_setup(x)
         basis_order = list(coords)
         from corkscrew.algebra import solve_f2_rows
 
         def action_matrix(fmap):
-            got = _action_on_classes(x, fmap, data, h0, cycles, coords)
+            got = _action_on_classes(x, fmap, hom, h0, cycles, coords)
             cols = []
             for name in basis_order:
                 word = 0

@@ -12,13 +12,19 @@ from corkscrew.algebra import (
     f2_rank,
     inverse_cols,
     lexmin_affine,
-    slice_pairs,
     solve_f2,
     solve_f2_rows,
 )
 from corkscrew.errors import ValidationError
 
-from oracle import formal_derivative, mono_deg, pmul, poly, reference_solve
+from oracle import (
+    formal_derivative,
+    mono_deg,
+    pmul,
+    poly,
+    reference_solve,
+    slice_pairs,
+)
 
 
 def P(*monos):

@@ -10,7 +10,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import scramble
-from corkscrew.algebra import gr_add, mat_vec, slice_pairs
+from corkscrew.algebra import gr_add, mat_vec
 from corkscrew.complexes import SKEW, dual, phi_psi_maps, sarkar_map, tensor
 from corkscrew.models import (
     BUNDLED,
@@ -30,6 +30,7 @@ from oracle import (
     reference_phi_psi_maps,
     reference_tensor_maps,
     reference_transpose,
+    slice_pairs,
 )
 
 

@@ -107,6 +107,60 @@ def test_half_integer_alexander_grading_is_a_parse_error(tmp_path, capsys,
         assert err.startswith("error: ") and message in err
 
 
+def _repeated_column():
+    """4_1's file with an empty ``"a"`` column after the real one: json
+    alone keeps the last, which silently deletes two differential
+    entries."""
+    text = serialize(figure_eight_with_actions())
+    column = '"a": [["b", 1, 0], ["c", 0, 1]],'
+    assert column in text
+    return text.replace(column, column + ' "a": [],', 1), "'a'"
+
+
+def _repeated_phi():
+    """4_1's file with a second, empty ``"phi"`` before the real one."""
+    text = serialize(figure_eight_with_actions())
+    assert text.count('"phi"') == 1
+    return text.replace('  "phi"', '  "phi": {"mode": "straight", '
+                        '"map": {}},\n  "phi"', 1), "'phi'"
+
+
+@pytest.mark.parametrize("command", ["validate", "conn"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("make", [_repeated_column, _repeated_phi])
+def test_repeated_json_keys_are_a_parse_error(tmp_path, capsys, make,
+                                              command, fmt):
+    text, key = make()
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text)
+    code, out, err = run_cli(["--format", fmt, command, str(bad)], capsys)
+    assert code == 1
+    message = f"repeated key {key} in a JSON object"
+    if command == "validate" and fmt == "json":
+        doc = json.loads(out)["invariants"]
+        assert doc["valid"] is False and doc["error"] == message
+    elif command == "validate":
+        assert out == f"invalid: {message}\n"
+    elif fmt == "json":
+        assert out == "" and json.loads(err) == {
+            "error": "ParseError", "message": message}
+    else:
+        assert out == "" and err == f"error: {message}\n"
+
+
+def test_a_byte_order_mark_is_reported_as_json_reports_it():
+    """``load_json`` decodes with one prebuilt decoder, so it makes the
+    byte-order-mark check of ``json.loads`` itself, with its message."""
+    from corkscrew.errors import ParseError, load_json
+
+    text = "\ufeff" + serialize(figure_eight_with_actions())
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(ParseError) as got:
+        load_json(text)
+    assert str(got.value) == f"{want.value.msg} (line 1, column 1)"
+
+
 def test_sarkar_output(fig8_file, capsys):
     code, out, _ = run_cli(["sarkar", fig8_file], capsys)
     assert code == 0

@@ -14,7 +14,6 @@ from corkscrew.algebra import (
     gr_add,
     mat_vec,
     parity,
-    slice_pairs,
     solve_f2_rows,
 )
 from corkscrew.complexes import (
@@ -26,7 +25,7 @@ from corkscrew.complexes import (
     iota_complex,
 )
 from corkscrew.homotopy import Left, MapShape, MapSystem, Right
-from corkscrew.models import bundled, dot_complex
+from corkscrew.models import BUNDLED, bundled, dot_complex
 
 from conftest import scramble
 from oracle import (
@@ -35,6 +34,8 @@ from oracle import (
     mono_deg,
     poly_element,
     reference_rows,
+    reference_unknowns,
+    slice_pairs,
 )
 
 
@@ -150,11 +151,13 @@ def test_assembly_matches_reference_on_locality_systems(src, tgt, exists):
     extension from cycles to the whole slice.  The chain-map equations
     make f(tower cycle) a cycle, so the solution spaces agree."""
     from corkscrew.homotopy import _local_system
-    from corkscrew.invariants import A0Data
+    from corkscrew.invariants import DiagonalHomology, a0
 
     x1, x2 = bundled(src), bundled(tgt)
-    t_cycle, d = A0Data(x1).tower_cycle_in_c()
-    sys_ = _local_system(x1, x2, t_cycle, A0Data(x2).mask(d))
+    hom1 = DiagonalHomology(a0(x1))
+    t_cycle, d = hom1.tower_rep, hom1.tower_top
+    sys_ = _local_system(x1, x2, t_cycle,
+                         DiagonalHomology(a0(x2)).tower_mask(d))
     dense = _BruteDiag(x2, margin=8)
     pos = {e: i for i, e in enumerate(dense.slices[d])}
 
@@ -168,6 +171,65 @@ def test_assembly_matches_reference_on_locality_systems(src, tgt, exists):
     functionals = [(poly_element(x1.complex.gradings, t_cycle, (d, d)),
                     tower_bit)]
     assert _matches_reference(sys_, functionals) == exists
+
+
+# -- coordinates read off the admissible masks ----------------------------------
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_unknowns_match_the_slice_scan(name):
+    """The (source, target) coordinates of every shape are the slice
+    scan's pairs, in its order, on a bundled model, three scrambles of
+    it, and maps from the model to each scramble.  The bidegree (1, -1)
+    tells swapping before adding from swapping after."""
+    x = bundled(name)
+    scrambles = [scramble(x, random.Random(seed)).complex
+                 for seed in (1, 2, 3)]
+    pairs = [(x.complex, x.complex)] + [(c, c) for c in scrambles]
+    pairs += [(x.complex, c) for c in scrambles]
+    for src, tgt in pairs:
+        for mode in (STRAIGHT, SKEW):
+            for bidegree in ((0, 0), (1, 1), (-1, -1), (1, -1)):
+                shape = MapShape(src, tgt, mode, bidegree)
+                want = [(s, t) for s, _, t in reference_unknowns(shape)]
+                assert shape.unknowns() == want, (mode, bidegree)
+
+
+def test_map_systems_read_no_monomials(monkeypatch):
+    """Listing coordinates is one AND per source: building the
+    null-homotopy classes and the local-map system on the 125-generator
+    (4_1)^3 calls ``slice_monomial`` not once."""
+    from corkscrew import algebra, homotopy
+    from corkscrew.complexes import tensor
+    from corkscrew.homotopy import HomotopyClasses, _local_system
+    from corkscrew.invariants import DiagonalHomology, a0
+
+    x = bundled("4_1")
+    x3 = tensor(tensor(x, x), x)
+    assert x3.complex.n == 125
+    hom = DiagonalHomology(a0(x3))
+    t_cycle, mask = hom.tower_rep, hom.tower_mask(hom.tower_top)
+    # homotopy holds no slice_monomial of its own, so the library's one,
+    # patched below, is the only one it could reach
+    assert "slice_monomial" not in vars(homotopy)
+    calls = {"mono": 0, "unknowns": 0}
+    real_mono = algebra.slice_monomial
+    real_unknowns = MapShape.unknowns
+
+    def counting(*args):
+        calls["mono"] += 1
+        return real_mono(*args)
+
+    def listing(self):
+        calls["unknowns"] += 1
+        return real_unknowns(self)
+
+    monkeypatch.setattr(algebra, "slice_monomial", counting)
+    monkeypatch.setattr(MapShape, "unknowns", listing)
+    HomotopyClasses(x3.complex)
+    sys_ = _local_system(x3, x3, t_cycle, mask)
+    assert calls["unknowns"] == 5  # two in the classes, three unknowns
+    assert sys_.total > 0
+    assert calls["mono"] == 0
 
 
 def test_operators_check_composability():

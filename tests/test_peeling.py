@@ -82,6 +82,27 @@ def test_thin_models_unaffected_by_the_peeling_path(tau, parity):
     assert len(form.boxes) == 1
 
 
+def test_a_peeled_vector_mixing_gradings_is_refused(monkeypatch):
+    """Each new basis vector must lie in the mask of its grading.  The
+    first two vectors of a peel are x and Ax, one grading apart; OR-ing
+    the second into the first, after the inverse is taken, makes a
+    vector that mixes them."""
+    from corkscrew import connected
+    from corkscrew.errors import ConsistencyError
+
+    real = connected.inverse_cols
+
+    def mixing(cols):
+        inv = real(cols)
+        cols[0] |= cols[1]
+        return inv
+
+    monkeypatch.setattr(connected, "inverse_cols", mixing)
+    m = figure_eight_iota_only()
+    with pytest.raises(ConsistencyError, match="not homogeneous"):
+        recognize_standard(tensor(m, m).complex)
+
+
 _CORRUPTED_CONJUGATION = """
 import sys
 from corkscrew import connected

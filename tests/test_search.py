@@ -45,6 +45,7 @@ from oracle import (
     reference_objective,
     reference_scramble,
     reference_sweep,
+    reference_unknowns,
 )
 
 
@@ -270,7 +271,7 @@ def test_recognition_of_scrambled_fourth_power_is_pinned(seed):
 # -- the involution search -----------------------------------------------------
 
 def _coordinate_bits(cx, maps):
-    coords = MapShape(cx, cx, SKEW, (0, 0)).unknowns()
+    coords = reference_unknowns(MapShape(cx, cx, SKEW, (0, 0)))
     return [tuple(int(m in cols[s].get(t, ())) for s, m, t in coords)
             for cols in map(dict_cols, maps)]
 
