@@ -16,7 +16,11 @@ complex) is an int with bit t set when the entry s -> t is nonzero, and
 sums, duals and tensor products are integer XORs; a map is well graded
 when each column lies inside its admissible mask (one AND per column),
 and the maps of one mode and bidegree have the (s, t) bits of those
-masks as coordinates (``homotopy.MapShape``).  An element at a known
+masks as coordinates (``homotopy.MapShape``).  Gradings are checked
+once, where bits are made: a file's triples by the decoder, raw columns
+by the :class:`Endomorphism` constructor, a differential by
+:func:`validate`.  Maps built from graded maps are graded and are not
+checked again.  An element at a known
 bigrading is a bit vector over the generators, and ``mat_vec(f.cols, v)``
 is its image, at the bigrading :func:`landing` gives.
 
@@ -123,16 +127,14 @@ class KnotComplex:
         return mask
 
     def boundary(self) -> "Endomorphism":
-        return Endomorphism(self, self, self.diff, STRAIGHT, (-1, -1),
-                            check=False)
+        return Endomorphism._graded(self, self, self.diff, STRAIGHT, (-1, -1))
 
     def identity(self) -> "Endomorphism":
         cols = tuple(1 << i for i in range(self.n))
-        return Endomorphism(self, self, cols, STRAIGHT, (0, 0), check=False)
+        return Endomorphism._graded(self, self, cols, STRAIGHT, (0, 0))
 
     def zero_map(self, mode=STRAIGHT, bidegree=(0, 0)) -> "Endomorphism":
-        return Endomorphism(self, self, (0,) * self.n, mode, bidegree,
-                            check=False)
+        return Endomorphism._graded(self, self, (0,) * self.n, mode, bidegree)
 
 
 class Endomorphism:
@@ -141,13 +143,13 @@ class Endomorphism:
     ``mode`` is ``"straight"`` for module maps and ``"skew"`` for maps that
     exchange the two variables when sliding coefficients through: a skew f
     satisfies ``f(U^a V^b x) = U^b V^a f(x)`` and sends bigrading ``(g1,g2)``
-    to ``(g2,g1) + bidegree``.
+    to ``(g2,g1) + bidegree``.  The constructor checks every column
+    against its admissible mask.
     """
 
     __slots__ = ("source", "target", "cols", "mode", "bidegree")
 
-    def __init__(self, source, target, cols, mode=STRAIGHT, bidegree=(0, 0),
-                 check=True):
+    def __init__(self, source, target, cols, mode=STRAIGHT, bidegree=(0, 0)):
         self.source = source
         self.target = target
         self.cols = tuple(cols)
@@ -155,10 +157,18 @@ class Endomorphism:
         self.bidegree = tuple(bidegree)
         if len(self.cols) != source.n:
             raise ValidationError("column count does not match source rank")
-        if check:
-            err = self.grading_violation()
-            if err:
-                raise ValidationError(err)
+        err = self.grading_violation()
+        if err:
+            raise ValidationError(err)
+
+    @classmethod
+    def _graded(cls, source, target, cols, mode, bidegree):
+        """The map with these columns, unchecked: for the operations of
+        this package that build a graded map from graded inputs."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.cols = source, target, tuple(cols)
+        f.mode, f.bidegree = mode, tuple(bidegree)
+        return f
 
     def grading_violation(self) -> Optional[str]:
         """First entry, in (source, target) order, that no monomial can
@@ -182,15 +192,15 @@ class Endomorphism:
         cols = [mat_vec(self.cols, col) for col in other.cols]
         mode = STRAIGHT if self.mode == other.mode else SKEW
         bideg = landing(other.bidegree, self.mode, self.bidegree)
-        return Endomorphism(other.source, self.target, cols, mode, bideg,
-                            check=False)
+        return Endomorphism._graded(other.source, self.target, cols, mode,
+                                    bideg)
 
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
         if (self.mode, self.bidegree) != (other.mode, other.bidegree):
             raise ValidationError("cannot add maps of different shape")
         cols = [a ^ b for a, b in zip(self.cols, other.cols)]
-        return Endomorphism(self.source, self.target, cols, self.mode,
-                            self.bidegree, check=False)
+        return Endomorphism._graded(self.source, self.target, cols,
+                                    self.mode, self.bidegree)
 
     def is_zero(self) -> bool:
         return not any(self.cols)
@@ -230,17 +240,22 @@ def phi_psi_maps(cx: KnotComplex):
 
     d/dU U^a V^b is U^(a-1) V^b when a is odd and zero when it is even, so
     Phi keeps exactly the entries with an odd U exponent (Psi: odd V).
-    Both are chain maps because differentiating ``diff o diff = 0`` over F2
-    gives ``diff o Phi + Phi o diff = 0`` (and likewise in V).
+    The entry s -> t has U exponent (gr_u(t) - gr_u(s) + 1) / 2, odd
+    exactly when gr_u(t) = gr_u(s) + 1 (mod 4), so column s of Phi is
+    diff[s] masked to that residue class.  Both are chain maps because
+    differentiating ``diff o diff = 0`` over F2 gives
+    ``diff o Phi + Phi o diff = 0`` (and likewise in V).
     """
-    d = cx.boundary()
-    phi_cols, psi_cols = [], []
-    for s in range(cx.n):
-        terms = entries(d, s)
-        phi_cols.append(sum(1 << t for t, (a, _) in terms if a % 2))
-        psi_cols.append(sum(1 << t for t, (_, b) in terms if b % 2))
-    phi = Endomorphism(cx, cx, phi_cols, STRAIGHT, (1, -1))
-    psi = Endomorphism(cx, cx, psi_cols, STRAIGHT, (-1, 1))
+    u_class, v_class = [0] * 4, [0] * 4
+    for t, (gu, gv) in enumerate(cx.gradings):
+        u_class[gu % 4] |= 1 << t
+        v_class[gv % 4] |= 1 << t
+    phi_cols = [col & u_class[(gu + 1) % 4]
+                for col, (gu, _) in zip(cx.diff, cx.gradings)]
+    psi_cols = [col & v_class[(gv + 1) % 4]
+                for col, (_, gv) in zip(cx.diff, cx.gradings)]
+    phi = Endomorphism._graded(cx, cx, phi_cols, STRAIGHT, (1, -1))
+    psi = Endomorphism._graded(cx, cx, psi_cols, STRAIGHT, (-1, 1))
     return phi, psi
 
 
@@ -323,15 +338,8 @@ class PhiIotaComplex:
                                ("iota", self.iota, SKEW)):
             if f.mode != mode or f.bidegree != (0, 0):
                 raise ValidationError(f"{label} has the wrong shape")
-            err = f.grading_violation()
-            if err:
-                raise ValidationError(f"{label} {err}")
             if not chain_commutes(self.complex, f):
                 raise ValidationError(f"{label} is not a chain map")
-        if self.phi_inverse is not None:
-            err = self.phi_inverse.grading_violation()
-            if err:
-                raise ValidationError(f"phi_inverse {err}")
 
     @property
     def name(self) -> str:
@@ -378,7 +386,7 @@ def tensor(x1: PhiIotaComplex, x2: PhiIotaComplex,
     cx = KnotComplex(name or f"{c1.name}#{c2.name}", gens, grads, diff)
 
     def kron(f, g, mode):
-        return Endomorphism(cx, cx, _kron(f, g), mode, (0, 0), check=False)
+        return Endomorphism._graded(cx, cx, _kron(f, g), mode, (0, 0))
 
     phi = kron(x1.phi, x2.phi, STRAIGHT)
     phi_inv = None
@@ -426,8 +434,8 @@ def dual(x: PhiIotaComplex, name: Optional[str] = None) -> PhiIotaComplex:
     cxd = dual_complex(c, name)
 
     def transpose(f, mode):
-        return Endomorphism(cxd, cxd, transpose_cols(f.cols, c.n), mode,
-                            (0, 0), check=False)
+        return Endomorphism._graded(cxd, cxd, transpose_cols(f.cols, c.n),
+                                    mode, (0, 0))
 
     return PhiIotaComplex(cxd, transpose(x.phi_inverse, STRAIGHT),
                           transpose(x.iota, SKEW), transpose(x.phi, STRAIGHT))
@@ -575,11 +583,25 @@ def _decode_matrix(cx: KnotComplex, raw, label: str, mode: str,
     return tuple(cols)
 
 
+_TOP_KEYS = frozenset(("name", "generators", "differential", "phi", "iota"))
+_GENERATOR_KEYS = frozenset(("id", "gr"))
+_ACTION_KEYS = frozenset(("mode", "map"))
+
+
+def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
+    """A key outside the file format is a ParseError naming it: a
+    misspelt key would otherwise read as a missing one."""
+    if not obj.keys() <= allowed:
+        key = next(k for k in obj if k not in allowed)
+        raise ParseError(f"{where}: unknown key {key!r}")
+
+
 def complex_from_dict(doc: dict) -> KnotComplex:
     """A complex from its dictionary form.  The decoder has already
     proved every entry forced, so only diff^2 = 0 is left to check."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
+    _reject_unknown_keys(doc, _TOP_KEYS, "top level")
     raw_gens = doc.get("generators")
     if not raw_gens:
         raise ParseError("no generators")
@@ -591,6 +613,7 @@ def complex_from_dict(doc: dict) -> KnotComplex:
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise ParseError(f"generator {item!r} needs a string id")
         gid = item["id"]
+        _reject_unknown_keys(item, _GENERATOR_KEYS, f"generator {gid!r}")
         if gid in seen:
             raise ParseError(f"duplicate generator id {gid!r}")
         seen.add(gid)
@@ -620,9 +643,9 @@ def complex_from_dict(doc: dict) -> KnotComplex:
 def action_from_dict(cx: KnotComplex, raw: dict, label: str) -> Endomorphism:
     if not isinstance(raw, dict):
         raise ParseError(f"{label}: must be an object with mode and map")
+    _reject_unknown_keys(raw, _ACTION_KEYS, label)
     mode = raw.get("mode")
     if mode not in (STRAIGHT, SKEW):
         raise ParseError(f"{label}: mode must be 'straight' or 'skew'")
-    return Endomorphism(cx, cx, _decode_matrix(cx, raw.get("map", {}), label,
-                                               mode, (0, 0)),
-                        mode, (0, 0), check=False)
+    cols = _decode_matrix(cx, raw.get("map", {}), label, mode, (0, 0))
+    return Endomorphism._graded(cx, cx, cols, mode, (0, 0))

@@ -574,8 +574,7 @@ def _invert_iso(w: Endomorphism) -> Optional[Endomorphism]:
     inv = inverse_cols(w.cols)
     if inv is None:
         return None
-    return Endomorphism(w.target, w.source, inv, STRAIGHT, (0, 0),
-                        check=False)
+    return Endomorphism._graded(w.target, w.source, inv, STRAIGHT, (0, 0))
 
 
 def _conn_reduced(x: PhiIotaComplex, form: StandardForm):

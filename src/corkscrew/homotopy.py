@@ -68,8 +68,8 @@ class MapShape:
         for i in ones(bits & ((1 << len(coords)) - 1)):
             s, t = coords[i]
             cols[s] ^= 1 << t
-        return Endomorphism(self.source, self.target, cols, self.mode,
-                            self.bidegree, check=False)
+        return Endomorphism._graded(self.source, self.target, cols,
+                                    self.mode, self.bidegree)
 
 
 class Left(NamedTuple):
@@ -352,18 +352,17 @@ def homotopy_inverse(cx: KnotComplex, phi: Endomorphism):
 
 
 def _bit_inverse(cx: KnotComplex, phi: Endomorphism):
-    """The inverse of phi's bit matrix when phi is a well-graded straight
-    (0, 0) chain map whose matrix is invertible over F2, else None."""
+    """The inverse of phi's bit matrix when phi is a straight (0, 0) chain
+    map whose matrix is invertible over F2, else None."""
     if (phi.mode != STRAIGHT or phi.bidegree != (0, 0)
-            or phi.grading_violation() or not chain_commutes(cx, phi)):
+            or not chain_commutes(cx, phi)):
         return None
     inv_cols = inverse_cols(phi.cols)
     if inv_cols is None:
         return None
-    inv = Endomorphism(cx, cx, inv_cols, STRAIGHT, (0, 0), check=False)
+    inv = Endomorphism(cx, cx, inv_cols, STRAIGHT, (0, 0))
     ident = cx.identity()
-    if (phi.compose(inv) != ident or inv.compose(phi) != ident
-            or inv.grading_violation()):
+    if phi.compose(inv) != ident or inv.compose(phi) != ident:
         raise ConsistencyError(f"{cx.name}: F2 inverse of phi is not a "
                                f"homogeneous inverse")
     return inv

@@ -33,7 +33,6 @@ from .complexes import (
     iota_complex,
     sarkar_map,
     tensor,
-    validate,
 )
 from .errors import (
     ConsistencyError,
@@ -295,15 +294,35 @@ def phi_iota_from_dict(doc: dict) -> PhiIotaComplex:
             raise ValidationError("iota must be skew")
     else:
         iota, _ = solve_involution(cx)
-    phi_inv = None
-    if phi == cx.identity():
-        phi_inv = cx.identity()
+    phi_is_id = phi == cx.identity()
+    if phi_is_id:
+        phi_inv = phi
     else:
         from .homotopy import homotopy_inverse
         phi_inv = homotopy_inverse(cx, phi)
         if phi_inv is None:
             raise ValidationError(f"{cx.name}: phi has no homotopy inverse")
-    return PhiIotaComplex(cx, phi, iota, phi_inv)
+    x = PhiIotaComplex(cx, phi, iota, phi_inv)
+    # a solved iota is certified by solve_involution, and phi = id
+    # commutes with any iota
+    if "iota" in doc:
+        _require_homotopic(iota.compose(iota), sarkar_map(cx),
+                           f"{cx.name}: iota o iota is not homotopic to the "
+                           f"basepoint twist")
+    if not phi_is_id:
+        _require_homotopic(phi.compose(iota), iota.compose(phi),
+                           f"{cx.name}: phi o iota is not homotopic to "
+                           f"iota o phi")
+    return x
+
+
+def _require_homotopic(f: Endomorphism, g: Endomorphism, failure: str):
+    """f ~ g, by equal bits or a homotopy found; else a ValidationError
+    with the message ``failure``."""
+    from .homotopy import homotopic
+
+    if f != g and homotopic(f, g) is None:
+        raise ValidationError(failure)
 
 
 # -- bundled registry ----------------------------------------------------------------
@@ -358,26 +377,3 @@ def bundled(name: str) -> PhiIotaComplex:
             f"no bundled complex {name!r}; available: "
             f"{', '.join(sorted(BUNDLED))}")
     return BUNDLED[name]()
-
-
-def check_phi_iota(x: PhiIotaComplex) -> dict:
-    """Full structural audit: chain maps, gradings, square of iota,
-    commutation of the actions, invertibility of phi."""
-    from .homotopy import commutes_up_to_homotopy, homotopic, homotopy_inverse
-
-    report = {}
-    v = validate(x.complex, require_s3_type=False)
-    report["complex_ok"] = v.ok
-    s = sarkar_map(x.complex)
-    report["iota_squares_to_twist"] = (
-        homotopic(x.iota.compose(x.iota), s) is not None)
-    report["actions_commute"] = (
-        commutes_up_to_homotopy(x.phi, x.iota) is not None)
-    if x.phi_inverse is not None:
-        report["phi_invertible"] = (
-            homotopic(x.phi.compose(x.phi_inverse),
-                      x.complex.identity()) is not None)
-    else:
-        report["phi_invertible"] = (
-            homotopy_inverse(x.complex, x.phi) is not None)
-    return report

@@ -9,8 +9,8 @@ import pytest
 
 from corkscrew import cli
 from corkscrew.cli import check_schema, load_schema, main
-from corkscrew.complexes import serialize
-from corkscrew.models import figure_eight_with_actions
+from corkscrew.complexes import canonical_json, serialize, to_dict
+from corkscrew.models import bundled, figure_eight_with_actions
 
 
 def run_cli(args, capsys):
@@ -146,6 +146,48 @@ def test_repeated_json_keys_are_a_parse_error(tmp_path, capsys, make,
             "error": "ParseError", "message": message}
     else:
         assert out == "" and err == f"error: {message}\n"
+
+
+def _zero_iota():
+    """4_1's file with iota the zero map: a chain map, but iota^2 = 0 is
+    not homotopic to the basepoint twist."""
+    doc = to_dict(figure_eight_with_actions())
+    doc["iota"]["map"] = {}
+    return (canonical_json(doc), "ValidationError",
+            "4_1: iota o iota is not homotopic to the basepoint twist")
+
+
+def _capital_phi():
+    """(4_1,tau)^2's file with its phi under the key "Phi": read as a
+    missing phi, it would answer delta = 0 where the model gives 1."""
+    text = serialize(bundled("4_1x4_1_tau"))
+    assert text.count('"phi"') == 1
+    return (text.replace('"phi"', '"Phi"'), "ParseError",
+            "top level: unknown key 'Phi'")
+
+
+def _misspelt_map():
+    """4_1's file with phi's "map" spelt "mapp": read as a missing map,
+    it would be the zero map."""
+    text = serialize(figure_eight_with_actions())
+    head, tail = text.split('"phi"')
+    return (head + '"phi"' + tail.replace('"map"', '"mapp"', 1),
+            "ParseError", "phi: unknown key 'mapp'")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("make", [_zero_iota, _capital_phi, _misspelt_map])
+def test_files_outside_the_format_or_the_relations_exit_1(tmp_path, capsys,
+                                                          make, fmt):
+    text, error, message = make()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(["--format", fmt, "delta", str(bad)], capsys)
+    assert code == 1 and out == ""
+    if fmt == "json":
+        assert json.loads(err) == {"error": error, "message": message}
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_a_byte_order_mark_is_reported_as_json_reports_it():

@@ -300,10 +300,14 @@ class TestDual:
         assert dd.phi_inverse.cols == fig8.phi_inverse.cols
 
     def test_dual_structures_stay_valid(self, fig8):
-        from corkscrew.models import check_phi_iota
+        # parsing checks the chain maps, iota^2 ~ the twist, phi iota ~
+        # iota phi and that phi has a homotopy inverse
+        from corkscrew.homotopy import homotopic
         d = dual(fig8)
-        audit = check_phi_iota(d)
-        assert all(audit.values()), audit
+        assert validate(d.complex).ok
+        assert parse_complex_text(serialize(d)).phi == d.phi
+        assert homotopic(d.phi.compose(d.phi_inverse),
+                         d.complex.identity()) is not None
 
 
 class TestSerialization:
@@ -337,6 +341,13 @@ class TestSerialization:
          "name must be a string"),
         ('{"generators": [{"id": "x", "gr": [0, 0]}], "phi": []}',
          "phi: must be an object"),
+        ('{"generators": [{"id": "x", "gr": [0, 0], "grade": 1}]}',
+         "generator 'x': unknown key 'grade'"),
+        ('{"generators": [{"id": "x", "gr": [0, 0]}], "Iota": {}}',
+         "top level: unknown key 'Iota'"),
+        ('{"generators": [{"id": "x", "gr": [0, 0]}],'
+         ' "iota": {"mode": "skew", "map": {}, "note": ""}}',
+         "iota: unknown key 'note'"),
     ])
     def test_malformed_input_is_a_parse_error(self, text, message):
         with pytest.raises(ParseError, match=message):

@@ -186,8 +186,8 @@ def test_entries_read_the_forced_monomial_or_none(name):
     cx = x.complex
     for mode, bidegree in ((STRAIGHT, (-1, -1)), (SKEW, (0, 0)),
                            (STRAIGHT, (1, -1)), (SKEW, (2, 0))):
-        f = Endomorphism(cx, cx, [(1 << cx.n) - 1] * cx.n, mode, bidegree,
-                         check=False)
+        f = Endomorphism._graded(cx, cx, [(1 << cx.n) - 1] * cx.n, mode,
+                                 bidegree)
         for s in range(cx.n):
             g = cx.gradings[s]
             if mode == SKEW:

@@ -24,6 +24,7 @@ from corkscrew.complexes import (
     KnotComplex,
     direct_sum,
     dual,
+    serialize,
     shift,
     tensor,
 )
@@ -42,7 +43,9 @@ from corkscrew.models import (
     bundled,
     dot_complex,
     figure_eight_with_actions,
+    parse_complex_text,
     staircase_complex,
+    thin_model,
     torus_model,
 )
 from oracle import (
@@ -95,8 +98,9 @@ def test_grading_violation_matches_the_reference(name, seed):
         for mode in (STRAIGHT, SKEW):
             for bidegree in rng.sample(BIDEGREES, 3):
                 for flips in (0, 1, 3):
-                    f = Endomorphism(cx, cx, _flip(cols, cx.n, rng, flips),
-                                     mode, bidegree, check=False)
+                    f = Endomorphism._graded(
+                        cx, cx, _flip(cols, cx.n, rng, flips), mode,
+                        bidegree)
                     assert (f.grading_violation()
                             == reference_grading_violation(f)), (
                         name, mode, bidegree)
@@ -252,34 +256,62 @@ def _big():
     return tensor(*_factors())
 
 
-def test_tensor_checks_gradings_without_slice_monomial(monkeypatch):
-    calls = {"check": 0, "inside": 0}
+def _counting_checks(monkeypatch) -> list:
+    """Patch ``Endomorphism.grading_violation`` to record every call."""
+    calls = []
     real_check = Endomorphism.grading_violation
+
+    def checking(self):
+        calls.append(self)
+        return real_check(self)
+
+    monkeypatch.setattr(Endomorphism, "grading_violation", checking)
+    return calls
+
+
+def test_tensor_builds_its_maps_without_checks_or_monomials(monkeypatch):
+    factors = _factors()
     # complexes reads monomials off the gradings itself, so the library's
     # one slice_monomial, patched below, is the only one it could reach
     assert "slice_monomial" not in vars(complexes)
+    monos = []
     real_mono = algebra.slice_monomial
-    inside = []
-
-    def checking(self):
-        calls["check"] += 1
-        inside.append(True)
-        try:
-            return real_check(self)
-        finally:
-            inside.pop()
 
     def counting(*args):
-        if inside:
-            calls["inside"] += 1
+        monos.append(args)
         return real_mono(*args)
 
-    monkeypatch.setattr(Endomorphism, "grading_violation", checking)
     monkeypatch.setattr(algebra, "slice_monomial", counting)
-    x = tensor(*_factors())
+    checks = _counting_checks(monkeypatch)
+    x = tensor(*factors)
     assert x.complex.n == 625
-    assert calls["check"] >= 3  # phi, iota and phi_inverse
-    assert calls["inside"] == 0
+    assert len(checks) == 0 and len(monos) == 0
+
+
+def test_gradings_are_checked_once_where_the_bits_are_made(monkeypatch):
+    """A parsed file is graded by its decoder alone: parsing checks only
+    the columns of phi's inverse, which it makes itself (none when phi is
+    the identity), and tensor and dual build their maps from graded
+    inputs without a check."""
+    files = {"phi != id": serialize(scramble(bundled("4_1x4_1_tau"),
+                                             random.Random(3))),
+             "phi = id": serialize(scramble(thin_model(1, True),
+                                            random.Random(3)))}
+    checks = _counting_checks(monkeypatch)
+    counts = {}
+    parsed = {}
+    for label, text in files.items():
+        parsed[label] = parse_complex_text(text)
+        counts[f"parse, {label}"] = len(checks)
+        checks.clear()
+    big = tensor(parsed["phi != id"], parsed["phi = id"])
+    counts["tensor"] = len(checks)
+    checks.clear()
+    dual(big)
+    counts["dual"] = len(checks)
+    assert big.complex.n == 25 * 7
+    assert counts == {"parse, phi != id": 1, "parse, phi = id": 0,
+                      "tensor": 0, "dual": 0}
 
 
 def test_max_exponent_is_scanned_once_per_ucomplex(monkeypatch):
@@ -309,15 +341,12 @@ def test_max_exponent_is_scanned_once_per_ucomplex(monkeypatch):
 
 _BAD_PHI = """
 import sys
-from corkscrew.complexes import Endomorphism, KnotComplex, PhiIotaComplex
-from corkscrew.complexes import SKEW
+from corkscrew.complexes import Endomorphism, KnotComplex
 from corkscrew.errors import ValidationError
 
 cx = KnotComplex("k", ("a", "b"), ((0, 0), (1, 1)), (0, 0))
-phi = Endomorphism(cx, cx, (0b11, 0b10), check=False)  # a -> b is odd
-iota = Endomorphism(cx, cx, (0b01, 0b10), SKEW, check=False)
 try:
-    PhiIotaComplex(cx, phi, iota)
+    Endomorphism(cx, cx, (0b11, 0b10))  # a -> b is odd
 except ValidationError as exc:
     print("raised:", exc)
 else:
@@ -331,5 +360,5 @@ def test_bad_phi_entry_raises_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", _BAD_PHI],
                          env={"PYTHONPATH": str(src)}, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines() == ["raised: phi bidegree violated at a->b",
+    assert out.splitlines() == ["raised: bidegree violated at a->b",
                                 "optimize 1"]

@@ -3,12 +3,11 @@
 import pytest
 
 from corkscrew.algebra import alexander
-from corkscrew.complexes import sarkar_map, validate
+from corkscrew.complexes import sarkar_map, serialize, validate
 from corkscrew.errors import NoInvolutionError
 from corkscrew.homotopy import commutes_up_to_homotopy, homotopic
 from corkscrew.models import (
     box_complex,
-    check_phi_iota,
     figure_eight_with_actions,
     involution_candidates,
     parse_complex_text,
@@ -60,8 +59,13 @@ def test_every_builder_passes_the_structural_audit():
               thin_model(1, True), thin_model(0, True),
               staircase_with_box(0, 3)]
     for x in models:
-        audit = check_phi_iota(x)
-        assert all(audit.values()), (x.complex.name, audit)
+        # parsing checks the chain maps, iota^2 ~ the twist, phi iota ~
+        # iota phi and that phi has a homotopy inverse
+        name = x.complex.name
+        assert validate(x.complex).ok, name
+        assert parse_complex_text(serialize(x)).iota == x.iota, name
+        assert homotopic(x.phi.compose(x.phi_inverse),
+                         x.complex.identity()) is not None, name
 
 
 def test_figure_eight_relations_hold_on_the_nose(fig8):
