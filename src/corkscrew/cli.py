@@ -37,7 +37,7 @@ from .errors import (
 )
 from .invariants import delta
 from .knot_table import bundled_table, census, parse_knot_csv
-from .models import bundled, parse_complex
+from .models import bundled, check_given_actions, parse_complex
 from .verdicts import (
     Verdict,
     verdict_delta,
@@ -168,14 +168,19 @@ def cmd_validate(args, report: Report) -> int:
         if text is None:
             cx = _bundled(args.file).complex
         else:
-            cx = complex_from_dict(load_json(text))
+            doc = load_json(text)
+            cx = complex_from_dict(doc)
+        rep = validate(cx, require_s3_type=True)
+        # a valid complex's actions are checked as parsing checks them,
+        # with no involution solved for
+        if text is not None and rep.ok:
+            check_given_actions(cx, doc)
     except (ParseError, ValidationError) as exc:
         report.echo_input("file", args.file)
         report.invariant("valid", False)
         report.invariant("error", str(exc))
         report.say(f"invalid: {exc}")
         return 1
-    rep = validate(cx, require_s3_type=True)
     report.echo_input("file", args.file)
     report.echo_input("complex", cx.name)
     report.invariant("valid", rep.ok)
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="structural and S^3-type checks")
+    p = sub.add_parser("validate", help="structural, S^3-type, action checks")
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 

@@ -11,6 +11,11 @@ staircase survives and the boxes cancel in pairs, so only the parity of
 the box count matters.  Everything else is answered by the input itself,
 unreduced, always labelled as unverified; it never feeds a positive
 verdict.
+
+The model is the recognised basis, renamed.  Recognition carries only the
+change of basis M, takes M^-1 with one inverse and certifies there that
+M^-1 d M is the recognised differential; M and M^-1 are then the
+inclusion and projection of a connected input, with no further check.
 """
 
 from __future__ import annotations
@@ -296,30 +301,26 @@ def recognize_standard(cx: KnotComplex) -> Optional[StandardForm]:
 # A change of basis by homogeneous elements is a grading-homogeneous map, so
 # it is held as bit columns (see complexes); its monomials are forced.
 
-def _identity_cols(n):
-    return [1 << i for i in range(n)]
-
-
 def _matmul(a_cols, b_cols):
     """Bit columns of A o B."""
     return [mat_vec(a_cols, col) for col in b_cols]
 
 
-def _moves_matrices(n, moves):
-    """(M, M^-1) of a transvection sequence: the source side of a move
-    new_i = e_i + m e_j adds column j of M to column i, its target side
-    adds row i of M^-1 to row j."""
-    p_cols, q_cols = _identity_cols(n), _identity_cols(n)
+def _transvected(m_cols, moves):
+    """M after a transvection sequence, in place: a move
+    new_i = e_i + m e_j adds column j of M to column i."""
     for i, j, _ in moves:
-        p_cols[i] ^= p_cols[j]
-        for s, col in enumerate(q_cols):
-            if (col >> i) & 1:
-                q_cols[s] ^= 1 << j
-    return p_cols, q_cols
+        m_cols[i] ^= m_cols[j]
+    return m_cols
 
 
 def _conjugate_diff(cols, m_cols, q_cols):
     return _matmul(q_cols, _matmul(cols, m_cols))
+
+
+def _relabel(col, pos):
+    """The bits of ``col`` renumbered by ``pos``."""
+    return sum(1 << pos[t] for t in ones(col))
 
 
 # -- square-summand peeling -------------------------------------------------------
@@ -433,73 +434,56 @@ def _recognize(cx: KnotComplex):
     """Sweep, then peel square summands and sweep again until the form
     matches.  Peeling stops when it finds no square or when a round fails
     to strictly lower the sweep's score; the score is a triple of
-    non-negative integers, so the rounds end."""
+    non-negative integers, so the rounds end.
+
+    Only the change of basis M is carried: a transvection adds one of its
+    columns to another, a peel multiplies it by the peel's basis.  M^-1 is
+    taken once, after the last round, and M^-1 d M is certified to be the
+    recognised differential.  Returns the form, M, M^-1, the roles, and
+    the recognised gradings and columns; None when no form matches."""
     cols, moves, score = _sweep(cx.gradings, cx.diff)
-    m_cols, q_cols = _moves_matrices(cx.n, moves)
-    got = _match_all(cx.generators, cx.gradings, cols)
-    if got is None:
-        grads = cx.gradings
+    m_cols = _transvected([1 << i for i in range(cx.n)], moves)
+    grads, names = cx.gradings, cx.generators
+    got = _match_all(names, grads, cols)
+    peeled = got is None
+    if peeled:
         names = tuple(f"v{k}" for k in range(cx.n))
-        while got is None:
-            peeled = _peel_boxes(grads, cols)
-            if peeled is None:
-                return None
-            m2, q2, grads = peeled
-            cols, moves, new_score = _sweep(grads,
-                                            _conjugate_diff(cols, m2, q2))
-            m3, q3 = _moves_matrices(cx.n, moves)
-            m_cols = _matmul(_matmul(m_cols, m2), m3)
-            q_cols = _matmul(q3, _matmul(q2, q_cols))
-            got = _match_all(names, grads, cols)
-            if got is None and not new_score < score:
-                return None
-            score = new_score
-        # the composed change of basis must be an honest conjugation onto
-        # a valid complex; cheap to certify, catastrophic if wrong
-        if _matmul(q_cols, m_cols) != _identity_cols(cx.n):
-            raise ConsistencyError(
-                f"{cx.name}: peeled change of basis is not invertible")
-        if _conjugate_diff(cx.diff, m_cols, q_cols) != cols:
-            raise ConsistencyError(
-                f"{cx.name}: peeled basis does not conjugate the "
-                f"differential onto the recognised form")
-        probe = KnotComplex(cx.name, names, grads, cols)
-        if not validate(probe).ok:
-            raise ConsistencyError(
-                f"{cx.name}: recognised form is not a valid complex")
+    while got is None:
+        peel = _peel_boxes(grads, cols)
+        if peel is None:
+            return None
+        m2, q2, grads = peel
+        cols, moves, new_score = _sweep(grads, _conjugate_diff(cols, m2, q2))
+        m_cols = _transvected(_matmul(m_cols, m2), moves)
+        got = _match_all(names, grads, cols)
+        if got is None and not new_score < score:
+            return None
+        score = new_score
+    # the change of basis must be an honest conjugation onto the recognised
+    # complex; cheap to certify, catastrophic if wrong
+    q_cols = inverse_cols(m_cols)
+    if q_cols is None or _conjugate_diff(cx.diff, m_cols, q_cols) != cols:
+        raise ConsistencyError(
+            f"{cx.name}: change of basis does not conjugate the "
+            f"differential onto the recognised form")
+    if peeled and not validate(KnotComplex(cx.name, names, grads, cols)).ok:
+        raise ConsistencyError(
+            f"{cx.name}: recognised form is not a valid complex")
     form, roles = got
-    return form, m_cols, q_cols, roles
+    return form, m_cols, q_cols, roles, grads, cols
 
 
-# -- model reconstruction -----------------------------------------------------------
+# -- the model, in the recognised basis -------------------------------------------
 
-def model_from_form(steps, sign, anchor, boxes,
-                    name: str = "standard") -> KnotComplex:
-    """Rebuild the canonical complex of a recognised form.
-
-    The staircase is laid out along the recognition path: generator i at
-    anchor + i*(-1, 1), sources at odd positions for the builder
-    orientation and at even positions for the mirror."""
-    if any(s != 1 for s in steps):
-        raise ValidationError("only step-one staircases are rebuilt")
-    count = len(steps) + 1
-    gens = tuple(f"y{i}" for i in range(count))
-    grads = tuple((anchor[0] - i, anchor[1] + i) for i in range(count))
-    source_parity = 1 if sign > 0 else 0
-    cols = []
-    for i in range(count):
-        col = 0
-        if count > 1 and i % 2 == source_parity:
-            if i > 0:
-                col |= 1 << (i - 1)  # U y_(i-1)
-            if i + 1 < count:
-                col |= 1 << (i + 1)  # V y_(i+1)
-        cols.append(col)
-    stair = KnotComplex("stair", gens, grads, cols)
-    parts = [stair]
-    for k, (ell, corner) in enumerate(boxes):
-        parts.append(box_complex(ell, at=corner, suffix="" if not k else str(k)))
-    return direct_sum(*parts, name=name)
+def _role_complex(name, roles, count, grads, cols) -> KnotComplex:
+    """The recognised complex on ``roles``, in that order: ``count``
+    staircase generators y<k>, then at most one box, named a b c d as
+    ``box_complex`` names it."""
+    gens = tuple(f"y{k}" for k in range(count)) + tuple(
+        "abcd"[:len(roles) - count])
+    pos = {r: k for k, r in enumerate(roles)}
+    return KnotComplex(name, gens, tuple(grads[r] for r in roles),
+                       [_relabel(cols[r], pos) for r in roles])
 
 
 # -- connected complexes ---------------------------------------------------------------
@@ -529,12 +513,15 @@ def connected_complex(x: PhiIotaComplex) -> ConnectedResult:
     cx = x.complex
     got = _recognize(cx)
     if got is not None:
-        form, m_cols, q_cols, roles = got
-        if len(form.boxes) <= 1:
-            return _conn_whole(x, form, m_cols, q_cols, roles)
-        lengths = {ell for ell, _ in form.boxes}
-        if len(lengths) == 1:
-            res = _conn_reduced(x, form)
+        form, m_cols, q_cols, roles, grads, cols = got
+        if len({ell for ell, _ in form.boxes}) <= 1:
+            # longer steps wait for oracle checks of general staircases
+            if any(step != 1 for step in form.staircase_steps):
+                raise ValidationError("only step-one staircases are rebuilt")
+            if len(form.boxes) <= 1:
+                return _conn_whole(x, form, m_cols, q_cols, roles, grads,
+                                   cols)
+            res = _conn_reduced(x, form, roles, grads, cols)
             if res is not None:
                 return res
     return ConnectedResult(conn=iota_complex(cx, x.iota), form=None,
@@ -542,27 +529,21 @@ def connected_complex(x: PhiIotaComplex) -> ConnectedResult:
                            method="greedy", caveat=GREEDY_CAVEAT)
 
 
-def _conn_whole(x: PhiIotaComplex, form: StandardForm, p_cols, q_cols, roles):
-    """The input itself is connected; present it in the standard basis."""
+def _conn_whole(x: PhiIotaComplex, form: StandardForm, m_cols, q_cols, roles,
+                grads, cols):
+    """The input itself is connected: the model is the recognised complex,
+    renamed, and M and M^-1, relabelled, are the inclusion and the
+    projection.  Both are homogeneous by construction, and ``_recognize``
+    certified the conjugation."""
     cx = x.complex
-    model = model_from_form(form.staircase_steps, form.staircase_sign,
-                            form.staircase_anchor, form.boxes,
-                            name=f"conn({cx.name})")
-    # inclusion: model generator r corresponds to P(e_role[r])
-    inc_cols = [p_cols[r] for r in roles]
-    inclusion = Endomorphism(model, cx, inc_cols, STRAIGHT, (0, 0))
+    model = _role_complex(f"conn({cx.name})", roles,
+                          len(form.staircase_steps) + 1, grads, cols)
     pos = {r: k for k, r in enumerate(roles)}
-    proj_cols = [sum(1 << pos[t] for t in ones(col)) for col in q_cols]
-    projection = Endomorphism(cx, model, proj_cols, STRAIGHT, (0, 0))
-    if projection.compose(inclusion) != model.identity():
-        raise ConsistencyError(
-            f"{cx.name}: projection does not invert the inclusion")
-    dm, dc = model.boundary(), cx.boundary()
-    if inclusion.compose(dm) != dc.compose(inclusion):
-        raise ConsistencyError(
-            f"{cx.name}: inclusion of the standard form is not a chain map")
-    iota_conn = projection.compose(x.iota).compose(inclusion)
-    conn = iota_complex(model, iota_conn)
+    inclusion = Endomorphism._graded(model, cx, [m_cols[r] for r in roles],
+                                     STRAIGHT, (0, 0))
+    projection = Endomorphism._graded(
+        cx, model, [_relabel(col, pos) for col in q_cols], STRAIGHT, (0, 0))
+    conn = iota_complex(model, projection.compose(x.iota).compose(inclusion))
     return ConnectedResult(conn=conn, form=form, inclusion=inclusion,
                            projection=projection, method="exact-standard")
 
@@ -577,21 +558,19 @@ def _invert_iso(w: Endomorphism) -> Optional[Endomorphism]:
     return Endomorphism._graded(w.target, w.source, inv, STRAIGHT, (0, 0))
 
 
-def _conn_reduced(x: PhiIotaComplex, form: StandardForm):
+def _conn_reduced(x: PhiIotaComplex, form: StandardForm, roles, grads, cols):
     """Several boxes of one size: the connected model keeps box-count
-    parity.  Certified by local maps both ways against the rebuilt model;
-    None when no involution candidate on the model matches."""
+    parity.  It is the recognised staircase, renamed, plus one box centred
+    on its middle generator when the count is odd; certified by local maps
+    both ways.  None when no involution candidate on the model matches."""
     ell = form.boxes[0][0]
-    keep = []
+    count = len(form.staircase_steps) + 1
+    keep = ()
     if len(form.boxes) % 2 == 1:
-        # centre the surviving box on the middle staircase generator, laid
-        # out as in model_from_form
-        n = len(form.staircase_steps) // 2
-        anchor = form.staircase_anchor
-        keep = [(ell, (anchor[0] - n, anchor[1] + n))]
-    model = model_from_form(form.staircase_steps, form.staircase_sign,
-                            form.staircase_anchor, tuple(keep),
-                            name=f"conn({x.complex.name})")
+        keep = ((ell, grads[roles[count // 2]]),)
+    stair = _role_complex("stair", roles[:count], count, grads, cols)
+    model = direct_sum(stair, *(box_complex(ell, at=at) for ell, at in keep),
+                       name=f"conn({x.complex.name})")
     x_iota = iota_complex(x.complex, x.iota)
     try:
         candidates = involution_candidates(model)
@@ -620,7 +599,7 @@ def _conn_reduced(x: PhiIotaComplex, form: StandardForm):
                 staircase_steps=form.staircase_steps,
                 staircase_sign=form.staircase_sign,
                 staircase_anchor=form.staircase_anchor,
-                boxes=tuple(keep), roles=tuple(model.generators)),
+                boxes=keep, roles=tuple(model.generators)),
             inclusion=inclusion, projection=projection,
             method="exact-standard",
             certificates={"down": down, "up": up})

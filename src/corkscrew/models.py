@@ -282,18 +282,41 @@ def parse_complex_text(text: str) -> PhiIotaComplex:
 
 def phi_iota_from_dict(doc: dict) -> PhiIotaComplex:
     cx = complex_from_dict(doc)
+    phi, iota = _given_actions(cx, doc)
+    if iota is None:
+        iota, _ = solve_involution(cx)
+    return _with_relations(cx, phi, iota, "iota" in doc)
+
+
+def check_given_actions(cx: KnotComplex, doc: dict) -> None:
+    """Every check ``phi_iota_from_dict`` makes of the actions the file
+    gives, with no involution solved: a missing iota is stood in for by
+    the zero map, which commutes with phi on the nose."""
+    phi, iota = _given_actions(cx, doc)
+    given = iota is not None
+    _with_relations(cx, phi, iota if given else cx.zero_map(SKEW), given)
+
+
+def _given_actions(cx: KnotComplex, doc: dict) -> tuple:
+    """(phi, iota) as the file gives them, each of its mode: phi defaults
+    to the identity, and iota is None when the file omits it."""
+    phi, iota = cx.identity(), None
     if "phi" in doc:
         phi = action_from_dict(cx, doc["phi"], "phi")
         if phi.mode != STRAIGHT:
             raise ValidationError("phi must be straight")
-    else:
-        phi = cx.identity()
     if "iota" in doc:
         iota = action_from_dict(cx, doc["iota"], "iota")
         if iota.mode != SKEW:
             raise ValidationError("iota must be skew")
-    else:
-        iota, _ = solve_involution(cx)
+    return phi, iota
+
+
+def _with_relations(cx: KnotComplex, phi: Endomorphism, iota: Endomorphism,
+                    iota_given: bool) -> PhiIotaComplex:
+    """The complex with these actions once phi has a homotopy inverse,
+    both are chain maps, iota o iota ~ s when the file gives iota, and
+    phi o iota ~ iota o phi."""
     phi_is_id = phi == cx.identity()
     if phi_is_id:
         phi_inv = phi
@@ -305,7 +328,7 @@ def phi_iota_from_dict(doc: dict) -> PhiIotaComplex:
     x = PhiIotaComplex(cx, phi, iota, phi_inv)
     # a solved iota is certified by solve_involution, and phi = id
     # commutes with any iota
-    if "iota" in doc:
+    if iota_given:
         _require_homotopic(iota.compose(iota), sarkar_map(cx),
                            f"{cx.name}: iota o iota is not homotopic to the "
                            f"basepoint twist")

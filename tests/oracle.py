@@ -11,7 +11,9 @@ purpose; results are accepted only when a deeper margin reproduces them.
 from __future__ import annotations
 
 from corkscrew.algebra import F2Inconsistency, F2Solution, gr_add
-from corkscrew.complexes import PhiIotaComplex
+from corkscrew.complexes import KnotComplex, PhiIotaComplex, direct_sum
+from corkscrew.errors import ValidationError
+from corkscrew.models import box_complex
 
 
 def mono_deg(m) -> tuple:
@@ -781,6 +783,37 @@ def reference_involution_candidates(cx, cap: int = 18) -> list:
                                     for i in range(len(coords))), cand))
     found.sort(key=lambda t: t[0])
     return [cand for _, cand in found]
+
+
+# -- the connected model, as first rebuilt from its form ------------------------
+
+def reference_model(steps, sign, anchor, boxes,
+                    name: str = "standard") -> KnotComplex:
+    """Rebuild the canonical complex of a recognised form.
+
+    The staircase is laid out along the recognition path: generator i at
+    anchor + i*(-1, 1), sources at odd positions for the builder
+    orientation and at even positions for the mirror."""
+    if any(s != 1 for s in steps):
+        raise ValidationError("only step-one staircases are rebuilt")
+    count = len(steps) + 1
+    gens = tuple(f"y{i}" for i in range(count))
+    grads = tuple((anchor[0] - i, anchor[1] + i) for i in range(count))
+    source_parity = 1 if sign > 0 else 0
+    cols = []
+    for i in range(count):
+        col = 0
+        if count > 1 and i % 2 == source_parity:
+            if i > 0:
+                col |= 1 << (i - 1)  # U y_(i-1)
+            if i + 1 < count:
+                col |= 1 << (i + 1)  # V y_(i+1)
+        cols.append(col)
+    stair = KnotComplex("stair", gens, grads, cols)
+    parts = [stair]
+    for k, (ell, corner) in enumerate(boxes):
+        parts.append(box_complex(ell, at=corner, suffix="" if not k else str(k)))
+    return direct_sum(*parts, name=name)
 
 
 # -- the slice-homology pipeline, two passes with nothing shared --------------

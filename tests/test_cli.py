@@ -190,6 +190,38 @@ def test_files_outside_the_format_or_the_relations_exit_1(tmp_path, capsys,
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("make", [_zero_iota, _misspelt_map])
+def test_validate_reads_the_actions(tmp_path, capsys, make, fmt):
+    """validate checks the actions a file gives as parsing does: each of
+    these files is an invalid report with exit 1, not valid=True."""
+    text, _, message = make()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(["--format", fmt, "validate", str(bad)], capsys)
+    assert code == 1 and err == ""
+    if fmt == "json":
+        doc = json.loads(out)["invariants"]
+        assert doc["valid"] is False and doc["error"] == message
+    else:
+        assert out == f"invalid: {message}\n"
+
+
+def test_validate_solves_no_missing_iota(tmp_path, capsys, monkeypatch):
+    from corkscrew import models
+
+    def refused(cx):
+        raise AssertionError("validate solved for an involution")
+
+    monkeypatch.setattr(models, "solve_involution", refused)
+    doc = to_dict(bundled("4_1x4_1_tau"))
+    del doc["iota"]
+    path = tmp_path / "no_iota.json"
+    path.write_text(canonical_json(doc))
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (0, "4_1#4_1[tau|tau]: valid=True s3_type=True\n")
+
+
 def test_a_byte_order_mark_is_reported_as_json_reports_it():
     """``load_json`` decodes with one prebuilt decoder, so it makes the
     byte-order-mark check of ``json.loads`` itself, with its message."""

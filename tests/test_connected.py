@@ -8,6 +8,7 @@ from conftest import scramble
 from corkscrew.algebra import f2_rank, ones
 from corkscrew.complexes import (
     Endomorphism,
+    KnotComplex,
     direct_sum,
     dual,
     iota_complex,
@@ -21,8 +22,10 @@ from corkscrew.connected import (
     recognize_standard,
     s_nontrivial,
 )
+from corkscrew.errors import ValidationError
 from corkscrew.homotopy import self_local_space
 from corkscrew.models import (
+    _reflection_iota,
     box_complex,
     dot_complex,
     figure_eight_iota_only,
@@ -31,6 +34,12 @@ from corkscrew.models import (
     thin_model,
     torus_model,
     unknot,
+)
+from corkscrew.verdicts import (
+    STRONG_CORK,
+    verdict_delta,
+    verdict_gompf,
+    verdict_split,
 )
 
 
@@ -243,3 +252,28 @@ def test_conn_complex_is_valid_s3(fig8_iota):
     res = connected_complex(tensor(torus_model(3), torus_model(3)))
     rep = validate(res.conn.complex, require_s3_type=True)
     assert rep.ok and rep.s3_type
+
+
+def _torus_3_4():
+    """T(3,4) by hand: the L-space staircase of steps 1, 2, 2, 1, with the
+    reflection as its involution."""
+    cx = KnotComplex("T(3,4)", tuple(f"y{i}" for i in range(5)),
+                     ((0, -6), (-1, -5), (-2, -2), (-5, -1), (-6, 0)),
+                     (0, 0b101, 0, 0b10100, 0))
+    return iota_complex(cx, _reflection_iota(cx))
+
+
+def test_the_step_one_gate_is_pinned_on_torus_3_4():
+    """Connected models are answered for step-one staircases only.  T(3,4)
+    is a valid S^3-type complex, and the delta and split routes answer
+    it, while the gompf route, which reads its connected model, raises.
+    Lifting the gate flips the last assertion on purpose."""
+    k = _torus_3_4()
+    report = validate(k.complex, require_s3_type=True)
+    assert report.ok and report.s3_type
+    v = verdict_delta(k, 1)
+    assert v.conclusion == STRONG_CORK and v.certificate["delta"] == 1
+    assert verdict_split(k, k, 1).conclusion == STRONG_CORK
+    with pytest.raises(ValidationError,
+                       match="^only step-one staircases are rebuilt$"):
+        verdict_gompf(k, 1, 1, 0)

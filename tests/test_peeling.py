@@ -103,6 +103,44 @@ def test_a_peeled_vector_mixing_gradings_is_refused(monkeypatch):
         recognize_standard(tensor(m, m).complex)
 
 
+def test_the_change_of_basis_is_inverted_and_certified_once(monkeypatch):
+    """Work-count guard: recognition carries M alone, takes M^-1 with one
+    inverse after its last round and certifies the conjugation there, so
+    the connected model's inclusion and projection need no grading check.
+    A peel makes its own inverse, and the reduced path one more, for the
+    self-local map of its model."""
+    from corkscrew import connected
+    from corkscrew.complexes import Endomorphism
+
+    f = figure_eight_iota_only()
+    inputs = {"unpeeled": scramble(thin_model(1, True), random.Random(3)),
+              "peeled": scramble(tensor(f, f), random.Random(2))}
+    checks, inverses = [], []
+    real_check = Endomorphism.grading_violation
+    real_inverse = connected.inverse_cols
+
+    def checking(self):
+        checks.append(self)
+        return real_check(self)
+
+    def inverting(cols):
+        inverses.append(sys._getframe(1).f_code.co_name)
+        return real_inverse(cols)
+
+    monkeypatch.setattr(Endomorphism, "grading_violation", checking)
+    monkeypatch.setattr(connected, "inverse_cols", inverting)
+    counts = {}
+    for label, x in inputs.items():
+        checks.clear()
+        inverses.clear()
+        assert connected_complex(x).method == "exact-standard"
+        counts[label] = (len(checks), list(inverses))
+    # the peeled path keeps its validate probe of the recognised complex
+    assert counts == {
+        "unpeeled": (0, ["_recognize"]),
+        "peeled": (1, ["_peel_boxes", "_recognize", "_invert_iso"])}
+
+
 _CORRUPTED_CONJUGATION = """
 import sys
 from corkscrew import connected

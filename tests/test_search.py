@@ -1,7 +1,9 @@
-"""The transvection sweep and the involution search against the reference
-implementations kept in ``tests/oracle.py``: the incremental sweep must
-take the same moves to the same columns, and the normal-form involution
-test must keep the same candidates in the same order.  The sweep works on
+"""The transvection sweep, the connected model and the involution search
+against the reference implementations kept in ``tests/oracle.py``: the
+incremental sweep must take the same moves to the same columns, the
+model read off the recognised basis must be the complex rebuilt from its
+form, and the normal-form involution test must keep the same candidates
+in the same order.  The sweep works on
 bit columns and the reference on {target: Poly} columns; an adapter
 converts between them through the gradings."""
 
@@ -22,6 +24,7 @@ from corkscrew.complexes import (
     Endomorphism,
     PhiIotaComplex,
     direct_sum,
+    serialize,
     tensor,
 )
 from corkscrew.homotopy import MapShape
@@ -42,6 +45,7 @@ from oracle import (
     dict_cols,
     reference_conjugate_cols,
     reference_involution_candidates,
+    reference_model,
     reference_objective,
     reference_scramble,
     reference_sweep,
@@ -109,7 +113,7 @@ def test_scramble_is_unchanged():
 
 # -- the sweep -----------------------------------------------------------------
 
-def _sweep_inputs():
+def _sweep_models():
     rng = random.Random(23)
     f = figure_eight_iota_only()
     out = [scramble(bundled(name), rng) for name in sorted(BUNDLED)]
@@ -128,7 +132,11 @@ def _sweep_inputs():
     out += [thin_model(tau, odd) for tau in (0, 2, -1) for odd in (True,
                                                                    False)]
     out += [staircase_with_box(0, 2), staircase_with_box(2, 3)]
-    return [x.complex for x in out]
+    return out
+
+
+def _sweep_inputs():
+    return [x.complex for x in _sweep_models()]
 
 
 def _reference_bit_sweep(gradings, cols):
@@ -255,7 +263,7 @@ _RECOGNITION_625 = {
 def test_recognition_of_scrambled_fourth_power_is_pinned(seed):
     cx = scramble(_tensor_power_of_four(), random.Random(seed)).complex
     assert cx.n == 625
-    form, m_cols, q_cols, roles = connected._recognize(cx)
+    form, m_cols, q_cols, roles, _, _ = connected._recognize(cx)
     assert form.describe() == "dot" + " + box(1)" * 156
     corners = [corner for _, corner in form.boxes]
     assert [corners.count((k, -k)) for k in range(-3, 4)] == [
@@ -266,6 +274,35 @@ def test_recognition_of_scrambled_fourth_power_is_pinned(seed):
 
     assert (sha(form), sha(roles), sha((m_cols, q_cols))) == (
         _RECOGNITION_625[seed])
+
+
+# -- the connected model -------------------------------------------------------
+
+def _connected_inputs():
+    rng = random.Random(41)
+    out = _sweep_models() + [scramble(bundled(name), rng)
+                             for name in sorted(BUNDLED) for _ in range(3)]
+    # a staircase with an odd number of boxes: the kept box is centred
+    for q in (3, -5):
+        x = tensor(torus_model(q), figure_eight_iota_only())
+        out += [x, scramble(x, rng)]
+    return out
+
+
+@pytest.mark.parametrize("x", _connected_inputs(), ids=lambda x: x.name)
+def test_connected_model_is_the_reference_rebuild(x):
+    """The model read off the recognised basis is, byte for byte, the
+    complex rebuilt from its form: the whole form when the input is
+    connected, the staircase with the kept box when boxes were reduced."""
+    res = connected.connected_complex(x)
+    if res.method != "exact-standard":
+        assert res.form is None and x.name.startswith("dot+box(1)+box(")
+        return
+    f = res.form
+    want = reference_model(f.staircase_steps, f.staircase_sign,
+                           f.staircase_anchor, f.boxes,
+                           name=f"conn({x.name})")
+    assert serialize(res.conn.complex) == serialize(want)
 
 
 # -- the involution search -----------------------------------------------------
