@@ -345,6 +345,13 @@ class PhiIotaComplex:
     def name(self) -> str:
         return self.complex.name
 
+    @cached_property
+    def diagonal(self):
+        """``DiagonalHomology(a0(self))``, built on first use and kept: the
+        local-map solves read its tower cycle and masks."""
+        from .invariants import DiagonalHomology, a0  # local: avoids cycle
+        return DiagonalHomology(a0(self))
+
 
 def chain_commutes(cx: KnotComplex, f: Endomorphism) -> bool:
     """f o diff == diff o f, column by column on the bits."""

@@ -105,6 +105,23 @@ class _Objective:
         return ([(i, t) for t in ones(self.cols[j])]
                 + [(s, j) for s in ones(self.rows[i])])
 
+    def partners(self, i):
+        """The j != i with column j meeting column i or row j meeting row
+        i: rows[t] for each t in column i, cols[s] for each s in row i."""
+        cols, rows = self.cols, self.rows
+        reach = 0
+        word = cols[i]
+        while word:
+            low = word & -word
+            reach |= rows[low.bit_length() - 1]
+            word ^= low
+        word = rows[i]
+        while word:
+            low = word & -word
+            reach |= cols[low.bit_length() - 1]
+            word ^= low
+        return reach & ~(1 << i)
+
     def terms_change(self, i, j):
         """Change in terms of transvection(i, j): a toggle flips an entry."""
         ci, cj, ri, rj = self.cols[i], self.cols[j], self.rows[i], self.rows[j]
@@ -149,34 +166,45 @@ def _sweep(gradings, cols):
     """Deterministic local minimisation of the differential by
     same-grading (and monomial-shifted) transvections.
 
-    Each pass tries every admissible move (i-major, j-minor) and keeps one
+    Each pass tries the admissible moves (i-major, j-minor) and keeps one
     when it strictly lowers the score; a trial is scored from the entries
     it toggles, and only a kept move touches the columns.  A move that
     toggles nothing or adds terms cannot lower the lexicographic score, so
-    it is rejected untried: the same moves are kept.  Returns the columns,
-    the kept moves and the final score."""
-    # new_i = e_i + m e_j needs gr(e_j) + deg(m) = gr(e_i)
-    admissible = [(i, j, ((uj - ui) // 2, (vj - vi) // 2))
-                  for i, (ui, vi) in enumerate(gradings)
-                  for j, (uj, vj) in enumerate(gradings)
-                  if i != j and uj >= ui and vj >= vi
-                  and (uj - ui) % 2 == (vj - vi) % 2 == 0]
+    it is never tried: the same moves are kept.  Unless j is one of
+    ``_Objective.partners(i)``, the terms change is |cols[j]| + |rows[i]|,
+    positive unless the move toggles nothing, so each i walks only its
+    partners, in increasing order, recomputing them past j after a kept
+    move.  Partners share an entry, so their gradings differ by even
+    amounts, and j is admissible exactly when gr(j) >= gr(i) in both
+    coordinates.  Returns the columns, the kept moves and the final
+    score."""
     objective = _Objective(gradings, cols)
-    cols, rows = objective.cols, objective.rows  # updated in place
+    gu, gv = objective.gu, objective.gv
     moves = []
     for _ in range(SWEEP_PASSES):
         kept = len(moves)
-        for i, j, m in admissible:
-            if not (cols[j] or rows[i]) or objective.terms_change(i, j) > 0:
-                continue
-            toggles = objective.transvection(i, j)
-            trial = objective.trial(toggles)
-            if trial[0] < objective.score:
-                objective.accept(toggles, trial)
-                moves.append((i, j, m))
+        for i in range(objective.n):
+            ui, vi = gu[i], gv[i]
+            todo = objective.partners(i)
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                j = low.bit_length() - 1
+                # new_i = e_i + m e_j needs gr(e_j) + deg(m) = gr(e_i)
+                if gu[j] < ui or gv[j] < vi:
+                    continue
+                if objective.terms_change(i, j) > 0:
+                    continue
+                toggles = objective.transvection(i, j)
+                trial = objective.trial(toggles)
+                if trial[0] < objective.score:
+                    objective.accept(toggles, trial)
+                    m = ((gu[j] - ui) // 2, (gv[j] - vi) // 2)
+                    moves.append((i, j, m))
+                    todo = objective.partners(i) & -(low << 1)
         if len(moves) == kept:
             break
-    return cols, moves, objective.score
+    return objective.cols, moves, objective.score
 
 
 # -- pattern matching -------------------------------------------------------------
@@ -571,6 +599,8 @@ def _conn_reduced(x: PhiIotaComplex, form: StandardForm, roles, grads, cols):
     stair = _role_complex("stair", roles[:count], count, grads, cols)
     model = direct_sum(stair, *(box_complex(ell, at=at) for ell, at in keep),
                        name=f"conn({x.complex.name})")
+    # x_iota and each candidate's conn keep their diagonal homology
+    # (PhiIotaComplex.diagonal), so the solves both ways build each once
     x_iota = iota_complex(x.complex, x.iota)
     try:
         candidates = involution_candidates(model)

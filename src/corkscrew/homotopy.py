@@ -426,11 +426,7 @@ def local_map_exists(x1: PhiIotaComplex,
     nontorsion after restricting to the diagonal subcomplex of x2, which is
     a single linear functional of f.
     """
-    # deferred: invariants imports us back
-    from .invariants import DiagonalHomology, a0
-
-    hom1 = DiagonalHomology(a0(x1))
-    hom2 = DiagonalHomology(a0(x2))
+    hom1, hom2 = x1.diagonal, x2.diagonal
     sys = _local_system(x1, x2, hom1.tower_rep,
                         hom2.tower_mask(hom1.tower_top))
     ans, cert = sys.solve()
@@ -489,11 +485,9 @@ def self_local_space(x: PhiIotaComplex) -> MorphismSpace:
     member is read off from the stored functional bits (the space itself
     always contains non-local members such as 0).
     """
-    from .invariants import DiagonalHomology, a0
-
     cx = x.complex
     d = cx.boundary()
-    hom = DiagonalHomology(a0(x))
+    hom = x.diagonal
     t_cycle = hom.tower_rep
     mask = hom.tower_mask(hom.tower_top)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .algebra import gr_add
+from .algebra import gr_add, ones
 from .complexes import (
     Endomorphism,
     KnotComplex,
@@ -203,7 +203,9 @@ def involution_candidates(cx: KnotComplex) -> list:
 
     so with every term reduced to its normal form modulo null-homotopic
     maps, a candidate's square is homotopic to the twist exactly when the
-    XOR of its terms is zero.
+    XOR of its terms is zero.  ``_zero_subsets`` tabulates that XOR over
+    the 2^r subsets of the kernel vectors, r at most ``INVOLUTION_CAP``;
+    the cap is checked before any table is built.
     """
     from .homotopy import HomotopyClasses, Left, MapShape, MapSystem, Right
 
@@ -232,20 +234,32 @@ def involution_candidates(cx: KnotComplex) -> list:
                                         + ks[b].compose(ks[a]))
             for a, b in combinations(range(r), 2)}
     found = []
-    for size in range(r + 1):
-        for picks in combinations(range(r), size):
-            v = constant
-            for a in picks:
-                v ^= linear[a]
-            for ab in combinations(picks, 2):
-                v ^= pair[ab]
-            if not v:
-                bits = sol.particular
-                for a in picks:
-                    bits ^= sol.kernel[a]
-                found.append(bits)
+    for subset in _zero_subsets(constant, linear, pair):
+        bits = sol.particular
+        for a in ones(subset):
+            bits ^= sol.kernel[a]
+        found.append(bits)
     found.sort(key=lambda bits: [(bits >> i) & 1 for i in range(len(coords))])
     return [shape.assemble(bits, coords) for bits in found]
+
+
+def _zero_subsets(constant, linear, pair) -> list:
+    """The subsets m of the kernel vectors (bit a for vector a), in
+    increasing order, on which the quadratic form
+    constant + sum_{a in m} linear[a] + sum_{a<b in m} pair[a, b] vanishes.
+
+    The form is tabulated over all 2^r subsets, about two XORs each:
+    adding a top bit h to a subset m of lower bits adds linear[h] and
+    x_h[m] = sum_{g in m} pair[g, h], and x_h is tabulated the same way,
+    x_h[m] = x_h[m without its top bit g] + pair[g, h]."""
+    q = [constant]
+    for h, lin in enumerate(linear):
+        x = [0]
+        for g in range(h):
+            p = pair[g, h]
+            x += [v ^ p for v in x]
+        q += [v ^ lin ^ w for v, w in zip(q, x)]
+    return [m for m, v in enumerate(q) if not v]
 
 
 def solve_involution(cx: KnotComplex):

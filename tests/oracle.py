@@ -785,6 +785,28 @@ def reference_involution_candidates(cx, cap: int = 18) -> list:
     return [cand for _, cand in found]
 
 
+def reference_zero_subsets(constant, linear, pair) -> list:
+    """The subsets of kernel vectors, each a sorted tuple of indices, on
+    which the involution search's quadratic form vanishes: the form
+    evaluated from scratch on every subset, by size and then in
+    ``combinations`` order, as ``models.involution_candidates`` first
+    did."""
+    from itertools import combinations
+
+    r = len(linear)
+    found = []
+    for size in range(r + 1):
+        for picks in combinations(range(r), size):
+            v = constant
+            for a in picks:
+                v ^= linear[a]
+            for ab in combinations(picks, 2):
+                v ^= pair[ab]
+            if not v:
+                found.append(picks)
+    return found
+
+
 # -- the connected model, as first rebuilt from its form ------------------------
 
 def reference_model(steps, sign, anchor, boxes,

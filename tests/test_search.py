@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
 from conftest import base_models, scramble
-from corkscrew import connected
+from corkscrew import connected, invariants, models
 from corkscrew.algebra import slice_monomial
 from corkscrew.complexes import (
     SKEW,
@@ -27,7 +28,7 @@ from corkscrew.complexes import (
     serialize,
     tensor,
 )
-from corkscrew.homotopy import MapShape
+from corkscrew.homotopy import MapShape, local_map_exists
 from corkscrew.models import (
     BUNDLED,
     box_complex,
@@ -50,6 +51,7 @@ from oracle import (
     reference_scramble,
     reference_sweep,
     reference_unknowns,
+    reference_zero_subsets,
 )
 
 
@@ -241,6 +243,24 @@ def test_sweep_trials_a_small_share_of_the_moves(monkeypatch):
     assert 0 < moves_trialled * 10 < sum(visited)
 
 
+def test_sweep_scores_only_moves_that_can_pay(monkeypatch):
+    """Work-count guard: on the scrambled 125-generator triple, recognition
+    computes the terms change of fewer than 1,500 moves (795 today; about
+    14,800 when every admissible move was pre-tested)."""
+    cx = next(cx for cx in _sweep_inputs() if cx.n == 125)
+    calls = 0
+    terms_change = connected._Objective.terms_change
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return terms_change(self, i, j)
+
+    monkeypatch.setattr(connected._Objective, "terms_change", counting)
+    connected._recognize(cx)
+    assert 0 < calls < 1500
+
+
 def _tensor_power_of_four():
     f = figure_eight_iota_only()
     double = tensor(f, f)
@@ -305,6 +325,38 @@ def test_connected_model_is_the_reference_rebuild(x):
     assert serialize(res.conn.complex) == serialize(want)
 
 
+def test_the_reduced_path_builds_each_tower_once(monkeypatch):
+    """Work-count guard: ``connected_complex`` on a scrambled (4_1)^2
+    builds the diagonal homology of the input and of the one candidate
+    model, once each, and a second local-map solve between the same two
+    objects builds none."""
+    builds = 0
+    build = invariants.DiagonalHomology.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        build(self, *args, **kwargs)
+
+    solves = []
+
+    def recording(x1, x2):
+        solves.append((x1, x2))
+        return local_map_exists(x1, x2)
+
+    f = figure_eight_iota_only()
+    x = scramble(tensor(f, f), random.Random(3))
+    monkeypatch.setattr(invariants.DiagonalHomology, "__init__", counting)
+    monkeypatch.setattr(connected, "local_map_exists", recording)
+    res = connected.connected_complex(x)
+    assert res.method == "exact-standard" and len(solves) == 2
+    assert builds == 2
+    x1, x2 = solves[0]
+    again = local_map_exists(x1, x2)
+    assert builds == 2
+    assert again.exists and again.f == res.certificates["down"].f
+
+
 # -- the involution search -----------------------------------------------------
 
 def _coordinate_bits(cx, maps):
@@ -358,3 +410,21 @@ def test_solve_involution_checks_its_certificate_under_optimize():
                          env={"PYTHONPATH": str(src)}, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["solve_involution raised", "optimize 1"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10).flatmap(lambda r: st.tuples(
+    st.integers(0, 7),
+    st.lists(st.integers(0, 7), min_size=r, max_size=r),
+    st.lists(st.integers(0, 7), min_size=r * (r - 1) // 2,
+             max_size=r * (r - 1) // 2))))
+def test_tabulated_form_vanishes_where_the_reference_does(data):
+    """The tabulated quadratic form vanishes on the same subsets as the
+    form evaluated from scratch on each one."""
+    constant, linear, pair_values = data
+    r = len(linear)
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    pair = dict(zip(pairs, pair_values))
+    want = sorted(sum(1 << a for a in picks)
+                  for picks in reference_zero_subsets(constant, linear, pair))
+    assert models._zero_subsets(constant, linear, pair) == want
