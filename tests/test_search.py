@@ -385,6 +385,24 @@ def test_involution_candidates_match_the_reference(cx):
     assert _coordinate_bits(cx, got) == _coordinate_bits(cx, want)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10).flatmap(lambda r: st.tuples(
+    st.integers(0, 7),
+    st.lists(st.integers(0, 7), min_size=r, max_size=r),
+    st.lists(st.integers(0, 7), min_size=r * (r - 1) // 2,
+             max_size=r * (r - 1) // 2))))
+def test_tabulated_form_vanishes_where_the_reference_does(data):
+    """The tabulated quadratic form vanishes on the same subsets as the
+    form evaluated from scratch on each one."""
+    constant, linear, pair_values = data
+    r = len(linear)
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    pair = dict(zip(pairs, pair_values))
+    want = sorted(sum(1 << a for a in picks)
+                  for picks in reference_zero_subsets(constant, linear, pair))
+    assert models._zero_subsets(constant, linear, pair) == want
+
+
 _CORRUPTED_NORMAL_FORM = """
 import sys
 from corkscrew import homotopy
@@ -410,21 +428,3 @@ def test_solve_involution_checks_its_certificate_under_optimize():
                          env={"PYTHONPATH": str(src)}, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["solve_involution raised", "optimize 1"]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(0, 10).flatmap(lambda r: st.tuples(
-    st.integers(0, 7),
-    st.lists(st.integers(0, 7), min_size=r, max_size=r),
-    st.lists(st.integers(0, 7), min_size=r * (r - 1) // 2,
-             max_size=r * (r - 1) // 2))))
-def test_tabulated_form_vanishes_where_the_reference_does(data):
-    """The tabulated quadratic form vanishes on the same subsets as the
-    form evaluated from scratch on each one."""
-    constant, linear, pair_values = data
-    r = len(linear)
-    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
-    pair = dict(zip(pairs, pair_values))
-    want = sorted(sum(1 << a for a in picks)
-                  for picks in reference_zero_subsets(constant, linear, pair))
-    assert models._zero_subsets(constant, linear, pair) == want
