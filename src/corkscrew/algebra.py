@@ -12,10 +12,15 @@ over the generators, a map is an F2 bit matrix given by its columns (see
 ``complexes``), and applying one to the other is :func:`mat_vec`.
 
 Every F2 elimination in the package goes through one routine, the
-incremental row echelon :class:`Echelon`: ranks, lexmin witnesses and
-linear solves here, :class:`ColumnSpan` for kernels and coordinates over
-keyed columns, and the homology, peeling and self-map spans of the
-other modules.
+incremental row echelon :class:`Echelon`: ranks and lexmin witnesses
+here, :class:`ColumnSpan` for kernels, coordinates and linear solves
+over keyed columns, and the homology, peeling and self-map spans of the
+other modules.  A linear system ``A x = b`` is solved in one sweep over
+A's columns (:meth:`ColumnSpan.solve`): the sweep leaves the reduced
+echelon form's pivot columns, its null-space basis and, for b outside
+the span, a row functional that refutes it, with no row echelon and no
+back-substitution.  :func:`solve_f2_rows` keeps the row-wise route for
+systems given by rows.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ class F2Solution:
 class F2Inconsistency:
     """Left-kernel witness: combo . A == 0 while combo . b == 1."""
 
-    combo: int  # bitmask over the original rows
+    combo: int  # bitmask over the rows of A, in the order A gives them
 
 
 def ones(word: int):
@@ -225,11 +230,13 @@ class ColumnSpan:
     that depends on earlier ones is not stored; its coordinates plus
     itself make a kernel vector.  Columns that are stored are the pivot
     columns of the reduced echelon form, and coordinates use only those,
-    so both match that form.
+    so both match that form.  ``height`` is a number of rows the
+    coordinate bits must start above, for vectors with more rows than the
+    columns reach.
     """
 
-    def __init__(self, cols: dict):
-        self.shift = max(cols.values(), default=0).bit_length()
+    def __init__(self, cols: dict, height: int = 0):
+        self.shift = max(height, max(cols.values(), default=0).bit_length())
         self.span = Echelon()
         self.kernel: list = []  # one vector per dependent column, in order
         low = (1 << self.shift) - 1
@@ -249,6 +256,31 @@ class ColumnSpan:
         if v & ((1 << self.shift) - 1):
             return None
         return v >> self.shift
+
+    def solve(self, v: int):
+        """Solve "the columns sum to v" for v below ``height``: an
+        :class:`F2Solution`, v's coordinates (zero at every dependent
+        column, as read off the reduced echelon form) with the kernel, or
+        an :class:`F2Inconsistency` whose combo y is zero on every column
+        and 1 on v.
+
+        v's reduction r is zero at every pivot.  y starts at r's lowest
+        bit; the stored columns are walked by decreasing pivot, and a
+        column's pivot bit is added to y when y is 1 on it.  A stored
+        column is zero below its pivot, so a lower pivot bit never
+        changes y on a column already walked, and no pivot bit changes y
+        on r, where y is 1.  Every column is a sum of stored ones, and
+        v + r is one, so y is 0 on every column and 1 on v.
+        """
+        low = (1 << self.shift) - 1
+        r = self.span.reduce(v)
+        if not r & low:
+            return F2Solution(particular=r >> self.shift, kernel=self.kernel)
+        y = r & -r
+        for pivot, vec, _ in sorted(self.span.rows, reverse=True):
+            if parity(vec & y):
+                y ^= 1 << pivot
+        return F2Inconsistency(combo=y)
 
 
 def inverse_cols(cols: Sequence[int]) -> Optional[list]:

@@ -229,7 +229,7 @@ def cmd_delta(args, report: Report) -> int:
     report.say(f"  witness y = {_element_str(res.witness_y)}")
     report.say(f"  witness z = {_element_str(res.witness_z)}")
     if args.m is not None:
-        v = verdict_delta(x, args.m)
+        v = verdict_delta(x, args.m, known=res)
         report.add_verdict(v)
     return 0
 

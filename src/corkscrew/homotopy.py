@@ -12,6 +12,11 @@ existence questions never enumerate the solution space.  The cycle is a
 bit vector over generators and the functional a bit mask over the
 target's generators (see ``invariants.DiagonalHomology.tower_mask``), so
 the row is read straight off the coordinates.
+
+A system is assembled by columns, one int over its rows per coordinate,
+and solved in one sweep over them (``algebra.ColumnSpan.solve``): the
+sweep gives the reduced echelon form's particular solution and null
+space, or a combination of rows that refutes the system.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .algebra import (
+    ColumnSpan,
     Echelon,
     F2Inconsistency,
     Grading,
@@ -29,7 +35,6 @@ from .algebra import (
     mat_vec,
     ones,
     parity,
-    solve_f2_rows,
 )
 from .complexes import (
     Endomorphism,
@@ -72,22 +77,78 @@ class MapShape:
                                     self.mode, self.bidegree)
 
 
+class RowBlocks:
+    """The rows of a map shape, one per coordinate in :meth:`MapShape.unknowns`
+    order: source s's block starts at ``starts[s]`` and holds the targets
+    in ``masks[s]``, the admissible mask s lands on."""
+
+    def __init__(self, shape: MapShape):
+        admissible = shape.target.admissible
+        mode, bidegree = shape.mode, shape.bidegree
+        self.masks = [admissible(landing(g, mode, bidegree))
+                      for g in shape.source.gradings]
+        self.starts = [0]
+        for mask in self.masks:
+            self.starts.append(self.starts[-1] + mask.bit_count())
+
+    def pack(self, s: int, col: int) -> int:
+        """A column at source s as bits over s's block, from its first
+        row; bits outside the admissible mask are a grading violation."""
+        mask = self.masks[s]
+        if col & ~mask:
+            raise ValidationError(f"entry outside its admissible mask at "
+                                  f"source {s}")
+        out = 0
+        for t in ones(col):
+            out |= 1 << (mask & ((1 << t) - 1)).bit_count()
+        return out
+
+    def of_map(self, cols) -> int:
+        """A map of this shape, given by its columns, as bits over the
+        rows."""
+        out = 0
+        for s, col in enumerate(cols):
+            if col:
+                out |= self.pack(s, col) << self.starts[s]
+        return out
+
+
+def _after(outer, inner: MapShape) -> MapShape:
+    """The shape of outer o inner, for maps or shapes: the rule of
+    :meth:`Endomorphism.compose`, on shapes alone."""
+    if inner.target is not outer.source and inner.target != outer.source:
+        raise ValidationError("composition mismatch")
+    return MapShape(inner.source, outer.target,
+                    STRAIGHT if outer.mode == inner.mode else SKEW,
+                    landing(inner.bidegree, outer.mode, outer.bidegree))
+
+
 class Left(NamedTuple):
     """The operator X -> A o X."""
 
     map: Endomorphism
 
-    def apply(self, x: Endomorphism) -> Endomorphism:
-        return self.map.compose(x)
+    def value(self, shape: MapShape) -> MapShape:
+        """The shape of A o X for X of ``shape``."""
+        return _after(self.map, shape)
 
-    def entries(self, coords: list):
-        """(coordinate index, source, target) of every term of A o E over
-        the elementary maps E, one per coordinate (s, t): A o E is column
-        t of A moved to source s."""
-        targets = [list(ones(col)) for col in self.map.cols]
-        for ci, (s, t) in enumerate(coords):
-            for t2 in targets[t]:
-                yield ci, s, t2
+    def place(self, cols: list, off: int, coords: list, base: int,
+              rows: RowBlocks) -> None:
+        """Add A o E, for the elementary map E of each coordinate
+        i = (s, t), to ``cols[off + i]``, on the rows ``rows`` lays out
+        from ``base``: column t of A, in source s's block.  Sources that
+        land on one grading share a mask, so each (mask, t) is packed
+        once."""
+        a_cols = self.map.cols
+        masks, starts = rows.masks, rows.starts
+        packed: dict = {}
+        for i, (s, t) in enumerate(coords, off):
+            key = (masks[s], t)
+            col = packed.get(key)
+            if col is None:
+                col = packed[key] = rows.pack(s, a_cols[t])
+            if col:
+                cols[i] ^= col << (base + starts[s])
 
 
 class Right(NamedTuple):
@@ -95,18 +156,26 @@ class Right(NamedTuple):
 
     map: Endomorphism
 
-    def apply(self, x: Endomorphism) -> Endomorphism:
-        return x.compose(self.map)
+    def value(self, shape: MapShape) -> MapShape:
+        """The shape of X o B for X of ``shape``."""
+        return _after(shape, self.map)
 
-    def entries(self, coords: list):
-        """As :meth:`Left.entries` for E o B: E o B is row s of B, the
-        sources s' whose column of B holds s, each sent to target t."""
+    def place(self, cols: list, off: int, coords: list, base: int,
+              rows: RowBlocks) -> None:
+        """As :meth:`Left.place` for E o B: entry s' -> t for every
+        source s' whose column of B holds s, one bit per bit of row s
+        of B."""
         b = self.map
         sources = [list(ones(row))
                    for row in transpose_cols(b.cols, b.target.n)]
-        for ci, (s, t) in enumerate(coords):
+        starts, masks = rows.starts, rows.masks
+        for i, (s, t) in enumerate(coords, off):
+            below = (1 << t) - 1
+            col = 0
             for s2 in sources[s]:
-                yield ci, s2, t
+                col |= 1 << (starts[s2] + (masks[s2] & below).bit_count())
+            if col:
+                cols[i] ^= col << base
 
 
 class MapSystem:
@@ -115,11 +184,16 @@ class MapSystem:
     Equations have the form ``sum of op(unknown) = rhs``, where each
     operator is a sum of :class:`Left` (``X -> A o X``) and :class:`Right`
     (``X -> X o B``) terms.  An unknown's coordinates are the elementary
-    maps (s, t); every row bit is written straight from the bits of A
-    and B, without building a map per coordinate.  A row is one
-    (equation, source, target) entry of the equation's value: all terms
-    of an equation share one mode and bidegree, so the gradings force the
-    entry's monomial and the key leaves it out.
+    maps (s, t), and the system is assembled by columns, one int per
+    coordinate, written straight from the bits of A and B without
+    building a map per coordinate.  All terms of an equation share one
+    value shape (mode and bidegree), so the gradings force each entry's
+    monomial, and the equation's rows are the coordinates of that shape,
+    in :meth:`MapShape.unknowns` order (:class:`RowBlocks`).  Equations
+    come in the order they were added, and one row per functional comes
+    last.  The system is solved in one sweep over its columns
+    (:meth:`ColumnSpan.solve`), in coordinate order; a refutation's combo
+    is over these rows.
     """
 
     def __init__(self):
@@ -129,6 +203,7 @@ class MapSystem:
         self.offsets: dict = {}
         self.total = 0
         self.equations: list = []  # (terms, rhs_endo_or_None)
+        self.values: list = []  # the value shape of each equation
         self.functionals: list = []  # (name, vector, mask, rhs_bit)
 
     def add_unknown(self, name: str, shape: MapShape) -> None:
@@ -144,16 +219,17 @@ class MapSystem:
         """terms: list of (unknown name, list of Left/Right operators).
         Every term must compose, and every term and the rhs must have one
         mode and bidegree."""
-        values = set() if rhs is None else {(rhs.mode, rhs.bidegree)}
-        for name, ops in terms:
-            zero = self.shapes[name].assemble(0, [])
-            for op in ops:
-                value = op.apply(zero)
-                values.add((value.mode, value.bidegree))
+        shapes = [op.value(self.shapes[name]) for name, ops in terms
+                  for op in ops]
+        if rhs is not None:
+            shapes.append(MapShape(rhs.source, rhs.target, rhs.mode,
+                                   rhs.bidegree))
+        values = {(v.mode, v.bidegree) for v in shapes}
         if len(values) > 1:
             raise ValidationError(
                 f"equation terms differ in mode or bidegree: {sorted(values)}")
         self.equations.append((list(terms), rhs))
+        self.values.append(shapes[0] if shapes else None)
 
     def add_functional(self, name: str, vector: int, mask: int,
                        rhs_bit: int) -> None:
@@ -166,45 +242,39 @@ class MapSystem:
         in ``mask``."""
         self.functionals.append((name, vector, mask, rhs_bit))
 
-    def _rows(self):
-        """Rows and rhs bits, equation by equation, each equation's rows in
-        the order their entries first occur; an entry only the rhs has is
-        an all-zero row with rhs 1, and those come after every equation.
-        Functional rows come last."""
-        out_rows: list = []
-        out_rhs: list = []
-        rhs_only = 0
-        for terms, rhs_endo in self.equations:
-            rows: dict = {}
-            for name, ops in terms:
-                off = self.offsets[name]
-                for op in ops:
-                    for ci, s, t in op.entries(self.coords[name]):
-                        rows[s, t] = rows.get((s, t), 0) ^ (1 << (off + ci))
-            out_rows.extend(rows.values())
-            if rhs_endo is None:
-                out_rhs.extend([0] * len(rows))
+    def _columns(self):
+        """(columns, rhs, number of rows): one int over the rows per
+        coordinate, and the rhs as one more."""
+        cols = [0] * self.total
+        rhs = 0
+        base = 0
+        for (terms, rhs_endo), value in zip(self.equations, self.values):
+            if value is None:
                 continue
-            ones_at = {(s, t) for s, col in enumerate(rhs_endo.cols)
-                       for t in ones(col)}
-            out_rhs.extend([1 if key in ones_at else 0 for key in rows])
-            rhs_only += len(ones_at.difference(rows))
-        out_rows.extend([0] * rhs_only)
-        out_rhs.extend([1] * rhs_only)
+            rows = RowBlocks(value)
+            for name, ops in terms:
+                for op in ops:
+                    op.place(cols, self.offsets[name], self.coords[name],
+                             base, rows)
+            if rhs_endo is not None:
+                rhs |= rows.of_map(rhs_endo.cols) << base
+            base += rows.starts[-1]
         for name, vector, mask, rhs_bit in self.functionals:
-            off = self.offsets[name]
-            row = 0
-            for ci, (s, t) in enumerate(self.coords[name]):
-                if (vector >> s) & 1 and (mask >> t) & 1:
-                    row |= 1 << (off + ci)
-            out_rows.append(row)
-            out_rhs.append(rhs_bit)
-        return out_rows, out_rhs
+            bit = 1 << base
+            for i, (s, t) in enumerate(self.coords[name], self.offsets[name]):
+                if vector >> s & 1 and mask >> t & 1:
+                    cols[i] |= bit
+            rhs |= rhs_bit << base
+            base += 1
+        return cols, rhs, base
+
+    def _solve(self):
+        cols, rhs, height = self._columns()
+        return ColumnSpan(dict(enumerate(cols)), height).solve(rhs)
 
     def solve(self, lexmin: bool = False):
         """Return ({name: Endomorphism}, F2Solution) or (None, certificate)."""
-        rows, rhs = self._rows()
-        sol = solve_f2_rows(rows, rhs, self.total)
+        sol = self._solve()
         if isinstance(sol, F2Inconsistency):
             return None, sol
         bits = sol.particular
@@ -223,11 +293,8 @@ class MapSystem:
 
     def solutions_bits(self):
         """(particular, kernel) of the full system, for enumeration callers."""
-        rows, rhs = self._rows()
-        sol = solve_f2_rows(rows, rhs, self.total)
-        if isinstance(sol, F2Inconsistency):
-            return None
-        return sol
+        sol = self._solve()
+        return None if isinstance(sol, F2Inconsistency) else sol
 
 
 class HomotopyClasses:
@@ -235,32 +302,28 @@ class HomotopyClasses:
     ones, i.e. modulo the image of H -> dH + Hd over straight H of
     bidegree (1, 1).
 
-    A map is a bitmask over its entry coordinates (s, t); the image is
-    echelonised once, and the reduction of a map against it is a normal
-    form: two maps are homotopic exactly when their normal forms agree.
-    The normal form is linear in the map.
+    A map is a bitmask over its entry coordinates (s, t), the rows of
+    :class:`RowBlocks`; the image, built by the columns :class:`MapSystem`
+    assembles, is echelonised once, and the reduction of a map against
+    it is a normal form: two maps are homotopic exactly when their normal
+    forms agree.  The normal form is linear in the map.
     """
 
     def __init__(self, cx: KnotComplex):
         self.shape = MapShape(cx, cx, STRAIGHT, (0, 0))
         self.coords = self.shape.unknowns()
-        self.index = {st: k for k, st in enumerate(self.coords)}
+        self.rows = RowBlocks(self.shape)
         d = cx.boundary()
         h_coords = MapShape(cx, cx, STRAIGHT, (1, 1)).unknowns()
         image = [0] * len(h_coords)
         for op in (Left(d), Right(d)):
-            for ci, s, t in op.entries(h_coords):
-                image[ci] ^= 1 << self.index[s, t]
+            op.place(image, 0, h_coords, 0, self.rows)
         self.image = Echelon(image)
 
     def normal_form(self, f: Endomorphism) -> int:
         if f.mode != STRAIGHT or f.bidegree != (0, 0):
             raise ValidationError("normal forms are of straight (0, 0) maps")
-        v = 0
-        for s, col in enumerate(f.cols):
-            for t in ones(col):
-                v ^= 1 << self.index[s, t]
-        return self.image.reduce(v)
+        return self.image.reduce(self.rows.of_map(f.cols))
 
 
 # -- homotopy ------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .algebra import (
     Levels,
     Mono,
     alexander,
-    lexmin_affine,
     mat_vec,
     ones,
     parity,
@@ -168,7 +167,7 @@ class DiagonalHomology:
         # grading -> cycle basis, homology; stable grading -> tower mask
         self._cache = ({}, {}, {}) if share is None else share._cache
         self._cycles, self._H, self._towers = self._cache
-        self._tower = None  # (top grading, functional on its cycle basis)
+        self._top = None  # the tower's top grading
         self._tower_rep = None
         if expect_tower:
             self._locate_tower()
@@ -239,33 +238,49 @@ class DiagonalHomology:
                 f"{self.uc.name}: inverted homology has rank {r0 + r1}, "
                 f"expected a single free tower")
         for d in range(self.hi, self.lo - 1, -1):
-            lam = [self.nontorsion_bit(z, d) for z in self.cycle_basis(d)]
-            if any(lam):
-                self._tower = (d, lam)
+            if any(self.nontorsion_bit(z, d) for z in self.cycle_basis(d)):
+                self._top = d
                 return
         raise ValidationError(
             f"{self.uc.name}: no nontorsion class found in the window")
 
-    def _lex_witness(self, d: int, lam: list) -> int:
-        """Lexicographically first cycle at grading d with functional 1."""
-        cycles = self.cycle_basis(d)
-        pick = [z for z, bit in zip(cycles, lam) if bit]
-        rest = [z for z, bit in zip(cycles, lam) if not bit]
-        particular = pick[0]
-        kernel = rest + [pick[0] ^ z for z in pick[1:]]
-        return lexmin_affine(particular, kernel,
-                             self.uc.levels.above(d).bit_count())
+    def _lex_witness(self, d: int, functional: int) -> int:
+        """The lexicographically first cycle z at grading d (generator 0
+        first, 0 < 1) with ``parity(z & functional)`` = 1.
+
+        The slice's columns are swept from the highest generator down, as
+        :class:`ColumnSpan` sweeps them up.  A dependent column k gives
+        the cycle c_k, e_k plus independent generators above k, so c_k is
+        0 at every other dependent generator; the c_k are a basis.  Let
+        c_k be the first the sweep meets with functional 1.  Any other
+        cycle with functional 1 is a sum of c_j, one of them with
+        functional 1, so with j <= k.  If some j < k, the sum is 1 below
+        k, where c_k is 0; otherwise it is c_k plus c_j above k, and is 1
+        at the lowest such j, where c_k is 0.  So c_k is the least.
+        """
+        cols, shift = self.uc.cols, self.uc.n
+        low = (1 << shift) - 1
+        span = Echelon()
+        for g in sorted(ones(self.uc.levels.above(d)), reverse=True):
+            v = span.reduce(cols[g] | 1 << (shift + g))
+            if v & low:
+                span.insert(v)
+            elif parity((v >> shift) & functional):
+                return v >> shift
+        raise ConsistencyError(
+            f"{self.uc.name}: no cycle at grading {d} has functional 1")
 
     @property
     def tower_top(self) -> int:
-        return self._tower[0]
+        return self._top
 
     @property
     def tower_rep(self) -> int:
         """The lexicographically first nontorsion cycle at the tower top,
         found on first use (delta never reads it)."""
         if self._tower_rep is None:
-            self._tower_rep = self._lex_witness(*self._tower)
+            self._tower_rep = self._lex_witness(
+                self._top, self.tower_generators(self._top))
         return self._tower_rep
 
 
@@ -439,15 +454,15 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
         if not report.ok or not report.s3_type:
             raise ValidationError(
                 f"{x.complex.name}: {report.first_violation}")
-    uc = a0(x)
-    a0_hom = DiagonalHomology(uc)
+    a0_hom = x.diagonal
+    uc = a0_hom.uc
     cyl = build_cyl(uc)
     cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
     name = x.complex.name
-    d, lam, q_ranks = _delta_grading(name, cyl, a0_hom, cyl_hom)
+    d, q_ranks = _delta_grading(name, cyl, a0_hom, cyl_hom)
     # the enlarged pass reuses both complexes and every slice computed so
     # far, runs over its own window and only has to find the same grading
-    wide, _, _ = _delta_grading(
+    wide, _ = _delta_grading(
         name, cyl, DiagonalHomology(uc, share=a0_hom),
         DiagonalHomology(cyl.total, expect_tower=False, share=cyl_hom))
     if wide != d:
@@ -456,8 +471,8 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     if d > 0:
         raise ConsistencyError(
             f"{name}: negative delta on an S^3-type complex")
-    # lexicographically first witness cycle with functional value 1
-    bits = cyl_hom._lex_witness(d, lam)
+    # lexicographically first witness cycle whose projection is nontorsion
+    bits = cyl_hom._lex_witness(d, a0_hom.tower_generators(d))
     # x, y and z blocks: label -> its one forced power of U
     n = uc.n
     blocks = ({}, {}, {})
@@ -473,19 +488,18 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
 def _delta_grading(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
                    cyl_hom: DiagonalHomology):
     """The top grading d of the window carrying a cylinder cycle whose
-    projection is nontorsion, the tower functional on its cycle basis,
-    and the rank of that functional at every grading down to d."""
+    projection is nontorsion, and the rank of the tower functional on the
+    cycle basis at every grading down to d."""
     q_ranks: dict = {}
     for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
-        lam = [a0_hom.nontorsion_bit(cyl.project(z), d)
-               for z in cyl_hom.cycle_basis(d)]
-        q_ranks[d] = sum(lam)
-        if not any(lam):
+        q_ranks[d] = sum(a0_hom.nontorsion_bit(cyl.project(z), d)
+                         for z in cyl_hom.cycle_basis(d))
+        if not q_ranks[d]:
             continue
         if d % 2:
             raise GradingParityError(
                 f"{name}: nontorsion cylinder class at odd grading {d}")
-        return d, lam, q_ranks
+        return d, q_ranks
     raise ConsistencyError(
         f"{name}: no nontorsion projection found in the window")
 

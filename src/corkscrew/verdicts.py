@@ -34,7 +34,7 @@ from .complexes import (
 from .connected import s_nontrivial
 from .errors import ValidationError
 from .homotopy import homotopic, local_map_exists
-from .invariants import delta
+from .invariants import DeltaResult, delta
 from .models import thin_model
 
 STRONG_CORK = "StrongCork"
@@ -170,16 +170,18 @@ def verdict_gompf(knot, m: int, i: int, j: int) -> Verdict:
                    reason="twist-nontrivial factor, m and i odd")
 
 
-def verdict_delta(x: PhiIotaComplex, m: int) -> Verdict:
+def verdict_delta(x: PhiIotaComplex, m: int,
+                  known: Optional[DeltaResult] = None) -> Verdict:
     """Positive odd m: strong cork iff the numerical obstruction is
     positive.  Negative odd m: the same test on the dual.  Even m is
-    always inconclusive."""
+    always inconclusive.  ``known``, when given, is ``delta(x)``, and
+    positive m reads it instead of computing it again."""
     rule = "delta-positive"
     name = x.complex.name
     if m % 2 == 0:
         return _inconclusive(rule, "m is even", name, "given action", m)
     y = x if m > 0 else dual(x)
-    res = delta(y)
+    res = known if m > 0 and known is not None else delta(y)
     if res.delta > 0:
         cert = {
             "ref": f"delta:{name}:m={m}",

@@ -92,8 +92,9 @@ def poly_element(gradings, bits: int, bigrading) -> dict:
     gradings alone: its degree must take the generator's grading to the
     element's."""
     out = {}
-    for g, have in enumerate(gradings):
+    for g in range(min(bits.bit_length(), len(gradings))):
         if (bits >> g) & 1:
+            have = gradings[g]
             m = ((have[0] - bigrading[0]) // 2, (have[1] - bigrading[1]) // 2)
             assert min(m) >= 0 and gr_add(have, mono_deg(m)) == bigrading, (
                 f"generator {g} has no monomial to {bigrading}")
@@ -539,6 +540,9 @@ def reference_rows(sys, functionals=()):
             for t, p in col.items():
                 for m in p:
                     rhs[row_of((ei, s, t, m))] ^= 1
+    # each operator's map in dict form, read once
+    op_cols = {id(op.map): dict_cols(op.map) for terms, _ in sys.equations
+               for _, ops in terms for op in ops}
     for name in sys.names:
         shape, coords = sys.shapes[name], sys.coords[name]
         skew = shape.mode == "skew"
@@ -551,7 +555,7 @@ def reference_rows(sys, functionals=()):
                         continue
                     val = [{} for _ in elem]
                     for op in ops:
-                        a = dict_cols(op.map)
+                        a = op_cols[id(op.map)]
                         v = (reference_compose(a, op.map.mode == "skew", elem)
                              if isinstance(op, Left)
                              else reference_compose(elem, skew, a))
@@ -575,13 +579,14 @@ def reference_rows(sys, functionals=()):
 
 
 def reference_rows_per_bit(sys):
-    """Rows and rhs of a MapSystem as the library first assembled them:
-    one row per (equation, source, target, monomial) key, the monomial
-    worked out for every entry, and one bit XORed into a row per entry.
-    Each coordinate's own monomial comes from the slice scan of
+    """Keys, rows and rhs of a MapSystem as the library first assembled
+    them: one row per (equation, source, target, monomial) key, the
+    monomial worked out for every entry, and one bit XORed into a row per
+    entry.  Each coordinate's own monomial comes from the slice scan of
     :func:`reference_unknowns`, whose (source, target) pairs must be the
     system's coordinates.  Rows come in first-occurrence order, then the
-    keys only the rhs has."""
+    keys only the rhs has, then the functionals, keyed
+    ("functional", k)."""
     from corkscrew.complexes import entries
     from corkscrew.homotopy import Left
 
@@ -626,15 +631,56 @@ def reference_rows_per_bit(sys):
     keys = list(rows) + [k for k in rhs if k not in rows]
     out_rows = [rows.get(k, 0) for k in keys]
     out_rhs = [rhs.get(k, 0) for k in keys]
-    for name, vector, mask, rhs_bit in sys.functionals:
+    for k, (name, vector, mask, rhs_bit) in enumerate(sys.functionals):
         off = sys.offsets[name]
         row = 0
         for ci, (s, t) in enumerate(sys.coords[name]):
             if (vector >> s) & 1 and (mask >> t) & 1:
                 row |= 1 << (off + ci)
+        keys.append(("functional", k))
         out_rows.append(row)
         out_rhs.append(rhs_bit)
-    return out_rows, out_rhs
+    return keys, out_rows, out_rhs
+
+
+def reference_columns_per_bit(sys):
+    """(columns, rhs, number of rows) of a MapSystem: the rows of
+    :func:`reference_rows_per_bit`, placed as the library places them.
+    An equation's rows are the (source, monomial, target) coordinates of
+    its value shape in :func:`reference_unknowns` order, the shape read
+    off the composition of its first operator with a zero map (or off
+    its rhs); the functionals' rows come last.  A keyed row must land on
+    a coordinate carrying its monomial; rows no key reaches are zero."""
+    from corkscrew.homotopy import Left, MapShape
+
+    keys, rows, rhs = reference_rows_per_bit(sys)
+    place: dict = {}
+    height = 0
+    for ei, (terms, rhs_endo) in enumerate(sys.equations):
+        value = rhs_endo
+        for name, ops in terms[:1]:
+            zero = sys.shapes[name].assemble(0, [])
+            value = (ops[0].map.compose(zero) if isinstance(ops[0], Left)
+                     else zero.compose(ops[0].map))
+        if value is None:
+            continue
+        shape = MapShape(value.source, value.target, value.mode,
+                         value.bidegree)
+        for s, m, t in reference_unknowns(shape):
+            place[ei, s, t, m] = height
+            height += 1
+    for k in range(len(sys.functionals)):
+        place["functional", k] = height
+        height += 1
+    cols = [0] * sys.total
+    rhs_bits = 0
+    for key, row, bit in zip(keys, rows, rhs):
+        at = place[key]
+        rhs_bits |= bit << at
+        for j in range(sys.total):
+            if (row >> j) & 1:
+                cols[j] |= 1 << at
+    return cols, rhs_bits, height
 
 
 # -- transvections, the sweep and the involution search, as first written ----
@@ -1304,3 +1350,16 @@ def reference_quotient_tower_shape(cx, killed: str):
             if deep_h.class_coords(pushed):
                 return QuotientShape(tower_count=1, tower_top=t)
     return QuotientShape(tower_count=1, tower_top=None)
+
+
+def reference_lex_witness(cycles: list, lam: list) -> int:
+    """The lexmin cycle with functional 1 as first computed: the first
+    cycle of the basis with functional 1, plus the span of the others
+    with functional 0 and of the differences of those with 1, reduced by
+    ``lexmin_affine``."""
+    from corkscrew.algebra import lexmin_affine
+
+    pick = [z for z, bit in zip(cycles, lam) if bit]
+    rest = [z for z, bit in zip(cycles, lam) if not bit]
+    return lexmin_affine(pick[0], rest + [pick[0] ^ z for z in pick[1:]],
+                         len(cycles))

@@ -249,6 +249,31 @@ def test_delta_with_verdict(capsys):
     assert "StrongCork" in out
 
 
+def test_delta_with_verdict_computes_delta_once(capsys, monkeypatch):
+    """The verdict for positive m reads the delta the report printed; a
+    negative m needs the dual's delta as well."""
+    from corkscrew import verdicts
+    from corkscrew.invariants import delta
+
+    calls = []
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.complex.name)
+        return delta(x, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "delta", counting)
+    monkeypatch.setattr(verdicts, "delta", counting)
+    code, out, _ = run_cli(["delta", "bundled:4_1x4_1_tau", "--m", "1"],
+                           capsys)
+    assert code == 0 and "StrongCork" in out
+    assert calls == ["4_1#4_1[tau|tau]"]
+    calls.clear()
+    code, _, _ = run_cli(["delta", "bundled:4_1x4_1_tau", "--m", "-1"],
+                         capsys)
+    assert code == 0 and len(calls) == 2
+    assert calls[0] == "4_1#4_1[tau|tau]" != calls[1]
+
+
 def test_delta_json_reproducible(capsys):
     args = ["--format", "json", "delta", "bundled:4_1x4_1_tau"]
     _, out1, _ = run_cli(args, capsys)

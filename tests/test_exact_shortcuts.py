@@ -6,8 +6,9 @@
   column for column.  A singular phi still takes the solve.
 * ``verdict_split`` skips the S^3 check of the tensor when both factors
   pass it (Kuenneth); the full check must then pass as well.
-* ``MapSystem._rows`` keys rows without monomials; rows and rhs must be
-  those of the per-bit assembly, in order and bit for bit.
+* ``MapSystem._columns`` places rows without monomials; columns and rhs
+  must be those of the per-bit assembly, laid out on the coordinates of
+  each equation's value shape, bit for bit.
 """
 
 import hashlib
@@ -49,7 +50,7 @@ from corkscrew.models import (
     torus_model,
 )
 from corkscrew.verdicts import verdict_split
-from oracle import reference_rows_per_bit
+from oracle import reference_columns_per_bit
 
 NON_IDENTITY_PHI = sorted(
     name for name in BUNDLED
@@ -227,22 +228,22 @@ def test_a_shifted_factor_still_fails_the_tensor_check():
         verdict_split(_shifted(x, (2, 2)), x, 1)
 
 
-# -- whole-row assembly -------------------------------------------------------
+# -- whole-column assembly ----------------------------------------------------
 
 @pytest.fixture
 def rows_checked(monkeypatch):
     """Every system assembled from here on is compared with the per-bit
     assembly; returns the list of their sizes."""
     seen = []
-    rows = MapSystem._rows
+    columns = MapSystem._columns
 
     def checked(self):
-        got = rows(self)
-        assert got == reference_rows_per_bit(self)
+        got = columns(self)
+        assert got == reference_columns_per_bit(self)
         seen.append(self.total)
         return got
 
-    monkeypatch.setattr(MapSystem, "_rows", checked)
+    monkeypatch.setattr(MapSystem, "_columns", checked)
     return seen
 
 

@@ -180,7 +180,7 @@ class TestDelta:
         a0_hom = DiagonalHomology(uc)
         cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
         for _ in range(3):  # the proven window, then 2 and 4 wider
-            d, _, _ = _delta_grading(uc.name, cyl, a0_hom, cyl_hom)
+            d, _ = _delta_grading(uc.name, cyl, a0_hom, cyl_hom)
             assert d == -2
             a0_hom = DiagonalHomology(uc, share=a0_hom)
             cyl_hom = DiagonalHomology(cyl.total, expect_tower=False,

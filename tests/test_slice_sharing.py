@@ -70,11 +70,11 @@ def test_delta_recheck_runs_over_the_enlarged_window(monkeypatch):
     windows = []
 
     def moved_when_widened(name, cyl, a0_hom, cyl_hom):
-        d, lam, q_ranks = real(name, cyl, a0_hom, cyl_hom)
+        d, q_ranks = real(name, cyl, a0_hom, cyl_hom)
         windows.append((cyl_hom.lo, cyl_hom.hi))
         if cyl_hom.lo < windows[0][0]:
             d -= 2
-        return d, lam, q_ranks
+        return d, q_ranks
 
     monkeypatch.setattr(invariants, "_delta_grading", moved_when_widened)
     with pytest.raises(WindowUnstableError, match="window enlargement"):
@@ -84,17 +84,38 @@ def test_delta_recheck_runs_over_the_enlarged_window(monkeypatch):
 
 
 def test_delta_builds_one_witness(monkeypatch):
-    # the enlarged pass compares gradings; only the first builds a witness
+    # the enlarged pass compares gradings; only the first sweeps for a
+    # witness, and delta never reads the tower cycle of the diagonal
     calls = []
-    real = invariants.lexmin_affine
+    real = DiagonalHomology._lex_witness
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(self, *args):
+        calls.append(self.uc.name)
+        return real(self, *args)
 
-    monkeypatch.setattr(invariants, "lexmin_affine", counting)
-    delta(scramble(bundled("4_1x4_1_tau"), random.Random(5)), validated=True)
-    assert len(calls) == 1
+    monkeypatch.setattr(DiagonalHomology, "_lex_witness", counting)
+    x = scramble(bundled("4_1x4_1_tau"), random.Random(5))
+    delta(x, validated=True)
+    assert calls == [f"Cyl(A0({x.complex.name}))"]
+
+
+def test_delta_zero_iff_local_builds_the_tower_once(monkeypatch):
+    """delta's first pass reads ``x.diagonal``, the tower the local-map
+    solve from the trivial complex reads too, so x's diagonal homology
+    is built once; the enlarged pass shares its slices."""
+    built = []
+    real = DiagonalHomology.__init__
+
+    def counting(self, uc, *args, **kwargs):
+        if kwargs.get("share") is None:
+            built.append(uc.name)
+        real(self, uc, *args, **kwargs)
+
+    monkeypatch.setattr(DiagonalHomology, "__init__", counting)
+    x = bundled("4_1x4_1_tau")
+    out = invariants.delta_zero_iff_local(x)
+    assert out["delta"] == 1 and not out["local_map_exists"]
+    assert built.count(f"A0({x.complex.name})") == 1
 
 
 def test_homology_u_recheck_runs_over_the_enlarged_window(monkeypatch):
