@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _encode_key
 from typing import Optional
 
 from .algebra import (
@@ -473,10 +474,18 @@ def shift(cx: KnotComplex, by: Grading, name: Optional[str] = None,
 
 def encode_columns(f: Endomorphism) -> dict:
     """{source id: [[target id, u_exp, v_exp], ...]} for every column of
-    f, empty ones included, in generator order."""
-    src, tgt = f.source.generators, f.target.generators
-    return {src[s]: [[tgt[t], a, b] for t, (a, b) in entries(f, s)]
-            for s in range(f.source.n)}
+    f, empty ones included, in generator order.
+
+    Each column's landing bidegree is worked out once and every triple
+    is read straight off the column's bits and the target gradings (f is
+    graded, so the exponents are the ones :func:`entries` forces)."""
+    tgt, grads = f.target.generators, f.target.gradings
+    out = {}
+    for g, gr, col in zip(f.source.generators, f.source.gradings, f.cols):
+        eu, ev = landing(gr, f.mode, f.bidegree)
+        out[g] = [[tgt[t], (grads[t][0] - eu) >> 1, (grads[t][1] - ev) >> 1]
+                  for t in ones(col)]
+    return out
 
 
 def _encode_matrix(f: Endomorphism) -> dict:
@@ -489,14 +498,30 @@ def to_dict(x, include_actions: bool = True) -> dict:
     cx = x.complex if isinstance(x, PhiIotaComplex) else x
     doc = {
         "name": cx.name,
-        "generators": [{"id": g, "gr": list(cx.gradings[i])}
-                       for i, g in enumerate(cx.generators)],
+        "generators": [{"id": g, "gr": list(gr)}
+                       for g, gr in zip(cx.generators, cx.gradings)],
         "differential": _encode_matrix(cx.boundary()),
     }
     if include_actions and isinstance(x, PhiIotaComplex):
         doc["phi"] = {"mode": x.phi.mode, "map": _encode_matrix(x.phi)}
         doc["iota"] = {"mode": x.iota.mode, "map": _encode_matrix(x.iota)}
     return doc
+
+
+_DUMPS = json.JSONEncoder()  # json.dumps's settings: ", ", ": ", ASCII
+# JSONEncoder.encode builds this C encoder afresh on every call; here it is
+# built once, from the same settings, without the circular-reference check
+_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _DUMPS.default, _encode_key, None, _DUMPS.key_separator,
+    _DUMPS.item_separator, _DUMPS.sort_keys, _DUMPS.skipkeys,
+    _DUMPS.allow_nan)
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value)``, from the encoder built once."""
+    if _C_ENCODE is None:
+        return _DUMPS.encode(value)
+    return "".join(_C_ENCODE(value, 0))
 
 
 def _is_leaf(value) -> bool:
@@ -508,11 +533,60 @@ def _is_leaf(value) -> bool:
     return False
 
 
+def _tuple_free(items: list) -> bool:
+    """No tuple at any depth of a list whose encoding has no brace."""
+    for v in items:
+        if isinstance(v, list):
+            if not _tuple_free(v):
+                return False
+        elif isinstance(v, tuple):
+            return False
+    return True
+
+
+def _leaf_text(value):
+    """The one-line text of a leaf, ``json.dumps(value)``; None for any
+    other value."""
+    if isinstance(value, str):
+        return _encode_key(value)
+    if not isinstance(value, list):
+        if isinstance(value, (int, float)) or value is None:
+            return _dumps(value)
+        return None
+    if value and isinstance(value[0], dict):
+        return None
+    try:
+        text = _dumps(value)
+    except (TypeError, ValueError):
+        if _is_leaf(value):
+            raise  # json.dumps raises it too
+        return None
+    if "{" in text or "}" in text:
+        return text if _is_leaf(value) else None
+    return text if _tuple_free(value) else None
+
+
 def canonical_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with leaf arrays kept on one line."""
+    """Deterministic JSON with leaf arrays kept on one line.
+
+    A leaf is a str, int, float, bool or None, or a list (nested to any
+    depth) of those; it is written on one line, as ``json.dumps`` writes
+    it.  Dicts and lists holding a dict go one item per line, and a dict
+    key k is written as the string ``str(k)``.  Nothing else serialises:
+    a tuple, a set or any other object raises ``TypeError`` at any depth.
+
+    A scalar is a leaf as it stands.  A list is encoded once, whole,
+    unless its first item is a dict.  The encoder writes a dict as
+    ``{...}`` and nothing else with a brace, so text without ``{`` or
+    ``}`` is a leaf once a walk finds no tuple in it (the encoder writes
+    a tuple as an array).  A string may hold a brace, so text with one,
+    or a list the encoder rejects, falls back to the exact leaf test.
+    """
     pad = "  " * indent
-    if _is_leaf(value):
-        return json.dumps(value)
+    if not isinstance(value, dict):
+        text = _leaf_text(value)
+        if text is not None:
+            return text
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -523,7 +597,7 @@ def canonical_json(value, indent: int = 0) -> str:
         if not value:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {canonical_json(v, indent + 1)}"
+            f"{pad}  {_encode_key(str(k))}: {canonical_json(v, indent + 1)}"
             for k, v in value.items())
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialise {type(value)!r}")

@@ -411,20 +411,26 @@ def build_cyl(uc: UComplex) -> CylComplex:
     total = UComplex(name=f"Cyl({uc.name})", labels=labels,
                      gradings=gradings, cols=tuple(cols))
     # D^2 = 0 holds because 1 + phi and 1 + iota are chain maps
-    if not _squares_to_zero(total.cols):
+    if not _squares_to_zero(uc):
         raise ValidationError("cylinder differential does not square to 0")
     return CylComplex(uc=uc, total=total, n_block=n)
 
 
-def _squares_to_zero(cols) -> bool:
-    """D^2 = 0 for the columns of a :class:`UComplex`.
+def _squares_to_zero(uc: UComplex) -> bool:
+    """D^2 = 0 for the cylinder of ``uc``, checked on uc's own n columns.
 
-    Every entry is the single power of U that the gradings force, and so
-    is every entry of D^2; D^2 therefore vanishes exactly when it does at
-    U = 1, as a bit matrix over all generators (the two deepest slices,
-    side by side).
+    D^2 has d^2 on each of the three blocks and, from the first block,
+    (1 + f)d + d(1 + f) = fd + df into the block of f = phi or iota.  So
+    D^2 vanishes exactly when d^2 = 0, phi d = d phi and iota d = d iota.
+    Every entry of these is the single power of U that the gradings
+    force, so each holds exactly when it does at U = 1, as bit matrices.
     """
-    return not any(mat_vec(cols, col) for col in cols)
+    d = uc.cols
+    if any(mat_vec(d, col) for col in d):
+        return False
+    return all(mat_vec(f, col) == mat_vec(d, f_col)
+               for f in (uc.phi_cols, uc.iota_cols)
+               for col, f_col in zip(d, f))
 
 
 # -- the delta invariant -------------------------------------------------------------
@@ -492,8 +498,10 @@ def _delta_grading(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
     cycle basis at every grading down to d."""
     q_ranks: dict = {}
     for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
-        q_ranks[d] = sum(a0_hom.nontorsion_bit(cyl.project(z), d)
-                         for z in cyl_hom.cycle_basis(d))
+        # the tower mask covers diagonal generators only, which are the
+        # cylinder's first block: masking a cycle is projecting it
+        mask = a0_hom.tower_generators(d)
+        q_ranks[d] = sum(parity(z & mask) for z in cyl_hom.cycle_basis(d))
         if not q_ranks[d]:
             continue
         if d % 2:

@@ -1363,3 +1363,50 @@ def reference_lex_witness(cycles: list, lam: list) -> int:
     rest = [z for z, bit in zip(cycles, lam) if not bit]
     return lexmin_affine(pick[0], rest + [pick[0] ^ z for z in pick[1:]],
                          len(cycles))
+
+
+# -- the canonical JSON writer as first written ----------------------------------
+
+def reference_encode_columns(f) -> dict:
+    """{source id: [[target id, u_exp, v_exp], ...]} through the
+    ``entries`` tuples of every column, empty columns included."""
+    from corkscrew.complexes import entries
+
+    src, tgt = f.source.generators, f.target.generators
+    return {src[s]: [[tgt[t], a, b] for t, (a, b) in entries(f, s)]
+            for s in range(f.source.n)}
+
+
+def _reference_is_leaf(value) -> bool:
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return True
+    if isinstance(value, list):
+        return all(isinstance(v, (str, int, float, bool)) or v is None
+                   or (isinstance(v, list) and _reference_is_leaf(v))
+                   for v in value)
+    return False
+
+
+def reference_canonical_json(value, indent: int = 0) -> str:
+    """The writer with one ``json.dumps`` per leaf and per key, and the
+    leaf test walked afresh at every level."""
+    import json
+
+    pad = "  " * indent
+    if _reference_is_leaf(value):
+        return json.dumps(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = ",\n".join(pad + "  " + reference_canonical_json(v, indent + 1)
+                           for v in value)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: "
+            f"{reference_canonical_json(v, indent + 1)}"
+            for k, v in value.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    raise TypeError(f"cannot serialise {type(value)!r}")

@@ -251,3 +251,65 @@ def test_cylinder_check_survives_optimize():
     assert out.splitlines() == [
         "build_cyl raised: cylinder differential does not square to 0",
         "optimize 1"]
+
+
+def _not_a_complex() -> UComplex:
+    """a -> b -> c with identity actions: d^2(a) = c, so the cylinder has
+    D^2(x:a) = x:c while 1 + phi and 1 + iota vanish."""
+    return UComplex(name="not a complex", labels=("c", "b", "a"),
+                    gradings=(-2, -1, 0), cols=(0, 0b001, 0b010),
+                    phi_cols=(0b001, 0b010, 0b100),
+                    iota_cols=(0b001, 0b010, 0b100))
+
+
+def _iota_not_a_chain_map() -> UComplex:
+    uc = _not_a_chain_map(1)
+    return dataclasses.replace(uc, phi_cols=uc.iota_cols,
+                               iota_cols=uc.phi_cols)
+
+
+@pytest.mark.parametrize("uc", [_not_a_complex(), _iota_not_a_chain_map()],
+                         ids=["d_squared", "iota"])
+def test_cylinder_blocks_are_checked(uc):
+    with pytest.raises(ValidationError,
+                       match="cylinder differential does not square to 0"):
+        build_cyl(uc)
+
+
+_BROKEN_BLOCKS = """
+import dataclasses
+import sys
+from corkscrew.errors import ValidationError
+from corkscrew.invariants import UComplex, build_cyl
+
+ident = (0b001, 0b010, 0b100)
+broken_phi = UComplex(name="phi", labels=("b", "a"), gradings=(1, 0),
+                      cols=(0, 0b01), phi_cols=(0, 0b10),
+                      iota_cols=(0b01, 0b10))
+cases = {
+    "d_squared": UComplex(name="d2", labels=("c", "b", "a"),
+                          gradings=(-2, -1, 0), cols=(0, 0b001, 0b010),
+                          phi_cols=ident, iota_cols=ident),
+    "phi": broken_phi,
+    "iota": dataclasses.replace(broken_phi, phi_cols=broken_phi.iota_cols,
+                                iota_cols=broken_phi.phi_cols),
+}
+for name, uc in cases.items():
+    try:
+        build_cyl(uc)
+    except ValidationError as exc:
+        print(name, "raised:", exc)
+    else:
+        print(name, "passed")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_every_block_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_BLOCKS],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == [
+        *(f"{name} raised: cylinder differential does not square to 0"
+          for name in ("d_squared", "phi", "iota")), "optimize 1"]
