@@ -346,6 +346,11 @@ class PhiIotaComplex:
     def name(self) -> str:
         return self.complex.name
 
+    @property
+    def phi_is_identity(self) -> bool:
+        """True for an iota-complex, whose phi is the identity."""
+        return self.phi == self.complex.identity()
+
     @cached_property
     def diagonal(self):
         """``DiagonalHomology(a0(self))``, built on first use and kept: the

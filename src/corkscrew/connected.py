@@ -600,8 +600,10 @@ def _conn_reduced(x: PhiIotaComplex, form: StandardForm, roles, grads, cols):
     model = direct_sum(stair, *(box_complex(ell, at=at) for ell, at in keep),
                        name=f"conn({x.complex.name})")
     # x_iota and each candidate's conn keep their diagonal homology
-    # (PhiIotaComplex.diagonal), so the solves both ways build each once
-    x_iota = iota_complex(x.complex, x.iota)
+    # (PhiIotaComplex.diagonal), so the solves both ways build each once;
+    # an x with phi = id is its own iota-complex, already checked
+    x_iota = (x if x.phi_is_identity
+              else iota_complex(x.complex, x.iota))
     try:
         candidates = involution_candidates(model)
     except ValidationError:

@@ -133,12 +133,13 @@ class Left(NamedTuple):
         return _after(self.map, shape)
 
     def place(self, cols: list, off: int, coords: list, base: int,
-              rows: RowBlocks) -> None:
+              rows: RowBlocks, sources: dict) -> None:
         """Add A o E, for the elementary map E of each coordinate
         i = (s, t), to ``cols[off + i]``, on the rows ``rows`` lays out
         from ``base``: column t of A, in source s's block.  Sources that
         land on one grading share a mask, so each (mask, t) is packed
-        once."""
+        once.  ``sources`` is :meth:`Right.place`'s; A needs no
+        transpose."""
         a_cols = self.map.cols
         masks, starts = rows.masks, rows.starts
         packed: dict = {}
@@ -161,18 +162,22 @@ class Right(NamedTuple):
         return _after(shape, self.map)
 
     def place(self, cols: list, off: int, coords: list, base: int,
-              rows: RowBlocks) -> None:
+              rows: RowBlocks, sources: dict) -> None:
         """As :meth:`Left.place` for E o B: entry s' -> t for every
         source s' whose column of B holds s, one bit per bit of row s
-        of B."""
+        of B.  The rows of B, as lists of sources, are kept in
+        ``sources`` under B's id, so the terms of one assembly that share
+        B transpose it once."""
         b = self.map
-        sources = [list(ones(row))
-                   for row in transpose_cols(b.cols, b.target.n)]
+        of_row = sources.get(id(b))
+        if of_row is None:
+            of_row = sources[id(b)] = [
+                list(ones(row)) for row in transpose_cols(b.cols, b.target.n)]
         starts, masks = rows.starts, rows.masks
         for i, (s, t) in enumerate(coords, off):
             below = (1 << t) - 1
             col = 0
-            for s2 in sources[s]:
+            for s2 in of_row[s]:
                 col |= 1 << (starts[s2] + (masks[s2] & below).bit_count())
             if col:
                 cols[i] ^= col << base
@@ -248,6 +253,9 @@ class MapSystem:
         cols = [0] * self.total
         rhs = 0
         base = 0
+        # the equations hold their operators' maps, so an id names one
+        # map for the whole call
+        sources: dict = {}
         for (terms, rhs_endo), value in zip(self.equations, self.values):
             if value is None:
                 continue
@@ -255,7 +263,7 @@ class MapSystem:
             for name, ops in terms:
                 for op in ops:
                     op.place(cols, self.offsets[name], self.coords[name],
-                             base, rows)
+                             base, rows, sources)
             if rhs_endo is not None:
                 rhs |= rows.of_map(rhs_endo.cols) << base
             base += rows.starts[-1]
@@ -317,7 +325,7 @@ class HomotopyClasses:
         h_coords = MapShape(cx, cx, STRAIGHT, (1, 1)).unknowns()
         image = [0] * len(h_coords)
         for op in (Left(d), Right(d)):
-            op.place(image, 0, h_coords, 0, self.rows)
+            op.place(image, 0, h_coords, 0, self.rows, {})
         self.image = Echelon(image)
 
     def normal_form(self, f: Endomorphism) -> int:
@@ -456,6 +464,7 @@ class LocalityCertificate:
 
     exists: bool
     f: Optional[Endomorphism] = None
+    # the zero map when both phi are the identity (see _local_system)
     h_phi: Optional[Endomorphism] = None
     h_iota: Optional[Endomorphism] = None
     shift: int = 0  # grading shift of f; local maps here preserve gradings
@@ -464,15 +473,33 @@ class LocalityCertificate:
 
 def _local_system(x1: PhiIotaComplex, x2: PhiIotaComplex,
                   t_cycle: int, mask: int) -> MapSystem:
+    """The local-map system x1 -> x2: f d = d f, f phi + phi f = d H_phi
+    + H_phi d, f iota + iota f = d H_iota + H_iota d, and the locality
+    row, with unknowns f, H_phi ("hp") and H_iota ("hi").
+
+    When both phi are the identity there is no H_phi and no phi
+    equation.  That equation reads 2f = d H_phi + H_phi d, and 2f is 0:
+    its rows touch only the H_phi columns, and its right-hand side is 0
+    there.  So the H_phi columns are independent of the f and H_iota
+    columns: the sweep stores them with pivots in rows that no f or
+    H_iota column and no right-hand side ever holds, so nothing reduces
+    against them.  The reduced echelon form's particular solution
+    therefore has the same f and H_iota with or without the block, and
+    H_phi = 0; one system is consistent exactly when the other is, and a
+    refutation's combo is over the rows that remain.
+    """
     c1, c2 = x1.complex, x2.complex
     d1, d2 = c1.boundary(), c2.boundary()
     sys = MapSystem()
     sys.add_unknown("f", MapShape(c1, c2, STRAIGHT, (0, 0)))
-    sys.add_unknown("hp", MapShape(c1, c2, STRAIGHT, (1, 1)))
+    with_phi = not (x1.phi_is_identity and x2.phi_is_identity)
+    if with_phi:
+        sys.add_unknown("hp", MapShape(c1, c2, STRAIGHT, (1, 1)))
     sys.add_unknown("hi", MapShape(c1, c2, SKEW, (1, 1)))
     sys.add_equation([("f", [Right(d1), Left(d2)])])
-    sys.add_equation([("f", [Right(x1.phi), Left(x2.phi)]),
-                      ("hp", [Left(d2), Right(d1)])])
+    if with_phi:
+        sys.add_equation([("f", [Right(x1.phi), Left(x2.phi)]),
+                          ("hp", [Left(d2), Right(d1)])])
     sys.add_equation([("f", [Right(x1.iota), Left(x2.iota)]),
                       ("hi", [Left(d2), Right(d1)])])
     sys.add_functional("f", t_cycle, mask, 1)
@@ -487,7 +514,8 @@ def local_map_exists(x1: PhiIotaComplex,
 
     Locality is one affine row: the class of f(tower cycle) must be
     nontorsion after restricting to the diagonal subcomplex of x2, which is
-    a single linear functional of f.
+    a single linear functional of f.  Between iota-complexes H_phi is the
+    zero map, which the system does not solve for (:func:`_local_system`).
     """
     hom1, hom2 = x1.diagonal, x2.diagonal
     sys = _local_system(x1, x2, hom1.tower_rep,
@@ -496,7 +524,11 @@ def local_map_exists(x1: PhiIotaComplex,
     if ans is None:
         return LocalityCertificate(False, obstruction={
             "rows": "left-kernel", "combo": cert.combo, "shift": 0})
-    out = LocalityCertificate(True, ans["f"], ans["hp"], ans["hi"])
+    hp = ans.get("hp")
+    if hp is None:
+        hp = Endomorphism._graded(x1.complex, x2.complex,
+                                  (0,) * x1.complex.n, STRAIGHT, (1, 1))
+    out = LocalityCertificate(True, ans["f"], hp, ans["hi"])
     _check_witness(x1, x2, out)
     return out
 

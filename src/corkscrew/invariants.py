@@ -80,17 +80,29 @@ class _HSlice:
                 out |= 1 << tag[1]
         return out
 
-    def rep_coefficient(self, v: int, idx: int) -> int:
-        """Linear functional extracting one representative's coefficient,
-        defined on the whole slice (not only on cycles)."""
-        # complete over the slice's generators, on first use, to a full
-        # decomposition so the functional extends linearly off the cycle
-        # subspace; coordinates of cycles are unique either way
+    def rep_functional(self, idx: int) -> int:
+        """The linear functional extracting one representative's
+        coefficient, defined on the whole slice (not only on cycles), as a
+        mask m over the slice's generators: the coefficient of v is
+        ``parity(v & m)``.
+
+        The span is first completed by the slice's unit vectors, so that
+        its rows are a basis of the slice and the functional extends
+        linearly off the cycles (coordinates of cycles are unique either
+        way).  m is then 1 on the row tagged ("h", idx) and 0 on every
+        other row.  The rows' pivots are every generator of the slice, and
+        a row has no bit below its pivot, so walking the rows by
+        decreasing pivot, each sets its pivot bit of m from the bits
+        already set above it.
+        """
         for g in ones(self._incomplete):
             self._span.insert(1 << g, tag="c")
         self._incomplete = 0
-        coeffs = self._span.coefficients(v)
-        return coeffs.get(("h", idx), 0)
+        tag, m = ("h", idx), 0
+        for pivot, row, row_tag in sorted(self._span.rows, reverse=True):
+            if (row_tag == tag) ^ parity(m & row):
+                m |= 1 << pivot
+        return m
 
 
 # -- diagonal complexes ----------------------------------------------------------
@@ -196,9 +208,9 @@ class DiagonalHomology:
         (G_min - 1 or G_min - 2), as a mask over generators.
 
         The homology there has rank at most one (``_locate_tower`` checks
-        the two stable gradings together); the functional, the coefficient
-        of its one representative, is read once off every unit vector (the
-        unit-vector completion of :class:`_HSlice` makes it linear).
+        the two stable gradings together); the functional is the
+        coefficient of its one representative
+        (:meth:`_HSlice.rep_functional`).
         """
         target = self.gmin - 1 - (d - self.gmin + 1) % 2
         if target not in self._towers:
@@ -208,9 +220,7 @@ class DiagonalHomology:
                     f"{self.uc.name}: homology at the stable grading "
                     f"{target} has rank {h.rank}; the tower functional "
                     f"needs at most one class")
-            mask = self.uc.levels.above(target) if h.rank else 0
-            self._towers[target] = sum(1 << g for g in ones(mask)
-                                       if h.rep_coefficient(1 << g, 0))
+            self._towers[target] = h.rep_functional(0) if h.rank else 0
         return self._towers[target]
 
     def nontorsion_bit(self, vec: int, d: int) -> int:
@@ -378,20 +388,16 @@ def homology_u(uc: UComplex) -> UHomology:
 class CylComplex:
     """Three copies of the diagonal subcomplex totalised along 1 + phi and
     1 + iota; the shifted blocks sit one grading lower so the total
-    differential has degree -1."""
+    differential has degree -1.
+
+    The first block is generators 0..n_block-1 with the gradings of the
+    diagonal subcomplex, so the cylinder's slice at any grading, masked
+    to those bits, is the diagonal subcomplex's slice there: the
+    projection q is that mask."""
 
     uc: UComplex
     total: UComplex
     n_block: int
-
-    def project(self, vec: int) -> int:
-        """q: restriction of a cylinder slice vector to the first block.
-
-        The first block is generators 0..n-1 with the gradings of the
-        diagonal subcomplex, so the cylinder's slice at any grading,
-        restricted to it, is the diagonal subcomplex's slice there.
-        """
-        return vec & ((1 << self.n_block) - 1)
 
 
 def build_cyl(uc: UComplex) -> CylComplex:

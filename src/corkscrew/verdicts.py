@@ -296,7 +296,8 @@ def replay_certificate(cert: dict) -> bool:
     if kind == "delta-positive":
         x = phi_iota_from_dict(cert["complex"])
         res = delta(x)
-        return res.delta == cert["delta"] and res.delta > 0
+        return (res.delta == cert["delta"] and res.delta > 0
+                and res.max_grading == cert["witness_grading"])
     if kind == "no-local-map":
         src = phi_iota_from_dict(cert["source"])
         tgt = phi_iota_from_dict(cert["target"])

@@ -1410,3 +1410,53 @@ def reference_canonical_json(value, indent: int = 0) -> str:
             for k, v in value.items())
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialise {type(value)!r}")
+
+
+def reference_local_system(x1: PhiIotaComplex, x2: PhiIotaComplex,
+                           t_cycle: int, mask: int):
+    """The local-map system x1 -> x2 with its phi block always present:
+    unknowns f, H_phi ("hp") and H_iota ("hi"), the chain-map equation,
+    f phi + phi f = d H_phi + H_phi d, the iota equation and the locality
+    row, whatever phi is."""
+    from corkscrew.complexes import SKEW, STRAIGHT
+    from corkscrew.homotopy import Left, MapShape, MapSystem, Right
+
+    c1, c2 = x1.complex, x2.complex
+    d1, d2 = c1.boundary(), c2.boundary()
+    sys_ = MapSystem()
+    sys_.add_unknown("f", MapShape(c1, c2, STRAIGHT, (0, 0)))
+    sys_.add_unknown("hp", MapShape(c1, c2, STRAIGHT, (1, 1)))
+    sys_.add_unknown("hi", MapShape(c1, c2, SKEW, (1, 1)))
+    sys_.add_equation([("f", [Right(d1), Left(d2)])])
+    sys_.add_equation([("f", [Right(x1.phi), Left(x2.phi)]),
+                       ("hp", [Left(d2), Right(d1)])])
+    sys_.add_equation([("f", [Right(x1.iota), Left(x2.iota)]),
+                       ("hi", [Left(d2), Right(d1)])])
+    sys_.add_functional("f", t_cycle, mask, 1)
+    return sys_
+
+
+def reference_tower_generators(hom, d: int) -> int:
+    """The tower functional at the stable grading of d's parity, read one
+    generator at a time: the slice's boundaries, cycles and then unit
+    vectors go into a fresh span, and each unit vector is written over it
+    by its own reduction; generator g is in the mask when the one
+    representative's coefficient there is 1."""
+    from corkscrew.algebra import Echelon
+
+    target = hom.gmin - 1 - (d - hom.gmin + 1) % 2
+    span = Echelon()
+    for b in hom._columns(target + 1).values():
+        span.insert(b, tag="b")
+    reps = 0
+    for z in hom.cycle_basis(target):
+        if span.insert(z, tag=("h", reps)):
+            reps += 1
+    if not reps:
+        return 0
+    mask = hom.uc.levels.above(target)
+    gens = [g for g in range(hom.uc.n) if mask >> g & 1]
+    for g in gens:
+        span.insert(1 << g, tag="c")
+    return sum(1 << g for g in gens
+               if span.coefficients(1 << g).get(("h", 0), 0))

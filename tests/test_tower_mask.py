@@ -3,7 +3,9 @@ it replaced (``oracle.reference_nontorsion_bit`` on the oracle's own
 position-indexed slices: push the vector to the stable grading, then ask
 each homology representative there for its coefficient), on random
 generator-bit vectors inside the slice mask at every grading of the
-window; and every cycle basis vector is a cycle inside its slice mask."""
+window; the mask itself against the route that read it one unit vector
+at a time (``oracle.reference_tower_generators``); and every cycle basis
+vector is a cycle inside its slice mask."""
 
 import functools
 import random
@@ -21,7 +23,11 @@ from corkscrew.models import (
     torus_model,
 )
 from conftest import scramble
-from oracle import _ReferenceDiagonal, reference_nontorsion_bit
+from oracle import (
+    _ReferenceDiagonal,
+    reference_nontorsion_bit,
+    reference_tower_generators,
+)
 
 
 def _torus_sum(*qs):
@@ -66,6 +72,32 @@ def test_nontorsion_bit_matches_the_reference(name, seed):
             by_pos = sum(1 << at[g] for g in ones(vec))
             assert hom.nontorsion_bit(vec, d) == reference_nontorsion_bit(
                 ref, by_pos, d), (name, d, vec)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_tower_generators_match_the_per_generator_route(name):
+    """The back-substituted mask equals the functional read off one unit
+    vector at a time, bit for bit, off the cycles too: at both stable
+    gradings of every bundled model, as built and under three
+    scrambles."""
+    for seed in (None, 1, 2, 3):
+        x = bundled(name)
+        if seed is not None:
+            x = scramble(x, random.Random(seed))
+        hom = DiagonalHomology(a0(x))
+        for d in (hom.gmin, hom.gmin - 1):
+            assert hom.tower_generators(d) == \
+                reference_tower_generators(hom, d), (name, seed, d)
+
+
+def test_tower_generators_match_the_per_generator_route_at_625():
+    x2 = bundled("4_1x4_1_tau")
+    hom = DiagonalHomology(a0(tensor(x2, x2)))
+    assert hom.uc.n == 625
+    masks = [hom.tower_generators(d) for d in (hom.gmin, hom.gmin - 1)]
+    assert any(masks)
+    assert masks == [reference_tower_generators(hom, d)
+                     for d in (hom.gmin, hom.gmin - 1)]
 
 
 def test_the_125_generator_tensor_is_covered():

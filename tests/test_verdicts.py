@@ -130,6 +130,15 @@ class TestDeltaVerdict:
         assert v.certificate["delta"] == 1
         assert replay_certificate(v.certificate)
 
+    @pytest.mark.parametrize("grading", [12345, 0, -4])
+    def test_replay_reads_the_witness_grading(self, grading):
+        """The witness sits at grading -2 = -2 delta; a certificate that
+        names any other grading does not replay."""
+        cert = verdict_delta(bundled("4_1x4_1_tau"), m=1).certificate
+        assert cert["witness_grading"] == -2
+        assert replay_certificate(dict(cert, witness_grading=grading)) \
+            is False
+
     def test_unknot_inconclusive(self):
         assert verdict_delta(unknot(), m=1).conclusion == INCONCLUSIVE
 
