@@ -15,7 +15,11 @@ Every F2 elimination in the package goes through one routine, the
 incremental row echelon :class:`Echelon`: ranks and lexmin witnesses
 here, :class:`ColumnSpan` for kernels, coordinates and linear solves
 over keyed columns, and the homology, peeling and self-map spans of the
-other modules.  A linear system ``A x = b`` is solved in one sweep over
+other modules.  A stored row is a bit vector and nothing else.  Where a
+caller needs coordinates, it stores each row with marker bits above the
+vectors' own bits; a row changes no bit below its pivot, so reducing a
+vector leaves, above those bits, the XOR of the markers of the rows it
+used.  A linear system ``A x = b`` is solved in one sweep over
 A's columns (:meth:`ColumnSpan.solve`): the sweep leaves the reduced
 echelon form's pivot columns, its null-space basis and, for b outside
 the span, a row functional that refutes it, with no row echelon and no
@@ -27,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-from .errors import ValidationError
 
 Mono = tuple  # (u_exp, v_exp)
 Grading = tuple  # (gr_u, gr_v)
@@ -172,46 +174,32 @@ class Echelon:
     """
 
     def __init__(self, vectors: Iterable[int] = ()):
-        self.rows: list = []  # (pivot, vec, tag), in insertion order
-        self._at: dict = {}  # pivot index -> (vec, tag)
+        self.rows: list = []  # (pivot, vec), in insertion order
+        self._at: dict = {}  # pivot index -> vec
         self._pivots = 0
         for v in vectors:
             self.insert(v)
 
-    def _reduce(self, v: int, coeffs: Optional[dict]) -> int:
+    def reduce(self, v: int) -> int:
         at = self._at
         pivots = self._pivots
         hit = v & pivots
         while hit:
-            vec, tag = at[(hit & -hit).bit_length() - 1]
-            v ^= vec
-            if coeffs is not None:
-                coeffs[tag] = coeffs.get(tag, 0) ^ 1
+            v ^= at[(hit & -hit).bit_length() - 1]
             hit = v & pivots
         return v
 
-    def reduce(self, v: int) -> int:
-        return self._reduce(v, None)
-
-    def insert(self, v: int, tag=None) -> int:
-        """Store the reduction of v under ``tag``; returns it, 0 when v is
-        already in the span (nothing is stored then)."""
-        v = self._reduce(v, None)
+    def insert(self, v: int) -> int:
+        """Store the reduction of v; returns it, 0 when v is already in
+        the span (nothing is stored then)."""
+        v = self.reduce(v)
         if v:
             low = v & -v
             pivot = low.bit_length() - 1
-            self._at[pivot] = (v, tag)
+            self._at[pivot] = v
             self._pivots |= low
-            self.rows.append((pivot, v, tag))
+            self.rows.append((pivot, v))
         return v
-
-    def coefficients(self, v: int) -> dict:
-        """{tag: bit} writing v over the stored rows; raises when v is
-        outside the span."""
-        coeffs: dict = {}
-        if self._reduce(v, coeffs):
-            raise ValidationError("vector outside the recorded span")
-        return coeffs
 
     @property
     def rank(self) -> int:
@@ -277,7 +265,7 @@ class ColumnSpan:
         if not r & low:
             return F2Solution(particular=r >> self.shift, kernel=self.kernel)
         y = r & -r
-        for pivot, vec, _ in sorted(self.span.rows, reverse=True):
+        for pivot, vec in sorted(self.span.rows, reverse=True):
             if parity(vec & y):
                 y ^= 1 << pivot
         return F2Inconsistency(combo=y)
@@ -314,11 +302,11 @@ def solve_f2_rows(rows: list, rhs: list, ncols: int):
     # back-substitute: highest pivots first, each row reduced against the
     # rows above it, which leaves the (unique) reduced echelon form; a row
     # is then zero at every other pivot, so its other bits are free columns
-    rref = Echelon(v for _, v, _ in sorted(span.rows, reverse=True))
-    pivots = {p for p, _, _ in rref.rows}
+    rref = Echelon(v for _, v in sorted(span.rows, reverse=True))
+    pivots = {p for p, _ in rref.rows}
     kernel = {j: 1 << j for j in range(ncols) if j not in pivots}
     particular = 0
-    for p, v, _ in rref.rows:
+    for p, v in rref.rows:
         particular |= (v >> ncols) << p
         for j in ones((v ^ (1 << p)) & (bare - 1)):
             kernel[j] |= 1 << p

@@ -382,34 +382,35 @@ def _peel_boxes(gradings, cols):
         x = 1 << s
         quads.append((x, mat_vec(a_cols, x), mat_vec(b_cols, x), p_vecs[s]))
     # full decomposition X + AX + BX + PX + completion, in that order;
-    # each PX vector is tagged with its quadruple
-    deco = Echelon()
+    # quadruple i's PX row carries marker bit n + i, so a vector reduces
+    # to its coefficients on the PX rows above its n generator bits
+    deco, low = Echelon(), (1 << n) - 1
     for part in range(4):
         for i, q in enumerate(quads):
-            if not deco.insert(q[part], tag=i if part == 3 else None):
+            v = deco.reduce(q[part]) & low
+            if not v:
                 return None  # quadruples fail to be independent: bail out
-    completion = [1 << s for s in range(n) if deco.insert(1 << s)]
+            deco.insert(v | (1 << (n + i) if part == 3 else 0))
+    completion = []
+    for s in range(n):
+        v = deco.reduce(1 << s) & low
+        if v:
+            deco.insert(v)
+            completion.append(1 << s)
 
     def sigma(v):
+        # the PX coefficients of ABv, Bv, Av and v pick x, Ax, Bx and Px
+        b_v = mat_vec(b_cols, v)
+        coeffs = [deco.reduce(w) >> n for w in
+                  (mat_vec(a_cols, b_v), b_v, mat_vec(a_cols, v), v)]
         out = 0
-        c_ab = deco.coefficients(mat_vec(a_cols, mat_vec(b_cols, v)))
-        c_b = deco.coefficients(mat_vec(b_cols, v))
-        c_a = deco.coefficients(mat_vec(a_cols, v))
-        c_v = deco.coefficients(v)
-        for i, (x, ax, bx, px) in enumerate(quads):
-            if c_ab.get(i):
-                out ^= x
-            if c_b.get(i):
-                out ^= ax
-            if c_a.get(i):
-                out ^= bx
-            if c_v.get(i):
-                out ^= px
+        for i, quad in enumerate(quads):
+            for c, w in zip(coeffs, quad):
+                if c >> i & 1:
+                    out ^= w
         return out
 
-    m_bits = []
-    for x, ax, bx, px in quads:
-        m_bits.extend((x, ax, bx, px))
+    m_bits = [v for quad in quads for v in quad]
     for c in completion:
         m_bits.append(c ^ sigma(c))
     inv_bits = inverse_cols(m_bits)

@@ -22,6 +22,7 @@ space, or a combination of rows that refutes the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .algebra import (
@@ -51,49 +52,43 @@ from .errors import ConsistencyError, ValidationError
 
 @dataclass(frozen=True)
 class MapShape:
+    """The grading-homogeneous maps source -> target of one mode and
+    bidegree, laid out as bits: one per (source, target) coordinate, for
+    each source s, ascending, the targets t in ``masks[s]``, the
+    admissible mask s lands on, ascending.  Each stands for the entry
+    s -> t holding the one monomial the gradings force.  Source s's block
+    starts at ``starts[s]``.  ``masks`` and ``starts`` are built with the
+    shape, ``coords`` when first read."""
+
     source: KnotComplex
     target: KnotComplex
     mode: str
     bidegree: Grading
 
-    def unknowns(self) -> list:
-        """(source, target) coordinates: for each source s, ascending,
-        the targets t in the admissible mask that s lands on, ascending.
-        Each stands for the entry s -> t holding the one monomial the
-        gradings force."""
-        mode, bidegree = self.mode, self.bidegree
+    def __post_init__(self):
         admissible = self.target.admissible
-        return [(s, t) for s, g in enumerate(self.source.gradings)
-                for t in ones(admissible(landing(g, mode, bidegree)))]
+        masks, starts = [], [0]
+        for g in self.source.gradings:
+            mask = admissible(landing(g, self.mode, self.bidegree))
+            masks.append(mask)
+            starts.append(starts[-1] + mask.bit_count())
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "starts", starts)
 
-    def assemble(self, bits: int, coords: list) -> Endomorphism:
-        """The map with coordinate i set for each set bit i of ``bits``;
-        bits past the last coordinate are ignored."""
-        cols = [0] * self.source.n
-        for i in ones(bits & ((1 << len(coords)) - 1)):
-            s, t = coords[i]
-            cols[s] ^= 1 << t
-        return Endomorphism._graded(self.source, self.target, cols,
-                                    self.mode, self.bidegree)
+    @cached_property
+    def coords(self) -> list:
+        """The (source, target) pair of each coordinate, in order."""
+        return [(s, t) for s, mask in enumerate(self.masks)
+                for t in ones(mask)]
 
-
-class RowBlocks:
-    """The rows of a map shape, one per coordinate in :meth:`MapShape.unknowns`
-    order: source s's block starts at ``starts[s]`` and holds the targets
-    in ``masks[s]``, the admissible mask s lands on."""
-
-    def __init__(self, shape: MapShape):
-        admissible = shape.target.admissible
-        mode, bidegree = shape.mode, shape.bidegree
-        self.masks = [admissible(landing(g, mode, bidegree))
-                      for g in shape.source.gradings]
-        self.starts = [0]
-        for mask in self.masks:
-            self.starts.append(self.starts[-1] + mask.bit_count())
+    @property
+    def size(self) -> int:
+        return self.starts[-1]
 
     def pack(self, s: int, col: int) -> int:
         """A column at source s as bits over s's block, from its first
-        row; bits outside the admissible mask are a grading violation."""
+        coordinate; bits outside the admissible mask are a grading
+        violation."""
         mask = self.masks[s]
         if col & ~mask:
             raise ValidationError(f"entry outside its admissible mask at "
@@ -105,22 +100,33 @@ class RowBlocks:
 
     def of_map(self, cols) -> int:
         """A map of this shape, given by its columns, as bits over the
-        rows."""
+        coordinates."""
         out = 0
         for s, col in enumerate(cols):
             if col:
                 out |= self.pack(s, col) << self.starts[s]
         return out
 
+    def assemble(self, bits: int) -> Endomorphism:
+        """The map with coordinate i set for each set bit i of ``bits``;
+        bits past the last coordinate are ignored."""
+        cols = [0] * self.source.n
+        coords = self.coords
+        for i in ones(bits & ((1 << self.size) - 1)):
+            s, t = coords[i]
+            cols[s] ^= 1 << t
+        return Endomorphism._graded(self.source, self.target, cols,
+                                    self.mode, self.bidegree)
 
-def _after(outer, inner: MapShape) -> MapShape:
-    """The shape of outer o inner, for maps or shapes: the rule of
-    :meth:`Endomorphism.compose`, on shapes alone."""
+
+def _after(outer, inner: MapShape) -> tuple:
+    """The (source, target, mode, bidegree) of outer o inner, for maps or
+    shapes: the rule of :meth:`Endomorphism.compose`, on shapes alone."""
     if inner.target is not outer.source and inner.target != outer.source:
         raise ValidationError("composition mismatch")
-    return MapShape(inner.source, outer.target,
-                    STRAIGHT if outer.mode == inner.mode else SKEW,
-                    landing(inner.bidegree, outer.mode, outer.bidegree))
+    return (inner.source, outer.target,
+            STRAIGHT if outer.mode == inner.mode else SKEW,
+            landing(inner.bidegree, outer.mode, outer.bidegree))
 
 
 class Left(NamedTuple):
@@ -128,26 +134,27 @@ class Left(NamedTuple):
 
     map: Endomorphism
 
-    def value(self, shape: MapShape) -> MapShape:
-        """The shape of A o X for X of ``shape``."""
+    def value(self, shape: MapShape) -> tuple:
+        """The (source, target, mode, bidegree) of A o X for X of
+        ``shape``."""
         return _after(self.map, shape)
 
-    def place(self, cols: list, off: int, coords: list, base: int,
-              rows: RowBlocks, sources: dict) -> None:
+    def place(self, cols: list, off: int, shape: MapShape, base: int,
+              value: MapShape, sources: dict) -> None:
         """Add A o E, for the elementary map E of each coordinate
-        i = (s, t), to ``cols[off + i]``, on the rows ``rows`` lays out
-        from ``base``: column t of A, in source s's block.  Sources that
-        land on one grading share a mask, so each (mask, t) is packed
-        once.  ``sources`` is :meth:`Right.place`'s; A needs no
-        transpose."""
+        i = (s, t) of ``shape``, to ``cols[off + i]``, on the rows laid
+        out from ``base`` by the coordinates of ``value``: column t of A,
+        in source s's block.  Sources that land on one grading share a
+        mask, so each (mask, t) is packed once.  ``sources`` is
+        :meth:`Right.place`'s; A needs no transpose."""
         a_cols = self.map.cols
-        masks, starts = rows.masks, rows.starts
+        masks, starts = value.masks, value.starts
         packed: dict = {}
-        for i, (s, t) in enumerate(coords, off):
+        for i, (s, t) in enumerate(shape.coords, off):
             key = (masks[s], t)
             col = packed.get(key)
             if col is None:
-                col = packed[key] = rows.pack(s, a_cols[t])
+                col = packed[key] = value.pack(s, a_cols[t])
             if col:
                 cols[i] ^= col << (base + starts[s])
 
@@ -157,12 +164,13 @@ class Right(NamedTuple):
 
     map: Endomorphism
 
-    def value(self, shape: MapShape) -> MapShape:
-        """The shape of X o B for X of ``shape``."""
+    def value(self, shape: MapShape) -> tuple:
+        """The (source, target, mode, bidegree) of X o B for X of
+        ``shape``."""
         return _after(shape, self.map)
 
-    def place(self, cols: list, off: int, coords: list, base: int,
-              rows: RowBlocks, sources: dict) -> None:
+    def place(self, cols: list, off: int, shape: MapShape, base: int,
+              value: MapShape, sources: dict) -> None:
         """As :meth:`Left.place` for E o B: entry s' -> t for every
         source s' whose column of B holds s, one bit per bit of row s
         of B.  The rows of B, as lists of sources, are kept in
@@ -173,8 +181,8 @@ class Right(NamedTuple):
         if of_row is None:
             of_row = sources[id(b)] = [
                 list(ones(row)) for row in transpose_cols(b.cols, b.target.n)]
-        starts, masks = rows.starts, rows.masks
-        for i, (s, t) in enumerate(coords, off):
+        starts, masks = value.starts, value.masks
+        for i, (s, t) in enumerate(shape.coords, off):
             below = (1 << t) - 1
             col = 0
             for s2 in of_row[s]:
@@ -194,31 +202,26 @@ class MapSystem:
     building a map per coordinate.  All terms of an equation share one
     value shape (mode and bidegree), so the gradings force each entry's
     monomial, and the equation's rows are the coordinates of that shape,
-    in :meth:`MapShape.unknowns` order (:class:`RowBlocks`).  Equations
-    come in the order they were added, and one row per functional comes
-    last.  The system is solved in one sweep over its columns
-    (:meth:`ColumnSpan.solve`), in coordinate order; a refutation's combo
-    is over these rows.
+    in its layout (:class:`MapShape`).  Equations come in the order they
+    were added, and one row per functional comes last.  The system is
+    solved in one sweep over its columns (:meth:`ColumnSpan.solve`), in
+    coordinate order; a refutation's combo is over these rows.
     """
 
     def __init__(self):
-        self.names: list = []
-        self.shapes: dict = {}
-        self.coords: dict = {}
+        self.shapes: dict = {}  # in the order the unknowns were added
         self.offsets: dict = {}
         self.total = 0
         self.equations: list = []  # (terms, rhs_endo_or_None)
-        self.values: list = []  # the value shape of each equation
+        self.values: list = []  # each equation's value shape, as fields
         self.functionals: list = []  # (name, vector, mask, rhs_bit)
 
     def add_unknown(self, name: str, shape: MapShape) -> None:
         if name in self.shapes:
             raise ValueError(f"duplicate unknown {name!r}")
-        self.names.append(name)
         self.shapes[name] = shape
-        self.coords[name] = shape.unknowns()
         self.offsets[name] = self.total
-        self.total += len(self.coords[name])
+        self.total += shape.size
 
     def add_equation(self, terms, rhs: Optional[Endomorphism] = None) -> None:
         """terms: list of (unknown name, list of Left/Right operators).
@@ -227,9 +230,8 @@ class MapSystem:
         shapes = [op.value(self.shapes[name]) for name, ops in terms
                   for op in ops]
         if rhs is not None:
-            shapes.append(MapShape(rhs.source, rhs.target, rhs.mode,
-                                   rhs.bidegree))
-        values = {(v.mode, v.bidegree) for v in shapes}
+            shapes.append((rhs.source, rhs.target, rhs.mode, rhs.bidegree))
+        values = {shape[2:] for shape in shapes}
         if len(values) > 1:
             raise ValidationError(
                 f"equation terms differ in mode or bidegree: {sorted(values)}")
@@ -259,19 +261,21 @@ class MapSystem:
         for (terms, rhs_endo), value in zip(self.equations, self.values):
             if value is None:
                 continue
-            rows = RowBlocks(value)
+            value = MapShape(*value)
             for name, ops in terms:
                 for op in ops:
-                    op.place(cols, self.offsets[name], self.coords[name],
-                             base, rows, sources)
+                    op.place(cols, self.offsets[name], self.shapes[name],
+                             base, value, sources)
             if rhs_endo is not None:
-                rhs |= rows.of_map(rhs_endo.cols) << base
-            base += rows.starts[-1]
+                rhs |= value.of_map(rhs_endo.cols) << base
+            base += value.size
         for name, vector, mask, rhs_bit in self.functionals:
             bit = 1 << base
-            for i, (s, t) in enumerate(self.coords[name], self.offsets[name]):
-                if vector >> s & 1 and mask >> t & 1:
-                    cols[i] |= bit
+            shape, off = self.shapes[name], self.offsets[name]
+            for s in ones(vector):
+                at = off + shape.starts[s]
+                for j in ones(shape.pack(s, mask & shape.masks[s])):
+                    cols[at + j] |= bit
             rhs |= rhs_bit << base
             base += 1
         return cols, rhs, base
@@ -291,13 +295,8 @@ class MapSystem:
         return self._split(bits), sol
 
     def _split(self, bits: int) -> dict:
-        out = {}
-        for name in self.names:
-            off = self.offsets[name]
-            n = len(self.coords[name])
-            chunk = (bits >> off) & ((1 << n) - 1)
-            out[name] = self.shapes[name].assemble(chunk, self.coords[name])
-        return out
+        return {name: shape.assemble(bits >> self.offsets[name])
+                for name, shape in self.shapes.items()}
 
     def solutions_bits(self):
         """(particular, kernel) of the full system, for enumeration callers."""
@@ -310,8 +309,8 @@ class HomotopyClasses:
     ones, i.e. modulo the image of H -> dH + Hd over straight H of
     bidegree (1, 1).
 
-    A map is a bitmask over its entry coordinates (s, t), the rows of
-    :class:`RowBlocks`; the image, built by the columns :class:`MapSystem`
+    A map is a bitmask over the coordinates of its :class:`MapShape`;
+    the image, built by the columns :class:`MapSystem`
     assembles, is echelonised once, and the reduction of a map against
     it is a normal form: two maps are homotopic exactly when their normal
     forms agree.  The normal form is linear in the map.
@@ -319,19 +318,17 @@ class HomotopyClasses:
 
     def __init__(self, cx: KnotComplex):
         self.shape = MapShape(cx, cx, STRAIGHT, (0, 0))
-        self.coords = self.shape.unknowns()
-        self.rows = RowBlocks(self.shape)
         d = cx.boundary()
-        h_coords = MapShape(cx, cx, STRAIGHT, (1, 1)).unknowns()
-        image = [0] * len(h_coords)
+        h_shape = MapShape(cx, cx, STRAIGHT, (1, 1))
+        image = [0] * h_shape.size
         for op in (Left(d), Right(d)):
-            op.place(image, 0, h_coords, 0, self.rows, {})
+            op.place(image, 0, h_shape, 0, self.shape, {})
         self.image = Echelon(image)
 
     def normal_form(self, f: Endomorphism) -> int:
         if f.mode != STRAIGHT or f.bidegree != (0, 0):
             raise ValidationError("normal forms are of straight (0, 0) maps")
-        return self.image.reduce(self.rows.of_map(f.cols))
+        return self.image.reduce(self.shape.of_map(f.cols))
 
 
 # -- homotopy ------------------------------------------------------------------
@@ -415,7 +412,7 @@ def homotopy_inverse(cx: KnotComplex, phi: Endomorphism):
     if inv is None:
         return _solve_inverse(cx, phi)
     classes = HomotopyClasses(cx)
-    g = classes.shape.assemble(classes.normal_form(inv), classes.coords)
+    g = classes.shape.assemble(classes.normal_form(inv))
     if not chain_commutes(cx, g):
         raise ConsistencyError(f"{cx.name}: reduced inverse of phi is not "
                                f"a chain map")
@@ -467,7 +464,6 @@ class LocalityCertificate:
     # the zero map when both phi are the identity (see _local_system)
     h_phi: Optional[Endomorphism] = None
     h_iota: Optional[Endomorphism] = None
-    shift: int = 0  # grading shift of f; local maps here preserve gradings
     obstruction: Optional[dict] = None
 
 
@@ -596,8 +592,7 @@ def self_local_space(x: PhiIotaComplex) -> MorphismSpace:
     sol = sys.solutions_bits()
     if sol is None:
         raise ConsistencyError("homogeneous self-map system has no solution")
-    n_f = len(sys.coords["f"])
-    f_mask = (1 << n_f) - 1
+    f_mask = (1 << f_shape.size) - 1
 
     # project kernel to the f coordinates and reduce to an independent set
     space = MorphismSpace(cx)
@@ -605,7 +600,7 @@ def self_local_space(x: PhiIotaComplex) -> MorphismSpace:
     for vec in sol.kernel:
         v = seen.insert(vec & f_mask)
         if v:
-            f = f_shape.assemble(v, sys.coords["f"])
+            f = f_shape.assemble(v)
             space.basis.append(f)
             space.locality_bits.append(
                 parity(mat_vec(f.cols, t_cycle) & mask))

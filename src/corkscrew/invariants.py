@@ -53,18 +53,25 @@ from .errors import (
 
 class _HSlice:
     """Homology of one grading slice with deterministic representatives;
-    ``mask`` holds the slice's generators."""
+    ``mask`` holds the slice's generators.
+
+    The boundaries and then the cycles go into one span, and a cycle that
+    raises its rank is the next representative.  Representative k's row
+    is stored with marker bit k above the slice's bits, so a cycle
+    reduces to its class's coordinates there, one bit per representative.
+    """
 
     def __init__(self, mask: int, cycle_basis: list, boundary_span: list):
-        span = Echelon()
-        for b in boundary_span:
-            span.insert(b, tag="b")
+        self._shift = shift = mask.bit_length()
+        low = (1 << shift) - 1
+        span = Echelon(boundary_span)
         self.reps = []
         for z in cycle_basis:
-            if span.insert(z, tag=("h", len(self.reps))):
+            r = span.reduce(z) & low
+            if r:
+                span.insert(r | 1 << (shift + len(self.reps)))
                 self.reps.append(z)
         self._span = span
-        self._incomplete = mask  # generators the completion still needs
 
     @property
     def rank(self) -> int:
@@ -72,13 +79,12 @@ class _HSlice:
 
     def class_coords(self, v: int) -> int:
         """Coordinates of a cycle's class over the span's stored rows, one
-        per representative."""
-        coeffs = self._span.coefficients(v)
-        out = 0
-        for tag, bit in coeffs.items():
-            if isinstance(tag, tuple) and tag[0] == "h" and bit:
-                out |= 1 << tag[1]
-        return out
+        per representative; raises for a vector outside the span of the
+        boundaries and cycles."""
+        r = self._span.reduce(v)
+        if v >> self._shift or r & ((1 << self._shift) - 1):
+            raise ValidationError("vector outside the recorded span")
+        return r >> self._shift
 
     def rep_functional(self, idx: int) -> int:
         """The linear functional extracting one representative's
@@ -86,21 +92,18 @@ class _HSlice:
         mask m over the slice's generators: the coefficient of v is
         ``parity(v & m)``.
 
-        The span is first completed by the slice's unit vectors, so that
-        its rows are a basis of the slice and the functional extends
-        linearly off the cycles (coordinates of cycles are unique either
-        way).  m is then 1 on the row tagged ("h", idx) and 0 on every
-        other row.  The rows' pivots are every generator of the slice, and
-        a row has no bit below its pivot, so walking the rows by
-        decreasing pivot, each sets its pivot bit of m from the bits
-        already set above it.
+        m lives on the pivots of the span's rows; it is 1 on
+        representative idx's row and 0 on every other row.  A row has no
+        bit below its pivot, so walking the rows by decreasing pivot, each
+        sets its pivot bit of m from the bits already set above it.  m is
+        also 0 on every unit vector reduced against the rows, which has
+        no bit at their pivots, so it is the functional that completing
+        the rows by the slice's unit vectors would give (coordinates of
+        cycles are unique either way).
         """
-        for g in ones(self._incomplete):
-            self._span.insert(1 << g, tag="c")
-        self._incomplete = 0
-        tag, m = ("h", idx), 0
-        for pivot, row, row_tag in sorted(self._span.rows, reverse=True):
-            if (row_tag == tag) ^ parity(m & row):
+        bit, m = self._shift + idx, 0
+        for pivot, row in sorted(self._span.rows, reverse=True):
+            if (row >> bit & 1) ^ parity(m & row):
                 m |= 1 << pivot
         return m
 

@@ -80,7 +80,8 @@ def box_complex(ell: int, at=None, suffix: str = "",
 def staircase_complex(n: int, name: Optional[str] = None) -> KnotComplex:
     """Step-one staircase with 2n+1 generators (a dot when n = 0)."""
     if n < 0:
-        raise ValueError("use mirror_staircase_complex for negative n")
+        raise ValueError(f"staircase_complex takes n >= 0; the dual "
+                         f"staircase is staircase_model({n})")
     if n == 0:
         return dot_complex(name=name or "dot")
     gens = tuple(f"y{i}" for i in range(2 * n + 1))
@@ -223,10 +224,9 @@ def involution_candidates(cx: KnotComplex) -> list:
         raise SearchCapExceeded(
             f"{cx.name}: {r} free bits of skew chain maps "
             f"exceed the enumeration cap {INVOLUTION_CAP}")
-    coords = sys.coords["i"]
     classes = HomotopyClasses(cx)
-    p = shape.assemble(sol.particular, coords)
-    ks = [shape.assemble(k, coords) for k in sol.kernel]
+    p = shape.assemble(sol.particular)
+    ks = [shape.assemble(k) for k in sol.kernel]
     constant = classes.normal_form(p.compose(p) + s)
     linear = [classes.normal_form(p.compose(k) + k.compose(p) + k.compose(k))
               for k in ks]
@@ -239,8 +239,8 @@ def involution_candidates(cx: KnotComplex) -> list:
         for a in ones(subset):
             bits ^= sol.kernel[a]
         found.append(bits)
-    found.sort(key=lambda bits: [(bits >> i) & 1 for i in range(len(coords))])
-    return [shape.assemble(bits, coords) for bits in found]
+    found.sort(key=lambda bits: [(bits >> i) & 1 for i in range(shape.size)])
+    return [shape.assemble(bits) for bits in found]
 
 
 def _zero_subsets(constant, linear, pair) -> list:

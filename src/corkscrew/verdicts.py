@@ -126,8 +126,26 @@ def _inconclusive(rule, reason, knot=None, diffeo=None, m=None) -> Verdict:
                    knot=knot, diffeo=diffeo, m=m)
 
 
-def _greedy_blocked(tw) -> bool:
-    return tw.caveat is not None
+def _twist_verdict(x, rule, name, diffeo, m, ref, trivial,
+                   reason) -> Verdict:
+    """The twist-nontriviality gate shared by the Gompf and periodic
+    rules: inconclusive while the connected model is unverified or the
+    basepoint twist is trivial on it (``trivial`` says so), else a strong
+    cork certified by the connected model under ``ref``."""
+    tw = s_nontrivial(x)
+    if tw.caveat is not None:
+        return _inconclusive(rule, f"connected model unverified "
+                             f"({tw.caveat})", name, diffeo, m)
+    if not tw.nontrivial:
+        return _inconclusive(rule, trivial, name, diffeo, m)
+    cert = {
+        "ref": ref,
+        "kind": "twist-nontrivial",
+        "conn": to_dict(tw.conn.conn),
+        "conn_shape": tw.conn.form.describe() if tw.conn.form else None,
+    }
+    return Verdict(conclusion=STRONG_CORK, rule=rule, knot=name,
+                   diffeo=diffeo, m=m, certificate=cert, reason=reason)
 
 
 def verdict_gompf(knot, m: int, i: int, j: int) -> Verdict:
@@ -151,23 +169,10 @@ def verdict_gompf(knot, m: int, i: int, j: int) -> Verdict:
     if i % 2 == 0:
         return _inconclusive(rule, "longitudinal power is even", name,
                              diffeo, m)
-    tw = s_nontrivial(x)
-    if _greedy_blocked(tw):
-        return _inconclusive(rule, f"connected model unverified "
-                             f"({tw.caveat})", name, diffeo, m)
-    if not tw.nontrivial:
-        return _inconclusive(rule, "basepoint twist is homotopic to the "
-                             "identity on the connected model",
-                             name, diffeo, m)
-    cert = {
-        "ref": f"gompf:{name}",
-        "kind": "twist-nontrivial",
-        "conn": to_dict(tw.conn.conn),
-        "conn_shape": tw.conn.form.describe() if tw.conn.form else None,
-    }
-    return Verdict(conclusion=STRONG_CORK, rule=rule, knot=name,
-                   diffeo=diffeo, m=m, certificate=cert,
-                   reason="twist-nontrivial factor, m and i odd")
+    return _twist_verdict(
+        x, rule, name, diffeo, m, f"gompf:{name}",
+        "basepoint twist is homotopic to the identity on the connected "
+        "model", "twist-nontrivial factor, m and i odd")
 
 
 def verdict_delta(x: PhiIotaComplex, m: int,
@@ -264,22 +269,10 @@ def verdict_periodic(x: PhiIotaComplex, m: int, i: int) -> Verdict:
     if i % 4 == 0:
         return _inconclusive(rule, "power is divisible by 4", name,
                              diffeo, m)
-    tw = s_nontrivial(x)
-    if _greedy_blocked(tw):
-        return _inconclusive(rule, f"connected model unverified "
-                             f"({tw.caveat})", name, diffeo, m)
-    if not tw.nontrivial:
-        return _inconclusive(rule, "basepoint twist is trivial on the "
-                             "connected model", name, diffeo, m)
-    cert = {
-        "ref": f"periodic:{name}:i={i}",
-        "kind": "twist-nontrivial",
-        "conn": to_dict(tw.conn.conn),
-        "conn_shape": tw.conn.form.describe() if tw.conn.form else None,
-    }
-    return Verdict(conclusion=STRONG_CORK, rule=rule, knot=name,
-                   diffeo=diffeo, m=m, certificate=cert,
-                   reason="square root of a nontrivial twist")
+    return _twist_verdict(
+        x, rule, name, diffeo, m, f"periodic:{name}:i={i}",
+        "basepoint twist is trivial on the connected model",
+        "square root of a nontrivial twist")
 
 
 # -- certificate replay ------------------------------------------------------------

@@ -133,7 +133,7 @@ def random_chain_maps(cx: KnotComplex, seed: int, count: int,
         for i in range(k):
             if rng.getrandbits(1):
                 bits ^= sol.kernel[i]
-        out.append(shape.assemble(bits, sys.coords["f"]))
+        out.append(shape.assemble(bits))
     return out
 
 

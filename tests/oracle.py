@@ -543,11 +543,10 @@ def reference_rows(sys, functionals=()):
     # each operator's map in dict form, read once
     op_cols = {id(op.map): dict_cols(op.map) for terms, _ in sys.equations
                for _, ops in terms for op in ops}
-    for name in sys.names:
-        shape, coords = sys.shapes[name], sys.coords[name]
+    for name, shape in sys.shapes.items():
         skew = shape.mode == "skew"
-        for ci in range(len(coords)):
-            elem = dict_cols(shape.assemble(1 << ci, coords))
+        for ci in range(shape.size):
+            elem = dict_cols(shape.assemble(1 << ci))
             colbit = 1 << (sys.offsets[name] + ci)
             for ei, (terms, _) in enumerate(sys.equations):
                 for nm, ops in terms:
@@ -567,10 +566,10 @@ def reference_rows(sys, functionals=()):
     assert len(functionals) == len(sys.functionals)
     for (name, _, _, rhs_bit), (vector, bit_fn) in zip(sys.functionals,
                                                       functionals):
-        shape, coords = sys.shapes[name], sys.coords[name]
+        shape = sys.shapes[name]
         row = 0
-        for ci in range(len(coords)):
-            elem = dict_cols(shape.assemble(1 << ci, coords))
+        for ci in range(shape.size):
+            elem = dict_cols(shape.assemble(1 << ci))
             if bit_fn(reference_apply(elem, shape.mode == "skew", vector)):
                 row |= 1 << (sys.offsets[name] + ci)
         rows.append(row)
@@ -608,9 +607,9 @@ def reference_rows_per_bit(sys):
                 yield ci, s2, t, (m[0] + q[0], m[1] + q[1])
 
     coords = {}
-    for name in sys.names:
-        coords[name] = reference_unknowns(sys.shapes[name])
-        assert [(s, t) for s, _, t in coords[name]] == sys.coords[name]
+    for name, shape in sys.shapes.items():
+        coords[name] = reference_unknowns(shape)
+        assert [(s, t) for s, _, t in coords[name]] == shape.coords
     rows: dict = {}
     rhs: dict = {}
     for ei, (terms, rhs_endo) in enumerate(sys.equations):
@@ -634,7 +633,7 @@ def reference_rows_per_bit(sys):
     for k, (name, vector, mask, rhs_bit) in enumerate(sys.functionals):
         off = sys.offsets[name]
         row = 0
-        for ci, (s, t) in enumerate(sys.coords[name]):
+        for ci, (s, t) in enumerate(sys.shapes[name].coords):
             if (vector >> s) & 1 and (mask >> t) & 1:
                 row |= 1 << (off + ci)
         keys.append(("functional", k))
@@ -659,7 +658,7 @@ def reference_columns_per_bit(sys):
     for ei, (terms, rhs_endo) in enumerate(sys.equations):
         value = rhs_endo
         for name, ops in terms[:1]:
-            zero = sys.shapes[name].assemble(0, [])
+            zero = sys.shapes[name].assemble(0)
             value = (ops[0].map.compose(zero) if isinstance(ops[0], Left)
                      else zero.compose(ops[0].map))
         if value is None:
@@ -816,17 +815,16 @@ def reference_involution_candidates(cx, cap: int = 18) -> list:
         return []
     if len(sol.kernel) > cap:
         raise SearchCapExceeded(f"{len(sol.kernel)} free bits")
-    coords = sys.coords["i"]
     found = []
     for r in range(len(sol.kernel) + 1):
         for picks in combinations(range(len(sol.kernel)), r):
             bits = sol.particular
             for p in picks:
                 bits ^= sol.kernel[p]
-            cand = shape.assemble(bits, coords)
+            cand = shape.assemble(bits)
             if homotopic(cand.compose(cand), s) is not None:
                 found.append((tuple((bits >> i) & 1
-                                    for i in range(len(coords))), cand))
+                                    for i in range(shape.size)), cand))
     found.sort(key=lambda t: t[0])
     return [cand for _, cand in found]
 
@@ -1436,16 +1434,49 @@ def reference_local_system(x1: PhiIotaComplex, x2: PhiIotaComplex,
     return sys_
 
 
+class TaggedSpan:
+    """A row echelon whose rows carry tags: reducing a vector clears its
+    lowest pivot bit with that pivot's row, repeatedly, and toggles the
+    row's tag, so :meth:`coefficients` writes a vector over the stored
+    rows by tag."""
+
+    def __init__(self):
+        self.rows = []  # (pivot, vec, tag), in insertion order
+        self._at = {}  # pivot bit -> (vec, tag)
+        self._pivots = 0
+
+    def _reduce(self, v, coeffs):
+        while v & self._pivots:
+            hit = v & self._pivots
+            vec, tag = self._at[hit & -hit]
+            v ^= vec
+            coeffs[tag] = coeffs.get(tag, 0) ^ 1
+        return v
+
+    def insert(self, v, tag=None) -> int:
+        v = self._reduce(v, {})
+        if v:
+            low = v & -v
+            self._at[low] = (v, tag)
+            self._pivots |= low
+            self.rows.append((low.bit_length() - 1, v, tag))
+        return v
+
+    def coefficients(self, v) -> dict:
+        coeffs: dict = {}
+        if self._reduce(v, coeffs):
+            raise ValidationError("vector outside the recorded span")
+        return coeffs
+
+
 def reference_tower_generators(hom, d: int) -> int:
     """The tower functional at the stable grading of d's parity, read one
     generator at a time: the slice's boundaries, cycles and then unit
-    vectors go into a fresh span, and each unit vector is written over it
-    by its own reduction; generator g is in the mask when the one
+    vectors go into a fresh tagged span, and each unit vector is written
+    over it by its own reduction; generator g is in the mask when the one
     representative's coefficient there is 1."""
-    from corkscrew.algebra import Echelon
-
     target = hom.gmin - 1 - (d - hom.gmin + 1) % 2
-    span = Echelon()
+    span = TaggedSpan()
     for b in hom._columns(target + 1).values():
         span.insert(b, tag="b")
     reps = 0
@@ -1460,3 +1491,69 @@ def reference_tower_generators(hom, d: int) -> int:
         span.insert(1 << g, tag="c")
     return sum(1 << g for g in gens
                if span.coefficients(1 << g).get(("h", 0), 0))
+
+
+def reference_peel_boxes(gradings, cols):
+    """``connected._peel_boxes`` as it was first written, over a tagged
+    span: each PX vector's row is tagged with its quadruple, and a
+    vector's coefficient on quadruple i's PX row is the tag's
+    coefficient."""
+    from corkscrew.algebra import Echelon, Levels, inverse_cols, mat_vec
+    from corkscrew.connected import _pure_arrows
+    from corkscrew.errors import ConsistencyError
+
+    n = len(gradings)
+    arrows = _pure_arrows(gradings, cols)
+    if not arrows or len({e for _, _, _, e in arrows}) != 1:
+        return None
+    a_cols = [0] * n
+    b_cols = [0] * n
+    for s, t, var, _ in arrows:
+        (a_cols if var == "u" else b_cols)[s] |= 1 << t
+
+    p_vecs = [mat_vec(a_cols, b_cols[s]) for s in range(n)]
+    span = Echelon()
+    xs = [s for s in range(n) if span.insert(p_vecs[s])]
+    if not xs:
+        return None
+    quads = []
+    for s in xs:
+        x = 1 << s
+        quads.append((x, mat_vec(a_cols, x), mat_vec(b_cols, x), p_vecs[s]))
+    deco = TaggedSpan()
+    for part in range(4):
+        for i, q in enumerate(quads):
+            if not deco.insert(q[part], tag=i if part == 3 else None):
+                return None
+    completion = [1 << s for s in range(n) if deco.insert(1 << s)]
+
+    def sigma(v):
+        out = 0
+        c_ab = deco.coefficients(mat_vec(a_cols, mat_vec(b_cols, v)))
+        c_b = deco.coefficients(mat_vec(b_cols, v))
+        c_a = deco.coefficients(mat_vec(a_cols, v))
+        c_v = deco.coefficients(v)
+        for i, (x, ax, bx, px) in enumerate(quads):
+            if c_ab.get(i):
+                out ^= x
+            if c_b.get(i):
+                out ^= ax
+            if c_a.get(i):
+                out ^= bx
+            if c_v.get(i):
+                out ^= px
+        return out
+
+    m_bits = []
+    for x, ax, bx, px in quads:
+        m_bits.extend((x, ax, bx, px))
+    for c in completion:
+        m_bits.append(c ^ sigma(c))
+    inv_bits = inverse_cols(m_bits)
+    if inv_bits is None:
+        return None
+    new_grads = tuple(gradings[(v & -v).bit_length() - 1] for v in m_bits)
+    at = dict(Levels(gradings).masks)
+    if any(v & ~at[g] for v, g in zip(m_bits, new_grads)):
+        raise ConsistencyError("peeled basis vector is not homogeneous")
+    return m_bits, inv_bits, new_grads

@@ -331,6 +331,11 @@ _OPS = st.lists(st.tuples(
     st.integers(0, (1 << 40) - 1)), max_size=40)
 
 
+_LOW = (1 << _WIDE) - 1
+_MARKER = {None: 0, "a": 1 << _WIDE, ("h", 0): 2 << _WIDE,
+           ("h", 1): 4 << _WIDE, 7: 8 << _WIDE}
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -344,23 +349,38 @@ def test_pivot_mask_echelon_matches_the_per_bit_reduction(ops):
     """Streams of tagged vectors up to 1,200 bits wide, inserted, reduced
     and written over the stored rows; "combination" asks for the
     coefficients of a sum of earlier inserted vectors, which lies in the
+    span.  ``plain`` stores the vectors as given; ``marked`` stores each
+    reduced vector with its tag's marker bit above bit 1,200, and a
+    reduction there must carry the reference's tag coefficients in its
+    marker bits and leave low bits exactly when the vector is outside the
     span."""
-    new, old = Echelon(), _PerBitEchelon()
+    plain, marked, old = Echelon(), Echelon(), _PerBitEchelon()
     inserted = []
     for kind, vec, tag, picks in ops:
         if kind == "insert":
             inserted.append(vec)
-            assert new.insert(vec, tag) == old.insert(vec, tag)
+            want = old.insert(vec, tag)
+            assert plain.insert(vec) == want
+            low = marked.reduce(vec) & _LOW
+            assert low == want
+            if low:
+                marked.insert(low | _MARKER[tag])
         elif kind == "reduce":
-            assert new.reduce(vec) == old.reduce(vec)
+            assert plain.reduce(vec) == old.reduce(vec)
+            assert marked.reduce(vec) & _LOW == old.reduce(vec)
         else:
             if kind == "combination":
                 vec = 0
                 for i, v in enumerate(inserted):
                     vec ^= v if picks >> i & 1 else 0
-            assert (_outcome(new.coefficients, vec)
-                    == _outcome(old.coefficients, vec))
-            if kind == "combination":
-                assert isinstance(new.coefficients(vec), dict)
-        assert new.rows == old.rows
-        assert new.rank == len(old.rows)
+            want = _outcome(old.coefficients, vec)
+            got = marked.reduce(vec)
+            if isinstance(want, tuple):
+                assert kind == "coefficients" and got & _LOW
+            else:
+                assert not got & _LOW
+                assert got & ~_LOW == sum(
+                    _MARKER[t] for t, bit in want.items() if bit)
+        assert plain.rows == [(p, v) for p, v, _ in old.rows]
+        assert marked.rows == [(p, v | _MARKER[t]) for p, v, t in old.rows]
+        assert plain.rank == marked.rank == len(old.rows)

@@ -78,8 +78,7 @@ def _element(gradings, rng):
 
 
 def _random_map(shape: MapShape, rng: random.Random) -> Endomorphism:
-    coords = shape.unknowns()
-    return shape.assemble(rng.getrandbits(len(coords)), coords)
+    return shape.assemble(rng.getrandbits(shape.size))
 
 
 def _system(x, y, mode, action, rng, flip):
@@ -191,13 +190,14 @@ def test_unknowns_match_the_slice_scan(name):
             for bidegree in ((0, 0), (1, 1), (-1, -1), (1, -1)):
                 shape = MapShape(src, tgt, mode, bidegree)
                 want = [(s, t) for s, _, t in reference_unknowns(shape)]
-                assert shape.unknowns() == want, (mode, bidegree)
+                assert shape.coords == want, (mode, bidegree)
 
 
 def test_map_systems_read_no_monomials(monkeypatch):
-    """Listing coordinates is one AND per source: building the
+    """Laying out coordinates is one AND per source: building the
     null-homotopy classes and the local-map system on the 125-generator
-    (4_1)^3 calls ``slice_monomial`` not once."""
+    (4_1)^3 calls ``slice_monomial`` not once, and lays out each shape
+    it reads once."""
     from corkscrew import algebra, homotopy
     from corkscrew.complexes import tensor
     from corkscrew.homotopy import HomotopyClasses, _local_system
@@ -211,23 +211,23 @@ def test_map_systems_read_no_monomials(monkeypatch):
     # homotopy holds no slice_monomial of its own, so the library's one,
     # patched below, is the only one it could reach
     assert "slice_monomial" not in vars(homotopy)
-    calls = {"mono": 0, "unknowns": 0}
+    calls = {"mono": 0, "layouts": 0}
     real_mono = algebra.slice_monomial
-    real_unknowns = MapShape.unknowns
+    real_layout = MapShape.__post_init__
 
     def counting(*args):
         calls["mono"] += 1
         return real_mono(*args)
 
-    def listing(self):
-        calls["unknowns"] += 1
-        return real_unknowns(self)
+    def laying_out(self):
+        calls["layouts"] += 1
+        real_layout(self)
 
     monkeypatch.setattr(algebra, "slice_monomial", counting)
-    monkeypatch.setattr(MapShape, "unknowns", listing)
+    monkeypatch.setattr(MapShape, "__post_init__", laying_out)
     HomotopyClasses(x3.complex)
     sys_ = _local_system(x3, x3, t_cycle, mask)
-    assert calls["unknowns"] == 5  # two in the classes, three unknowns
+    assert calls["layouts"] == 5  # two in the classes, three unknowns
     assert sys_.total > 0
     assert calls["mono"] == 0
 
@@ -276,7 +276,7 @@ def corrupted(self, lexmin=False):
     ans, sol = solve(self, lexmin)
     if ans is not None:
         for name, shape in self.shapes.items():
-            ans[name] = ans[name] + shape.assemble(1, self.coords[name])
+            ans[name] = ans[name] + shape.assemble(1)
     return ans, sol
 
 
@@ -285,7 +285,7 @@ MapSystem.solutions_bits = lambda self: None
 
 pair = KnotComplex("pair", ("p", "q"), ((1, 1), (0, 0)), (0b10, 0))
 shape = MapShape(pair, pair, "straight", (1, 1))
-e = shape.assemble(1, shape.unknowns())
+e = shape.assemble(1)
 d = pair.boundary()
 x = figure_eight_with_actions()
 cases = {

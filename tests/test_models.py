@@ -43,6 +43,18 @@ def test_staircase_conventions_frozen():
                                             cx.index("y2"): poly([(0, 1)])}
 
 
+def test_negative_staircase_names_the_dual_builder():
+    """The message names a builder that exists, and it builds the dual:
+    the gradings of staircase_complex(2), negated."""
+    with pytest.raises(ValueError) as err:
+        staircase_complex(-2)
+    assert str(err.value) == ("staircase_complex takes n >= 0; the dual "
+                              "staircase is staircase_model(-2)")
+    dual = staircase_model(-2).complex
+    assert dual.gradings == tuple((-u, -v) for u, v in
+                                  staircase_complex(2).gradings)
+
+
 def test_torus_2_3_gradings():
     x = torus_model(3)
     ms = [g[0] for g in x.complex.gradings]  # Maslov grading is gr_u

@@ -178,3 +178,42 @@ def test_peeling_certificate_survives_optimize():
                          env={"PYTHONPATH": str(src)}, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["recognize_standard raised", "optimize 1"]
+
+
+def _peeling_inputs():
+    f = figure_eight_iota_only()
+    double = tensor(f, f)
+    rng = random.Random(31)
+    return ([double, tensor(double, f), tensor(torus_model(3), torus_model(-3)),
+             scramble(double, rng, moves=8), scramble(double, rng, moves=8),
+             scramble(thin_model(1, True), random.Random(3)),
+             scramble(double, random.Random(2))]
+            + [thin_model(tau, True) for tau in (1, 2, 0)])
+
+
+def test_peel_matches_the_tagged_reference(monkeypatch):
+    """Every peel, on each input as it stands and on every complex
+    recognition hands it, returns the (M, M^-1, gradings) of the tagged
+    span it replaced, scrambles included."""
+    from test_search import _sweep_inputs
+
+    from corkscrew import connected
+    from oracle import reference_peel_boxes
+
+    real = connected._peel_boxes
+    handed = []
+
+    def recording(gradings, cols):
+        handed.append((gradings, list(cols)))
+        return real(gradings, cols)
+
+    monkeypatch.setattr(connected, "_peel_boxes", recording)
+    cxs = [x.complex for x in _peeling_inputs()] + _sweep_inputs()
+    raw = [(cx.gradings, list(cx.diff)) for cx in cxs]
+    for cx in cxs:
+        connected._recognize(cx)
+    assert handed
+    # the raw inputs reach both the peeled and the refused branch
+    assert {real(*args) is None for args in raw} == {True, False}
+    for gradings, cols in raw + handed:
+        assert real(gradings, cols) == reference_peel_boxes(gradings, cols)

@@ -100,21 +100,20 @@ def _reference_homotopic(f, g) -> bool:
 
 
 def _chain_maps(cx, mode):
-    """(shape, coordinates, kernel): the (0, 0) chain maps of this mode
-    are the combinations of the kernel vectors."""
+    """(shape, kernel): the (0, 0) chain maps of this mode are the
+    combinations of the kernel vectors."""
     d = cx.boundary()
     shape = MapShape(cx, cx, mode, (0, 0))
     sys_ = MapSystem()
     sys_.add_unknown("f", shape)
     sys_.add_equation([("f", [Right(d), Left(d)])])
-    return shape, sys_.coords["f"], sys_.solutions_bits().kernel
+    return shape, sys_.solutions_bits().kernel
 
 
 def _null_homotopic(cx, mode, rng):
     """dH + Hd for a random H of this mode and bidegree (1, 1)."""
     shape = MapShape(cx, cx, mode, (1, 1))
-    coords = shape.unknowns()
-    h = shape.assemble(rng.getrandbits(len(coords)), coords)
+    h = shape.assemble(rng.getrandbits(shape.size))
     d = cx.boundary()
     return d.compose(h) + h.compose(d)
 
@@ -132,12 +131,12 @@ def test_parsing_accepts_exactly_the_mutations_that_keep_the_relations(
     x = bundled(name)
     cx = x.complex
     mode = STRAIGHT if which == "phi" else SKEW
-    shape, coords, kernel = _chain_maps(cx, mode)
+    shape, kernel = _chain_maps(cx, mode)
     bits = 0
     for p in picks:
         if kernel:
             bits ^= kernel[p % len(kernel)]
-    change = shape.assemble(bits, coords)
+    change = shape.assemble(bits)
     if null:
         change = change + _null_homotopic(cx, mode, random.Random(seed))
     phi, iota = x.phi, x.iota

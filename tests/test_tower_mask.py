@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from corkscrew.algebra import mat_vec, ones
 from corkscrew.complexes import tensor
+from corkscrew.errors import ValidationError
 from corkscrew.invariants import DiagonalHomology, a0
 from corkscrew.models import (
     BUNDLED,
@@ -24,6 +25,7 @@ from corkscrew.models import (
 )
 from conftest import scramble
 from oracle import (
+    TaggedSpan,
     _ReferenceDiagonal,
     reference_nontorsion_bit,
     reference_tower_generators,
@@ -117,3 +119,40 @@ def test_cycle_bases_are_generator_bits_inside_the_slice(name):
         for z in hom.cycle_basis(d):
             assert z and z & ~mask == 0, (name, d, z)
             assert mat_vec(hom.uc.cols, z) == 0, (name, d, z)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_class_coords_refuses_a_vector_outside_the_span(name):
+    """At every grading of the window, after the tower functional has
+    been read: a cycle (a representative, or one plus a boundary) has the
+    coordinates of the tagged span the marker bits replaced, and a slice
+    vector that is not a cycle, or a vector off the slice, raises
+    ``ValidationError``."""
+    for seed in (None, 1):
+        x = bundled(name)
+        if seed is not None:
+            x = scramble(x, random.Random(seed))
+        hom = DiagonalHomology(a0(x))
+        hom.tower_generators(hom.gmin)
+        hom.tower_generators(hom.gmin - 1)
+        refused = 0
+        for d in range(hom.lo, hom.hi + 1):
+            h, mask = hom.homology(d), hom.uc.levels.above(d)
+            tagged = TaggedSpan()
+            for b in hom._columns(d + 1).values():
+                tagged.insert(b, tag="b")
+            for k, z in enumerate(h.reps):
+                assert tagged.insert(z, tag=k)
+            boundary = mat_vec(hom.uc.cols, hom.uc.levels.above(d + 1))
+            for z in h.reps:
+                for v in (z, z ^ boundary):
+                    want = tagged.coefficients(v)
+                    assert h.class_coords(v) == sum(
+                        1 << k for k in range(h.rank) if want.get(k))
+            off = [1 << g for g in ones(mask) if hom.uc.cols[g]]
+            off += [1 << g for g in range(hom.uc.n) if not mask >> g & 1]
+            for v in off:
+                with pytest.raises(ValidationError, match="outside"):
+                    h.class_coords(v)
+            refused += len(off)
+        assert refused, (name, seed)
