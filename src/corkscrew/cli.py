@@ -2,8 +2,8 @@
 
 Subcommands: validate, sarkar, delta, s-nontrivial, conn, verdict
 (gompf | split | periodic), census.  Global flag: --format json|text.
-Homology is computed in a window proven exact and re-checked at a wider
-one, so there is no window option.
+Homology is computed in one pass over a window proven exact, which only
+bounds its top-down searches, so there is no window option.
 
 Reports are canonical: identical inputs reproduce byte-identical output
 (no timestamps, stable ordering throughout).  Every error, a malformed
@@ -22,6 +22,7 @@ from importlib import resources
 from . import __version__
 from .complexes import (
     canonical_json,
+    complex_from_dict,
     encode_columns,
     sarkar_map,
     to_dict,
@@ -147,6 +148,14 @@ def _required(args, *options) -> None:
             raise CorkscrewError(f"verdict {args.mode} needs --{name}")
 
 
+def _unread(args, *options) -> None:
+    """Raise when an option the mode does not read was given."""
+    for name in options:
+        if getattr(args, name) is not None:
+            raise CorkscrewError(
+                f"verdict {args.mode} does not take --{name}")
+
+
 def _element_str(vec: dict) -> str:
     if not vec:
         return "0"
@@ -160,8 +169,6 @@ def _element_str(vec: dict) -> str:
 # -- subcommand handlers -----------------------------------------------------------
 
 def cmd_validate(args, report: Report) -> int:
-    from .complexes import complex_from_dict
-
     # a file that cannot be read is an error, not an invalid complex
     text = None if args.file.startswith("bundled:") else read_input(args.file)
     try:
@@ -272,6 +279,7 @@ def cmd_conn(args, report: Report) -> int:
 
 def cmd_verdict(args, report: Report) -> int:
     if args.mode == "gompf":
+        _unread(args, "k1", "k2")
         if args.knot is None and args.file is None:
             raise CorkscrewError("verdict gompf needs --knot or --file")
         if args.knot is not None and args.file is not None:
@@ -295,6 +303,7 @@ def cmd_verdict(args, report: Report) -> int:
         report.echo_input("params", {"m": args.m, "i": args.i, "j": args.j})
         v = verdict_gompf(subject, args.m, args.i, args.j)
     elif args.mode == "split":
+        _unread(args, "knot", "file")
         _required(args, "k1", "k2")
         x1 = resolve_complex(args.k1)
         x2 = resolve_complex(args.k2)
@@ -303,6 +312,7 @@ def cmd_verdict(args, report: Report) -> int:
         report.echo_input("params", {"m": args.m})
         v = verdict_split(x1, x2, args.m)
     elif args.mode == "periodic":
+        _unread(args, "knot", "k1", "k2")
         _required(args, "file")
         x = resolve_complex(args.file)
         report.echo_input("file", args.file)

@@ -73,7 +73,8 @@ class SearchCapExceeded(CorkscrewError):
 
 
 class WindowUnstableError(CorkscrewError):
-    """Enlarging the homology truncation window changed the answer."""
+    """A torsion order exceeded the bound of the homology truncation
+    window, whose margin is proven to dominate every one."""
 
 
 class GradingParityError(CorkscrewError):

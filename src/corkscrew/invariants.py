@@ -9,8 +9,9 @@ variables fixes their product.
 All homology here is computed per grading inside a truncation window whose
 margin dominates every possible torsion order; below the minimum generator
 grading multiplication by U identifies consecutive slices, so answers in
-the window are exact and the re-check at a window two gradings wider is a
-certificate rather than a heuristic.
+the window are exact.  A top-down search (the tower top, delta's grading)
+stops at the first grading that qualifies and reaches the window's lower
+end only to raise, so each question takes one pass.
 
 Nothing here stores a polynomial.  A slice is a set of generators, each
 carrying the power of U its grading forces: the bit mask
@@ -161,27 +162,18 @@ class DiagonalHomology:
     """Slicewise homology of a :class:`UComplex` with tower detection.
 
     The window is [G_min - 2*N_tor, G_max + 2]; its margin 2*N_tor
-    dominates every torsion order, which makes it exact.  An instance
-    built with ``share`` (another instance on the same complex) is the
-    re-check: its window reaches two gradings below the other's, and it
-    reads and fills the same per-grading cycle bases, homology and tower
-    masks, so it computes only the gradings the other never reached.
+    dominates every torsion order, which makes it exact.
     """
 
-    def __init__(self, uc: UComplex, expect_tower: bool = True,
-                 share: Optional["DiagonalHomology"] = None):
-        if share is not None and share.uc is not uc:
-            raise ValueError("shared slices belong to another complex")
+    def __init__(self, uc: UComplex, expect_tower: bool = True):
         self.uc = uc
         self.gmax = max(uc.gradings)
         self.gmin = min(uc.gradings)
         self.ntor = uc.n * (1 + uc.max_exponent)
         self.hi = self.gmax + 2
-        self.lo = (self.gmin - 2 * self.ntor if share is None
-                   else share.lo - 2)
+        self.lo = self.gmin - 2 * self.ntor
         # grading -> cycle basis, homology; stable grading -> tower mask
-        self._cache = ({}, {}, {}) if share is None else share._cache
-        self._cycles, self._H, self._towers = self._cache
+        self._cycles, self._H, self._towers = {}, {}, {}
         self._top = None  # the tower's top grading
         self._tower_rep = None
         if expect_tower:
@@ -342,8 +334,11 @@ class UHomology:
     window: tuple
 
 
-def _homology_summary(hom: DiagonalHomology) -> UHomology:
-    uc = hom.uc
+def homology_u(uc: UComplex) -> UHomology:
+    """Tower/torsion decomposition in the proven window: the tower's top
+    grading and lexicographically first representative, and the order of
+    every torsion class, which the window's margin bounds."""
+    hom = DiagonalHomology(uc)
     top = hom.tower_top
     rep = [(uc.labels[g], (uc.gradings[g] - top) // 2)
            for g in ones(hom.tower_rep)]
@@ -368,21 +363,6 @@ def _homology_summary(hom: DiagonalHomology) -> UHomology:
     return UHomology(tower_top=top, tower_rep=tuple(rep),
                      torsion=tuple(sorted(torsion)),
                      window=(hom.lo, hom.hi))
-
-
-def homology_u(uc: UComplex) -> UHomology:
-    """Tower/torsion decomposition, cross-checked at an enlarged window.
-
-    The enlarged pass reuses the slices of the first, so it computes only
-    the gradings the first never reached.
-    """
-    hom = DiagonalHomology(uc)
-    first = _homology_summary(hom)
-    second = _homology_summary(DiagonalHomology(uc, share=hom))
-    if (first.tower_top, first.torsion) != (second.tower_top, second.torsion):
-        raise WindowUnstableError(
-            f"{uc.name}: enlarging the window changed the answer")
-    return first
 
 
 # -- cylinder totalisation ----------------------------------------------------------
@@ -461,8 +441,7 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     to the diagonal subcomplex is U-nontorsion.
 
     The achieved grading must be even; an odd one raises rather than
-    guessing a normalisation.  Stability at an enlarged window is
-    re-verified.
+    guessing a normalisation.
     """
     if not validated:
         report = validate(x.complex, require_s3_type=True)
@@ -475,14 +454,6 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
     name = x.complex.name
     d, q_ranks = _delta_grading(name, cyl, a0_hom, cyl_hom)
-    # the enlarged pass reuses both complexes and every slice computed so
-    # far, runs over its own window and only has to find the same grading
-    wide, _ = _delta_grading(
-        name, cyl, DiagonalHomology(uc, share=a0_hom),
-        DiagonalHomology(cyl.total, expect_tower=False, share=cyl_hom))
-    if wide != d:
-        raise WindowUnstableError(
-            f"{name}: delta changed under window enlargement")
     if d > 0:
         raise ConsistencyError(
             f"{name}: negative delta on an S^3-type complex")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
-from .errors import ParseError, read_input
+from .errors import ParseError, ValidationError, read_input
 from .verdicts import KnotDescriptor, cor13_arithmetic
 
 REQUIRED_COLUMNS = ("name", "crossings", "alternating", "signature",
@@ -74,7 +74,9 @@ def parse_knot_csv_text(text: str) -> TableReport:
             continue
         try:
             row = _parse_row(dict(zip(fields, values)))
-        except (ParseError, ValueError, KeyError) as exc:
+            if row.census_eligible:
+                row.descriptor()  # refuses data no thin knot has
+        except (ParseError, ValidationError, ValueError, KeyError) as exc:
             rejected.append((lineno, str(exc)))
             continue
         rows.append(row)

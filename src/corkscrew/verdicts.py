@@ -32,10 +32,10 @@ from .complexes import (
     validate,
 )
 from .connected import s_nontrivial
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .homotopy import homotopic, local_map_exists
 from .invariants import DeltaResult, delta
-from .models import thin_model
+from .models import phi_iota_from_dict, thin_model
 
 STRONG_CORK = "StrongCork"
 INCONCLUSIVE = "Inconclusive"
@@ -215,8 +215,6 @@ def verdict_split(x1: PhiIotaComplex, x2: PhiIotaComplex, m: int,
     tower tops add to 0), and ``delta`` skips re-checking it; otherwise
     ``delta`` checks the tensor in full.
     """
-    from .errors import ConsistencyError
-
     rule = "split-no-local-map"
     name = f"{x1.complex.name} # {x2.complex.name}"
     if m % 2 == 0 or m < 0:
@@ -279,8 +277,6 @@ def verdict_periodic(x: PhiIotaComplex, m: int, i: int) -> Verdict:
 
 def replay_certificate(cert: dict) -> bool:
     """Re-run the decision recorded in a certificate and confirm it."""
-    from .models import phi_iota_from_dict
-
     kind = cert.get("kind")
     if kind == "twist-nontrivial":
         conn = phi_iota_from_dict(cert["conn"])

@@ -398,6 +398,21 @@ def test_round_trip_canonical_form(fig8_file, capsys):
       "bundled:4_1"], "not both"),
     (["verdict", "periodic", "-m", "1"], "needs --file"),
     (["verdict", "split", "-m", "1", "--k1", "bundled:4_1"], "needs --k2"),
+    # a path option the mode does not read is refused, not ignored
+    (["verdict", "gompf", "--knot", "4_1", "--k1", "zz", "-m", "1"],
+     "verdict gompf does not take --k1"),
+    (["verdict", "gompf", "--knot", "4_1", "--k2", "zz", "-m", "1"],
+     "verdict gompf does not take --k2"),
+    (["verdict", "split", "--k1", "bundled:4_1", "--k2", "bundled:4_1",
+      "--file", "zz", "-m", "1"], "verdict split does not take --file"),
+    (["verdict", "split", "--k1", "bundled:4_1", "--k2", "bundled:4_1",
+      "--knot", "4_1", "-m", "1"], "verdict split does not take --knot"),
+    (["verdict", "periodic", "--file", "bundled:4_1", "--k2", "zz", "-m",
+      "1"], "verdict periodic does not take --k2"),
+    (["verdict", "periodic", "--file", "bundled:4_1", "--k1", "zz", "-m",
+      "1"], "verdict periodic does not take --k1"),
+    (["verdict", "periodic", "--file", "bundled:4_1", "--knot", "4_1",
+      "-m", "1"], "verdict periodic does not take --knot"),
     (["conn", "bundled:nope"], "no bundled complex 'nope'"),
     (["validate", "bundled:nope"], "no bundled complex 'nope'"),
     # usage errors from the argument parser itself
@@ -424,14 +439,24 @@ def test_bad_arguments_are_one_line_errors(capsys, args, message, fmt):
         assert message in err
 
 
-def test_census_text_lists_rejected_rows(tmp_path, capsys):
+@pytest.mark.parametrize("rows,count,rejected", [
+    ("3_1,3,1,-2,3,1,\nbad,4,2,0,5,1,\n", 0,
+     "line 3: bad: alternating must be 0 or 1"),
+    # tau = 1 and (5 - 2 - 1)/4 = 1/2: no thin knot has these data
+    ("fake,3,1,-2,5,0,\n", 0,
+     "line 2: fake: (D - 2|tau| - 1)/4 is not a non-negative integer; "
+     "not a thin knot's data"),
+], ids=["not 0 or 1", "not thin"])
+def test_census_text_lists_rejected_rows(tmp_path, capsys, rows, count,
+                                         rejected):
     path = tmp_path / "knots.csv"
     path.write_text("name,crossings,alternating,signature,determinant,arf,"
-                    "tau\n3_1,3,1,-2,3,1,\nbad,4,2,0,5,1,\n")
+                    "tau\n" + rows)
     code, out, _ = run_cli(["census", "--table", str(path)], capsys)
     assert code == 0
-    assert out.splitlines()[-1] == (
-        "rejected: line 3: bad: alternating must be 0 or 1")
+    lines = out.splitlines()
+    assert lines[0] == f"{count} knots qualify:"
+    assert lines[-1] == f"rejected: {rejected}"
 
 
 def test_reports_carry_a_constant_window_bump(capsys):

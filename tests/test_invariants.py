@@ -105,6 +105,32 @@ class TestHomologySummary:
             dims.append(len(cycles) - len(_span_basis(bspan)))
         assert dims == [2, 1]
 
+    def test_lowered_window_gives_the_same_summary(self, monkeypatch):
+        # every DiagonalHomology built reaches 2, 4 or 20 gradings below
+        # the proven window before it locates its tower
+        import random
+        from conftest import scramble
+        cases = [a0(bundled(name)) for name in
+                 ("4_1", "4_1_iota", "T2_5", "T2_3#T2_3", "4_1x4_1_tau")]
+        cases.append(a0(scramble(bundled("4_1x4_1_tau"), random.Random(3))))
+        base = [homology_u(uc) for uc in cases]
+        real = DiagonalHomology.__init__
+        drop = 0
+
+        def lowered(self, uc, expect_tower=True):
+            real(self, uc, expect_tower=False)
+            self.lo -= drop
+            if expect_tower:
+                self._locate_tower()
+
+        monkeypatch.setattr(DiagonalHomology, "__init__", lowered)
+        for drop in (2, 4, 20):
+            for uc, b in zip(cases, base):
+                h = homology_u(uc)
+                assert h.window == (b.window[0] - drop, b.window[1])
+                assert ((h.tower_top, h.tower_rep, h.torsion)
+                        == (b.tower_top, b.tower_rep, b.torsion)), uc.name
+
 
 class TestCylinder:
     def test_unknot_identity_actions_kill_everything(self):
@@ -175,17 +201,24 @@ class TestDelta:
             assert delta(x).delta == brute_delta(x), x.complex.name
 
     def test_window_enlargement_stability(self):
+        # fresh instances whose windows reach 2, 4 and 20 gradings below
+        # the proven one find the same tower top, grading and ranks
         from corkscrew.invariants import _delta_grading
-        uc = a0(bundled("4_1x4_1_tau"))
-        cyl = build_cyl(uc)
-        a0_hom = DiagonalHomology(uc)
-        cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
-        for _ in range(3):  # the proven window, then 2 and 4 wider
-            d, _ = _delta_grading(uc.name, cyl, a0_hom, cyl_hom)
-            assert d == -2
-            a0_hom = DiagonalHomology(uc, share=a0_hom)
-            cyl_hom = DiagonalHomology(cyl.total, expect_tower=False,
-                                       share=cyl_hom)
+        for name in ("4_1x4_1_tau", "T2_3#T2_3", "4_1_iota", "T2_7"):
+            uc = a0(bundled(name))
+            cyl = build_cyl(uc)
+            found = []
+            for drop in (0, 2, 4, 20):
+                a0_hom = DiagonalHomology(uc, expect_tower=False)
+                cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
+                a0_hom.lo -= drop
+                cyl_hom.lo -= drop
+                a0_hom._locate_tower()
+                found.append((a0_hom.tower_top,
+                              _delta_grading(uc.name, cyl, a0_hom, cyl_hom)))
+            assert found[1:] == found[:1] * 3, name
+            if name == "4_1x4_1_tau":
+                assert found[0][1][0] == -2
 
     def test_witness_defining_equations(self, fig8):
         x = tensor(fig8, fig8)

@@ -1,6 +1,8 @@
 """delta and homology_u against the two-pass, unshared pipeline kept in
-``tests/oracle.py``; the enlarged-window re-check, the shared slices, the
-cylinder's first block and its D^2 = 0 check."""
+``tests/oracle.py``, which re-checks every answer over a window two
+gradings wider; the library answers each question in one pass over its
+proven window.  Also the slices each delta computes, the cylinder's
+first block and its D^2 = 0 check."""
 
 import dataclasses
 import random
@@ -14,7 +16,7 @@ from conftest import scramble
 from corkscrew import invariants
 from corkscrew.algebra import ones
 from corkscrew.complexes import dual, tensor
-from corkscrew.errors import ValidationError, WindowUnstableError
+from corkscrew.errors import ValidationError
 from corkscrew.invariants import (
     DiagonalHomology,
     UComplex,
@@ -63,29 +65,9 @@ def test_homology_u_matches_the_reference(label, x):
     assert _outcome(homology_u, uc) == _outcome(reference_homology_u, uc)
 
 
-# -- the enlarged-window re-check ---------------------------------------------
-
-def test_delta_recheck_runs_over_the_enlarged_window(monkeypatch):
-    real = invariants._delta_grading
-    windows = []
-
-    def moved_when_widened(name, cyl, a0_hom, cyl_hom):
-        d, q_ranks = real(name, cyl, a0_hom, cyl_hom)
-        windows.append((cyl_hom.lo, cyl_hom.hi))
-        if cyl_hom.lo < windows[0][0]:
-            d -= 2
-        return d, q_ranks
-
-    monkeypatch.setattr(invariants, "_delta_grading", moved_when_widened)
-    with pytest.raises(WindowUnstableError, match="window enlargement"):
-        delta(bundled("4_1x4_1_tau"))
-    (lo, hi), wide = windows
-    assert wide == (lo - 2, hi)
-
-
 def test_delta_builds_one_witness(monkeypatch):
-    # the enlarged pass compares gradings; only the first sweeps for a
-    # witness, and delta never reads the tower cycle of the diagonal
+    # delta sweeps the cylinder for its witness once, and never reads
+    # the tower cycle of the diagonal
     calls = []
     real = DiagonalHomology._lex_witness
 
@@ -100,15 +82,13 @@ def test_delta_builds_one_witness(monkeypatch):
 
 
 def test_delta_zero_iff_local_builds_the_tower_once(monkeypatch):
-    """delta's first pass reads ``x.diagonal``, the tower the local-map
-    solve from the trivial complex reads too, so x's diagonal homology
-    is built once; the enlarged pass shares its slices."""
+    """delta reads ``x.diagonal``, the tower the local-map solve from the
+    trivial complex reads too, so x's diagonal homology is built once."""
     built = []
     real = DiagonalHomology.__init__
 
     def counting(self, uc, *args, **kwargs):
-        if kwargs.get("share") is None:
-            built.append(uc.name)
+        built.append(uc.name)
         real(self, uc, *args, **kwargs)
 
     monkeypatch.setattr(DiagonalHomology, "__init__", counting)
@@ -118,25 +98,7 @@ def test_delta_zero_iff_local_builds_the_tower_once(monkeypatch):
     assert built.count(f"A0({x.complex.name})") == 1
 
 
-def test_homology_u_recheck_runs_over_the_enlarged_window(monkeypatch):
-    real = invariants._homology_summary
-    windows = []
-
-    def moved_when_widened(hom):
-        res = real(hom)
-        windows.append(res.window)
-        if res.window[0] < windows[0][0]:
-            res = dataclasses.replace(res, torsion=res.torsion + ((0, 9),))
-        return res
-
-    monkeypatch.setattr(invariants, "_homology_summary", moved_when_widened)
-    with pytest.raises(WindowUnstableError, match="changed the answer"):
-        homology_u(a0(bundled("4_1x4_1_tau")))
-    (lo, hi), wide = windows
-    assert wide == (lo - 2, hi)
-
-
-# -- shared slices ------------------------------------------------------------
+# -- the slices of one delta --------------------------------------------------
 
 def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
     spans = []
@@ -156,27 +118,8 @@ def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
     monkeypatch.setattr(invariants, "_delta_grading", recording)
     x = scramble(bundled("4_1x4_1_tau"), random.Random(3))
     delta(x, validated=True)  # validation computes spans of its own
-    (a_first, c_first), (a_wide, c_wide) = homs
-    assert a_wide._cycles is a_first._cycles
-    assert c_wide._cycles is c_first._cycles
-    assert a_wide.lo == a_first.lo - 2 and c_wide.lo == c_first.lo - 2
-    assert len(spans) == len(a_first._cycles) + len(c_first._cycles)
-
-
-def test_a_shared_instance_reaches_two_gradings_deeper():
-    uc = a0(bundled("4_1x4_1_tau"))
-    hom = DiagonalHomology(uc)
-    assert hom.lo == hom.gmin - 2 * hom.ntor
-    wide = DiagonalHomology(uc, share=hom)
-    assert (wide.lo, wide.hi) == (hom.lo - 2, hom.hi)
-    assert DiagonalHomology(uc, share=wide).lo == hom.lo - 4
-
-
-def test_sharing_needs_the_same_complex():
-    x = bundled("4_1x4_1_tau")
-    hom = DiagonalHomology(a0(x))
-    with pytest.raises(ValueError):
-        DiagonalHomology(a0(x), share=hom)
+    (a, c), = homs
+    assert len(spans) == len(a._cycles) + len(c._cycles)
 
 
 # -- the cylinder's first block -----------------------------------------------
