@@ -152,8 +152,8 @@ def _unread(args, *options) -> None:
     """Raise when an option the mode does not read was given."""
     for name in options:
         if getattr(args, name) is not None:
-            raise CorkscrewError(
-                f"verdict {args.mode} does not take --{name}")
+            flag = f"-{name}" if len(name) == 1 else f"--{name}"
+            raise CorkscrewError(f"verdict {args.mode} does not take {flag}")
 
 
 def _element_str(vec: dict) -> str:
@@ -300,10 +300,12 @@ def cmd_verdict(args, report: Report) -> int:
         else:
             subject = resolve_complex(args.file)
             report.echo_input("file", args.file)
-        report.echo_input("params", {"m": args.m, "i": args.i, "j": args.j})
-        v = verdict_gompf(subject, args.m, args.i, args.j)
+        i = 1 if args.i is None else args.i
+        j = 0 if args.j is None else args.j
+        report.echo_input("params", {"m": args.m, "i": i, "j": j})
+        v = verdict_gompf(subject, args.m, i, j)
     elif args.mode == "split":
-        _unread(args, "knot", "file")
+        _unread(args, "knot", "file", "i", "j")
         _required(args, "k1", "k2")
         x1 = resolve_complex(args.k1)
         x2 = resolve_complex(args.k2)
@@ -312,12 +314,13 @@ def cmd_verdict(args, report: Report) -> int:
         report.echo_input("params", {"m": args.m})
         v = verdict_split(x1, x2, args.m)
     elif args.mode == "periodic":
-        _unread(args, "knot", "k1", "k2")
+        _unread(args, "knot", "k1", "k2", "j")
         _required(args, "file")
+        i = 1 if args.i is None else args.i
         x = resolve_complex(args.file)
         report.echo_input("file", args.file)
-        report.echo_input("params", {"m": args.m, "i": args.i})
-        v = verdict_periodic(x, args.m, args.i)
+        report.echo_input("params", {"m": args.m, "i": i})
+        v = verdict_periodic(x, args.m, i)
     else:
         raise CorkscrewError(f"unknown verdict mode {args.mode!r}")
     report.add_verdict(v)
@@ -418,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1")
     p.add_argument("--k2")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("-i", type=int, default=1)
-    p.add_argument("-j", type=int, default=0)
+    p.add_argument("-i", type=int)
+    p.add_argument("-j", type=int)
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("census", help="thin-knot census")

@@ -100,8 +100,8 @@ class KnotComplex:
 
     def index(self, gid: str) -> int:
         try:
-            return self.generators.index(gid)
-        except ValueError:
+            return self._positions[gid]
+        except KeyError:
             raise KeyError(f"no generator {gid!r} in {self.name}") from None
 
     def grading(self, gid: str) -> Grading:

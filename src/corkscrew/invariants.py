@@ -6,12 +6,14 @@ with U the product of the two variables (degree -2).  Restricted to it the
 skew involution becomes honestly U-equivariant, because exchanging the
 variables fixes their product.
 
-All homology here is computed per grading inside a truncation window whose
-margin dominates every possible torsion order; below the minimum generator
-grading multiplication by U identifies consecutive slices, so answers in
-the window are exact.  A top-down search (the tower top, delta's grading)
-stops at the first grading that qualifies and reaches the window's lower
-end only to raise, so each question takes one pass.
+All homology here is computed per grading inside a truncation window
+(``UComplex.window``) whose margin dominates every possible torsion
+order; below the minimum generator grading multiplication by U identifies
+consecutive slices, so answers in the window are exact.  A top-down
+search (the tower top, delta's grading) stops at the first grading that
+qualifies and reaches the window's lower end only to raise, so each
+question takes one pass.  delta computes no cylinder homology: one
+reverse sweep per slice both decides its grading and gives its witness.
 
 Nothing here stores a polynomial.  A slice is a set of generators, each
 carrying the power of U its grading forces: the bit mask
@@ -28,6 +30,7 @@ their AND.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .algebra import (
@@ -48,6 +51,8 @@ from .errors import (
     ValidationError,
     WindowUnstableError,
 )
+from .homotopy import local_map_exists
+from .models import trivial
 
 
 # -- slice homology ------------------------------------------------------------
@@ -157,27 +162,28 @@ class UComplex:
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def window(self) -> tuple:
+        """(G_min - 2*N_tor, G_max + 2) with N_tor = n * (1 + max_exponent):
+        the gradings slice homology is computed over.  The margin 2*N_tor
+        dominates every torsion order, which makes the window exact."""
+        ntor = self.n * (1 + self.max_exponent)
+        return min(self.gradings) - 2 * ntor, max(self.gradings) + 2
+
 
 class DiagonalHomology:
-    """Slicewise homology of a :class:`UComplex` with tower detection.
+    """Slicewise homology of a :class:`UComplex` over its window
+    (:attr:`UComplex.window`), with its one free tower located."""
 
-    The window is [G_min - 2*N_tor, G_max + 2]; its margin 2*N_tor
-    dominates every torsion order, which makes it exact.
-    """
-
-    def __init__(self, uc: UComplex, expect_tower: bool = True):
+    def __init__(self, uc: UComplex):
         self.uc = uc
         self.gmax = max(uc.gradings)
         self.gmin = min(uc.gradings)
-        self.ntor = uc.n * (1 + uc.max_exponent)
-        self.hi = self.gmax + 2
-        self.lo = self.gmin - 2 * self.ntor
+        self.lo, self.hi = uc.window
+        self.ntor = (self.gmin - self.lo) // 2
         # grading -> cycle basis, homology; stable grading -> tower mask
         self._cycles, self._H, self._towers = {}, {}, {}
-        self._top = None  # the tower's top grading
-        self._tower_rep = None
-        if expect_tower:
-            self._locate_tower()
+        self.tower_top = self._locate_tower()
 
     def _columns(self, d: int) -> dict:
         """The slice map into grading d-1: the differential's columns at
@@ -244,49 +250,49 @@ class DiagonalHomology:
                 f"expected a single free tower")
         for d in range(self.hi, self.lo - 1, -1):
             if any(self.nontorsion_bit(z, d) for z in self.cycle_basis(d)):
-                self._top = d
-                return
+                return d
         raise ValidationError(
             f"{self.uc.name}: no nontorsion class found in the window")
 
-    def _lex_witness(self, d: int, functional: int) -> int:
-        """The lexicographically first cycle z at grading d (generator 0
-        first, 0 < 1) with ``parity(z & functional)`` = 1.
-
-        The slice's columns are swept from the highest generator down, as
-        :class:`ColumnSpan` sweeps them up.  A dependent column k gives
-        the cycle c_k, e_k plus independent generators above k, so c_k is
-        0 at every other dependent generator; the c_k are a basis.  Let
-        c_k be the first the sweep meets with functional 1.  Any other
-        cycle with functional 1 is a sum of c_j, one of them with
-        functional 1, so with j <= k.  If some j < k, the sum is 1 below
-        k, where c_k is 0; otherwise it is c_k plus c_j above k, and is 1
-        at the lowest such j, where c_k is 0.  So c_k is the least.
-        """
-        cols, shift = self.uc.cols, self.uc.n
-        low = (1 << shift) - 1
-        span = Echelon()
-        for g in sorted(ones(self.uc.levels.above(d)), reverse=True):
-            v = span.reduce(cols[g] | 1 << (shift + g))
-            if v & low:
-                span.insert(v)
-            elif parity((v >> shift) & functional):
-                return v >> shift
-        raise ConsistencyError(
-            f"{self.uc.name}: no cycle at grading {d} has functional 1")
-
-    @property
-    def tower_top(self) -> int:
-        return self._top
-
-    @property
+    @cached_property
     def tower_rep(self) -> int:
         """The lexicographically first nontorsion cycle at the tower top,
         found on first use (delta never reads it)."""
-        if self._tower_rep is None:
-            self._tower_rep = self._lex_witness(
-                self._top, self.tower_generators(self._top))
-        return self._tower_rep
+        d = self.tower_top
+        rep = _lex_witness(self.uc, d, self.tower_generators(d))
+        if rep is None:
+            raise ConsistencyError(
+                f"{self.uc.name}: no cycle at grading {d} has functional 1")
+        return rep
+
+
+def _lex_witness(uc: UComplex, d: int, functional: int) -> Optional[int]:
+    """The lexicographically first cycle z of ``uc`` at grading d
+    (generator 0 first, 0 < 1) with ``parity(z & functional)`` = 1, or
+    None when no cycle there has functional 1.
+
+    The slice's columns are swept from the highest generator down, as
+    :class:`ColumnSpan` sweeps them up.  A dependent column k gives the
+    cycle c_k, e_k plus independent generators above k, so c_k is 0 at
+    every other dependent generator; the c_k are a basis.  The functional
+    is linear, so some cycle has functional 1 exactly when some c_k does,
+    and the sweep returns None exactly when none does.  Let c_k be the
+    first the sweep meets with functional 1.  Any other cycle with
+    functional 1 is a sum of c_j, one of them with functional 1, so with
+    j <= k.  If some j < k, the sum is 1 below k, where c_k is 0;
+    otherwise it is c_k plus c_j above k, and is 1 at the lowest such j,
+    where c_k is 0.  So c_k is the least.
+    """
+    cols, shift = uc.cols, uc.n
+    low = (1 << shift) - 1
+    span = Echelon()
+    for g in sorted(ones(uc.levels.above(d)), reverse=True):
+        v = span.reduce(cols[g] | 1 << (shift + g))
+        if v & low:
+            span.insert(v)
+        elif parity((v >> shift) & functional):
+            return v >> shift
+    return None
 
 
 # -- the diagonal subcomplex -----------------------------------------------------
@@ -362,37 +368,25 @@ def homology_u(uc: UComplex) -> UHomology:
             rank = image.rank
     return UHomology(tower_top=top, tower_rep=tuple(rep),
                      torsion=tuple(sorted(torsion)),
-                     window=(hom.lo, hom.hi))
+                     window=uc.window)
 
 
 # -- cylinder totalisation ----------------------------------------------------------
 
-@dataclass
-class CylComplex:
+def build_cyl(uc: UComplex) -> UComplex:
     """Three copies of the diagonal subcomplex totalised along 1 + phi and
     1 + iota; the shifted blocks sit one grading lower so the total
     differential has degree -1.
 
-    The first block is generators 0..n_block-1 with the gradings of the
+    The first block is generators 0..uc.n-1 with the gradings of the
     diagonal subcomplex, so the cylinder's slice at any grading, masked
     to those bits, is the diagonal subcomplex's slice there: the
     projection q is that mask."""
-
-    uc: UComplex
-    total: UComplex
-    n_block: int
-
-
-def build_cyl(uc: UComplex) -> CylComplex:
     if uc.phi_cols is None or uc.iota_cols is None:
         raise ValidationError("cylinder needs both restricted actions")
     n = uc.n
-    labels = (tuple(f"x:{m}" for m in uc.labels)
-              + tuple(f"y:{m}" for m in uc.labels)
-              + tuple(f"z:{m}" for m in uc.labels))
-    gradings = (uc.gradings
-                + tuple(g - 1 for g in uc.gradings)
-                + tuple(g - 1 for g in uc.gradings))
+    labels = tuple(f"{block}:{m}" for block in "xyz" for m in uc.labels)
+    gradings = uc.gradings + tuple(g - 1 for g in uc.gradings) * 2
     # x:s -> d s + (1 + phi) s in the y block + (1 + iota) s in the z block
     cols = [uc.cols[s] | (uc.phi_cols[s] ^ 1 << s) << n
             | (uc.iota_cols[s] ^ 1 << s) << 2 * n for s in range(n)]
@@ -402,7 +396,7 @@ def build_cyl(uc: UComplex) -> CylComplex:
     # D^2 = 0 holds because 1 + phi and 1 + iota are chain maps
     if not _squares_to_zero(uc):
         raise ValidationError("cylinder differential does not square to 0")
-    return CylComplex(uc=uc, total=total, n_block=n)
+    return total
 
 
 def _squares_to_zero(uc: UComplex) -> bool:
@@ -432,13 +426,18 @@ class DeltaResult:
     witness_y: dict
     witness_z: dict
     window: tuple
-    q_ranks: dict  # grading -> number of cycle-basis classes with
-    #                nontorsion projection
 
 
 def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     """-1/2 of the top cylinder grading carrying a class whose projection
     to the diagonal subcomplex is U-nontorsion.
+
+    One reverse sweep (:func:`_lex_witness`) per grading, from the top
+    down, decides it.  The tower functional covers only the diagonal's
+    generators, the cylinder's first block, so on a cylinder cycle it is
+    the value of the projection.  The sweep returns a cycle exactly when
+    some cycle there has functional 1, so the first grading where it
+    returns one is delta's, and its cycle is the lexmin witness.
 
     The achieved grading must be even; an odd one raises rather than
     guessing a normalisation.
@@ -451,45 +450,29 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     a0_hom = x.diagonal
     uc = a0_hom.uc
     cyl = build_cyl(uc)
-    cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
     name = x.complex.name
-    d, q_ranks = _delta_grading(name, cyl, a0_hom, cyl_hom)
+    for d in range(a0_hom.gmax, cyl.window[0] - 1, -1):
+        bits = _lex_witness(cyl, d, a0_hom.tower_generators(d))
+        if bits is not None:
+            break
+    else:
+        raise ConsistencyError(
+            f"{name}: no nontorsion projection found in the window")
+    if d % 2:
+        raise GradingParityError(
+            f"{name}: nontorsion cylinder class at odd grading {d}")
     if d > 0:
         raise ConsistencyError(
             f"{name}: negative delta on an S^3-type complex")
-    # lexicographically first witness cycle whose projection is nontorsion
-    bits = cyl_hom._lex_witness(d, a0_hom.tower_generators(d))
     # x, y and z blocks: label -> its one forced power of U
     n = uc.n
     blocks = ({}, {}, {})
     for g in ones(bits):
-        blocks[g // n][uc.labels[g % n]] = [(cyl.total.gradings[g] - d) // 2]
+        blocks[g // n][uc.labels[g % n]] = [(cyl.gradings[g] - d) // 2]
     wx, wy, wz = blocks
     return DeltaResult(
         delta=-d // 2, max_grading=d,
-        witness_x=wx, witness_y=wy, witness_z=wz,
-        window=(cyl_hom.lo, cyl_hom.hi), q_ranks=q_ranks)
-
-
-def _delta_grading(name: str, cyl: CylComplex, a0_hom: DiagonalHomology,
-                   cyl_hom: DiagonalHomology):
-    """The top grading d of the window carrying a cylinder cycle whose
-    projection is nontorsion, and the rank of the tower functional on the
-    cycle basis at every grading down to d."""
-    q_ranks: dict = {}
-    for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
-        # the tower mask covers diagonal generators only, which are the
-        # cylinder's first block: masking a cycle is projecting it
-        mask = a0_hom.tower_generators(d)
-        q_ranks[d] = sum(parity(z & mask) for z in cyl_hom.cycle_basis(d))
-        if not q_ranks[d]:
-            continue
-        if d % 2:
-            raise GradingParityError(
-                f"{name}: nontorsion cylinder class at odd grading {d}")
-        return d, q_ranks
-    raise ConsistencyError(
-        f"{name}: no nontorsion projection found in the window")
+        witness_x=wx, witness_y=wy, witness_z=wz, window=cyl.window)
 
 
 def delta_zero_iff_local(x: PhiIotaComplex) -> dict:
@@ -499,9 +482,6 @@ def delta_zero_iff_local(x: PhiIotaComplex) -> dict:
     exists; computing both and comparing is a consistency certificate for
     the whole pipeline.  Disagreement raises, carrying both certificates.
     """
-    from .homotopy import local_map_exists
-    from .models import trivial
-
     res = delta(x)
     cert = local_map_exists(trivial(), x)
     if (res.delta == 0) != cert.exists:

@@ -42,6 +42,15 @@ from .errors import (
     load_json,
     read_input,
 )
+from .homotopy import (
+    HomotopyClasses,
+    Left,
+    MapShape,
+    MapSystem,
+    Right,
+    homotopic,
+    homotopy_inverse,
+)
 
 # -- bare complexes ------------------------------------------------------------
 
@@ -208,8 +217,6 @@ def involution_candidates(cx: KnotComplex) -> list:
     the 2^r subsets of the kernel vectors, r at most ``INVOLUTION_CAP``;
     the cap is checked before any table is built.
     """
-    from .homotopy import HomotopyClasses, Left, MapShape, MapSystem, Right
-
     d = cx.boundary()
     s = sarkar_map(cx)
     sys = MapSystem()
@@ -265,8 +272,6 @@ def _zero_subsets(constant, linear, pair) -> list:
 def solve_involution(cx: KnotComplex):
     """Lexicographically minimal involution candidate plus the homotopy
     certificate for its square; raises when none exists."""
-    from .homotopy import homotopic
-
     cands = involution_candidates(cx)
     if not cands:
         raise NoInvolutionError(f"no involution found on {cx.name}")
@@ -335,7 +340,6 @@ def _with_relations(cx: KnotComplex, phi: Endomorphism, iota: Endomorphism,
     if phi_is_id:
         phi_inv = phi
     else:
-        from .homotopy import homotopy_inverse
         phi_inv = homotopy_inverse(cx, phi)
         if phi_inv is None:
             raise ValidationError(f"{cx.name}: phi has no homotopy inverse")
@@ -356,8 +360,6 @@ def _with_relations(cx: KnotComplex, phi: Endomorphism, iota: Endomorphism,
 def _require_homotopic(f: Endomorphism, g: Endomorphism, failure: str):
     """f ~ g, by equal bits or a homotopy found; else a ValidationError
     with the message ``failure``."""
-    from .homotopy import homotopic
-
     if f != g and homotopic(f, g) is None:
         raise ValidationError(failure)
 

@@ -50,7 +50,6 @@ class KnotDescriptor:
     arf: int
     determinant: int
     thin: bool
-    complex_source: Optional[str] = None
 
     def __post_init__(self):
         if self.arf not in (0, 1):

@@ -1109,7 +1109,6 @@ def _reference_delta_once(x, widen: int):
     total = _reference_cylinder(uc)
     cyl_hom = _ReferenceDiagonal(total, widen, expect_tower=False)
     n = uc.n
-    q_ranks: dict = {}
     for d in range(a0_hom.gmax, cyl_hom.lo - 1, -1):
         h = cyl_hom.homology(d)
         tgt_pos = a0_hom._pos(d)
@@ -1120,7 +1119,6 @@ def _reference_delta_once(x, widen: int):
                 if g < n and (z >> i) & 1:
                     qz |= 1 << tgt_pos[g]
             lam.append(a0_hom.nontorsion_bit(qz, d))
-        q_ranks[d] = sum(lam)
         if not any(lam):
             continue
         if d % 2:
@@ -1136,7 +1134,7 @@ def _reference_delta_once(x, widen: int):
         wx, wy, wz = ({k: sorted(v) for k, v in b.items()} for b in blocks)
         return DeltaResult(delta=-d // 2, max_grading=d, witness_x=wx,
                            witness_y=wy, witness_z=wz,
-                           window=(cyl_hom.lo, cyl_hom.hi), q_ranks=q_ranks)
+                           window=(cyl_hom.lo, cyl_hom.hi))
     raise ConsistencyError(
         f"{x.complex.name}: no nontorsion projection found in the window")
 

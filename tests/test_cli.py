@@ -413,6 +413,11 @@ def test_round_trip_canonical_form(fig8_file, capsys):
       "1"], "verdict periodic does not take --k1"),
     (["verdict", "periodic", "--file", "bundled:4_1", "--knot", "4_1",
       "-m", "1"], "verdict periodic does not take --knot"),
+    # so is a numeric option it does not read
+    (["verdict", "split", "--k1", "bundled:4_1", "--k2", "bundled:4_1",
+      "-m", "1", "-i", "7", "-j", "3"], "verdict split does not take -i"),
+    (["verdict", "periodic", "--file", "bundled:4_1", "-m", "1", "-j", "5"],
+     "verdict periodic does not take -j"),
     (["conn", "bundled:nope"], "no bundled complex 'nope'"),
     (["validate", "bundled:nope"], "no bundled complex 'nope'"),
     # usage errors from the argument parser itself

@@ -6,10 +6,11 @@
 * ``MapSystem`` solves its column assembly that way; on the large
   local-map systems of the split path the answer must be that of
   ``solve_f2_rows`` on the reference rows.
-* ``DiagonalHomology._lex_witness`` sweeps a slice's columns from the top
+* ``invariants._lex_witness`` sweeps a slice's columns from the top
   down; its witness must be the lexmin of the coset that ``lexmin_affine``
   reduces over the cycle basis (and, on small slices, the least cycle by
-  enumeration).
+  enumeration), and it must find none exactly when no basis cycle has
+  functional 1.
 """
 
 import random
@@ -21,12 +22,13 @@ from corkscrew.algebra import (
     ColumnSpan,
     F2Inconsistency,
     F2Solution,
+    ones,
     parity,
     solve_f2_rows,
 )
 from corkscrew.complexes import dual, tensor
 from corkscrew.homotopy import _local_system
-from corkscrew.invariants import DiagonalHomology, a0, build_cyl
+from corkscrew.invariants import DiagonalHomology, _lex_witness, a0, build_cyl
 from corkscrew.models import BUNDLED, bundled, figure_eight_with_actions
 from oracle import (
     _BruteDiag,
@@ -139,14 +141,18 @@ def _least_cycle(cycles: list, functional: int) -> int:
     return best
 
 
-def _check_witnesses(hom: DiagonalHomology, d: int, functional: int) -> int:
-    """Compare the sweep at grading d with both references; returns 1
-    when some cycle there has functional 1."""
-    cycles = hom.cycle_basis(d)
+def _check_witnesses(uc, d: int, functional: int) -> int:
+    """Compare the sweep of ``uc`` at grading d with both references over
+    a cycle basis built here from the slice's columns; returns 1 when
+    some cycle there has functional 1.  The sweep finds a cycle exactly
+    then."""
+    cycles = ColumnSpan({g: uc.cols[g]
+                         for g in ones(uc.levels.above(d))}).kernel
     lam = [parity(z & functional) for z in cycles]
+    got = _lex_witness(uc, d, functional)
     if not any(lam):
+        assert got is None
         return 0
-    got = hom._lex_witness(d, functional)
     assert got == reference_lex_witness(cycles, lam)
     if len(cycles) <= 8:
         assert got == _least_cycle(cycles, functional)
@@ -167,13 +173,13 @@ def test_witness_sweep_is_the_lexmin_over_the_cycle_basis(name, seed):
     lam = [a0_hom.nontorsion_bit(z, top) for z in a0_hom.cycle_basis(top)]
     assert a0_hom.tower_rep == reference_lex_witness(
         a0_hom.cycle_basis(top), lam)
-    cyl_hom = DiagonalHomology(build_cyl(uc).total, expect_tower=False)
     seen = 0
-    for hom in (a0_hom, cyl_hom):
-        for d in range(hom.gmax + 2, hom.gmin - 5, -1):
-            seen += _check_witnesses(hom, d, a0_hom.tower_generators(d))
-            seen += _check_witnesses(hom, d,
-                                     rng.getrandbits(hom.uc.n) | 1)
+    for target in (uc, build_cyl(uc)):
+        for d in range(max(target.gradings) + 2,
+                       min(target.gradings) - 5, -1):
+            seen += _check_witnesses(target, d, a0_hom.tower_generators(d))
+            seen += _check_witnesses(target, d,
+                                     rng.getrandbits(target.n) | 1)
     assert seen
 
 
@@ -182,4 +188,4 @@ def test_witness_sweep_on_the_625_generator_tensor():
     x = tensor(x2, x2)
     hom = DiagonalHomology(a0(x))
     top = hom.tower_top
-    assert _check_witnesses(hom, top, hom.tower_generators(top))
+    assert _check_witnesses(hom.uc, top, hom.tower_generators(top))

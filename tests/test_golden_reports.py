@@ -116,14 +116,17 @@ def split_hash(fmt: str) -> str:
         return report_hash(["--format", fmt, *SPLIT_ARGV])
 
 
-def delta_hash() -> str:
-    """Every field of the DeltaResult of the 625-generator tensor of the
-    two split inputs: delta, witnesses, window and q_ranks."""
-    with _split_inputs():
-        x = tensor(*(parse_complex(name) for name in SPLIT_FILES))
-    res = delta(x, validated=True)
+def _delta_result_hash(res) -> str:
     blob = json.dumps(vars(res), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def delta_hash() -> str:
+    """Every field of the DeltaResult of the 625-generator tensor of the
+    two split inputs: delta, max_grading, witnesses and window."""
+    with _split_inputs():
+        x = tensor(*(parse_complex(name) for name in SPLIT_FILES))
+    return _delta_result_hash(delta(x, validated=True))
 
 
 def _split_key(fmt: str) -> str:
@@ -163,6 +166,17 @@ def test_split_report_is_byte_identical(fmt):
 
 def test_tensor_delta_result_is_identical():
     assert delta_hash() == _golden()[DELTA_KEY]
+
+
+def test_3125_generator_delta_result_is_pinned():
+    """Every field of the DeltaResult of x2 tensor x3, with x2 =
+    (4_1,tau)^2 and x3 = x2 tensor 4_1: 3,125 generators, as recorded
+    when delta still built a cycle basis at every grading it searched."""
+    x2 = bundled("4_1x4_1_tau")
+    x = tensor(x2, tensor(x2, bundled("4_1")))
+    assert x.complex.n == 3125
+    assert _delta_result_hash(delta(x, validated=True)) == (
+        "e76ffd6a74c6b0a1615702d5d884e47ca2e8cc3826bcb2a00fd572006f834f3f")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from corkscrew.algebra import mat_vec, ones
 from corkscrew.complexes import tensor
 from corkscrew.invariants import (
-    DiagonalHomology,
+    UComplex,
     a0,
     build_cyl,
     delta,
@@ -22,6 +22,18 @@ from corkscrew.models import (
 
 from conftest import random_s3_models
 from oracle import apply_ucols, brute_delta, u_cols
+
+
+def _lower_every_window(monkeypatch, drop):
+    """Make ``UComplex.window`` reach ``drop()`` gradings below the
+    proven one, for every homology and delta computed while patched."""
+    real = UComplex.window.fget
+
+    def lowered(self):
+        lo, hi = real(self)
+        return lo - drop(), hi
+
+    monkeypatch.setattr(UComplex, "window", property(lowered))
 
 
 class TestA0:
@@ -106,24 +118,15 @@ class TestHomologySummary:
         assert dims == [2, 1]
 
     def test_lowered_window_gives_the_same_summary(self, monkeypatch):
-        # every DiagonalHomology built reaches 2, 4 or 20 gradings below
-        # the proven window before it locates its tower
+        # every window reaches 2, 4 or 20 gradings below the proven one
         import random
         from conftest import scramble
         cases = [a0(bundled(name)) for name in
                  ("4_1", "4_1_iota", "T2_5", "T2_3#T2_3", "4_1x4_1_tau")]
         cases.append(a0(scramble(bundled("4_1x4_1_tau"), random.Random(3))))
         base = [homology_u(uc) for uc in cases]
-        real = DiagonalHomology.__init__
         drop = 0
-
-        def lowered(self, uc, expect_tower=True):
-            real(self, uc, expect_tower=False)
-            self.lo -= drop
-            if expect_tower:
-                self._locate_tower()
-
-        monkeypatch.setattr(DiagonalHomology, "__init__", lowered)
+        _lower_every_window(monkeypatch, lambda: drop)
         for drop in (2, 4, 20):
             for uc, b in zip(cases, base):
                 h = homology_u(uc)
@@ -135,7 +138,7 @@ class TestHomologySummary:
 class TestCylinder:
     def test_unknot_identity_actions_kill_everything(self):
         cyl = build_cyl(a0(unknot()))
-        assert all(not col for col in cyl.total.cols)
+        assert all(not col for col in cyl.cols)
 
     def test_figure_eight_offdiagonal_entry(self, fig8):
         uc = a0(fig8)
@@ -143,7 +146,7 @@ class TestCylinder:
         ix = fig8.complex.index("x")
         id_ = fig8.complex.index("d")
         n = uc.n
-        col = u_cols(cyl.total, cyl.total.cols, -1)[ix]
+        col = u_cols(cyl, cyl.cols, -1)[ix]
         # (1 + iota) x = d lands in the third block
         assert col.get(2 * n + id_) == frozenset({0})
         # (1 + phi) x = d lands in the second block
@@ -152,23 +155,21 @@ class TestCylinder:
     def test_projection_intertwines_differentials(self, fig8):
         uc = a0(fig8)
         cyl = build_cyl(uc)
-        hom_t = DiagonalHomology(cyl.total, expect_tower=False)
-        hom_a = DiagonalHomology(uc)
-        first = (1 << cyl.n_block) - 1  # q: the first block's bits
-        for d in range(hom_a.gmax, hom_a.gmin - 3, -1):
-            for g in ones(hom_t.uc.levels.above(d)):
+        first = (1 << uc.n) - 1  # q: the first block's bits
+        for d in range(max(uc.gradings), min(uc.gradings) - 3, -1):
+            for g in ones(cyl.levels.above(d)):
                 vec = 1 << g
-                qd = _slice_apply(hom_t, vec, d) & first
-                dq = _slice_apply(hom_a, vec & first, d)
+                qd = _slice_apply(cyl, vec, d) & first
+                dq = _slice_apply(uc, vec & first, d)
                 assert qd == dq
 
 
-def _slice_apply(hom, vec, d):
+def _slice_apply(uc, vec, d):
     """Apply the U-complex differential to a slice vector: its image lies
     in the next slice down."""
-    assert vec & ~hom.uc.levels.above(d) == 0
-    out = mat_vec(hom.uc.cols, vec)
-    assert out & ~hom.uc.levels.above(d - 1) == 0
+    assert vec & ~uc.levels.above(d) == 0
+    out = mat_vec(uc.cols, vec)
+    assert out & ~uc.levels.above(d - 1) == 0
     return out
 
 
@@ -200,25 +201,24 @@ class TestDelta:
         for x in cases:
             assert delta(x).delta == brute_delta(x), x.complex.name
 
-    def test_window_enlargement_stability(self):
+    def test_window_enlargement_stability(self, monkeypatch):
         # fresh instances whose windows reach 2, 4 and 20 gradings below
-        # the proven one find the same tower top, grading and ranks
-        from corkscrew.invariants import _delta_grading
+        # the proven one find the same tower top, grading and witness
+        drop = 0
+        _lower_every_window(monkeypatch, lambda: drop)
         for name in ("4_1x4_1_tau", "T2_3#T2_3", "4_1_iota", "T2_7"):
-            uc = a0(bundled(name))
-            cyl = build_cyl(uc)
-            found = []
+            found, windows = [], []
             for drop in (0, 2, 4, 20):
-                a0_hom = DiagonalHomology(uc, expect_tower=False)
-                cyl_hom = DiagonalHomology(cyl.total, expect_tower=False)
-                a0_hom.lo -= drop
-                cyl_hom.lo -= drop
-                a0_hom._locate_tower()
-                found.append((a0_hom.tower_top,
-                              _delta_grading(uc.name, cyl, a0_hom, cyl_hom)))
+                x = bundled(name)
+                res = delta(x)
+                windows.append(res.window)
+                found.append((x.diagonal.tower_top, res.max_grading,
+                              res.witness_x, res.witness_y, res.witness_z))
             assert found[1:] == found[:1] * 3, name
+            lo, hi = windows[0]
+            assert windows == [(lo - k, hi) for k in (0, 2, 4, 20)]
             if name == "4_1x4_1_tau":
-                assert found[0][1][0] == -2
+                assert found[0][1] == -2
 
     def test_witness_defining_equations(self, fig8):
         x = tensor(fig8, fig8)

@@ -1,8 +1,8 @@
 """delta and homology_u against the two-pass, unshared pipeline kept in
 ``tests/oracle.py``, which re-checks every answer over a window two
 gradings wider; the library answers each question in one pass over its
-proven window.  Also the slices each delta computes, the cylinder's
-first block and its D^2 = 0 check."""
+proven window.  Also the sweeps and slices each delta computes, the
+cylinder's first block and its D^2 = 0 check."""
 
 import dataclasses
 import random
@@ -65,20 +65,25 @@ def test_homology_u_matches_the_reference(label, x):
     assert _outcome(homology_u, uc) == _outcome(reference_homology_u, uc)
 
 
-def test_delta_builds_one_witness(monkeypatch):
-    # delta sweeps the cylinder for its witness once, and never reads
-    # the tower cycle of the diagonal
+@pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "T2_7"])
+def test_delta_builds_one_witness(monkeypatch, name):
+    # delta sweeps the cylinder once per grading it searches, from the
+    # diagonal's top grading down to its answer, and never reads the
+    # tower cycle of the diagonal
     calls = []
-    real = DiagonalHomology._lex_witness
+    real = invariants._lex_witness
 
-    def counting(self, *args):
-        calls.append(self.uc.name)
-        return real(self, *args)
+    def counting(uc, d, functional):
+        calls.append((uc.name, d))
+        return real(uc, d, functional)
 
-    monkeypatch.setattr(DiagonalHomology, "_lex_witness", counting)
-    x = scramble(bundled("4_1x4_1_tau"), random.Random(5))
-    delta(x, validated=True)
-    assert calls == [f"Cyl(A0({x.complex.name}))"]
+    monkeypatch.setattr(invariants, "_lex_witness", counting)
+    x = scramble(bundled(name), random.Random(5))
+    res = delta(x, validated=True)
+    top = max(x.diagonal.uc.gradings)
+    assert top - res.max_grading + 1 == len(calls) > 1
+    assert calls == [(f"Cyl(A0({x.complex.name}))", d)
+                     for d in range(top, res.max_grading - 1, -1)]
 
 
 def test_delta_zero_iff_local_builds_the_tower_once(monkeypatch):
@@ -101,25 +106,21 @@ def test_delta_zero_iff_local_builds_the_tower_once(monkeypatch):
 # -- the slices of one delta --------------------------------------------------
 
 def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
+    # every span delta builds is a cycle basis of the diagonal, one per
+    # grading; the cylinder gets sweeps only
     spans = []
-    homs = []
     real_span = invariants.ColumnSpan
-    real_grading = invariants._delta_grading
 
     def counting_span(cols):
-        spans.append(len(cols))
+        spans.append(max(cols, default=-1))
         return real_span(cols)
 
-    def recording(name, cyl, a0_hom, cyl_hom):
-        homs.append((a0_hom, cyl_hom))
-        return real_grading(name, cyl, a0_hom, cyl_hom)
-
     monkeypatch.setattr(invariants, "ColumnSpan", counting_span)
-    monkeypatch.setattr(invariants, "_delta_grading", recording)
     x = scramble(bundled("4_1x4_1_tau"), random.Random(3))
     delta(x, validated=True)  # validation computes spans of its own
-    (a, c), = homs
-    assert len(spans) == len(a._cycles) + len(c._cycles)
+    n = x.complex.n
+    assert spans and max(spans) < n
+    assert len(spans) == len(x.diagonal._cycles)
 
 
 # -- the cylinder's first block -----------------------------------------------
@@ -130,19 +131,17 @@ def test_first_block_slice_is_the_diagonal_slice(name):
     x = scramble(bundled(name), random.Random(name))
     uc = a0(x)
     cyl = build_cyl(uc)
-    hom_a = DiagonalHomology(uc)
-    hom_t = DiagonalHomology(cyl.total, expect_tower=False)
     rng = random.Random(1)
     first = (1 << uc.n) - 1
-    for d in range(hom_a.gmax + 2, hom_t.gmin - 4, -1):
-        diag = hom_a.uc.levels.above(d)
-        total = hom_t.uc.levels.above(d)
+    for d in range(max(uc.gradings) + 2, min(cyl.gradings) - 4, -1):
+        diag = uc.levels.above(d)
+        total = cyl.levels.above(d)
         assert total & first == diag
         # the first-block mask agrees with restricting generator by
         # generator
-        vec = rng.getrandbits(cyl.total.n) & total
+        vec = rng.getrandbits(cyl.n) & total
         by_gen = sum(1 << g for g in ones(vec) if g < uc.n)
-        assert vec & ((1 << cyl.n_block) - 1) == by_gen == vec & diag
+        assert vec & first == by_gen == vec & diag
 
 
 # -- the cylinder's D^2 = 0 check ---------------------------------------------
@@ -167,7 +166,7 @@ def test_cylinder_of_a_non_chain_map_is_rejected(exponent):
 def test_cylinder_of_chain_maps_is_accepted():
     uc = _not_a_chain_map(1)
     fixed = dataclasses.replace(uc, phi_cols=uc.iota_cols)
-    assert build_cyl(fixed).total.n == 6
+    assert build_cyl(fixed).n == 6
 
 
 _BROKEN_CYLINDER = """
