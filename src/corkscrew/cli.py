@@ -328,6 +328,9 @@ def cmd_verdict(args, report: Report) -> int:
 
 
 def cmd_census(args, report: Report) -> int:
+    if args.max_crossings is not None and args.max_crossings < 0:
+        raise UsageError(f"--max-crossings must be non-negative, got "
+                         f"{args.max_crossings}")
     if args.table == "bundled":
         table = bundled_table()
     else:

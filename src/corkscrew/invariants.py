@@ -15,6 +15,17 @@ qualifies and reaches the window's lower end only to raise, so each
 question takes one pass.  delta computes no cylinder homology: one
 reverse sweep per slice both decides its grading and gives its witness.
 
+Each distinct slice is eliminated once.  Every grading below a parity's
+lowest generator has the same generator set, so the elimination is
+cached by that set, not by the grading; it keeps the cycle basis and the
+echelon rows of the image, and the homology at d is built on slice
+d+1's rows, which are the rows a fresh elimination of the same columns
+in the same order would give, so the representatives and the tower
+functional come out the same bit for bit.  A sweep or a scan at a
+grading whose slice the tower functional misses is skipped: the
+functional is linear, so it is 0 on every vector there, and the answer
+is known without an elimination.
+
 Nothing here stores a polynomial.  A slice is a set of generators, each
 carrying the power of U its grading forces: the bit mask
 ``UComplex.levels.above(d)``.  A slice element is therefore a plain
@@ -61,16 +72,18 @@ class _HSlice:
     """Homology of one grading slice with deterministic representatives;
     ``mask`` holds the slice's generators.
 
-    The boundaries and then the cycles go into one span, and a cycle that
-    raises its rank is the next representative.  Representative k's row
-    is stored with marker bit k above the slice's bits, so a cycle
-    reduces to its class's coordinates there, one bit per representative.
+    The echelon rows of the boundaries and then the cycles go into one
+    span, and a cycle that raises its rank is the next representative.
+    Representative k's row is stored with marker bit k above the slice's
+    bits, so a cycle reduces to its class's coordinates there, one bit
+    per representative.
     """
 
-    def __init__(self, mask: int, cycle_basis: list, boundary_span: list):
+    def __init__(self, mask: int, cycle_basis: list, boundary_rows: list):
         self._shift = shift = mask.bit_length()
         low = (1 << shift) - 1
-        span = Echelon(boundary_span)
+        # the rows are already in echelon form, so each goes in unchanged
+        span = Echelon(boundary_rows)
         self.reps = []
         for z in cycle_basis:
             r = span.reduce(z) & low
@@ -173,7 +186,19 @@ class UComplex:
 
 class DiagonalHomology:
     """Slicewise homology of a :class:`UComplex` over its window
-    (:attr:`UComplex.window`), with its one free tower located."""
+    (:attr:`UComplex.window`), with its one free tower located.
+
+    Slices are eliminated once per generator set
+    (``uc.levels.above(d)``), which every grading below a parity's lowest
+    generator shares: :meth:`_slice` keeps the cycle basis and the image's
+    echelon rows with their coordinate bits masked off.  Those rows are
+    the ones an :class:`Echelon` over the same columns in the same order
+    would store, so building the homology at d on slice d+1's rows gives
+    the same representatives and the same tower mask, bit for bit, as
+    eliminating the boundaries afresh.  The tower scan skips, with no
+    elimination, every grading whose slice the tower functional misses:
+    no cycle there can be nontorsion.
+    """
 
     def __init__(self, uc: UComplex):
         self.uc = uc
@@ -181,8 +206,9 @@ class DiagonalHomology:
         self.gmin = min(uc.gradings)
         self.lo, self.hi = uc.window
         self.ntor = (self.gmin - self.lo) // 2
-        # grading -> cycle basis, homology; stable grading -> tower mask
-        self._cycles, self._H, self._towers = {}, {}, {}
+        # slice set -> (cycle basis, image rows); grading -> homology;
+        # stable grading -> tower mask
+        self._slices, self._H, self._towers = {}, {}, {}
         self.tower_top = self._locate_tower()
 
     def _columns(self, d: int) -> dict:
@@ -192,16 +218,24 @@ class DiagonalHomology:
         cols = self.uc.cols
         return {g: cols[g] for g in ones(self.uc.levels.above(d))}
 
+    def _slice(self, d: int) -> tuple:
+        """The slice map at d eliminated once per generator set: its cycle
+        basis and the echelon rows of its image."""
+        mask = self.uc.levels.above(d)
+        if mask not in self._slices:
+            span = ColumnSpan(self._columns(d))
+            low = (1 << span.shift) - 1
+            self._slices[mask] = (span.kernel,
+                                  [v & low for _, v in span.span.rows])
+        return self._slices[mask]
+
     def cycle_basis(self, d: int) -> list:
-        if d not in self._cycles:
-            self._cycles[d] = ColumnSpan(self._columns(d)).kernel
-        return self._cycles[d]
+        return self._slice(d)[0]
 
     def homology(self, d: int) -> _HSlice:
         if d not in self._H:
             self._H[d] = _HSlice(self.uc.levels.above(d),
-                                 self.cycle_basis(d),
-                                 self._columns(d + 1).values())
+                                 self.cycle_basis(d), self._slice(d + 1)[1])
         return self._H[d]
 
     def tower_generators(self, d: int) -> int:
@@ -248,8 +282,10 @@ class DiagonalHomology:
             raise ValidationError(
                 f"{self.uc.name}: inverted homology has rank {r0 + r1}, "
                 f"expected a single free tower")
+        # a slice the tower functional misses has no nontorsion cycle
         for d in range(self.hi, self.lo - 1, -1):
-            if any(self.nontorsion_bit(z, d) for z in self.cycle_basis(d)):
+            if self.tower_mask(d) and any(self.nontorsion_bit(z, d)
+                                          for z in self.cycle_basis(d)):
                 return d
         raise ValidationError(
             f"{self.uc.name}: no nontorsion class found in the window")
@@ -282,7 +318,12 @@ def _lex_witness(uc: UComplex, d: int, functional: int) -> Optional[int]:
     j <= k.  If some j < k, the sum is 1 below k, where c_k is 0;
     otherwise it is c_k plus c_j above k, and is 1 at the lowest such j,
     where c_k is 0.  So c_k is the least.
+
+    A functional that misses the slice is 0 on every cycle there, so the
+    answer is None without a sweep.
     """
+    if not functional & uc.levels.above(d):
+        return None
     cols, shift = uc.cols, uc.n
     low = (1 << shift) - 1
     span = Echelon()

@@ -342,14 +342,16 @@ class ReferenceSlice:
         return sum(self.rep_coefficient(v, i) << i for i in range(self.rank))
 
 
-def diag_slice(x: PhiIotaComplex, d: int, cap: int):
-    """All (mono, gen) with bigrading (d, d), exponents scanned to cap."""
+def diag_slice(x: PhiIotaComplex, d: int):
+    """All (mono, gen) with bigrading (d, d), in generator order: a
+    generator at (g_u, g_v) lands there only as U^a V^b with
+    (a, b) = ((g_u - d)/2, (g_v - d)/2), when both are non-negative
+    integers."""
     out = []
-    for g, gr in enumerate(x.complex.gradings):
-        for a in range(cap + 1):
-            for b in range(cap + 1):
-                if gr_add(gr, mono_deg((a, b))) == (d, d):
-                    out.append(((a, b), g))
+    for g, (gu, gv) in enumerate(x.complex.gradings):
+        a, b = gu - d, gv - d
+        if a >= 0 and b >= 0 and a % 2 == 0 and b % 2 == 0:
+            out.append(((a // 2, b // 2), g))
     return out
 
 
@@ -384,8 +386,7 @@ class _BruteDiag:
         coords = [c for gr in x.complex.gradings for c in gr]
         self.gmax = max(min(gr) for gr in x.complex.gradings)
         self.lowest = min(coords) - 2 * margin
-        cap = (max(coords) - self.lowest) // 2 + 2
-        self.slices = {d: diag_slice(x, d, cap)
+        self.slices = {d: diag_slice(x, d)
                        for d in range(self.lowest - 2, self.gmax + 3)}
         self.d_map = x.complex.boundary()
 

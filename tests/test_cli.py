@@ -432,6 +432,9 @@ def test_round_trip_canonical_form(fig8_file, capsys):
      "unrecognized arguments: --seed --colour"),
     (["--seed=1", "conn", "bundled:4_1"], "unrecognized arguments: --seed=1"),
     (["verdict", "gompf", "-m", "abc"], "invalid int value: 'abc'"),
+    # a negative crossing bound is refused, not read as "no knot"
+    (["census", "--max-crossings", "-1"],
+     "--max-crossings must be non-negative, got -1"),
     (["frobnicate", "bundled:4_1"], "invalid choice: 'frobnicate'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_arguments_are_one_line_errors(capsys, args, message, fmt):

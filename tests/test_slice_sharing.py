@@ -1,8 +1,10 @@
 """delta and homology_u against the two-pass, unshared pipeline kept in
 ``tests/oracle.py``, which re-checks every answer over a window two
 gradings wider; the library answers each question in one pass over its
-proven window.  Also the sweeps and slices each delta computes, the
-cylinder's first block and its D^2 = 0 check."""
+proven window.  delta also against the dense oracle at 125 generators.
+Also the sweeps and slices each delta and homology computes (one
+elimination per distinct slice set, none where the tower functional
+misses the slice), the cylinder's first block and its D^2 = 0 check."""
 
 import dataclasses
 import random
@@ -14,7 +16,7 @@ import pytest
 
 from conftest import scramble
 from corkscrew import invariants
-from corkscrew.algebra import ones
+from corkscrew.algebra import Echelon, ones
 from corkscrew.complexes import dual, tensor
 from corkscrew.errors import ValidationError
 from corkscrew.invariants import (
@@ -26,7 +28,7 @@ from corkscrew.invariants import (
     homology_u,
 )
 from corkscrew.models import BUNDLED, bundled, figure_eight_with_actions
-from oracle import reference_delta, reference_homology_u
+from oracle import brute_delta, reference_delta, reference_homology_u
 
 
 def _outcome(fn, *args, **kwargs):
@@ -63,6 +65,20 @@ def test_delta_matches_the_reference(label, x):
 def test_homology_u_matches_the_reference(label, x):
     uc = a0(x)
     assert _outcome(homology_u, uc) == _outcome(reference_homology_u, uc)
+
+
+def _tensor_125():
+    return tensor(bundled("4_1x4_1_tau"), figure_eight_with_actions())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "dual"])
+def test_delta_matches_the_dense_oracle_at_125_generators(seed):
+    # the dense oracle builds every slice from the two-variable complex
+    # and shares no elimination, window or tower code with delta
+    x = _tensor_125()
+    y = dual(x) if seed == "dual" else scramble(x, random.Random(seed))
+    assert y.complex.n == 125
+    assert brute_delta(y) == delta(y).delta
 
 
 @pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "T2_7"])
@@ -105,22 +121,112 @@ def test_delta_zero_iff_local_builds_the_tower_once(monkeypatch):
 
 # -- the slices of one delta --------------------------------------------------
 
-def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
-    # every span delta builds is a cycle basis of the diagonal, one per
-    # grading; the cylinder gets sweeps only
+def _record_spans(monkeypatch) -> list:
+    """Patch ``invariants.ColumnSpan`` to record the generator set of
+    every span it builds, as a bit mask."""
     spans = []
     real_span = invariants.ColumnSpan
 
-    def counting_span(cols):
-        spans.append(max(cols, default=-1))
+    def recording(cols):
+        spans.append(sum(1 << g for g in cols))
         return real_span(cols)
 
-    monkeypatch.setattr(invariants, "ColumnSpan", counting_span)
+    monkeypatch.setattr(invariants, "ColumnSpan", recording)
+    return spans
+
+
+def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
+    # every span delta builds is a cycle basis of the diagonal, one per
+    # distinct generator set; the cylinder gets sweeps only
+    spans = _record_spans(monkeypatch)
     x = scramble(bundled("4_1x4_1_tau"), random.Random(3))
     delta(x, validated=True)  # validation computes spans of its own
-    n = x.complex.n
-    assert spans and max(spans) < n
-    assert len(spans) == len(x.diagonal._cycles)
+    assert spans and max(spans) < 1 << x.complex.n
+    assert len(spans) == len(set(spans)) == len(x.diagonal._slices)
+
+
+@pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "T2_7",
+                                  "stair_box_5"])
+def test_one_elimination_per_slice_set(monkeypatch, name):
+    """The two stable gradings take two eliminations, one per parity's
+    whole generator set; the tower scan adds one for each grading above
+    whose slice the tower functional reaches, and no grading below the
+    lowest generator adds any."""
+    uc = a0(scramble(bundled(name), random.Random(name)))
+    spans = _record_spans(monkeypatch)
+    hom = DiagonalHomology(uc)
+    stable = {uc.levels.above(hom.gmin), uc.levels.above(hom.gmin - 1)}
+    assert set(spans[:2]) == stable and len(stable) == 2
+    reached = {uc.levels.above(d)
+               for d in range(hom.hi, hom.tower_top - 1, -1)
+               if hom.tower_mask(d)}
+    assert set(spans) == stable | reached
+    assert len(spans) == len(set(spans))
+    for d in range(hom.gmin + 1, hom.lo - 1, -1):
+        hom.homology(d)
+    assert len(spans) == len(set(spans)) == len(hom._slices)
+
+
+@pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "stair_box_5"])
+def test_homology_u_eliminates_no_boundary_columns(monkeypatch, name):
+    """homology_u reads the boundary columns only for the slice spans,
+    once per set, and builds each slice's homology on the next slice's
+    stored rows, which go into its echelon unchanged."""
+    uc = a0(scramble(bundled(name), random.Random(name)))
+    spans = _record_spans(monkeypatch)
+    fetched, homs = [], []
+    real_columns = DiagonalHomology._columns
+    real_init = DiagonalHomology.__init__
+
+    def fetching(self, d):
+        fetched.append(d)
+        return real_columns(self, d)
+
+    def keeping(self, uc):
+        homs.append(self)
+        real_init(self, uc)
+
+    monkeypatch.setattr(DiagonalHomology, "_columns", fetching)
+    monkeypatch.setattr(DiagonalHomology, "__init__", keeping)
+    homology_u(uc)
+    (hom,) = homs
+    assert len(fetched) == len(spans) == len(set(spans)) == len(hom._slices)
+    for d, h in hom._H.items():
+        rows = hom._slice(d + 1)[1]
+        assert [v for _, v in h._span.rows[:len(rows)]] == rows
+
+
+@pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "T2_7"])
+def test_no_sweep_where_the_functional_misses_the_slice(monkeypatch, name):
+    """delta's sweep at a grading whose slice the tower functional misses
+    returns None without building an echelon; there is one such grading
+    at least, the tower sitting in one parity."""
+    built = []
+
+    class Counting(Echelon):
+        def __init__(self, vectors=()):
+            built.append(1)
+            super().__init__(vectors)
+
+    real = invariants._lex_witness
+    sweeps = []
+
+    def counting(uc, d, functional):
+        before = len(built)
+        out = real(uc, d, functional)
+        sweeps.append((bool(functional & uc.levels.above(d)),
+                       len(built) - before, out))
+        return out
+
+    x = scramble(bundled(name), random.Random(5))
+    x.diagonal  # the diagonal's own eliminations are not counted
+    monkeypatch.setattr(invariants, "Echelon", Counting)
+    monkeypatch.setattr(invariants, "_lex_witness", counting)
+    delta(x, validated=True)
+    assert any(not reached for reached, _, _ in sweeps)
+    for reached, echelons, out in sweeps:
+        assert echelons == int(reached)
+        assert reached or out is None
 
 
 # -- the cylinder's first block -----------------------------------------------
