@@ -19,12 +19,15 @@ other modules.  A stored row is a bit vector and nothing else.  Where a
 caller needs coordinates, it stores each row with marker bits above the
 vectors' own bits; a row changes no bit below its pivot, so reducing a
 vector leaves, above those bits, the XOR of the markers of the rows it
-used.  A linear system ``A x = b`` is solved in one sweep over
-A's columns (:meth:`ColumnSpan.solve`): the sweep leaves the reduced
-echelon form's pivot columns, its null-space basis and, for b outside
-the span, a row functional that refutes it, with no row echelon and no
-back-substitution.  :func:`solve_f2_rows` keeps the row-wise route for
-systems given by rows.
+used.  Keyed columns go in through one column sweep
+(:meth:`Echelon.sweep`), which yields each dependent column's relation;
+a functional zero on the stored rows comes from one dual walk
+(:meth:`Echelon.annihilator`).  A linear system ``A x = b`` is solved
+in one sweep over A's columns (:meth:`ColumnSpan.solve`): the sweep
+leaves the reduced echelon form's pivot columns, its null-space basis
+and, for b outside the span, a row functional that refutes it, with no
+row echelon and no back-substitution.  :func:`solve_f2_rows` keeps the
+row-wise route for systems given by rows.
 """
 
 from __future__ import annotations
@@ -201,6 +204,29 @@ class Echelon:
             self.rows.append((pivot, v))
         return v
 
+    def sweep(self, cols, keys: Iterable[int], shift: int):
+        """Insert ``cols[key] | 1 << (shift + key)`` for each key in turn;
+        yield ``(key, z)`` for each column that depends on earlier ones,
+        z the relation it reduces to above ``shift`` (bit ``key`` set).
+        Such a column is not stored; stopping early leaves out the rest."""
+        low = (1 << shift) - 1
+        for key in keys:
+            v = self.reduce(cols[key] | 1 << (shift + key))
+            if v & low:
+                self.insert(v)
+            else:
+                yield key, v >> shift
+
+    def annihilator(self, y: int) -> int:
+        """y plus pivot bits, zero on every stored row: by decreasing
+        pivot, a row's pivot bit goes in when y is 1 on the row.  A row
+        has no bit below its pivot, so no later step changes y on it."""
+        at = self._at
+        for pivot in sorted(at, reverse=True):
+            if parity(at[pivot] & y):
+                y ^= 1 << pivot
+        return y
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -210,13 +236,11 @@ class ColumnSpan:
     """The span of keyed columns ``{key: c_key}`` with coordinates over
     the keys (non-negative integers).
 
-    Column ``key`` goes into an :class:`Echelon` as
-    ``c_key | 1 << (shift + key)``: the bits from ``shift`` up record
-    which columns a stored row is a sum of, so a vector that reduces to
-    zero below ``shift`` reduces to its coordinates above it, bit ``key``
-    for column ``key``.  Columns go in in increasing key order.  A column
-    that depends on earlier ones is not stored; its coordinates plus
-    itself make a kernel vector.  Columns that are stored are the pivot
+    The columns are swept (:meth:`Echelon.sweep`) in increasing key
+    order, with coordinate bits from ``shift`` up, so a vector that
+    reduces to zero below ``shift`` reduces to its coordinates above it,
+    bit ``key`` for column ``key``.  Each column that depends on earlier
+    ones gives a kernel vector.  Columns that are stored are the pivot
     columns of the reduced echelon form, and coordinates use only those,
     so both match that form.  ``height`` is a number of rows the
     coordinate bits must start above, for vectors with more rows than the
@@ -226,14 +250,8 @@ class ColumnSpan:
     def __init__(self, cols: dict, height: int = 0):
         self.shift = max(height, max(cols.values(), default=0).bit_length())
         self.span = Echelon()
-        self.kernel: list = []  # one vector per dependent column, in order
-        low = (1 << self.shift) - 1
-        for key in sorted(cols):
-            v = self.span.reduce(cols[key] | (1 << (self.shift + key)))
-            if v & low:
-                self.span.insert(v)
-            else:
-                self.kernel.append(v >> self.shift)
+        self.kernel = [z for _, z in  # one per dependent column, in order
+                       self.span.sweep(cols, sorted(cols), self.shift)]
 
     def coordinates(self, v: int) -> Optional[int]:
         """Bitmask over the keys of the columns summing to v; None outside
@@ -252,23 +270,17 @@ class ColumnSpan:
         an :class:`F2Inconsistency` whose combo y is zero on every column
         and 1 on v.
 
-        v's reduction r is zero at every pivot.  y starts at r's lowest
-        bit; the stored columns are walked by decreasing pivot, and a
-        column's pivot bit is added to y when y is 1 on it.  A stored
-        column is zero below its pivot, so a lower pivot bit never
-        changes y on a column already walked, and no pivot bit changes y
-        on r, where y is 1.  Every column is a sum of stored ones, and
-        v + r is one, so y is 0 on every column and 1 on v.
+        v's reduction r is zero at every pivot.  y is the annihilator of
+        the stored columns (:meth:`Echelon.annihilator`) that starts at
+        r's lowest bit; no pivot bit changes y on r, where y is 1.  Every
+        column is a sum of stored ones, and v + r is one, so y is 0 on
+        every column and 1 on v.
         """
         low = (1 << self.shift) - 1
         r = self.span.reduce(v)
         if not r & low:
             return F2Solution(particular=r >> self.shift, kernel=self.kernel)
-        y = r & -r
-        for pivot, vec in sorted(self.span.rows, reverse=True):
-            if parity(vec & y):
-                y ^= 1 << pivot
-        return F2Inconsistency(combo=y)
+        return F2Inconsistency(combo=self.span.annihilator(r & -r))
 
 
 def inverse_cols(cols: Sequence[int]) -> Optional[list]:

@@ -9,22 +9,25 @@ variables fixes their product.
 All homology here is computed per grading inside a truncation window
 (``UComplex.window``) whose margin dominates every possible torsion
 order; below the minimum generator grading multiplication by U identifies
-consecutive slices, so answers in the window are exact.  A top-down
-search (the tower top, delta's grading) stops at the first grading that
-qualifies and reaches the window's lower end only to raise, so each
-question takes one pass.  delta computes no cylinder homology: one
-reverse sweep per slice both decides its grading and gives its witness.
+consecutive slices, so answers in the window are exact.
 
-Each distinct slice is eliminated once.  Every grading below a parity's
-lowest generator has the same generator set, so the elimination is
-cached by that set, not by the grading; it keeps the cycle basis and the
-echelon rows of the image, and the homology at d is built on slice
-d+1's rows, which are the rows a fresh elimination of the same columns
-in the same order would give, so the representatives and the tower
-functional come out the same bit for bit.  A sweep or a scan at a
-grading whose slice the tower functional misses is skipped: the
-functional is linear, so it is 0 on every vector there, and the answer
-is known without an elimination.
+The tower's top and delta's grading are one question, asked of the
+diagonal and of the cylinder: the highest grading with a cycle of tower
+functional 1.  One top-down search (:func:`_first_witness`) answers
+both, with one reverse lexmin sweep per grading that stops at the first
+such cycle, the witness; it reaches the window's lower end only to
+raise.  A grading whose slice the functional misses is skipped without
+a sweep: the functional is 0 on every vector there.
+
+Homology is eliminated once per distinct slice.  Every grading below a
+parity's lowest generator has the same generator set, so the
+elimination is cached by that set; it keeps the cycle basis and the
+echelon rows of the image.  The homology at d is built on slice d+1's
+rows, which are the rows a fresh elimination of the same columns in the
+same order would give, so the representatives and the tower functional
+come out the same bit for bit; it is cached by the pair of sets at d and
+d+1.  The search eliminates nothing, so delta keeps only the two stable
+slices the tower functional is read from.
 
 Nothing here stores a polynomial.  A slice is a set of generators, each
 carrying the power of U its grading forces: the bit mask
@@ -41,7 +44,6 @@ their AND.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from .algebra import (
@@ -49,7 +51,6 @@ from .algebra import (
     Echelon,
     Grading,
     Levels,
-    Mono,
     alexander,
     mat_vec,
     ones,
@@ -112,19 +113,16 @@ class _HSlice:
         ``parity(v & m)``.
 
         m lives on the pivots of the span's rows; it is 1 on
-        representative idx's row and 0 on every other row.  A row has no
-        bit below its pivot, so walking the rows by decreasing pivot, each
-        sets its pivot bit of m from the bits already set above it.  m is
-        also 0 on every unit vector reduced against the rows, which has
-        no bit at their pivots, so it is the functional that completing
-        the rows by the slice's unit vectors would give (coordinates of
-        cycles are unique either way).
+        representative idx's row and 0 on every other row.  Only that
+        row carries marker bit idx, so m is the annihilator of the rows
+        that starts at the marker (:meth:`Echelon.annihilator`), less the
+        marker.  m is also 0 on every unit vector reduced against the
+        rows, which has no bit at their pivots, so it is the functional
+        that completing the rows by the slice's unit vectors would give
+        (coordinates of cycles are unique either way).
         """
-        bit, m = self._shift + idx, 0
-        for pivot, row in sorted(self._span.rows, reverse=True):
-            if (row >> bit & 1) ^ parity(m & row):
-                m |= 1 << pivot
-        return m
+        marker = 1 << (self._shift + idx)
+        return self._span.annihilator(marker) ^ marker
 
 
 # -- diagonal complexes ----------------------------------------------------------
@@ -188,16 +186,12 @@ class DiagonalHomology:
     """Slicewise homology of a :class:`UComplex` over its window
     (:attr:`UComplex.window`), with its one free tower located.
 
-    Slices are eliminated once per generator set
-    (``uc.levels.above(d)``), which every grading below a parity's lowest
-    generator shares: :meth:`_slice` keeps the cycle basis and the image's
-    echelon rows with their coordinate bits masked off.  Those rows are
-    the ones an :class:`Echelon` over the same columns in the same order
-    would store, so building the homology at d on slice d+1's rows gives
-    the same representatives and the same tower mask, bit for bit, as
-    eliminating the boundaries afresh.  The tower scan skips, with no
-    elimination, every grading whose slice the tower functional misses:
-    no cycle there can be nontorsion.
+    Slices are eliminated once per generator set (:meth:`_slice` keeps
+    the cycle basis and the image's echelon rows, coordinate bits masked
+    off), and homology is built once per pair of sets at d and d+1, on
+    slice d+1's rows (see the module docstring).  Construction
+    eliminates the two stable gradings only; the tower's top and its
+    lexmin cycle come from one top-down search (:func:`_first_witness`).
     """
 
     def __init__(self, uc: UComplex):
@@ -206,10 +200,21 @@ class DiagonalHomology:
         self.gmin = min(uc.gradings)
         self.lo, self.hi = uc.window
         self.ntor = (self.gmin - self.lo) // 2
-        # slice set -> (cycle basis, image rows); grading -> homology;
-        # stable grading -> tower mask
+        # slice set -> (cycle basis, image rows); (set at d, set at
+        # d + 1) -> homology; stable grading -> tower mask
         self._slices, self._H, self._towers = {}, {}, {}
-        self.tower_top = self._locate_tower()
+        r0 = self.homology(self.gmin - 1).rank
+        r1 = self.homology(self.gmin - 2).rank
+        if r0 + r1 != 1:
+            raise ValidationError(
+                f"{uc.name}: inverted homology has rank {r0 + r1}, "
+                f"expected a single free tower")
+        found = _first_witness(uc, self.tower_generators, self.hi, self.lo)
+        if found is None:
+            raise ValidationError(
+                f"{uc.name}: no nontorsion class found in the window")
+        # the top grading and its lexicographically first nontorsion cycle
+        self.tower_top, self.tower_rep = found
 
     def _columns(self, d: int) -> dict:
         """The slice map into grading d-1: the differential's columns at
@@ -233,16 +238,18 @@ class DiagonalHomology:
         return self._slice(d)[0]
 
     def homology(self, d: int) -> _HSlice:
-        if d not in self._H:
-            self._H[d] = _HSlice(self.uc.levels.above(d),
-                                 self.cycle_basis(d), self._slice(d + 1)[1])
-        return self._H[d]
+        above = self.uc.levels.above
+        key = (above(d), above(d + 1))
+        if key not in self._H:
+            self._H[key] = _HSlice(key[0], self.cycle_basis(d),
+                                   self._slice(d + 1)[1])
+        return self._H[key]
 
     def tower_generators(self, d: int) -> int:
         """The tower functional at the stable grading of d's parity
         (G_min - 1 or G_min - 2), as a mask over generators.
 
-        The homology there has rank at most one (``_locate_tower`` checks
+        The homology there has rank at most one (the constructor checks
         the two stable gradings together); the functional is the
         coefficient of its one representative
         (:meth:`_HSlice.rep_functional`).
@@ -258,15 +265,6 @@ class DiagonalHomology:
             self._towers[target] = h.rep_functional(0) if h.rank else 0
         return self._towers[target]
 
-    def nontorsion_bit(self, vec: int, d: int) -> int:
-        """1 when the (cycle) vector's class survives all U powers.
-
-        U includes each slice in the next, so the stable mask decides it
-        as it stands.  Linear in ``vec``; on non-cycles the value is a
-        fixed linear extension, which callers pair with a chain-map
-        constraint."""
-        return parity(vec & self.tower_generators(d))
-
     def tower_mask(self, d: int) -> int:
         """The tower functional at grading d as a mask over the slice's
         generators.  For a diagonal subcomplex ``a0(x)`` an element of x
@@ -275,40 +273,15 @@ class DiagonalHomology:
         exactly when ``parity(bits & mask)`` is 1."""
         return self.tower_generators(d) & self.uc.levels.above(d)
 
-    def _locate_tower(self):
-        r0 = self.homology(self.gmin - 1).rank
-        r1 = self.homology(self.gmin - 2).rank
-        if r0 + r1 != 1:
-            raise ValidationError(
-                f"{self.uc.name}: inverted homology has rank {r0 + r1}, "
-                f"expected a single free tower")
-        # a slice the tower functional misses has no nontorsion cycle
-        for d in range(self.hi, self.lo - 1, -1):
-            if self.tower_mask(d) and any(self.nontorsion_bit(z, d)
-                                          for z in self.cycle_basis(d)):
-                return d
-        raise ValidationError(
-            f"{self.uc.name}: no nontorsion class found in the window")
-
-    @cached_property
-    def tower_rep(self) -> int:
-        """The lexicographically first nontorsion cycle at the tower top,
-        found on first use (delta never reads it)."""
-        d = self.tower_top
-        rep = _lex_witness(self.uc, d, self.tower_generators(d))
-        if rep is None:
-            raise ConsistencyError(
-                f"{self.uc.name}: no cycle at grading {d} has functional 1")
-        return rep
-
 
 def _lex_witness(uc: UComplex, d: int, functional: int) -> Optional[int]:
     """The lexicographically first cycle z of ``uc`` at grading d
     (generator 0 first, 0 < 1) with ``parity(z & functional)`` = 1, or
     None when no cycle there has functional 1.
 
-    The slice's columns are swept from the highest generator down, as
-    :class:`ColumnSpan` sweeps them up.  A dependent column k gives the
+    The slice's columns are swept (:meth:`Echelon.sweep`) from the
+    highest generator down, as :class:`ColumnSpan` sweeps them up, up to
+    the first cycle with functional 1.  A dependent column k gives the
     cycle c_k, e_k plus independent generators above k, so c_k is 0 at
     every other dependent generator; the c_k are a basis.  The functional
     is linear, so some cycle has functional 1 exactly when some c_k does,
@@ -324,47 +297,50 @@ def _lex_witness(uc: UComplex, d: int, functional: int) -> Optional[int]:
     """
     if not functional & uc.levels.above(d):
         return None
-    cols, shift = uc.cols, uc.n
-    low = (1 << shift) - 1
-    span = Echelon()
-    for g in sorted(ones(uc.levels.above(d)), reverse=True):
-        v = span.reduce(cols[g] | 1 << (shift + g))
-        if v & low:
-            span.insert(v)
-        elif parity((v >> shift) & functional):
-            return v >> shift
+    gens = sorted(ones(uc.levels.above(d)), reverse=True)
+    return next((z for _, z in Echelon().sweep(uc.cols, gens, uc.n)
+                 if parity(z & functional)), None)
+
+
+def _first_witness(uc: UComplex, functional_at, hi: int,
+                   lo: int) -> Optional[tuple]:
+    """``(d, z)`` for the highest grading d from ``hi`` down to ``lo``
+    where some cycle has functional 1, with z the lexmin such cycle
+    (:func:`_lex_witness`), or None when no grading there has one.
+    ``functional_at(d)`` is the functional at grading d, as a mask over
+    generators.  This one search finds both the tower's top and delta's
+    grading, each with its witness."""
+    for d in range(hi, lo - 1, -1):
+        z = _lex_witness(uc, d, functional_at(d))
+        if z is not None:
+            return d, z
     return None
 
 
 # -- the diagonal subcomplex -----------------------------------------------------
-
-def _embed_mono(gr: Grading) -> Mono:
-    a = alexander(gr)
-    return (a, 0) if a >= 0 else (0, -a)
-
 
 def a0(x: PhiIotaComplex) -> UComplex:
     """Diagonal subcomplex as a free F2[U]-complex with restricted actions.
 
     One generator per parent generator g: multiply by U^A(g) when the
     Alexander grading A(g) is non-negative and by V^-A(g) otherwise, which
-    is the unique monomial bringing g onto the diagonal.  A homogeneous
-    map takes diagonal elements to diagonal elements, so every entry
-    restricts to a power of U: the restricted maps have the parent's bit
-    columns.
+    is the unique monomial bringing g onto the diagonal, at grading
+    min(gr_u, gr_v).  A homogeneous map takes diagonal elements to
+    diagonal elements, so every entry restricts to a power of U: the
+    restricted maps have the parent's bit columns.
+
+    A generator with odd gr_u - gr_v has no monomial onto the diagonal.
+    Parsing refuses one, but a complex built in code is not parsed, so
+    :func:`alexander` raises ``ValueError`` for it here rather than let
+    min(gr_u, gr_v) give it a grading.
     """
     cx = x.complex
-    monos = tuple(_embed_mono(g) for g in cx.gradings)
-    gradings = tuple(cx.gradings[i][0] - 2 * monos[i][0]
-                     for i in range(cx.n))
-    for i in range(cx.n):
-        if cx.gradings[i][1] - 2 * monos[i][1] != gradings[i]:
-            raise ConsistencyError(
-                f"{cx.generators[i]} does not embed on the diagonal")
+    for gr in cx.gradings:
+        alexander(gr)
     return UComplex(
         name=f"A0({cx.name})",
         labels=cx.generators,
-        gradings=gradings,
+        gradings=tuple(min(gr) for gr in cx.gradings),
         cols=cx.diff,
         phi_cols=x.phi.cols,
         iota_cols=x.iota.cols,
@@ -396,7 +372,8 @@ def homology_u(uc: UComplex) -> UHomology:
             continue
         # U^(k-1) H_d / U^k H_d counts the classes of order k, whatever
         # the representatives; the free part has rank 0 or 1
-        free = int(any(hom.nontorsion_bit(z, d) for z in h.reps))
+        free = int(any(parity(z & hom.tower_generators(d))
+                       for z in h.reps))
         rank, k = h.rank, 0
         while rank > free:
             k += 1
@@ -473,12 +450,12 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     """-1/2 of the top cylinder grading carrying a class whose projection
     to the diagonal subcomplex is U-nontorsion.
 
-    One reverse sweep (:func:`_lex_witness`) per grading, from the top
-    down, decides it.  The tower functional covers only the diagonal's
-    generators, the cylinder's first block, so on a cylinder cycle it is
-    the value of the projection.  The sweep returns a cycle exactly when
-    some cycle there has functional 1, so the first grading where it
-    returns one is delta's, and its cycle is the lexmin witness.
+    The top-down witness search (:func:`_first_witness`) that locates
+    the diagonal's tower decides it on the cylinder.  The tower
+    functional covers only the diagonal's generators, the cylinder's
+    first block, so on a cylinder cycle it is the value of the
+    projection.  The first grading with a cycle of functional 1 is
+    delta's, and the lexmin such cycle is the witness.
 
     The achieved grading must be even; an odd one raises rather than
     guessing a normalisation.
@@ -492,13 +469,12 @@ def delta(x: PhiIotaComplex, validated: bool = False) -> DeltaResult:
     uc = a0_hom.uc
     cyl = build_cyl(uc)
     name = x.complex.name
-    for d in range(a0_hom.gmax, cyl.window[0] - 1, -1):
-        bits = _lex_witness(cyl, d, a0_hom.tower_generators(d))
-        if bits is not None:
-            break
-    else:
+    found = _first_witness(cyl, a0_hom.tower_generators, a0_hom.gmax,
+                           cyl.window[0])
+    if found is None:
         raise ConsistencyError(
             f"{name}: no nontorsion projection found in the window")
+    d, bits = found
     if d % 2:
         raise GradingParityError(
             f"{name}: nontorsion cylinder class at odd grading {d}")
@@ -572,13 +548,9 @@ def quotient_tower_shape(cx: KnotComplex, killed: str) -> QuotientShape:
 
     p = next(p for p, dim in free.items() if dim)
     boundaries = spans.get(p + 1, Echelon())
-    # identity bits above the n column bits record each kernel vector
-    kernel, low = Echelon(), (1 << cx.n) - 1
-    for g in sorted(ones(plane[p]), key=lambda g: -cx.gradings[g][1 - k]):
-        v = kernel.reduce(cols[g] | 1 << (cx.n + g))
-        if v & low:
-            kernel.insert(v)
-        elif boundaries.reduce(v >> cx.n):
+    gens = sorted(ones(plane[p]), key=lambda g: -cx.gradings[g][1 - k])
+    for g, z in Echelon().sweep(cols, gens, cx.n):
+        if boundaries.reduce(z):
             return QuotientShape(tower_count=1, tower_top=cx.gradings[g])
     raise ConsistencyError(
         f"{cx.name}: quotient by {killed} has one free tower but no "

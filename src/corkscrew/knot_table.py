@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
@@ -87,13 +88,12 @@ def _parse_row(raw: dict) -> KnotTableRow:
     name = (raw.get("name") or "").strip()
     if not name:
         raise ParseError("blank knot name")
-    crossings = int(raw["crossings"])
-    alternating = int(raw["alternating"])
+    crossings, alternating, signature, determinant, arf = (
+        _integer(name, field, raw[field]) for field in REQUIRED_COLUMNS[1:])
+    if crossings < 0:
+        raise ParseError(f"{name}: crossings {crossings} is negative")
     if alternating not in (0, 1):
         raise ParseError(f"{name}: alternating must be 0 or 1")
-    signature = int(raw["signature"])
-    determinant = int(raw["determinant"])
-    arf = int(raw["arf"])
     if determinant <= 0 or determinant % 2 == 0:
         raise ParseError(
             f"{name}: determinant {determinant} is not odd positive "
@@ -102,7 +102,7 @@ def _parse_row(raw: dict) -> KnotTableRow:
         raise ParseError(f"{name}: Arf must be 0 or 1")
     tau_text = (raw.get("tau") or "").strip()
     if tau_text:
-        tau: Optional[int] = int(tau_text)
+        tau: Optional[int] = _integer(name, "tau", tau_text)
         derived = False
     elif alternating:
         if signature % 2:
@@ -116,6 +116,15 @@ def _parse_row(raw: dict) -> KnotTableRow:
                         alternating=bool(alternating), signature=signature,
                         determinant=determinant, arf=arf,
                         tau_invariant=tau, tau_derived=derived)
+
+
+def _integer(name: str, field: str, text: str) -> int:
+    """An optional sign and ASCII digits, spaces around them; ``int``
+    alone would also read "3_0" as 30, and non-ASCII digits."""
+    digits = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", digits):
+        raise ParseError(f"{name}: {field} {text!r} is not an integer")
+    return int(digits)
 
 
 def parse_knot_csv(path: str) -> TableReport:

@@ -273,6 +273,17 @@ class TestEchelonAgainstReference:
             assert got == (None if want is None else relabel(want))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, (1 << 24) - 1), max_size=16),
+       st.integers(0, (1 << 24) - 1))
+def test_annihilator_is_zero_on_every_row_and_y_off_the_pivots(vectors, y):
+    span = Echelon(vectors)
+    pivots = sum(1 << p for p, _ in span.rows)
+    got = span.annihilator(y)
+    assert all(_parity(row & got) == 0 for _, row in span.rows)
+    assert got & ~pivots == y & ~pivots
+
+
 # -- the pivot-mask echelon against the per-bit reduction it replaced ---------
 
 class _PerBitEchelon:

@@ -170,7 +170,8 @@ def test_witness_sweep_is_the_lexmin_over_the_cycle_basis(name, seed):
     a0_hom = x.diagonal
     uc = a0_hom.uc
     top = a0_hom.tower_top
-    lam = [a0_hom.nontorsion_bit(z, top) for z in a0_hom.cycle_basis(top)]
+    functional = a0_hom.tower_generators(top)
+    lam = [parity(z & functional) for z in a0_hom.cycle_basis(top)]
     assert a0_hom.tower_rep == reference_lex_witness(
         a0_hom.cycle_basis(top), lam)
     seen = 0

@@ -48,12 +48,30 @@ class TestA0:
         assert a0(tensor(fig8, fig8)).n == 25
 
     def test_embedding_monomials(self):
-        from corkscrew.invariants import _embed_mono
+        from corkscrew.algebra import slice_monomial
         cx = torus_model(3).complex
         uc = a0(torus_model(3))
         # y0 has Alexander grading 1, y2 has -1
-        assert tuple(map(_embed_mono, cx.gradings)) == ((1, 0), (0, 0), (0, 1))
+        assert tuple(slice_monomial(gr, (g, g)) for gr, g
+                     in zip(cx.gradings, uc.gradings)) \
+            == ((1, 0), (0, 0), (0, 1))
         assert uc.gradings == (-2, -1, -2)
+
+    def test_odd_alexander_difference_raises(self):
+        # a complex built in code is not parsed, so a0 refuses a
+        # generator with no monomial onto the diagonal itself
+        import pytest
+        from corkscrew.complexes import (
+            SKEW,
+            Endomorphism,
+            KnotComplex,
+            PhiIotaComplex,
+        )
+        cx = KnotComplex("odd", ("a", "b"), ((1, 0), (0, 1)), (0, 0))
+        iota = Endomorphism(cx, cx, (0b10, 0b01), SKEW, (0, 0))
+        x = PhiIotaComplex(cx, cx.identity(), iota, cx.identity())
+        with pytest.raises(ValueError, match="odd gr_u - gr_v"):
+            a0(x)
 
     def test_differential_restricts(self, fig8):
         uc = a0(fig8)

@@ -40,6 +40,23 @@ def test_alternating_flag_must_be_zero_or_one(flag):
     assert rep.rejected and rep.rejected[0][0] == 3
 
 
+def test_malformed_integers_are_rejected_naming_the_field():
+    # int() reads "3_0" as 30 and a full-width digit as 5; a negative
+    # crossing number is an integer but no knot's
+    rep = parse_knot_csv_text(HEADER + "3_1,3_0,1,-2,3,1,\n"
+                              "4_1,-4,1,0,5,1,\n"
+                              "5_1,\uff15,1,-4,5,1,\n"
+                              "5_2,5,1,-2,7,0, -1 \n"
+                              "6_1,6,1,0,9,0,1.0\n")
+    assert [(row.name, row.tau_invariant) for row in rep.rows] == [("5_2", -1)]
+    assert rep.rejected == [
+        (2, "3_1: crossings '3_0' is not an integer"),
+        (3, "4_1: crossings -4 is negative"),
+        (4, "5_1: crossings '\uff15' is not an integer"),
+        (6, "6_1: tau '1.0' is not an integer"),
+    ]
+
+
 def test_even_determinant_rejected_with_row_number():
     rep = parse_knot_csv_text(HEADER + "good,3,1,-2,3,1,\nbad,4,1,0,4,0,\n")
     assert len(rep.rows) == 1

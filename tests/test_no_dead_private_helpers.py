@@ -1,12 +1,15 @@
 """Every underscore-prefixed top-level function or class of a
-``src/corkscrew`` module is read somewhere in ``src/``, outside its own
-body: by name, or as an attribute of its module.  Read from the sources
-with ``ast``, so nothing is imported."""
+``src/corkscrew`` module, and every underscore-prefixed method of a
+class there, is read somewhere in ``src/``, outside its own body: by
+name, or as an attribute (of its module, an instance or a class).  Read
+from the sources with ``ast``, so nothing is imported."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corkscrew"
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _reads(node) -> list:
@@ -20,22 +23,28 @@ def _reads(node) -> list:
     return out
 
 
+def _private(node) -> bool:
+    return (isinstance(node, _DEFS) and node.name.startswith("_")
+            and not node.name.startswith("__"))
+
+
 def _unread_private(trees: dict) -> list:
-    """(module, name) of every private top-level function or class that
-    no module reads outside the definition itself."""
-    defs, reads = [], []
+    """(module, name) of every private top-level function or class, and
+    (module, "Class.method") of every private method, that no module
+    reads outside the definition itself."""
+    defs, reads = [], Counter()
     for module, tree in trees.items():
+        reads.update(_reads(tree))
         for node in tree.body:
-            own = (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef))
-                   and node.name.startswith("_")
-                   and not node.name.startswith("__"))
-            if own:
-                defs.append((module, node.name))
-            reads += [(node.name if own else None, name)
-                      for name in _reads(node)]
-    return [(module, name) for module, name in defs
-            if not any(r == name and owner != name for owner, r in reads)]
+            if _private(node):
+                defs.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(module, f"{node.name}.{sub.name}", sub)
+                         for sub in node.body
+                         if _private(sub) and not isinstance(sub,
+                                                             ast.ClassDef)]
+    return [(module, label) for module, label, node in defs
+            if reads[node.name] == _reads(node).count(node.name)]
 
 
 def test_package_modules_read_every_private_helper():
@@ -57,3 +66,19 @@ def test_the_check_sees_a_dead_private_helper():
     }
     assert _unread_private(trees) == [("a.py", "_recursive"),
                                       ("a.py", "_Dead")]
+
+
+def test_the_check_sees_a_dead_private_method():
+    trees = {
+        "a.py": ast.parse(
+            "class Hom:\n"
+            "    def __init__(self):\n        self.top = self._scan()\n"
+            "    def _scan(self):\n        return 0\n"
+            "    def _locate(self):\n        return self._locate()\n"
+            "    def _dead(self):\n        return self._scan()\n"
+            "    @property\n    def _read(self):\n        return 1\n"),
+        "b.py": ast.parse("from .a import Hom\n"
+                          "def f(h):\n    return h._read\n"),
+    }
+    assert _unread_private(trees) == [("a.py", "Hom._locate"),
+                                      ("a.py", "Hom._dead")]

@@ -84,8 +84,9 @@ def test_delta_matches_the_dense_oracle_at_125_generators(seed):
 @pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "T2_7"])
 def test_delta_builds_one_witness(monkeypatch, name):
     # delta sweeps the cylinder once per grading it searches, from the
-    # diagonal's top grading down to its answer, and never reads the
-    # tower cycle of the diagonal
+    # diagonal's top grading down to its answer; the diagonal is swept
+    # once per grading from its window's top down to the tower's top,
+    # which gives the tower cycle too, and never again
     calls = []
     real = invariants._lex_witness
 
@@ -96,10 +97,14 @@ def test_delta_builds_one_witness(monkeypatch, name):
     monkeypatch.setattr(invariants, "_lex_witness", counting)
     x = scramble(bundled(name), random.Random(5))
     res = delta(x, validated=True)
-    top = max(x.diagonal.uc.gradings)
-    assert top - res.max_grading + 1 == len(calls) > 1
-    assert calls == [(f"Cyl(A0({x.complex.name}))", d)
-                     for d in range(top, res.max_grading - 1, -1)]
+    hom = x.diagonal
+    cyl = [d for uc, d in calls if uc == f"Cyl({hom.uc.name})"]
+    diag = [d for uc, d in calls if uc == hom.uc.name]
+    assert len(cyl) + len(diag) == len(calls)
+    top = max(hom.uc.gradings)
+    assert cyl == list(range(top, res.max_grading - 1, -1))
+    assert len(cyl) > 1
+    assert diag == list(range(hom.hi, hom.tower_top - 1, -1))
 
 
 def test_delta_zero_iff_local_builds_the_tower_once(monkeypatch):
@@ -149,34 +154,47 @@ def test_each_cycle_basis_is_computed_once_per_delta(monkeypatch):
                                   "stair_box_5"])
 def test_one_elimination_per_slice_set(monkeypatch, name):
     """The two stable gradings take two eliminations, one per parity's
-    whole generator set; the tower scan adds one for each grading above
-    whose slice the tower functional reaches, and no grading below the
-    lowest generator adds any."""
+    whole generator set, and the tower scan adds none; homology at every
+    grading of the window adds one per further set, and no grading below
+    the lowest generator adds any."""
     uc = a0(scramble(bundled(name), random.Random(name)))
     spans = _record_spans(monkeypatch)
     hom = DiagonalHomology(uc)
     stable = {uc.levels.above(hom.gmin), uc.levels.above(hom.gmin - 1)}
-    assert set(spans[:2]) == stable and len(stable) == 2
-    reached = {uc.levels.above(d)
-               for d in range(hom.hi, hom.tower_top - 1, -1)
-               if hom.tower_mask(d)}
-    assert set(spans) == stable | reached
-    assert len(spans) == len(set(spans))
-    for d in range(hom.gmin + 1, hom.lo - 1, -1):
+    assert set(spans) == stable and len(spans) == len(stable) == 2
+    for d in range(hom.hi, hom.lo - 1, -1):
         hom.homology(d)
+    assert set(spans) == {uc.levels.above(d)
+                          for d in range(hom.lo, hom.hi + 2)}
     assert len(spans) == len(set(spans)) == len(hom._slices)
+
+
+@pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "T2_7",
+                                  "stair_box_5"])
+def test_delta_keeps_only_the_stable_slices(name):
+    """delta reads the tower functional alone, so on a fresh complex the
+    diagonal keeps the two slice sets its stable gradings use and no
+    slice the tower scan visits."""
+    x = scramble(bundled(name), random.Random(name))
+    delta(x)
+    hom = x.diagonal
+    above = hom.uc.levels.above
+    assert set(hom._slices) == {above(hom.gmin), above(hom.gmin - 1)}
 
 
 @pytest.mark.parametrize("name", ["4_1x4_1_tau", "T2_3#T2_3", "stair_box_5"])
 def test_homology_u_eliminates_no_boundary_columns(monkeypatch, name):
     """homology_u reads the boundary columns only for the slice spans,
-    once per set, and builds each slice's homology on the next slice's
-    stored rows, which go into its echelon unchanged."""
+    once per set, and builds one homology per distinct pair of slice sets
+    at d and d+1, on slice d+1's stored rows, which go into its echelon
+    unchanged."""
     uc = a0(scramble(bundled(name), random.Random(name)))
     spans = _record_spans(monkeypatch)
-    fetched, homs = [], []
+    fetched, homs, asked, built = [], [], [], []
     real_columns = DiagonalHomology._columns
     real_init = DiagonalHomology.__init__
+    real_homology = DiagonalHomology.homology
+    real_hslice = invariants._HSlice.__init__
 
     def fetching(self, d):
         fetched.append(d)
@@ -186,13 +204,27 @@ def test_homology_u_eliminates_no_boundary_columns(monkeypatch, name):
         homs.append(self)
         real_init(self, uc)
 
+    def asking(self, d):
+        asked.append(d)
+        return real_homology(self, d)
+
+    def building(self, *args):
+        built.append(self)
+        real_hslice(self, *args)
+
     monkeypatch.setattr(DiagonalHomology, "_columns", fetching)
     monkeypatch.setattr(DiagonalHomology, "__init__", keeping)
+    monkeypatch.setattr(DiagonalHomology, "homology", asking)
+    monkeypatch.setattr(invariants._HSlice, "__init__", building)
     homology_u(uc)
     (hom,) = homs
     assert len(fetched) == len(spans) == len(set(spans)) == len(hom._slices)
-    for d, h in hom._H.items():
-        rows = hom._slice(d + 1)[1]
+    above = uc.levels.above
+    pairs = {(above(d), above(d + 1)) for d in asked}
+    assert set(hom._H) == pairs
+    assert len(built) == len(pairs) < len(set(asked))
+    for (_, next_set), h in hom._H.items():
+        rows = hom._slices[next_set][1]
         assert [v for _, v in h._span.rows[:len(rows)]] == rows
 
 
