@@ -393,6 +393,8 @@ def tensor(x1: PhiIotaComplex, x2: PhiIotaComplex,
     """
     c1, c2 = x1.complex, x2.complex
     gens = tuple(f"{g1}|{g2}" for g1 in c1.generators for g2 in c2.generators)
+    if len(set(gens)) < len(gens):  # ids holding "|" can name two pairs alike
+        gens = tuple(f"{i}|{j}" for i in range(c1.n) for j in range(c2.n))
     grads = tuple(gr_add(g1, g2) for g1 in c1.gradings for g2 in c2.gradings)
     diff = [a ^ b for a, b in zip(_kron(c1.boundary(), c2.identity()),
                                   _kron(c1.identity(), c2.boundary()))]
@@ -530,45 +532,13 @@ def _dumps(value) -> str:
 
 
 def _is_leaf(value) -> bool:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return True
-    if isinstance(value, list):
-        return all(isinstance(v, (str, int, float, bool)) or v is None
-                   or (isinstance(v, list) and _is_leaf(v)) for v in value)
-    return False
-
-
-def _tuple_free(items: list) -> bool:
-    """No tuple at any depth of a list whose encoding has no brace."""
-    for v in items:
-        if isinstance(v, list):
-            if not _tuple_free(v):
-                return False
-        elif isinstance(v, tuple):
+    if not isinstance(value, list):
+        return isinstance(value, (str, int, float, bool)) or value is None
+    for v in value:
+        if not (isinstance(v, (str, int, float, bool)) or v is None
+                or isinstance(v, list) and _is_leaf(v)):
             return False
     return True
-
-
-def _leaf_text(value):
-    """The one-line text of a leaf, ``json.dumps(value)``; None for any
-    other value."""
-    if isinstance(value, str):
-        return _encode_key(value)
-    if not isinstance(value, list):
-        if isinstance(value, (int, float)) or value is None:
-            return _dumps(value)
-        return None
-    if value and isinstance(value[0], dict):
-        return None
-    try:
-        text = _dumps(value)
-    except (TypeError, ValueError):
-        if _is_leaf(value):
-            raise  # json.dumps raises it too
-        return None
-    if "{" in text or "}" in text:
-        return text if _is_leaf(value) else None
-    return text if _tuple_free(value) else None
 
 
 def canonical_json(value, indent: int = 0) -> str:
@@ -576,25 +546,14 @@ def canonical_json(value, indent: int = 0) -> str:
 
     A leaf is a str, int, float, bool or None, or a list (nested to any
     depth) of those; it is written on one line, as ``json.dumps`` writes
-    it.  Dicts and lists holding a dict go one item per line, and a dict
-    key k is written as the string ``str(k)``.  Nothing else serialises:
-    a tuple, a set or any other object raises ``TypeError`` at any depth.
-
-    A scalar is a leaf as it stands.  A list is encoded once, whole,
-    unless its first item is a dict.  The encoder writes a dict as
-    ``{...}`` and nothing else with a brace, so text without ``{`` or
-    ``}`` is a leaf once a walk finds no tuple in it (the encoder writes
-    a tuple as an array).  A string may hold a brace, so text with one,
-    or a list the encoder rejects, falls back to the exact leaf test.
+    it.  Dicts and other lists go one item per line, and a dict key k is
+    written as the string ``str(k)``.  Nothing else serialises: a tuple,
+    a set or any other object raises ``TypeError`` at any depth.
     """
+    if _is_leaf(value):
+        return _dumps(value)
     pad = "  " * indent
-    if not isinstance(value, dict):
-        text = _leaf_text(value)
-        if text is not None:
-            return text
-    if isinstance(value, list):
-        if not value:
-            return "[]"
+    if isinstance(value, list):  # not a leaf, so not empty
         inner = ",\n".join(pad + "  " + canonical_json(v, indent + 1)
                            for v in value)
         return "[\n" + inner + "\n" + pad + "]"

@@ -124,7 +124,11 @@ def _integer(name: str, field: str, text: str) -> int:
     digits = text.strip()
     if not re.fullmatch(r"[+-]?[0-9]+", digits):
         raise ParseError(f"{name}: {field} {text!r} is not an integer")
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{name}: {field} has {len(digits)} characters, "
+                         f"too many for an integer") from None
 
 
 def parse_knot_csv(path: str) -> TableReport:

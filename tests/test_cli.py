@@ -619,3 +619,29 @@ def test_schema_is_read_once(capsys, monkeypatch):
     finally:
         cli.load_schema.cache_clear()
     assert reads == ["corkscrew.data"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_split_verdict_with_ids_holding_a_bar(tmp_path, capsys, fmt):
+    """(k, z|q) and (k|z, q) join to the same name; the verdict is the
+    bundled pair's all the same."""
+    text = serialize(bundled("4_1"))
+    paths = []
+    for x_id, a_id in (("k", "k|z"), ("q", "z|q")):
+        path = tmp_path / f"{x_id}.json"
+        path.write_text(text.replace('"x"', f'"{x_id}"')
+                        .replace('"a"', f'"{a_id}"'))
+        paths.append(str(path))
+    args = ["--format", fmt, "verdict", "split", "-m", "1"]
+    code, out, err = run_cli(args + ["--k1", paths[0], "--k2", paths[1]],
+                             capsys)
+    assert (code, err) == (0, "")
+    _, plain, _ = run_cli(args + ["--k1", "bundled:4_1",
+                                  "--k2", "bundled:4_1"], capsys)
+    if fmt == "text":
+        assert out == plain
+        assert out.startswith("StrongCork")
+    else:
+        assert (json.loads(out)["verdicts"][0]["conclusion"]
+                == json.loads(plain)["verdicts"][0]["conclusion"]
+                == "StrongCork")

@@ -362,3 +362,20 @@ class TestSerialization:
     def test_to_dict_stable_ordering(self, fig8):
         assert list(to_dict(fig8)) == ["name", "generators", "differential",
                                        "phi", "iota"]
+
+
+def _figure_eight_renamed(x_id, a_id):
+    text = serialize(figure_eight_with_actions())
+    return parse_complex_text(text.replace('"x"', f'"{x_id}"')
+                              .replace('"a"', f'"{a_id}"'))
+
+
+def test_tensor_names_every_pair_apart():
+    """Ids holding "|" would give (k, z|q) and (k|z, q) the same joined
+    name; the tensor product then names its pairs by position."""
+    x = _figure_eight_renamed("k", "k|z")
+    y = _figure_eight_renamed("q", "z|q")
+    gens = tensor(x, y).complex.generators
+    assert len(set(gens)) == len(gens) == 25
+    plain = tensor(figure_eight_with_actions(), figure_eight_with_actions())
+    assert plain.complex.generators[:2] == ("x|x", "x|a")

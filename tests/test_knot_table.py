@@ -57,6 +57,17 @@ def test_malformed_integers_are_rejected_naming_the_field():
     ]
 
 
+def test_an_integer_longer_than_int_reads_is_rejected_naming_the_field():
+    long = "3" * 5000  # past CPython's 4,300-digit limit on int(str)
+    rep = parse_knot_csv_text(HEADER + f"3_1,{long},1,-2,3,1,\n"
+                              f"8_21,8,0,-2,15,0,{long}\n")
+    assert rep.rows == []
+    assert rep.rejected == [
+        (2, "3_1: crossings has 5000 characters, too many for an integer"),
+        (3, "8_21: tau has 5000 characters, too many for an integer"),
+    ]
+
+
 def test_even_determinant_rejected_with_row_number():
     rep = parse_knot_csv_text(HEADER + "good,3,1,-2,3,1,\nbad,4,1,0,4,0,\n")
     assert len(rep.rows) == 1

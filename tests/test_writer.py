@@ -74,6 +74,8 @@ _HAND_MADE = [
     {"a": {"b": [], "c": {}}},
     ["café", "\"quoted\"", "back\\slash"],
     [float("nan"), float("inf"), -0.0],
+    ["{", (1,)],
+    [{"a": 1}, 2],
 ]
 
 
