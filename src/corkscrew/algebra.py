@@ -136,12 +136,19 @@ class F2Inconsistency:
     combo: int  # bitmask over the rows of A, in the order A gives them
 
 
-def ones(word: int):
-    """Positions of the set bits of a non-negative word, lowest first."""
+def ones(word: int) -> list:
+    """Positions of the set bits of a non-negative word, lowest first.
+
+    They are collected from the top bit down and then reversed: clearing
+    the top bit builds only non-negative ints, where isolating the lowest
+    one (``word & -word``) builds a negative int the size of the word."""
+    out = []
     while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
+        top = word.bit_length() - 1
+        out.append(top)
+        word ^= 1 << top
+    out.reverse()
+    return out
 
 
 def parity(word: int) -> int:
@@ -152,12 +159,14 @@ def parity(word: int) -> int:
 
 def mat_vec(cols: Sequence[int], word: int) -> int:
     """The XOR of ``cols[i]`` over the set bits i of ``word``: a bit
-    matrix, given by its columns, applied to a bit vector."""
+    matrix, given by its columns, applied to a bit vector.  XOR does not
+    depend on the order, so the bits are walked from the top (see
+    :func:`ones`)."""
     out = 0
     while word:
-        low = word & -word
-        out ^= cols[low.bit_length() - 1]
-        word ^= low
+        top = word.bit_length() - 1
+        out ^= cols[top]
+        word ^= 1 << top
     return out
 
 

@@ -107,20 +107,22 @@ class _Objective:
 
     def partners(self, i):
         """The j != i with column j meeting column i or row j meeting row
-        i: rows[t] for each t in column i, cols[s] for each s in row i."""
+        i: rows[t] for each t in column i, cols[s] for each s in row i.
+        An OR does not depend on the order, so the bits are walked from
+        the top (see ``algebra.ones``)."""
         cols, rows = self.cols, self.rows
         reach = 0
         word = cols[i]
         while word:
-            low = word & -word
-            reach |= rows[low.bit_length() - 1]
-            word ^= low
+            top = word.bit_length() - 1
+            reach |= rows[top]
+            word ^= 1 << top
         word = rows[i]
         while word:
-            low = word & -word
-            reach |= cols[low.bit_length() - 1]
-            word ^= low
-        return reach & ~(1 << i)
+            top = word.bit_length() - 1
+            reach |= cols[top]
+            word ^= 1 << top
+        return reach ^ (reach & 1 << i)
 
     def terms_change(self, i, j):
         """Change in terms of transvection(i, j): a toggle flips an entry."""
@@ -420,7 +422,7 @@ def _peel_boxes(gradings, cols):
     # generator in its support, and its bits lie in that grading's mask
     new_grads = tuple(gradings[(v & -v).bit_length() - 1] for v in m_bits)
     at = dict(Levels(gradings).masks)
-    if any(v & ~at[g] for v, g in zip(m_bits, new_grads)):
+    if any(v & at[g] != v for v, g in zip(m_bits, new_grads)):
         raise ConsistencyError("peeled basis vector is not homogeneous")
     return m_bits, inv_bits, new_grads
 

@@ -90,7 +90,7 @@ class MapShape:
         coordinate; bits outside the admissible mask are a grading
         violation."""
         mask = self.masks[s]
-        if col & ~mask:
+        if col & mask != col:
             raise ValidationError(f"entry outside its admissible mask at "
                                   f"source {s}")
         out = 0

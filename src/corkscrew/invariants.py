@@ -160,8 +160,9 @@ class UComplex:
         for label, group, degree in self._maps():
             base = [g + degree for g in self.gradings]
             for s, col in enumerate(group):
-                bad = col & ~levels.above(base[s])
-                if bad:
+                mask = levels.above(base[s])
+                if col & mask != col:
+                    bad = col & ~mask
                     t = (bad & -bad).bit_length() - 1
                     raise ValidationError(
                         f"{label} degree violated at "

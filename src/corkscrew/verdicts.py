@@ -32,7 +32,7 @@ from .complexes import (
     validate,
 )
 from .connected import s_nontrivial
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ParseError, ValidationError
 from .homotopy import homotopic, local_map_exists
 from .invariants import DeltaResult, delta
 from .models import phi_iota_from_dict, thin_model
@@ -274,9 +274,24 @@ def verdict_periodic(x: PhiIotaComplex, m: int, i: int) -> Verdict:
 
 # -- certificate replay ------------------------------------------------------------
 
+# the fields each certificate kind is replayed from
+_CERTIFICATE_FIELDS = {
+    "twist-nontrivial": ("conn",),
+    "delta-positive": ("complex", "delta", "witness_grading"),
+    "no-local-map": ("source", "target"),
+}
+
+
 def replay_certificate(cert: dict) -> bool:
-    """Re-run the decision recorded in a certificate and confirm it."""
+    """Re-run the decision recorded in a certificate and confirm it.  A
+    certificate that is not an object, or lacks a field its kind is
+    replayed from, is a ParseError saying so."""
+    if not isinstance(cert, dict):
+        raise ParseError("certificate must be an object")
     kind = cert.get("kind")
+    for key in _CERTIFICATE_FIELDS.get(kind, ()):
+        if key not in cert:
+            raise ParseError(f"{kind} certificate has no {key!r} field")
     if kind == "twist-nontrivial":
         conn = phi_iota_from_dict(cert["conn"])
         model = conn.complex

@@ -1164,6 +1164,48 @@ def reference_delta(x):
     return first
 
 
+# -- the bit kernels as first written: the lowest set bit by w & -w -----------
+
+def reference_ones(word: int) -> list:
+    """algebra.ones as first written: isolate the lowest set bit with
+    ``word & -word``, record it and clear it."""
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return out
+
+
+def reference_mat_vec(cols, word: int) -> int:
+    """algebra.mat_vec as first written, lowest bit first."""
+    out = 0
+    while word:
+        low = word & -word
+        out ^= cols[low.bit_length() - 1]
+        word ^= low
+    return out
+
+
+def reference_chain_commutes(cx, f) -> bool:
+    """complexes.chain_commutes as first written: the two full products
+    f o diff and diff o f, then compared."""
+    d, cols = cx.diff, f.cols
+    return ([reference_mat_vec(cols, c) for c in d]
+            == [reference_mat_vec(d, c) for c in cols])
+
+
+def reference_first_outside(cols, masks):
+    """(s, t) for the first column s with a bit outside ``masks[s]`` and
+    the lowest such bit t, by the first idioms ``col & ~mask`` and
+    ``bad & -bad``; None when every column lies inside its mask."""
+    for s, (col, mask) in enumerate(zip(cols, masks)):
+        bad = col & ~mask
+        if bad:
+            return s, (bad & -bad).bit_length() - 1
+    return None
+
+
 # -- grading checks and tower shapes, one entry at a time ---------------------
 
 def reference_grading_violation(f):

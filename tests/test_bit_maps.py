@@ -3,10 +3,13 @@ arithmetic it replaced, kept in ``tests/oracle.py``: composition,
 application, sums, derivative maps, tensor products and duals agree entry
 for entry, monomials included, on scrambled bundled models, T(2,q) sums,
 duals and the 125-generator (4_1,tau)^2 (x) 4_1.  An element is a bit
-vector at a bigrading, and applying a map is ``mat_vec``."""
+vector at a bigrading, and applying a map is ``mat_vec``.  The tensor's
+involution, built from Kronecker products of its factors, equals the
+compose form (id + Phi (x) Psi) o (iota1 (x) iota2) bit for bit."""
 
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import scramble
@@ -27,6 +30,8 @@ from oracle import (
     reference_add,
     reference_apply,
     reference_compose,
+    reference_mat_vec,
+    reference_ones,
     reference_phi_psi_maps,
     reference_tensor_maps,
     reference_transpose,
@@ -154,3 +159,37 @@ def test_dual_matches_the_reference(name, seed):
     assert dict_cols(d.phi_inverse) == reference_transpose(
         dict_cols(x.phi), False)
     assert dict_cols(d.iota) == reference_transpose(dict_cols(x.iota), True)
+
+
+def _compose_form_iota(x1, x2) -> list:
+    """The tensor's involution as ``(id + Phi (x) Psi) o (iota1 (x)
+    iota2)``: both Kronecker products over all pairs of bits, then one
+    bit-matrix product over the whole tensor, lowest bit first."""
+    n2 = x2.complex.n
+
+    def kron(f_cols, g_cols):
+        return [sum(1 << (s * n2 + t) for s in reference_ones(a)
+                    for t in reference_ones(b))
+                for a in f_cols for b in g_cols]
+
+    phi1 = phi_psi_maps(x1.complex)[0]
+    psi2 = phi_psi_maps(x2.complex)[1]
+    correction = kron(phi1.cols, psi2.cols)
+    return [col ^ reference_mat_vec(correction, col)
+            for col in kron(x1.iota.cols, x2.iota.cols)]
+
+
+@pytest.mark.parametrize("second", sorted(BUNDLED))
+@pytest.mark.parametrize("first", sorted(BUNDLED))
+def test_tensor_iota_is_the_compose_form_bit_for_bit(first, second):
+    for seed in range(3):
+        x1 = scramble(bundled(first), random.Random(seed))
+        x2 = scramble(bundled(second), random.Random(seed + 10))
+        assert list(tensor(x1, x2).iota.cols) == _compose_form_iota(x1, x2)
+
+
+def test_tensor_iota_is_the_compose_form_at_625_generators():
+    x = bundled("4_1x4_1_tau")
+    t = tensor(x, x)
+    assert t.complex.n == 625
+    assert list(t.iota.cols) == _compose_form_iota(x, x)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from corkscrew.complexes import tensor
-from corkscrew.errors import ValidationError
+from corkscrew.complexes import tensor, to_dict
+from corkscrew.errors import ParseError, ValidationError
 from corkscrew.models import (
     bundled,
     figure_eight_iota_only,
@@ -226,3 +226,38 @@ def test_census_agreement_with_homological_route():
         arith = cor13_arithmetic(row.arf, row.tau_invariant)
         v = verdict_gompf(k, m=1, i=1, j=0)
         assert (v.conclusion == STRONG_CORK) == arith, row.name
+
+
+class TestMalformedCertificates:
+    """A certificate lacking a field its kind is replayed from, or not an
+    object at all, is a ParseError naming what is wrong, never a
+    KeyError or AttributeError."""
+
+    def test_twist_nontrivial_without_conn(self):
+        with pytest.raises(ParseError, match="twist-nontrivial certificate "
+                                             "has no 'conn' field"):
+            replay_certificate({"kind": "twist-nontrivial"})
+
+    @pytest.mark.parametrize("missing", ["complex", "delta",
+                                         "witness_grading"])
+    def test_delta_positive_without_a_field(self, missing):
+        cert = verdict_delta(bundled("4_1x4_1_tau"), m=1).certificate
+        del cert[missing]
+        with pytest.raises(ParseError, match=f"delta-positive certificate "
+                                             f"has no '{missing}' field"):
+            replay_certificate(cert)
+
+    @pytest.mark.parametrize("missing", ["source", "target"])
+    def test_no_local_map_without_a_field(self, missing):
+        cert = {"kind": "no-local-map", "source": to_dict(unknot()),
+                "target": to_dict(unknot())}
+        del cert[missing]
+        with pytest.raises(ParseError, match=f"no-local-map certificate "
+                                             f"has no '{missing}' field"):
+            replay_certificate(cert)
+
+    @pytest.mark.parametrize("cert", [None, [], "twist-nontrivial", 3])
+    def test_a_certificate_that_is_not_an_object(self, cert):
+        with pytest.raises(ParseError, match="certificate must be an "
+                                             "object"):
+            replay_certificate(cert)
